@@ -1,8 +1,12 @@
 """Named number and polynomial families, each built from its generating
 function through the series layer.
 
-Every constructor expands the defining generating function; closed-form
-shortcuts exist only in the test suite as cross-checks.  The required
+Every polynomial and Cauchy-number constructor expands the defining
+generating function; closed-form shortcuts exist only in the test suite as
+cross-checks.  The Stirling triangles come from their two-term
+recurrences (the first kind cross-checked against the falling-factorial
+expansion; the generating-function check of the second kind lives in the
+test suite).  The required
 truncation order is derived from the requested degree, so callers never
 pass one.  Expanded series are cached per parameter set and regrown on
 demand; the caches are write-once per key and safe to share.
@@ -10,6 +14,7 @@ demand; the caches are write-once per key and safe to share.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -86,52 +91,46 @@ def _family_polys(key: tuple, n: int, builder) -> Polynomial:
 
 
 # -- Stirling triangles ----------------------------------------------------
+#
+# Rows are appended under one lock: without it, two threads that both see
+# a row missing append it twice and shift every later row.
 
 _s1_rows: list[list[Fraction]] = []
-_s2_rows: list[list[Fraction]] = []
+_s2_rows: list[list[Fraction]] = [[Fraction(1)]]
+_stirling_lock = threading.Lock()
 
 
 def _extend_stirling1(n: int):
     from .algebra import falling_factorial
 
-    while len(_s1_rows) <= n:
-        m = len(_s1_rows)
-        ff = falling_factorial(m)
-        row = [ff.coefficient(l) for l in range(m + 1)]
-        if m == 0:
-            rec = [Fraction(1)]
-        else:
-            prev = _s1_rows[m - 1]
-            rec = [
-                (prev[l - 1] if l >= 1 else Fraction(0))
-                - (m - 1) * (prev[l] if l < m else Fraction(0))
-                for l in range(m + 1)
-            ]
-        if row != rec:
-            raise AssertionError(f"Stirling-1 row {m}: expansion and recurrence disagree")
-        _s1_rows.append(row)
+    with _stirling_lock:
+        while len(_s1_rows) <= n:
+            m = len(_s1_rows)
+            ff = falling_factorial(m)
+            row = [ff.coefficient(l) for l in range(m + 1)]
+            if m == 0:
+                rec = [Fraction(1)]
+            else:
+                prev = _s1_rows[m - 1]
+                rec = [
+                    (prev[l - 1] if l >= 1 else Fraction(0))
+                    - (m - 1) * (prev[l] if l < m else Fraction(0))
+                    for l in range(m + 1)
+                ]
+            if row != rec:
+                raise AssertionError(f"Stirling-1 row {m}: expansion and recurrence disagree")
+            _s1_rows.append(row)
 
 
 def _extend_stirling2(n: int):
-    while len(_s2_rows) <= n:
-        m = len(_s2_rows)
-        em1 = exp_t(m) - 1
-        row = []
-        for j in range(m + 1):
-            pw = int_pow(em1, j) if m >= 1 else Series.one(0)
-            row.append(Fraction(factorial(m), factorial(j)) * pw.coeffs[m])
-        if m == 0:
-            rec = [Fraction(1)]
-        else:
-            prev = _s2_rows[m - 1]
-            rec = [
-                (prev[j - 1] if j >= 1 else Fraction(0))
-                + j * (prev[j] if j < m else Fraction(0))
+    with _stirling_lock:
+        while len(_s2_rows) <= n:
+            prev = _s2_rows[-1]
+            m = len(prev)
+            _s2_rows.append([
+                (prev[j - 1] if j else 0) + j * (prev[j] if j < m else 0)
                 for j in range(m + 1)
-            ]
-        if row != rec:
-            raise AssertionError(f"Stirling-2 row {m}: expansion and recurrence disagree")
-        _s2_rows.append(row)
+            ])
 
 
 def stirling1(n: int, m: int) -> Fraction:
@@ -144,8 +143,8 @@ def stirling1(n: int, m: int) -> Fraction:
 
 
 def stirling2(n: int, m: int) -> Fraction:
-    """Stirling number of the second kind, from (e^t - 1)^m (cross-checked
-    against the two-term recurrence)."""
+    """Stirling number of the second kind, from the two-term recurrence
+    S(n, m) = S(n-1, m-1) + m S(n-1, m)."""
     if n < 0 or m < 0 or m > n:
         raise ValueError(f"stirling2 needs 0 <= m <= n, got n={n}, m={m}")
     _extend_stirling2(n)

@@ -1,11 +1,24 @@
-"""Truncated formal power series with exact coefficients.
+"""Truncated formal power series with exact coefficients in ℚ or ℚ[x].
 
 A Series holds coefficients c_0..c_N of t^0..t^N; N is the truncation
-order and is fixed per value.  Coefficients live in a commutative ring:
-either Fraction, or Polynomial (for series carrying the variable x).
-Mixed arithmetic between the two coefficient kinds goes through the
-Polynomial coercion rules, so a rational series can be multiplied into a
-polynomial-coefficient series without ceremony.
+order and is fixed per value.  Each coefficient is a polynomial in x over
+ℚ; a rational coefficient is the x-degree-0 case, so a series over ℚ and
+a series over ℚ[x] are the same kind of value and mix freely.
+
+Storage is one integer array over one common denominator, the layout of
+FLINT's fmpq_poly: ``num[d][i]`` is the numerator of the x^d t^i term and
+``den > 0`` the denominator, so c_i = sum_d num[d][i] x^d / den.  Columns
+past the highest x-degree present are dropped (a series over ℚ has
+exactly one) and ``den`` has no factor common to all entries, so the form
+is canonical: two series are equal iff their arrays and denominators are.
+Every operation runs on plain Python ints and reduces its result by one
+gcd pass.  The triangular solves (div, reciprocal, exp_series) give each
+row its own denominator while they run, so intermediate numbers stay
+about the size of the result's instead of growing with powers of the
+input's denominator.
+
+``Series.coeffs`` is the read view: Fractions for a series over ℚ,
+Polynomials for one over ℚ[x], built once per value on first read.
 
 All operations are exact through index N.  Nothing ever extends or
 shrinks the truncation order silently; div is the one operation that
@@ -15,7 +28,9 @@ returns a shorter series (it cancels the shared power of t first).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import chain
+from math import factorial, gcd, lcm
+from operator import mul as _times
 from typing import Iterable
 
 from .algebra import Polynomial
@@ -25,97 +40,169 @@ class SeriesError(ValueError):
     """Raised when a series operation's preconditions are violated."""
 
 
-def _elem(v):
-    if isinstance(v, (Fraction, Polynomial)):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"unsupported series coefficient type {type(v).__name__}")
+def _lowest(col) -> int:
+    """Index of the first nonzero entry; len(col) if there is none."""
+    for i, c in enumerate(col):
+        if c:
+            return i
+    return len(col)
 
 
-def _is_zero(c) -> bool:
+def _scalar(c) -> tuple[list, int]:
+    """Integer numerators (ascending powers of x) and denominator of an
+    int, Fraction or Polynomial coefficient."""
     if isinstance(c, Polynomial):
-        return c.is_zero
-    return c == 0
+        qs = c.coeffs or (0,)
+    elif isinstance(c, (int, Fraction)):
+        qs = (c,)
+    else:
+        raise TypeError(f"unsupported series coefficient type {type(c).__name__}")
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
 
 
-def _unit_inverse(c):
-    """Multiplicative inverse of a ring unit (nonzero rational, possibly
-    wrapped in a constant polynomial)."""
-    if isinstance(c, Polynomial):
-        if c.degree > 0:
-            raise SeriesError("leading coefficient is a non-constant polynomial, not a unit")
-        if c.is_zero:
-            raise SeriesError("leading coefficient is zero, not a unit")
-        return Fraction(1) / c.coeffs[0]
-    if c == 0:
+def _conv_add(acc: list, x, y):
+    """acc[i] += sum_j x[j] y[i-j] for every index i of acc."""
+    n = len(acc) - 1
+    vx, vy = _lowest(x), _lowest(y)
+    if vx + vy > n:
+        return
+    ry = y[::-1]
+    for i in range(vx + vy, n + 1):
+        acc[i] += sum(map(_times, x[vx:i - vy + 1], ry[n - i + vx:n - vy + 1]))
+
+
+def _from_rows(cols: list, dens: list) -> "Series":
+    """The series whose row i is column entries cols[.][i] over dens[i]."""
+    common = lcm(*dens)
+    for i, d in enumerate(dens):
+        f = common // d
+        if f != 1:
+            for col in cols:
+                col[i] *= f
+    return Series._of(cols, common)
+
+
+def _reduce_row(cols: list, i: int, den: int, dens: list):
+    """Divide row i of cols and its denominator den by their gcd and
+    record the reduced, positive denominator in dens."""
+    g = gcd(den, *(col[i] for col in cols))
+    if den < 0:
+        g = -g
+    if g != 1:
+        for col in cols:
+            col[i] //= g
+    dens.append(den // g)
+
+
+def _unit(s: "Series", i: int) -> int:
+    """Numerator of coefficient i of s, which must be a unit of ℚ[x]."""
+    if any(col[i] for col in s.num[1:]):
+        raise SeriesError("leading coefficient is a non-constant polynomial, not a unit")
+    if not s.num[0][i]:
         raise SeriesError("leading coefficient is zero, not a unit")
-    return Fraction(1) / c
+    return s.num[0][i]
 
 
 class Series:
-    """Immutable truncated power series in t."""
+    """Immutable truncated power series in t over ℚ[x]."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable):
-        object.__setattr__(self, "coeffs", tuple(_elem(c) for c in coeffs))
-        if not self.coeffs:
+        parts = [_scalar(c) for c in coeffs]
+        if not parts:
             raise SeriesError("a series needs at least the constant coefficient")
+        den = lcm(*(d for _, d in parts))
+        cols = [[0] * len(parts) for _ in range(max(len(p) for p, _ in parts))]
+        for i, (p, d) in enumerate(parts):
+            f = den // d
+            for e, q in enumerate(p):
+                cols[e][i] = q * f
+        self._set(cols, den)
+
+    def _set(self, cols: list, den: int):
+        while len(cols) > 1 and not any(cols[-1]):
+            cols.pop()
+        g = gcd(den, *chain.from_iterable(cols))
+        if den < 0:
+            g = -g
+        if g != 1:
+            cols = [[c // g for c in col] for col in cols]
+            den //= g
+        object.__setattr__(self, "num", tuple(map(tuple, cols)))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def _of(cls, cols: list, den: int = 1) -> "Series":
+        """The series cols / den, reduced; cols may be modified."""
+        s = object.__new__(cls)
+        s._set(cols, den)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        view = self._coeffs
+        if view is None:
+            den = self.den
+            if len(self.num) == 1:
+                view = tuple(Fraction(c, den) for c in self.num[0])
+            else:
+                view = tuple(
+                    Polynomial(Fraction(c, den) for c in row) for row in zip(*self.num)
+                )
+            object.__setattr__(self, "_coeffs", view)
+        return view
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "Series":
-        return cls([Fraction(0)] * (order + 1))
+        return cls._of([[0] * (order + 1)])
 
     @classmethod
     def one(cls, order: int) -> "Series":
-        return cls([Fraction(1)] + [Fraction(0)] * order)
+        return cls._of([[1] + [0] * order])
 
     @classmethod
     def t(cls, order: int) -> "Series":
         if order < 1:
             raise SeriesError("t needs order >= 1")
-        return cls([Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1))
+        return cls._of([[0, 1] + [0] * (order - 1)])
 
     # -- queries ----------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num[0]) - 1
 
     def valuation(self) -> int:
         """Smallest index with a nonzero coefficient; order+1 for the zero
         series (sentinel)."""
-        for i, c in enumerate(self.coeffs):
-            if not _is_zero(c):
-                return i
-        return self.order + 1
+        return min(_lowest(col) for col in self.num)
 
     def is_delta(self) -> bool:
         return self.valuation() == 1
 
     def is_unit(self) -> bool:
-        return not _is_zero(self.coeffs[0])
+        return any(col[0] for col in self.num)
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise SeriesError(f"cannot extend truncation order {self.order} to {order}")
-        return Series(self.coeffs[: order + 1])
+        return Series._of([list(col[: order + 1]) for col in self.num], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.num))
 
     def __repr__(self):
         return f"Series({list(self.coeffs)!r})"
@@ -128,35 +215,59 @@ class Series:
                 f"truncation order mismatch: {self.order} vs {other.order}"
             )
 
+    def _constant(self, c) -> "Series":
+        """c as a series of this order."""
+        p, d = _scalar(c)
+        zeros = [0] * self.order
+        return Series._of([[q] + zeros for q in p], d)
+
+    def _combine(self, other: "Series", sign: int) -> "Series":
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        a, b = self.num, other.num
+        zero = (0,) * (self.order + 1)
+        cols = [
+            [x * fa + y * fb for x, y in zip(a[d] if d < len(a) else zero,
+                                            b[d] if d < len(b) else zero)]
+            for d in range(max(len(a), len(b)))
+        ]
+        return Series._of(cols, den)
+
     def __add__(self, other):
         if isinstance(other, Series):
             self._check_order(other)
-            return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
+            return self._combine(other, 1)
         if isinstance(other, (int, Fraction, Polynomial)):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] + other
-            return Series(cs)
+            return self._combine(self._constant(other), 1)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(-c for c in self.coeffs)
+        return Series._of([[-c for c in col] for col in self.num], self.den)
 
     def __sub__(self, other):
         if isinstance(other, Series):
             self._check_order(other)
-            return Series(a - b for a, b in zip(self.coeffs, other.coeffs))
+            return self._combine(other, -1)
         if isinstance(other, (int, Fraction, Polynomial)):
-            return self + (-_elem(other))
+            return self._combine(self._constant(other), -1)
         return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, c) -> "Series":
-        c = _elem(c)
-        return Series(a * c for a in self.coeffs)
+        p, d = _scalar(c)
+        n = self.order
+        cols = [[0] * (n + 1) for _ in range(len(self.num) + len(p) - 1)]
+        for e, q in enumerate(p):
+            if q:
+                for d0, col in enumerate(self.num):
+                    out = cols[d0 + e]
+                    for i, a in enumerate(col):
+                        out[i] += q * a
+        return Series._of(cols, self.den * d)
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -174,7 +285,9 @@ class Series:
         """Formal d/dt; the result order drops by one."""
         if self.order == 0:
             raise SeriesError("cannot differentiate an order-0 series")
-        return Series(i * self.coeffs[i] for i in range(1, len(self.coeffs)))
+        return Series._of(
+            [[i * c for i, c in enumerate(col) if i] for col in self.num], self.den
+        )
 
 
 # -- core operations ------------------------------------------------------
@@ -183,31 +296,45 @@ class Series:
 def mul(a: Series, b: Series) -> Series:
     a._check_order(b)
     n = a.order
-    out = []
+    cols = [[0] * (n + 1) for _ in range(len(a.num) + len(b.num) - 1)]
+    for e, x in enumerate(a.num):
+        for f, y in enumerate(b.num):
+            _conv_add(cols[e + f], x, y)
+    return Series._of(cols, a.den * b.den)
+
+
+def _solve(acols, aden: int, bcols, bden: int, beta: int) -> Series:
+    """q with q * b = a through the common order, where b = bcols/bden and
+    bcols[0][0] = beta is b's (unit) constant numerator.
+
+    Row i is q_i = (a_i - sum_{j<i} q_j b_{i-j}) / b_0, solved over the
+    least common multiple `lam` of the rows found so far.
+    """
+    n = len(acols[0]) - 1
+    width = len(acols) + (len(bcols) - 1) * n
+    q = [[0] * (n + 1) for _ in range(width)]
+    dens: list = []
+    lam = 1
     for i in range(n + 1):
-        acc = Fraction(0)
-        for j in range(i + 1):
-            ca = a.coeffs[j]
-            if _is_zero(ca):
-                continue
-            acc = acc + ca * b.coeffs[i - j]
-        out.append(acc)
-    return Series(out)
+        if i:
+            lam = lcm(lam, dens[-1])
+        for qcol, acol in zip(q, acols):
+            qcol[i] = acol[i] * bden * lam
+        # aden * (lam / D_j) * b_{i-j} for j = 0..i-1, per column of b
+        lift = [aden * (lam // d) for d in dens]
+        for e, bcol in enumerate(bcols):
+            w = list(map(_times, lift, bcol[i:0:-1]))
+            if any(w):
+                for d in range(e, width):
+                    q[d][i] -= sum(map(_times, w, q[d - e][:i]))
+        _reduce_row(q, i, aden * lam * beta, dens)
+    return _from_rows(q, dens)
 
 
 def reciprocal(b: Series) -> Series:
     """1/b for a unit series, by the triangular recurrence."""
-    inv0 = _unit_inverse(b.coeffs[0])
-    out = [_elem(inv0)]
-    for i in range(1, b.order + 1):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            cb = b.coeffs[j]
-            if _is_zero(cb):
-                continue
-            acc = acc + cb * out[i - j]
-        out.append(-acc * inv0)
-    return Series(out)
+    beta = _unit(b, 0)
+    return _solve([[1] + [0] * b.order], 1, b.num, b.den, beta)
 
 
 def div(a: Series, b: Series) -> Series:
@@ -225,20 +352,10 @@ def div(a: Series, b: Series) -> Series:
         return Series.zero(a.order - v)
     if v > va:
         raise SeriesError(f"ord(b)={v} exceeds ord(a)={va}")
-    new_order = a.order - v
-    ash = a.coeffs[v:]
-    bsh = b.coeffs[v:]
-    inv0 = _unit_inverse(bsh[0])
-    out = []
-    for i in range(new_order + 1):
-        acc = ash[i]
-        for j in range(i):
-            cb = bsh[i - j]
-            if _is_zero(cb):
-                continue
-            acc = acc - out[j] * cb
-        out.append(acc * inv0)
-    return Series(out)
+    beta = _unit(b, v)
+    return _solve(
+        [col[v:] for col in a.num], a.den, [col[v:] for col in b.num], b.den, beta
+    )
 
 
 def int_pow(a: Series, r: int) -> Series:
@@ -258,60 +375,79 @@ def int_pow(a: Series, r: int) -> Series:
 def compose(outer: Series, inner: Series) -> Series:
     """outer(inner(t)); exact because inner has no constant term."""
     outer._check_order(inner)
-    if not _is_zero(inner.coeffs[0]):
+    if inner.is_unit():
         raise SeriesError("inner series must have zero constant term")
+    zeros = [0] * outer.order
     acc = Series.zero(outer.order)
-    for c in reversed(outer.coeffs):
-        acc = mul(acc, inner) + c
+    for i in range(outer.order, -1, -1):
+        c = Series._of([[col[i]] + zeros for col in outer.num], outer.den)
+        acc = mul(acc, inner)._combine(c, 1)
     return acc
 
 
 def comp_inverse(f: Series) -> Series:
     """The compositional inverse fbar with f(fbar(t)) = t through order N.
 
-    Solved coefficient by coefficient: adding g_m t^m perturbs f(g) at
-    index m by f_1 * g_m, so each new coefficient is a one-step solve.
+    By Lagrange inversion, [t^m] fbar = [t^(m-1)] h^m / m with h = t/f;
+    the powers h^m take one mul each.
     """
     n = f.order
-    if f.valuation() != 1:
+    if n < 1 or f.valuation() != 1:
         raise SeriesError("compositional inverse needs a delta series (ord = 1)")
-    inv1 = _unit_inverse(f.coeffs[1])
-    g = [Fraction(0)] * (n + 1)
-    g[1] = _elem(inv1)
-    for m in range(2, n + 1):
-        h = compose(f, Series(g))
-        g[m] = -h.coeffs[m] * inv1
-    return Series(g)
+    h = div(Series.t(n), f)
+    cols = [[0] * (n + 1)]
+    dens = [1]
+    power = h
+    for m in range(1, n + 1):
+        while len(cols) < len(power.num):
+            cols.append([0] * (n + 1))
+        for col, pcol in zip(cols, power.num):
+            col[m] = pcol[m - 1]
+        dens.append(m * power.den)
+        if m < n:
+            power = mul(power, h)
+    return _from_rows(cols, dens)
 
 
 def log_series(f: Series) -> Series:
     """log f via (log f)' = f'/f, integrated term by term; needs c_0 = 1."""
-    if f.coeffs[0] != 1:
+    if f.num[0][0] != f.den or any(col[0] for col in f.num[1:]):
         raise SeriesError("log needs constant coefficient 1")
     if f.order == 0:
         return Series.zero(0)
     h = div(f.derivative(), f.truncate(f.order - 1))
-    out = [Fraction(0)]
-    for i, c in enumerate(h.coeffs):
-        out.append(c * Fraction(1, i + 1))
-    return Series(out)
+    return _from_rows(
+        [[0] + list(col) for col in h.num],
+        [1] + [(i + 1) * h.den for i in range(h.order + 1)],
+    )
 
 
 def exp_series(f: Series) -> Series:
-    """exp f via (exp f)' = f' exp f; needs c_0 = 0."""
-    if not _is_zero(f.coeffs[0]):
+    """exp f via (exp f)' = f' exp f; needs c_0 = 0.
+
+    Row m is out_m = (1/m) sum_{j=1..m} j f_j out_{m-j}, summed over the
+    least common multiple `lam` of the rows found so far.
+    """
+    if f.is_unit():
         raise SeriesError("exp needs zero constant coefficient")
     n = f.order
-    out = [_elem(Fraction(1))]
+    terms = [(e, col) for e, col in enumerate(f.num) if any(col)]
+    deg = len(f.num) - 1  # row r of the result has x-degree at most r * deg
+    width = deg * n + 1
+    out = [[0] * (n + 1) for _ in range(width)]
+    out[0][0] = 1
+    dens = [1]
+    lam = 1
     for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            cf = f.coeffs[j]
-            if _is_zero(cf):
-                continue
-            acc = acc + j * cf * out[m - j]
-        out.append(acc * Fraction(1, m))
-    return Series(out)
+        lam = lcm(lam, dens[-1])
+        lift = [lam // d for d in reversed(dens)]  # lam / D_{m-j}, j = 1..m
+        for e, fcol in terms:
+            # j f_j lam / D_{m-j} for j = 1..m
+            w = [j * c * s for j, c, s in zip(range(1, m + 1), fcol[1:], lift)]
+            for c in range(min((m - 1) * deg + 1, width - e)):
+                out[c + e][m] += sum(map(_times, w, out[c][m - 1::-1]))
+        _reduce_row(out, m, m * f.den * lam, dens)
+    return _from_rows(out, dens)
 
 
 def coefficient(f: Series, n: int):
@@ -332,10 +468,10 @@ def factorial_coefficient(f: Series, n: int):
 
 def log_one_plus_t(order: int) -> Series:
     """t - t^2/2 + t^3/3 - ... (Mercator series)."""
-    return Series(
-        [Fraction(0)] + [Fraction((-1) ** (i + 1), i) for i in range(1, order + 1)]
-    )
+    den = lcm(*range(1, order + 1))
+    return Series._of([[0] + [(-1) ** (i + 1) * (den // i) for i in range(1, order + 1)]], den)
 
 
 def exp_t(order: int) -> Series:
-    return Series(Fraction(1, factorial(i)) for i in range(order + 1))
+    den = factorial(order)
+    return Series._of([[den // factorial(i) for i in range(order + 1)]], den)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -252,3 +255,25 @@ def test_help_exits_zero(capsys):
 
 def test_selftest_command():
     assert cli.main(["selftest"]) == 0
+
+
+def test_verify_jobs_from_a_cold_process():
+    # a fresh interpreter has empty caches, so the worker threads race to
+    # fill them; the report must still be byte-identical to the serial one
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def cold(jobs):
+        return subprocess.run(
+            [sys.executable, "-m", "polycauchy.cli", "verify", "thm1", "--jobs", jobs],
+            capture_output=True, env=env, timeout=300,
+        )
+
+    serial = cold("1")
+    assert serial.returncode == 0, serial.stderr.decode()
+    # the race does not show on every run; three runs catch most of them
+    for _ in range(3):
+        threaded = cold("4")
+        assert threaded.returncode == 0, threaded.stderr.decode()
+        assert threaded.stdout == serial.stdout

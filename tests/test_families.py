@@ -1,10 +1,10 @@
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from polycauchy.algebra import Polynomial, falling_factorial, poly_shift
-from polycauchy.series import Series, exp_t
+from polycauchy.series import Series, exp_t, mul
 from polycauchy import families as fam
 
 X = Polynomial.x()
@@ -55,6 +55,17 @@ def test_stirling_triangles_deep():
     # force both triangles out to n = 20
     assert fam.stirling1(20, 10) is not None
     assert fam.stirling2(20, 10) is not None
+
+
+def test_stirling2_rows_match_generating_function():
+    # S(n, j) = n!/j! [t^n] (e^t - 1)^j; the rows themselves come from the
+    # two-term recurrence
+    for n in range(21):
+        em1 = exp_t(n) - 1
+        pw = Series.one(n)
+        for j in range(n + 1):
+            assert fam.stirling2(n, j) == F(factorial(n), factorial(j)) * pw.coeffs[n]
+            pw = mul(pw, em1)
 
 
 def test_stirling_inverse_triangles():

@@ -292,3 +292,61 @@ def test_operations_commute_with_evaluation():
 def test_truncate_never_extends():
     with pytest.raises(SeriesError):
         Series.t(3).truncate(4)
+
+
+def test_comp_inverse_closed_form_order_40():
+    # e^{-t} - 1 and -log(1+t) are inverse to each other
+    em = Series([F((-1) ** i, factorial(i)) for i in range(41)]) - 1
+    assert comp_inverse(em) == -log_one_plus_t(40)
+
+
+# -- representation ---------------------------------------------------------
+
+
+def test_rational_and_constant_polynomial_series_are_one_value():
+    a = Series([1, 2])
+    b = Series([Polynomial((1,)), Polynomial((2,))])
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+def test_coeffs_view_kinds():
+    assert Series([1, F(1, 2)]).coeffs == (F(1), F(1, 2))
+    assert all(isinstance(c, F) for c in Series([1, F(1, 2)]).coeffs)
+    f = Series([1, X, F(1, 2)])
+    assert all(isinstance(c, Polynomial) for c in f.coeffs)
+    assert f.coeffs == (Polynomial((1,)), X, Polynomial((F(1, 2),)))
+    assert f.coeffs is f.coeffs
+
+
+def test_common_denominator_is_reduced():
+    f = Series([F(1, 6), F(1, 4), X / 3])
+    assert f.den == 12
+    assert f.num == ((2, 3, 0), (0, 0, 4))
+    assert mul(f, Series([6, 0, 0])) == Series([1, F(3, 2), 2 * X])
+
+
+def test_higher_x_degree_operations_commute_with_evaluation():
+    # coefficients of x-degree 2 and 3, in both operands and in divisors
+    c = F(-2, 7)
+
+    def ev(s):
+        return Series(
+            co.evaluate(c) if isinstance(co, Polynomial) else co for co in s.coeffs
+        )
+
+    f = Series([0, X * X + 1, X / 2, -X ** 3, F(1, 3), X])
+    g = Series([1, X * X, F(-1, 2), X + 3, 0, X ** 3 / 5])
+    a = Series([X, 2, X * X / 3, 0, 1, -X])
+    d = Series([0, 2, X, X * X / 3, -1, X])  # a delta series over Q[x]
+    for got, want in [
+        (exp_series(f), exp_series(ev(f))),
+        (mul(f, g), mul(ev(f), ev(g))),
+        (reciprocal(g), reciprocal(ev(g))),
+        (div(a, g), div(ev(a), ev(g))),
+        (div(f, d), div(ev(f), ev(d))),
+        (log_series(g), log_series(ev(g))),
+        (compose(g, f), compose(ev(g), ev(f))),
+        (comp_inverse(d), comp_inverse(ev(d))),
+    ]:
+        assert ev(got) == want
