@@ -1,45 +1,96 @@
-"""Exact univariate polynomials over arbitrary-precision rationals.
+"""Exact univariate polynomials over ℚ.
 
-Coefficients are ``fractions.Fraction`` throughout, so every operation is
-exact and equality is structural.  The polynomial in the variable x is the
-carrier for all the named polynomial families built elsewhere in the
-package.
+A polynomial is stored in the layout of FLINT's fmpq_poly, the same one
+``polycauchy.series`` uses: one tuple of integer numerators ``num`` in
+ascending powers of x over one positive denominator ``den``.  Trailing
+zeros are stripped and one gcd pass per result removes any factor common
+to ``den`` and all of ``num``, so the form is canonical and two
+polynomials are equal iff their numerators and denominators are.  Every
+operation runs on plain Python ints; evaluation builds one ``Fraction``
+at the end.  ``Polynomial.coeffs`` is the read view, a tuple of
+``Fraction``s built once per value on first read.
+
+The polynomial in the variable x is the carrier for all the named
+polynomial families built elsewhere in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
+from operator import mul as _times
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected an integer or Fraction, got {type(v).__name__}")
+def _conv(x, y) -> list:
+    """Coefficients of the product of the integer polynomials x and y."""
+    lx, ly = len(x), len(y)
+    ry = y[::-1]
+    out = []
+    for k in range(lx + ly - 1):
+        lo, hi = max(0, k - ly + 1), min(k, lx - 1) + 1
+        out.append(sum(map(_times, x[lo:hi], ry[ly - 1 - k + lo:ly - 1 - k + hi])))
+    return out
+
+
+def _ratio(c) -> tuple[int, int]:
+    """Numerator and denominator of an int or Fraction."""
+    if isinstance(c, int):
+        return c, 1
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    raise TypeError(f"expected an integer or Fraction, got {type(c).__name__}")
 
 
 class Polynomial:
-    """Dense polynomial in x with Fraction coefficients.
+    """Dense polynomial in x over ℚ: integer numerators over one denominator.
 
-    Trailing zeros are stripped on construction, so two polynomials are
-    equal iff their coefficient tuples are equal.  The zero polynomial has
-    an empty coefficient tuple and degree -1.
+    The zero polynomial has empty numerators, denominator 1 and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        parts = [_ratio(c) for c in coeffs]
+        den = lcm(*(q for _, q in parts))
+        self._set([p * (den // q) for p, q in parts], den)
+
+    def _set(self, num: list, den: int):
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def _of(cls, num: list, den: int = 1) -> "Polynomial":
+        """The polynomial num / den, reduced; num may be modified."""
+        p = object.__new__(cls)
+        p._set(num, den)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        view = self._coeffs
+        if view is None:
+            view = tuple(Fraction(c, self.den) for c in self.num)
+            object.__setattr__(self, "_coeffs", view)
+        return view
 
     # -- constructors -----------------------------------------------------
 
@@ -61,14 +112,14 @@ class Polynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i < len(self.num):
             return self.coeffs[i]
         return Fraction(0)
 
@@ -82,45 +133,46 @@ class Polynomial:
             return Polynomial((v,))
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+    def _combine(self, other, sign: int):
+        """self + sign * other, or NotImplemented for an unsupported type."""
+        if isinstance(other, Polynomial):
+            onum, oden = other.num, other.den
+        elif isinstance(other, (int, Fraction)):
+            onum, oden = _ratio(other)
+            onum = (onum,)
+        else:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
+        den = self.den
+        if den == oden:
+            fa, fb = 1, sign
+        else:
+            den = lcm(den, oden)
+            fa, fb = den // self.den, sign * (den // oden)
+        return Polynomial._of(
+            [a * fa + b * fb for a, b in zip_longest(self.num, onum, fillvalue=0)], den
         )
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial._of([-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self)._combine(other, 1)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        if isinstance(other, Polynomial):
+            return Polynomial._of(_conv(self.num, other.num), self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            p, q = _ratio(other)
+            return Polynomial._of([c * p for c in self.num], self.den * q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -129,13 +181,13 @@ class Polynomial:
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        inv = Fraction(1) / _frac(other)
-        return Polynomial(c * inv for c in self.coeffs)
+        p, q = _ratio(other)
+        return Polynomial._of([c * q for c in self.num], self.den * p)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial((1,))
+        result = Polynomial._of([1])
         base = self
         while n:
             if n & 1:
@@ -148,47 +200,61 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.num)
 
     # -- calculus and substitution ---------------------------------------
 
     def evaluate(self, c: Scalar) -> Fraction:
-        c = _frac(c)
-        acc = Fraction(0)
-        for coeff in reversed(self.coeffs):
-            acc = acc * c + coeff
-        return acc
+        """p(c) by Horner's rule, homogeneous in c = p/q:
+        sum num_i p^i q^(n-i) over den q^n."""
+        p, q = _ratio(c)
+        num = self.num
+        if not num:
+            return Fraction(0)
+        acc = num[-1]
+        qpow = 1
+        for a in num[-2::-1]:
+            qpow *= q
+            acc = acc * p + a * qpow
+        return Fraction(acc, self.den * qpow)
+
+    def _affine(self, u: int, v: int, w: int) -> "Polynomial":
+        """p((u*x + v) / w) by Horner's rule in the integer form u*x + v:
+        sum num_i (u*x + v)^i w^(n-i) over den w^n."""
+        num = self.num
+        if not num:
+            return self
+        acc = [num[-1]]
+        wpow = 1
+        for a in num[-2::-1]:
+            wpow *= w
+            acc = [v * lo + u * hi for lo, hi in zip(acc + [0], [0] + acc)]
+            acc[0] += a * wpow
+        return Polynomial._of(acc, self.den * wpow)
 
     def shift(self, c: Scalar) -> "Polynomial":
         """p(x + c) by exact binomial expansion (Horner in x + c)."""
-        c = _frac(c)
-        acc = Polynomial()
-        xc = Polynomial((c, 1))
-        for coeff in reversed(self.coeffs):
-            acc = acc * xc + coeff
-        return acc
+        p, q = _ratio(c)
+        return self._affine(q, p, q)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
         """p(a*x + b)."""
-        acc = Polynomial()
-        lin = Polynomial((b, a))
-        for coeff in reversed(self.coeffs):
-            acc = acc * lin + coeff
-        return acc
+        (ap, aq), (bp, bq) = _ratio(a), _ratio(b)
+        return self._affine(ap * bq, bp * aq, aq * bq)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return Polynomial._of([i * c for i, c in enumerate(self.num) if i], self.den)
 
     def quotient_by_x(self) -> "Polynomial":
-        if self.coeffs and self.coeffs[0] != 0:
+        if self.num and self.num[0]:
             raise ValueError("polynomial has a nonzero constant term, not divisible by x")
-        return Polynomial(self.coeffs[1:])
+        return Polynomial._of(list(self.num[1:]), self.den)
 
     # -- rendering --------------------------------------------------------
 

@@ -2,8 +2,8 @@
 verification, and the built-in selftest.
 
 All numeric output is exact fraction text; there is no decimal rendering
-anywhere.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 unwritable report path.
+anywhere.  Exit codes: 0 success, 1 verification failure, 2 usage or
+parameter error, 3 unwritable report or output path.
 """
 
 from __future__ import annotations
@@ -156,7 +156,11 @@ def _cmd_table(args) -> int:
     }
     if args.lam is not None:
         params["lam"] = [str(v) for v in args.lam]
-    out = open(args.output, "w") if args.output else sys.stdout
+    try:
+        out = open(args.output, "w") if args.output else sys.stdout
+    except OSError as exc:
+        print(f"cannot write output {args.output!r}: {exc}", file=sys.stderr)
+        return 3
     try:
         _emit_table(args.family, rows, args.format, params, out)
     finally:
@@ -338,7 +342,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # ValueError (SeriesError included) is a parameter outside a
+        # family's or grid's domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,13 +78,15 @@ def bernoulli_ratio(order: int) -> Series:
 
 def _family_polys(key: tuple, n: int, builder) -> Polynomial:
     """n-th member of a cached polynomial family; builder(order) returns the
-    generating Series (over Polynomial or Fraction coefficients)."""
+    generating Series, and row i is i! times its t^i coefficient, read
+    straight from the series' integer columns."""
     entry = _poly_series_cache.get(key)
     if entry is None or len(entry) <= n:
         order = max(n, 8, 2 * (len(entry) - 1) if entry else 0)
         f = builder(order)
         entry = [
-            Polynomial._coerce(factorial(i) * f.coeffs[i]) for i in range(order + 1)
+            Polynomial._of([factorial(i) * col[i] for col in f.num], f.den)
+            for i in range(order + 1)
         ]
         _poly_series_cache[key] = entry
     return entry[n]

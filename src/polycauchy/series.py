@@ -52,13 +52,10 @@ def _scalar(c) -> tuple[list, int]:
     """Integer numerators (ascending powers of x) and denominator of an
     int, Fraction or Polynomial coefficient."""
     if isinstance(c, Polynomial):
-        qs = c.coeffs or (0,)
-    elif isinstance(c, (int, Fraction)):
-        qs = (c,)
-    else:
-        raise TypeError(f"unsupported series coefficient type {type(c).__name__}")
-    den = lcm(*(q.denominator for q in qs))
-    return [q.numerator * (den // q.denominator) for q in qs], den
+        return list(c.num) or [0], c.den
+    if isinstance(c, (int, Fraction)):
+        return [c.numerator], c.denominator
+    raise TypeError(f"unsupported series coefficient type {type(c).__name__}")
 
 
 def _conv_add(acc: list, x, y):
@@ -152,9 +149,7 @@ class Series:
             if len(self.num) == 1:
                 view = tuple(Fraction(c, den) for c in self.num[0])
             else:
-                view = tuple(
-                    Polynomial(Fraction(c, den) for c in row) for row in zip(*self.num)
-                )
+                view = tuple(Polynomial._of(list(row), den) for row in zip(*self.num))
             object.__setattr__(self, "_coeffs", view)
         return view
 

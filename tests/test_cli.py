@@ -184,6 +184,41 @@ def test_verify_unwritable_report(tmp_path, capsys):
     assert "cannot write report" in err
 
 
+def test_verify_negative_n_max_is_parameter_error(capsys):
+    code, out, err = run(capsys, "verify", "thm1", "--n-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_table_frobenius_euler_lam_one_is_parameter_error(capsys):
+    code, _, err = run(
+        capsys, "table", "--family", "frobenius-euler", "--lam", "1", "--s", "1",
+        "--n-max", "3",
+    )
+    assert code == 2
+    assert "lam != 1" in err
+
+
+def test_table_frobenius_euler_negative_s_is_parameter_error(capsys):
+    code, _, err = run(
+        capsys, "table", "--family", "frobenius-euler", "--s", "-1", "--lam", "2",
+        "--n-max", "3",
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_table_unwritable_output(tmp_path, capsys):
+    dest = tmp_path / "missing" / "x.csv"
+    code, out, err = run(
+        capsys, "table", "--family", "cauchy", "--n-max", "3", "--output", str(dest)
+    )
+    assert code == 3
+    assert out == ""
+    assert "cannot write output" in err
+
+
 def test_verify_report_file_and_jobs_identical(tmp_path, capsys):
     texts = []
     for jobs in ("1", "4"):

@@ -51,8 +51,9 @@ def test_stirling_argument_validation():
 
 
 def test_stirling_triangles_deep():
-    # generating-function path and recurrence are cross-checked internally;
-    # force both triangles out to n = 20
+    # the first kind is cross-checked internally against the falling-factorial
+    # expansion (the second kind's check is the test below); force both
+    # triangles out to n = 20
     assert fam.stirling1(20, 10) is not None
     assert fam.stirling2(20, 10) is not None
 
