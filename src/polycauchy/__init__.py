@@ -61,9 +61,8 @@ from .identities import (
     IDENTITY_IDS,
     GridSpec,
     VerificationReport,
+    __version__,
     default_grid,
     verify,
     verify_variants,
 )
-
-__version__ = "0.1.0"

@@ -72,7 +72,7 @@ def _family_rows(family: str, n_max: int, args) -> list[list]:
     Stirling triangles their rows."""
 
     def need(name):
-        v = getattr(args, name if name != "lam" else "lam")
+        v = getattr(args, name)
         if v is None:
             raise UsageError(f"family {family!r} requires --{name}")
         return v

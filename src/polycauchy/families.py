@@ -3,18 +3,22 @@ function through the series layer.
 
 Every polynomial and Cauchy-number constructor expands the defining
 generating function; closed-form shortcuts exist only in the test suite as
-cross-checks.  The Stirling triangles come from their two-term
-recurrences (the first kind cross-checked against the falling-factorial
-expansion; the generating-function check of the second kind lives in the
-test suite).  The required
-truncation order is derived from the requested degree, so callers never
-pass one.  Expanded series are cached per parameter set and regrown on
-demand; the caches are write-once per key and safe to share.
+cross-checks.  Each polynomial family is a Sheffer sequence
+n! [t^n] g(t) e^{x f(t)} with f one of t, log(1+t) and -log(1+t): the
+family supplies its own g, and the factor e^{x f(t)} is expanded once per
+f and shared by every family that uses it.  The Stirling triangles come
+from their two-term recurrences (their cross-checks live in the test
+suite).  The required truncation order is derived from the requested
+degree, so callers never pass one.
+
+Every expansion is kept in one memo, `_memo`, keyed per parameter set and
+regrown on demand.  Its values are immutable and each entry is replaced
+whole by one dict assignment, so it needs no lock: threads that race on a
+key only build the same value twice.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import factorial
 
@@ -49,99 +53,94 @@ def lif_neg_t(k: int, order: int) -> Series:
     )
 
 
-# -- cached generating-function expansions --------------------------------
+# -- one memo -------------------------------------------------------------
 #
-# Each cache maps a parameter key to the widest series computed so far;
-# lookups needing more terms recompute and replace the entry.
+# _memo maps a key to (order, value): the widest value built so far and
+# the order it is exact through.  Two threads racing on a key may also put
+# a narrower entry back over a wider one; every stored value is still
+# exact through the order stored with it.
 
-_ratio_cache: dict[str, Series] = {}
-_poly_series_cache: dict[tuple, list] = {}
+_memo: dict = {}
+
+
+def _grown(key, order: int, build, *args):
+    """The memo value for key, exact through at least `order`; a short or
+    missing one is rebuilt as build(m, *args) at m = max(order, 8, twice
+    the old order)."""
+    hit = _memo.get(key)
+    if hit is not None and hit[0] >= order:
+        return hit[1]
+    order = max(order, 8, 2 * hit[0] if hit else 0)
+    value = build(order, *args)
+    _memo[key] = (order, value)
+    return value
+
+
+def _cauchy_ratio(order: int) -> Series:
+    return div(Series.t(order + 1), log_one_plus_t(order + 1))
+
+
+def _bernoulli_ratio(order: int) -> Series:
+    return div(Series.t(order + 1), exp_t(order + 1) - 1)
 
 
 def cauchy_ratio(order: int) -> Series:
     """t/log(1+t), the Cauchy-number generating function, at the given order."""
-    best = _ratio_cache.get("ratio")
-    if best is None or best.order < order:
-        best = div(Series.t(order + 1), log_one_plus_t(order + 1))
-        _ratio_cache["ratio"] = best
-    return best.truncate(order)
+    return _grown("cauchy_ratio", order, _cauchy_ratio).truncate(order)
 
 
 def bernoulli_ratio(order: int) -> Series:
     """t/(e^t - 1), the Bernoulli generating function, at the given order."""
-    best = _ratio_cache.get("bernoulli")
-    if best is None or best.order < order:
-        best = div(Series.t(order + 1), exp_t(order + 1) - 1)
-        _ratio_cache["bernoulli"] = best
-    return best.truncate(order)
+    return _grown("bernoulli_ratio", order, _bernoulli_ratio).truncate(order)
 
 
-def _family_polys(key: tuple, n: int, builder) -> Polynomial:
-    """n-th member of a cached polynomial family; builder(order) returns the
-    generating Series, and row i is i! times its t^i coefficient, read
-    straight from the series' integer columns."""
-    entry = _poly_series_cache.get(key)
-    if entry is None or len(entry) <= n:
-        order = max(n, 8, 2 * (len(entry) - 1) if entry else 0)
-        f = builder(order)
-        entry = [
-            Polynomial._of([factorial(i) * col[i] for col in f.num], f.den)
-            for i in range(order + 1)
-        ]
-        _poly_series_cache[key] = entry
-    return entry[n]
+def _exp_x(order: int, delta: str) -> Series:
+    """e^{x f(t)} for the delta series f named by delta: "t", "log" for
+    log(1+t), or "-log" for -log(1+t)."""
+    f = Series.t(order) if delta == "t" else log_one_plus_t(order)
+    return exp_series(f.scale(-_X if delta == "-log" else _X))
+
+
+def _sheffer_rows(order: int, delta: str, g, params: tuple) -> list:
+    """Rows 0..order of n! [t^n] g(order, *params) e^{x f(t)}, each read
+    straight from the product's integer columns."""
+    ext = _grown(("exp_x", delta), order, _exp_x, delta).truncate(order)
+    f = mul(g(order, *params), ext)
+    return [
+        Polynomial._of([factorial(i) * col[i] for col in f.num], f.den)
+        for i in range(order + 1)
+    ]
+
+
+def _sheffer_row(n: int, delta: str, g, *params) -> Polynomial:
+    """The Sheffer polynomial n! [t^n] g(t) e^{x f(t)}, where g(order,
+    *params) expands the family's own factor and delta names f."""
+    return _grown((g, *params), n, _sheffer_rows, delta, g, params)[n]
 
 
 # -- Stirling triangles ----------------------------------------------------
-#
-# Rows are appended under one lock: without it, two threads that both see
-# a row missing append it twice and shift every later row.
-
-_s1_rows: list[list[Fraction]] = []
-_s2_rows: list[list[Fraction]] = [[Fraction(1)]]
-_stirling_lock = threading.Lock()
 
 
-def _extend_stirling1(n: int):
-    from .algebra import falling_factorial
-
-    with _stirling_lock:
-        while len(_s1_rows) <= n:
-            m = len(_s1_rows)
-            ff = falling_factorial(m)
-            row = [ff.coefficient(l) for l in range(m + 1)]
-            if m == 0:
-                rec = [Fraction(1)]
-            else:
-                prev = _s1_rows[m - 1]
-                rec = [
-                    (prev[l - 1] if l >= 1 else Fraction(0))
-                    - (m - 1) * (prev[l] if l < m else Fraction(0))
-                    for l in range(m + 1)
-                ]
-            if row != rec:
-                raise AssertionError(f"Stirling-1 row {m}: expansion and recurrence disagree")
-            _s1_rows.append(row)
-
-
-def _extend_stirling2(n: int):
-    with _stirling_lock:
-        while len(_s2_rows) <= n:
-            prev = _s2_rows[-1]
-            m = len(prev)
-            _s2_rows.append([
-                (prev[j - 1] if j else 0) + j * (prev[j] if j < m else 0)
-                for j in range(m + 1)
-            ])
+def _stirling_rows(order: int, kind: int) -> list:
+    """Rows 0..order of the signed first (kind 1) or the second (kind 2)
+    Stirling triangle, from T(m, j) = T(m-1, j-1) + w T(m-1, j) with
+    w = -(m-1) for the first kind and w = j for the second."""
+    rows = [[1]]
+    for m in range(1, order + 1):
+        prev = rows[-1] + [0]
+        rows.append([
+            (prev[j - 1] if j else 0) + (j if kind == 2 else 1 - m) * prev[j]
+            for j in range(m + 1)
+        ])
+    return [tuple(map(Fraction, row)) for row in rows]
 
 
 def stirling1(n: int, m: int) -> Fraction:
-    """Signed Stirling number of the first kind, from the falling-factorial
-    expansion (cross-checked against the two-term recurrence)."""
+    """Signed Stirling number of the first kind, from the two-term
+    recurrence s(n, m) = s(n-1, m-1) - (n-1) s(n-1, m)."""
     if n < 0 or m < 0 or m > n:
         raise ValueError(f"stirling1 needs 0 <= m <= n, got n={n}, m={m}")
-    _extend_stirling1(n)
-    return _s1_rows[n][m]
+    return _grown(("stirling", 1), n, _stirling_rows, 1)[n][m]
 
 
 def stirling2(n: int, m: int) -> Fraction:
@@ -149,8 +148,7 @@ def stirling2(n: int, m: int) -> Fraction:
     S(n, m) = S(n-1, m-1) + m S(n-1, m)."""
     if n < 0 or m < 0 or m > n:
         raise ValueError(f"stirling2 needs 0 <= m <= n, got n={n}, m={m}")
-    _extend_stirling2(n)
-    return _s2_rows[n][m]
+    return _grown(("stirling", 2), n, _stirling_rows, 2)[n][m]
 
 
 # -- Cauchy and poly-Cauchy ------------------------------------------------
@@ -169,32 +167,20 @@ def higher_cauchy(n: int, r: int) -> Fraction:
     return factorial(n) * u.coeffs[n]
 
 
-def _poly_cauchy_builder(k: int):
-    def build(order: int) -> Series:
-        ell = log_one_plus_t(order)
-        lifk = compose(lif(k, order), ell)
-        inv_pow = exp_series(ell.scale(-_X))  # (1+t)^{-x}
-        return mul(lifk, inv_pow)
-
-    return build
+def _poly_cauchy_g(order: int, k: int) -> Series:
+    return compose(lif(k, order), log_one_plus_t(order))
 
 
 def poly_cauchy(n: int, k: int) -> Polynomial:
     """Poly-Cauchy polynomial C_n^{(k)}(x) from Lif_k(log(1+t)) (1+t)^{-x}."""
     if n < 0:
         raise ValueError("poly_cauchy needs n >= 0")
-    return _family_polys(("poly_cauchy", k), n, _poly_cauchy_builder(k))
+    return _sheffer_row(n, "-log", _poly_cauchy_g, k)
 
 
-def _mixed_builder(r: int, k: int):
-    def build(order: int) -> Series:
-        ell = log_one_plus_t(order)
-        u = int_pow(cauchy_ratio(order), r)
-        lifk = compose(lif(k, order), ell)
-        inv_pow = exp_series(ell.scale(-_X))
-        return mul(mul(u, lifk), inv_pow)
-
-    return build
+def _mixed_g(order: int, r: int, k: int) -> Series:
+    u = int_pow(cauchy_ratio(order), r)
+    return mul(u, compose(lif(k, order), log_one_plus_t(order)))
 
 
 def mixed_A(n: int, r: int, k: int) -> Polynomial:
@@ -206,35 +192,26 @@ def mixed_A(n: int, r: int, k: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("mixed_A needs n >= 0")
-    return _family_polys(("mixed", r, k), n, _mixed_builder(r, k))
+    return _sheffer_row(n, "-log", _mixed_g, r, k)
 
 
 # -- Bernoulli-type families ----------------------------------------------
 
 
-def _bernoulli_builder(alpha: int):
-    def build(order: int) -> Series:
-        base = int_pow(bernoulli_ratio(order), alpha)
-        ext = exp_series(Series.t(order).scale(_X))  # e^{xt}
-        return mul(base, ext)
-
-    return build
+def _bernoulli_g(order: int, alpha: int) -> Series:
+    return int_pow(bernoulli_ratio(order), alpha)
 
 
 def bernoulli_poly(n: int, alpha: int) -> Polynomial:
     """Bernoulli polynomial of order alpha: n! [t^n] (t/(e^t-1))^alpha e^{xt}."""
     if n < 0:
         raise ValueError("bernoulli_poly needs n >= 0")
-    return _family_polys(("bernoulli", alpha), n, _bernoulli_builder(alpha))
+    return _sheffer_row(n, "t", _bernoulli_g, alpha)
 
 
-def _frobenius_builder(s: int, lam: Fraction):
-    def build(order: int) -> Series:
-        base = (exp_t(order) - lam).scale(Fraction(1) / (1 - lam))
-        ext = exp_series(Series.t(order).scale(_X))
-        return mul(int_pow(reciprocal(base), s), ext)
-
-    return build
+def _frobenius_g(order: int, s: int, lam: Fraction) -> Series:
+    base = (exp_t(order) - lam).scale(Fraction(1) / (1 - lam))
+    return int_pow(reciprocal(base), s)
 
 
 def frobenius_euler(n: int, s: int, lam) -> Polynomial:
@@ -244,35 +221,22 @@ def frobenius_euler(n: int, s: int, lam) -> Polynomial:
         raise ValueError("frobenius_euler needs lam != 1")
     if n < 0 or s < 0:
         raise ValueError("frobenius_euler needs n >= 0 and s >= 0")
-    return _family_polys(("frobenius", s, lam), n, _frobenius_builder(s, lam))
+    return _sheffer_row(n, "t", _frobenius_g, s, lam)
 
 
-def _narumi_builder(r: int):
-    def build(order: int) -> Series:
-        base = int_pow(cauchy_ratio(order), -r)  # (log(1+t)/t)^r
-        ext = exp_series(log_one_plus_t(order).scale(_X))  # (1+t)^x
-        return mul(base, ext)
-
-    return build
+def _narumi_g(order: int, r: int) -> Series:
+    return int_pow(cauchy_ratio(order), -r)  # (log(1+t)/t)^r
 
 
 def narumi(n: int, r: int) -> Polynomial:
     """Narumi polynomial N_n^{(r)}(x): n! [t^n] (log(1+t)/t)^r (1+t)^x."""
     if n < 0:
         raise ValueError("narumi needs n >= 0")
-    return _family_polys(("narumi", r), n, _narumi_builder(r))
-
-
-def _bernoulli2_builder():
-    def build(order: int) -> Series:
-        ext = exp_series(log_one_plus_t(order).scale(_X))
-        return mul(cauchy_ratio(order), ext)
-
-    return build
+    return _sheffer_row(n, "log", _narumi_g, r)
 
 
 def bernoulli2(n: int) -> Polynomial:
     """Bernoulli polynomial of the second kind: n! [t^n] (t/log(1+t)) (1+t)^x."""
     if n < 0:
         raise ValueError("bernoulli2 needs n >= 0")
-    return _family_polys(("bernoulli2",), n, _bernoulli2_builder())
+    return _sheffer_row(n, "log", cauchy_ratio)

@@ -39,27 +39,6 @@ __version__ = "0.1.0"
 
 DEFAULT_TRUNCATION = 32
 
-IDENTITY_IDS = (
-    "THM1",
-    "THM2",
-    "EQ32",
-    "EQ34",
-    "EQ35",
-    "EQ36",
-    "THM3",
-    "THM4",
-    "THM4_VARIANT",
-    "THM5",
-    "THM5_VARIANT",
-    "EQ52",
-    "THM6",
-    "THM7",
-    "THM8",
-    "NARUMI_BERNOULLI",
-    "SHEFFER_PAIR_EQ17",
-    "ASSOC_EQ25",
-)
-
 VARIANT_IDS = ("THM4", "THM4_VARIANT", "THM5", "THM5_VARIANT")
 
 _R_STD = (0, 1, 2, 3)
@@ -162,6 +141,8 @@ def _thm1(p):
 
 
 def _thm2_core(p, a_number):
+    """Theorem 2's triple sum over Stirling-1, a_number(a, r) and
+    poly-Cauchy numbers; THM2, EQ32 and EQ34 differ only in a_number."""
     n, r, k = p["n"], p["r"], p["k"]
     rhs = Polynomial()
     for j in range(n + 1):
@@ -204,35 +185,20 @@ def _compositions(total: int, parts: int):
 
 
 def _eq34(p):
-    n, r, k = p["n"], p["r"], p["k"]
-    b = [bernoulli2(i).evaluate(0) for i in range(n + 1)]
-    rhs = Polynomial()
-    for j in range(n + 1):
-        s = Fraction(0)
-        for l in range(n - j + 1):
-            s1 = stirling1(l + j, j)
-            if s1 == 0:
-                continue
-            for a in range(n - l - j + 1):
-                comp_sum = Fraction(0)
-                for parts in _compositions(a, r):
-                    multinom = factorial(a)
-                    prod = Fraction(1)
-                    for ai in parts:
-                        multinom //= factorial(ai)
-                        prod *= b[ai]
-                    comp_sum += multinom * prod
-                s += (
-                    Fraction((-1) ** j)
-                    * comb(n, l + j)
-                    * comb(n - l - j, a)
-                    * s1
-                    * comp_sum
-                    * _pc_number(n - l - j - a, k)
-                )
-        if s:
-            rhs = rhs + Polynomial.monomial(j, s)
-    return [(_A(n, r, k), rhs)]
+    b = [bernoulli2(i).evaluate(0) for i in range(p["n"] + 1)]
+
+    def composition_sum(a, r):
+        total = Fraction(0)
+        for parts in _compositions(a, r):
+            multinom = factorial(a)
+            prod = Fraction(1)
+            for ai in parts:
+                multinom //= factorial(ai)
+                prod *= b[ai]
+            total += multinom * prod
+        return total
+
+    return _thm2_core(p, composition_sum)
 
 
 def _eq35(p):
@@ -459,12 +425,6 @@ def _dom_n_pos(p):
     return None
 
 
-def _dom_thm4(p):
-    if p["n"] < 1:
-        return "n < 1: statement needs n >= 1"
-    return None
-
-
 def _dom_thm5(p):
     if not (1 <= p["m"] <= p["n"] - 1):
         return "out of domain: needs n-1 >= m >= 1"
@@ -534,13 +494,13 @@ _DEFS: dict[str, IdentityDef] = {
     ),
     "THM4": IdentityDef(
         ("n", "r", "k"),
-        _dom_thm4,
+        _dom_n_pos,
         _thm4,
         GridSpec(n_values=tuple(range(7)), r_values=_R_STD, k_values=_K_STD),
     ),
     "THM4_VARIANT": IdentityDef(
         ("n", "r", "k"),
-        _dom_thm4,
+        _dom_n_pos,
         _thm4_variant,
         GridSpec(n_values=tuple(range(7)), r_values=_R_STD, k_values=_K_STD),
     ),
@@ -620,6 +580,8 @@ _DEFS: dict[str, IdentityDef] = {
         GridSpec(n_values=tuple(range(11))),
     ),
 }
+
+IDENTITY_IDS = tuple(_DEFS)
 
 
 def default_grid(identity: str) -> GridSpec:

@@ -189,6 +189,8 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise SeriesError(f"cannot extend truncation order {self.order} to {order}")
+        if order == self.order:
+            return self
         return Series._of([list(col[: order + 1]) for col in self.num], self.den)
 
     def __eq__(self, other):

@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -51,9 +52,9 @@ def test_stirling_argument_validation():
 
 
 def test_stirling_triangles_deep():
-    # the first kind is cross-checked internally against the falling-factorial
-    # expansion (the second kind's check is the test below); force both
-    # triangles out to n = 20
+    # both triangles come from their two-term recurrences; their cross-checks
+    # are the falling-factorial test and the generating-function test below,
+    # each out to n = 20
     assert fam.stirling1(20, 10) is not None
     assert fam.stirling2(20, 10) is not None
 
@@ -81,7 +82,7 @@ def test_stirling_inverse_triangles():
 
 
 def test_falling_factorial_coefficients_are_stirling1():
-    for n in range(13):
+    for n in range(21):
         ff = falling_factorial(n)
         for l in range(n + 1):
             assert ff.coefficient(l) == fam.stirling1(n, l)
@@ -227,3 +228,39 @@ def test_negative_degree_rejected():
             func(-1, 0)
     with pytest.raises(ValueError):
         fam.mixed_A(-1, 0, 0)
+
+
+# -- the shared memo -------------------------------------------------------
+
+
+def _memo_requests():
+    """Stirling rows to 30 and mixed_A / poly_cauchy / narumi rows to 20,
+    interleaved by degree."""
+    reqs = []
+    for n in range(31):
+        reqs.append(("stirling1", n))
+        reqs.append(("stirling2", n))
+        if n <= 20:
+            reqs += [("mixed_A", n), ("poly_cauchy", n), ("narumi", n)]
+    return reqs
+
+
+def _memo_answer(req):
+    kind, n = req
+    if kind.startswith("stirling"):
+        return [getattr(fam, kind)(n, m) for m in range(n + 1)]
+    if kind == "mixed_A":
+        return fam.mixed_A(n, 2, -1)
+    if kind == "poly_cauchy":
+        return fam.poly_cauchy(n, 2)
+    return fam.narumi(n, 2)
+
+
+def test_memo_is_safe_under_threads():
+    reqs = _memo_requests()
+    fam._memo.clear()
+    serial = [_memo_answer(req) for req in reqs]
+    for _ in range(5):
+        fam._memo.clear()
+        with ThreadPoolExecutor(8) as pool:
+            assert list(pool.map(_memo_answer, reqs)) == serial

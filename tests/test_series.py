@@ -292,6 +292,8 @@ def test_operations_commute_with_evaluation():
 def test_truncate_never_extends():
     with pytest.raises(SeriesError):
         Series.t(3).truncate(4)
+    s = Series.t(3)
+    assert s.truncate(3) is s
 
 
 def test_comp_inverse_closed_form_order_40():
