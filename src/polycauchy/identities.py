@@ -144,24 +144,20 @@ def _thm2_core(p, a_number):
     """Theorem 2's triple sum over Stirling-1, a_number(a, r) and
     poly-Cauchy numbers; THM2, EQ32 and EQ34 differ only in a_number."""
     n, r, k = p["n"], p["r"], p["k"]
+    a_vals = [a_number(a, r) for a in range(n + 1)]
+    pcs = [_pc_number(i, k) for i in range(n + 1)]
+    # the innermost sum over a depends on t = n - l - j alone
+    inner = [
+        sum(comb(t, a) * a_vals[a] * pcs[t - a] for a in range(t + 1))
+        for t in range(n + 1)
+    ]
     rhs = Polynomial()
     for j in range(n + 1):
         s = Fraction(0)
         for l in range(n - j + 1):
-            s1 = stirling1(l + j, j)
-            if s1 == 0:
-                continue
-            for a in range(n - l - j + 1):
-                s += (
-                    Fraction((-1) ** j)
-                    * comb(n, l + j)
-                    * comb(n - l - j, a)
-                    * s1
-                    * a_number(a, r)
-                    * _pc_number(n - j - l - a, k)
-                )
+            s += comb(n, l + j) * stirling1(l + j, j) * inner[n - l - j]
         if s:
-            rhs = rhs + Polynomial.monomial(j, s)
+            rhs = rhs + Polynomial.monomial(j, (-1) ** j * s)
     return [(_A(n, r, k), rhs)]
 
 
@@ -360,21 +356,16 @@ def _thm6(p):
 def _thm7(p):
     n, r, k, s, lam = p["n"], p["r"], p["k"], p["s"], p["lam"]
     scale = Fraction(1) / (1 - lam) ** s
+    # the sum over a does not depend on m: one value per l
+    inner = [
+        sum((-lam) ** a * comb(s, a) * _A_at(l, r, k, s - a) for a in range(s + 1))
+        for l in range(n + 1)
+    ]
     rhs = Polynomial()
     for m in range(n + 1):
         c = Fraction(0)
         for l in range(n - m + 1):
-            s1 = stirling1(n - l, m)
-            if s1 == 0:
-                continue
-            for a in range(s + 1):
-                c += (
-                    ((-lam) ** a)
-                    * comb(n, l)
-                    * comb(s, a)
-                    * s1
-                    * _A_at(l, r, k, s - a)
-                )
+            c += comb(n, l) * stirling1(n - l, m) * inner[l]
         c *= Fraction((-1) ** m) * scale
         if c:
             rhs = rhs + c * frobenius_euler(m, s, lam)
