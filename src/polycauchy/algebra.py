@@ -108,6 +108,25 @@ class Polynomial:
             raise ValueError("monomial power must be nonnegative")
         return cls((0,) * power + (c,))
 
+    @classmethod
+    def linear_combination(cls, terms: Iterable, den: int = 1) -> "Polynomial":
+        """The sum of w * p over the (w, p) pairs in terms, divided by the
+        positive integer den, for int or Fraction weights w: one lcm of the
+        term denominators, one integer accumulation and one gcd pass, where
+        a chain of w * p + ... would reduce once per operation."""
+        parts = []
+        for w, p in terms:
+            a, b = _ratio(w)
+            if a and p.num:
+                parts.append((a, b * p.den, p.num))
+        common = lcm(*(q for _, q, _ in parts))
+        acc = [0] * max((len(num) for _, _, num in parts), default=0)
+        for a, q, num in parts:
+            f = a * (common // q)
+            for i, c in enumerate(num):
+                acc[i] += f * c
+        return cls._of(acc, common * den)
+
     # -- basic queries ----------------------------------------------------
 
     @property

@@ -3,7 +3,7 @@ verification, and the built-in selftest.
 
 All numeric output is exact fraction text; there is no decimal rendering
 anywhere.  Exit codes: 0 success, 1 verification failure, 2 usage or
-parameter error, 3 unwritable report or output path.
+parameter error, 3 unwritable report or output path, 4 internal error.
 """
 
 from __future__ import annotations
@@ -347,6 +347,10 @@ def main(argv=None) -> int:
         # family's or grid's domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # anything else is a defect in the engine, never a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

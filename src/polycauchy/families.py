@@ -7,9 +7,9 @@ cross-checks.  Each polynomial family is a Sheffer sequence
 n! [t^n] g(t) e^{x f(t)} with f one of t, log(1+t) and -log(1+t): the
 family supplies its own g, and the factor e^{x f(t)} is expanded once per
 f and shared by every family that uses it.  The Stirling triangles come
-from their two-term recurrences (their cross-checks live in the test
-suite).  The required truncation order is derived from the requested
-degree, so callers never pass one.
+from their two-term recurrences and are kept as rows of ints (their
+cross-checks live in the test suite).  The required truncation order is
+derived from the requested degree, so callers never pass one.
 
 Every expansion is kept in one memo, `_memo`, keyed per parameter set and
 regrown on demand.  Its values are immutable and each entry is replaced
@@ -132,7 +132,13 @@ def _stirling_rows(order: int, kind: int) -> list:
             (prev[j - 1] if j else 0) + (j if kind == 2 else 1 - m) * prev[j]
             for j in range(m + 1)
         ])
-    return [tuple(map(Fraction, row)) for row in rows]
+    return [tuple(row) for row in rows]
+
+
+def stirling_triangle(kind: int, n: int) -> list:
+    """Rows 0..n (or more) of the signed first (kind 1) or the second
+    (kind 2) Stirling triangle, each a tuple of ints."""
+    return _grown(("stirling", kind), n, _stirling_rows, kind)
 
 
 def stirling1(n: int, m: int) -> Fraction:
@@ -140,7 +146,7 @@ def stirling1(n: int, m: int) -> Fraction:
     recurrence s(n, m) = s(n-1, m-1) - (n-1) s(n-1, m)."""
     if n < 0 or m < 0 or m > n:
         raise ValueError(f"stirling1 needs 0 <= m <= n, got n={n}, m={m}")
-    return _grown(("stirling", 1), n, _stirling_rows, 1)[n][m]
+    return Fraction(stirling_triangle(1, n)[n][m])
 
 
 def stirling2(n: int, m: int) -> Fraction:
@@ -148,7 +154,7 @@ def stirling2(n: int, m: int) -> Fraction:
     S(n, m) = S(n-1, m-1) + m S(n-1, m)."""
     if n < 0 or m < 0 or m > n:
         raise ValueError(f"stirling2 needs 0 <= m <= n, got n={n}, m={m}")
-    return _grown(("stirling", 2), n, _stirling_rows, 2)[n][m]
+    return Fraction(stirling_triangle(2, n)[n][m])
 
 
 # -- Cauchy and poly-Cauchy ------------------------------------------------

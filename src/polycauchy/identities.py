@@ -6,6 +6,18 @@ from the generating-function expansion of A_n^{(r,k)} (and shifts of it);
 the right side is the combinatorial formula built from the other family
 constructors.  A point passes iff every pair matches exactly.
 
+Sub-results that depend on fewer coordinates than a grid point are
+computed once per process and shared by every point, grid and identity
+that needs them: the values A_l^{(r,k)}(c) and the shifts A_n^{(r,k)}(x+1),
+the poly-Cauchy numbers, the a-numbers of Theorem 2 and of (32) and (34),
+the inner sums of Theorems 1, 2 and 7, the weights of Theorems 3, 4 and
+5, and the rising-factorial values and polynomials.  Each is a pure
+module-level function memoized with ``functools.lru_cache``.  The sums
+run on integers: scalar sums are integer dot products over one shared
+denominator (`_dot`, `_binomial_stirling`), and every polynomial right
+side is one `Polynomial.linear_combination` (one lcm, one integer
+accumulation, one gcd pass).
+
 Theorems 4 and 5 are printed in the source with internal inconsistencies
 against their own derivations; both the printed reading and the
 derivation-faithful variant are registered, and verify_variants reports
@@ -19,7 +31,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, lcm
 from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import Polynomial, poly_shift, rising_factorial
@@ -30,7 +43,7 @@ from .families import (
     mixed_A,
     narumi,
     poly_cauchy,
-    stirling1,
+    stirling_triangle,
 )
 from .series import Series
 from .umbral import backward_delta, mixed_pair, sheffer_by_gf, transfer
@@ -46,6 +59,8 @@ _R_EXT = (-2, -1, 0, 1, 2, 3)
 _K_STD = (-2, -1, 0, 1, 2, 3)
 _S_STD = (0, 1, 2, 3)
 _LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
+
+_X = Polynomial.x()
 
 
 @dataclass(frozen=True)
@@ -80,28 +95,61 @@ class GridSpec:
         return out
 
 
-# -- shared shorthands -----------------------------------------------------
+# -- shared sub-results ----------------------------------------------------
+#
+# Each lru_cache'd helper here and among the evaluators is a pure function
+# of fewer coordinates than a grid point, so it is memoized for the life of
+# the process and shared by all points, grids and identities that ask for
+# the same arguments.
 
 
 def _A(n, r, k) -> Polynomial:
     return mixed_A(n, r, k)
 
 
-def _A0(n, r, k) -> Fraction:
-    return mixed_A(n, r, k).evaluate(0)
-
-
+@lru_cache(maxsize=None)
 def _A_at(n, r, k, c) -> Fraction:
+    """A_n^{(r,k)}(c)."""
     return mixed_A(n, r, k).evaluate(c)
 
 
+@lru_cache(maxsize=None)
+def _A_shift(n, r, k) -> Polynomial:
+    """A_n^{(r,k)}(x + 1)."""
+    return poly_shift(mixed_A(n, r, k), 1)
+
+
+@lru_cache(maxsize=None)
 def _pc_number(n, k) -> Fraction:
     return poly_cauchy(n, k).evaluate(0)
 
 
+@lru_cache(maxsize=None)
 def _pow_int(base: int, k: int) -> Fraction:
     # base**k with k possibly negative
     return Fraction(base) ** k
+
+
+@lru_cache(maxsize=None)
+def _rising(n: int) -> Polynomial:
+    return rising_factorial(n)
+
+
+@lru_cache(maxsize=None)
+def _rising_at(n: int, y: int) -> int:
+    """x(x+1)...(x+n-1) at the integer y."""
+    return int(_rising(n).evaluate(y))
+
+
+@lru_cache(maxsize=None)
+def _frobenius_euler(n: int, s: int, lam: Fraction) -> Polynomial:
+    return frobenius_euler(n, s, lam)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_reflected(n: int, alpha: int, b: int) -> Polynomial:
+    """B_n^{(alpha)}(-x + b)."""
+    return bernoulli_poly(n, alpha).compose_affine(-1, b)
 
 
 def _const(c) -> Polynomial:
@@ -112,61 +160,103 @@ def _mixed_sheffer_order(n: int) -> int:
     return max(n + 2, 10)
 
 
+def _dot(weights, values) -> Fraction:
+    """The sum of w * v over two equally long sequences of ints or
+    Fractions, accumulated as one integer over the product of each
+    sequence's lcm denominator."""
+    wd = lcm(*(w.denominator for w in weights))
+    vd = lcm(*(v.denominator for v in values))
+    return Fraction(
+        sum(
+            w.numerator * (wd // w.denominator) * v.numerator * (vd // v.denominator)
+            for w, v in zip(weights, values)
+        ),
+        wd * vd,
+    )
+
+
+def _binomial_stirling(n: int, values) -> tuple:
+    """Integer numerators over one denominator of c_m = sum over l of
+    C(n, l) s(n-l, m) values[l], for m = 0..n: the values are put over one
+    denominator once, then every c_m is an integer dot product."""
+    den = lcm(*(v.denominator for v in values))
+    scaled = [
+        comb(n, l) * v.numerator * (den // v.denominator) for l, v in enumerate(values)
+    ]
+    s1 = stirling_triangle(1, n)
+    nums = [sum(scaled[l] * s1[n - l][m] for l in range(n - m + 1)) for m in range(n + 1)]
+    return nums, den
+
+
 # -- identity evaluators ---------------------------------------------------
 #
 # Each returns a list of (lhs, rhs) Polynomial pairs for one grid point.
 
 
+@lru_cache(maxsize=None)
+def _thm1_inner(m, j, r, k) -> Fraction:
+    """Theorem 1's sum over l, the same for every n >= m:
+    sum C(m,l) C(m-l,j) (l+1)^(-k) S(m-l-j+r, r) / C(m-l-j+r, r)."""
+    s2 = stirling_triangle(2, m + r)
+    ls = range(m - j + 1)
+    return _dot(
+        [comb(m, l) * comb(m - l, j) * s2[m - l - j + r][r] for l in ls],
+        [_pow_int(l + 1, -k) / comb(m - l - j + r, r) for l in ls],
+    )
+
+
 def _thm1(p):
     n, r, k = p["n"], p["r"], p["k"]
-    rhs = Polynomial()
-    for j in range(n + 1):
-        s = Fraction(0)
-        for m in range(j, n + 1):
-            s1 = stirling1(n, m)
-            if s1 == 0:
-                continue
-            for l in range(m - j + 1):
-                from .families import stirling2
-
-                s += (
-                    Fraction(comb(m, l) * comb(m - l, j), comb(m - l - j + r, r))
-                    * _pow_int(l + 1, -k)
-                    * s1
-                    * stirling2(m - l - j + r, r)
-                )
-        if s:
-            rhs = rhs + Polynomial.monomial(j, Fraction((-1) ** j) * s)
+    s1 = stirling_triangle(1, n)[n]
+    rhs = Polynomial(
+        (-1) ** j * _dot(s1[j:], [_thm1_inner(m, j, r, k) for m in range(j, n + 1)])
+        for j in range(n + 1)
+    )
     return [(_A(n, r, k), rhs)]
+
+
+@lru_cache(maxsize=None)
+def _thm2_inner(a_number, t, r, k) -> Fraction:
+    """Theorem 2's innermost sum over a, the same for every n >= t:
+    sum C(t,a) a_number(a, r) C_{t-a}^{(k)}."""
+    return _dot(
+        [comb(t, a) * a_number(a, r) for a in range(t + 1)],
+        [_pc_number(t - a, k) for a in range(t + 1)],
+    )
 
 
 def _thm2_core(p, a_number):
     """Theorem 2's triple sum over Stirling-1, a_number(a, r) and
     poly-Cauchy numbers; THM2, EQ32 and EQ34 differ only in a_number."""
     n, r, k = p["n"], p["r"], p["k"]
-    a_vals = [a_number(a, r) for a in range(n + 1)]
-    pcs = [_pc_number(i, k) for i in range(n + 1)]
-    # the innermost sum over a depends on t = n - l - j alone
-    inner = [
-        sum(comb(t, a) * a_vals[a] * pcs[t - a] for a in range(t + 1))
-        for t in range(n + 1)
-    ]
-    rhs = Polynomial()
-    for j in range(n + 1):
-        s = Fraction(0)
-        for l in range(n - j + 1):
-            s += comb(n, l + j) * stirling1(l + j, j) * inner[n - l - j]
-        if s:
-            rhs = rhs + Polynomial.monomial(j, (-1) ** j * s)
+    inner = [_thm2_inner(a_number, t, r, k) for t in range(n + 1)]
+    s1 = stirling_triangle(1, n)
+    rhs = Polynomial(
+        (-1) ** j * _dot(
+            [comb(n, i) * s1[i][j] for i in range(j, n + 1)],
+            [inner[n - i] for i in range(j, n + 1)],
+        )
+        for j in range(n + 1)
+    )
     return [(_A(n, r, k), rhs)]
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_a(a, r) -> Fraction:
+    return bernoulli_poly(a, a - r + 1).evaluate(1)
+
+
+@lru_cache(maxsize=None)
+def _narumi_a(a, r) -> Fraction:
+    return narumi(a, -r).evaluate(0)
+
+
 def _thm2(p):
-    return _thm2_core(p, lambda a, r: bernoulli_poly(a, a - r + 1).evaluate(1))
+    return _thm2_core(p, _bernoulli_a)
 
 
 def _eq32(p):
-    return _thm2_core(p, lambda a, r: narumi(a, -r).evaluate(0))
+    return _thm2_core(p, _narumi_a)
 
 
 def _compositions(total: int, parts: int):
@@ -180,39 +270,42 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
+def _b2_number(i) -> Fraction:
+    return bernoulli2(i).evaluate(0)
+
+
+@lru_cache(maxsize=None)
+def _composition_a(a, r) -> Fraction:
+    """The sum over compositions a_1 + ... + a_r = a of the multinomial
+    a! / (a_1! ... a_r!) times b_{a_1} ... b_{a_r}, b_i the Bernoulli
+    numbers of the second kind."""
+    multinomials, products = [], []
+    for parts in _compositions(a, r):
+        multinom = factorial(a)
+        prod = Fraction(1)
+        for ai in parts:
+            multinom //= factorial(ai)
+            prod *= _b2_number(ai)
+        multinomials.append(multinom)
+        products.append(prod)
+    return _dot(multinomials, products)
+
+
 def _eq34(p):
-    b = [bernoulli2(i).evaluate(0) for i in range(p["n"] + 1)]
-
-    def composition_sum(a, r):
-        total = Fraction(0)
-        for parts in _compositions(a, r):
-            multinom = factorial(a)
-            prod = Fraction(1)
-            for ai in parts:
-                multinom //= factorial(ai)
-                prod *= b[ai]
-            total += multinom * prod
-        return total
-
-    return _thm2_core(p, composition_sum)
+    return _thm2_core(p, _composition_a)
 
 
 def _eq35(p):
     n, r, k = p["n"], p["r"], p["k"]
-    a_n = _A(n, r, k)
+    a = [_A(j, r, k) for j in range(n + 1)]
     pairs = []
-    for y in (Fraction(i) for i in range(-2, n - 1)):
-        lhs = poly_shift(a_n, y)
-        rhs = Polynomial()
-        for j in range(n + 1):
-            w = (
-                Fraction((-1) ** (n - j))
-                * comb(n, j)
-                * rising_factorial(n - j).evaluate(y)
-            )
-            if w:
-                rhs = rhs + w * _A(j, r, k)
-        pairs.append((lhs, rhs))
+    for y in range(-2, n - 1):
+        rhs = Polynomial.linear_combination(
+            ((-1) ** (n - j) * comb(n, j) * _rising_at(n - j, y), a[j])
+            for j in range(n + 1)
+        )
+        pairs.append((poly_shift(a[n], y), rhs))
     return pairs
 
 
@@ -224,58 +317,73 @@ def _eq36(p):
     return [(lhs, rhs)]
 
 
+@lru_cache(maxsize=None)
+def _thm3_weights(n, k) -> tuple:
+    """Theorem 3's weights, j = 0..n, of B_j^{(1-r)}(-x) in the middle sum
+    and of B_j^{(-r)}(-x-1) in the last one; neither depends on r."""
+    s1 = stirling_triangle(1, n)[n]
+    mid, last = [], []
+    for j in range(n + 1):
+        # the middle sum's terms with m - l - a = j
+        terms = [(m, l, m - l - j) for m in range(j, n + 1) for l in range(m - j + 1)]
+        mid.append(_dot(
+            [(-1) ** a * comb(m, l) * comb(m - l, a) * s1[m] for m, l, a in terms],
+            [_pow_int(l + 1, -k) / ((a + 2) * (a + 1)) for m, l, a in terms],
+        ))
+        ms = range(j, n + 1)
+        last.append(_dot(
+            [comb(m, m - j) * s1[m] for m in ms],
+            [_pow_int(m - j + 2, -k) for m in ms],
+        ))
+    return mid, last
+
+
 def _thm3(p):
     n, r, k = p["n"], p["r"], p["k"]
-    x = Polynomial.x()
-    rhs = -x * poly_shift(_A(n, r, k), 1)
-    mid = Polynomial()
-    for m in range(n + 1):
-        s1 = stirling1(n, m)
-        if s1 == 0:
-            continue
-        for l in range(m + 1):
-            for a in range(m - l + 1):
-                w = (
-                    Fraction((-1) ** a * comb(m, l) * comb(m - l, a), (a + 2) * (a + 1))
-                    * _pow_int(l + 1, -k)
-                    * s1
-                )
-                if w:
-                    mid = mid + w * bernoulli_poly(m - l - a, 1 - r).compose_affine(-1, 0)
-    rhs = rhs + r * mid
-    last = Polynomial()
-    for m in range(n + 1):
-        s1 = stirling1(n, m)
-        if s1 == 0:
-            continue
-        for a in range(m + 1):
-            w = comb(m, a) * s1 * _pow_int(a + 2, -k)
-            if w:
-                last = last + w * bernoulli_poly(m - a, -r).compose_affine(-1, -1)
-    rhs = rhs + last
+    mid, last = _thm3_weights(n, k)
+    rhs = Polynomial.linear_combination(
+        [(-1, _X * _A_shift(n, r, k))]
+        + [(r * w, _bernoulli_reflected(j, 1 - r, 0)) for j, w in enumerate(mid)]
+        + [(w, _bernoulli_reflected(j, -r, -1)) for j, w in enumerate(last)]
+    )
     return [(_A(n + 1, r, k), rhs)]
+
+
+@lru_cache(maxsize=None)
+def _thm4_weights(n) -> tuple:
+    """Theorem 4's weights, independent of r and k: of A_a^{(r+1,k)} in
+    the double sum (a = 0..n-1), their total, and of A_l^{(r,k)} in the
+    single sum (l = 0..n-1)."""
+    dbl = []
+    for a in range(n):
+        ls = range(a, n)
+        dbl.append(_dot(
+            [
+                (-1) ** (n - a) * factorial(n - 1 - l) * factorial(l - a)
+                * comb(n - 1, l) * comb(l, a)
+                for l in ls
+            ],
+            [Fraction(1, l - a + 2) for l in ls],
+        ))
+    single = [(-1) ** (n - l - 1) * factorial(n - l - 1) * comb(n - 1, l) for l in range(n)]
+    return dbl, _dot([1] * n, dbl), single
 
 
 def _thm4_core(p, printed: bool):
     n, r, k = p["n"], p["r"], p["k"]
-    x = Polynomial.x()
-    rhs = -x * poly_shift(_A(n - 1, r, k), 1)
-    dbl = Polynomial()
-    for l in range(n):
-        for a in range(l + 1):
-            w = Fraction(
-                (-1) ** (n - a) * factorial(n - 1 - l) * factorial(l - a), l - a + 2
-            ) * comb(n - 1, l) * comb(l, a)
-            carrier = _A(n, r + 1, k) if printed else _A(a, r + 1, k)
-            dbl = dbl + w * carrier
-    rhs = rhs + r * dbl
-    single = Polynomial()
-    for l in range(n):
-        w = Fraction((-1) ** (n - l - 1) * factorial(n - l - 1)) * comb(n - 1, l)
-        single = single + w * _A(l, r, k)
-    rhs = rhs + r * single
-    rhs = rhs + Fraction(1, n) * (
-        poly_shift(_A(n, r + 1, k - 1), 1) - poly_shift(_A(n, r + 1, k), 1)
+    dbl, dbl_total, single = _thm4_weights(n)
+    if printed:
+        carried = [(r * dbl_total, _A(n, r + 1, k))]
+    else:
+        carried = [(r * w, _A(a, r + 1, k)) for a, w in enumerate(dbl)]
+    rhs = Polynomial.linear_combination(
+        [(-1, _X * _A_shift(n - 1, r, k))]
+        + carried
+        + [(r * w, _A(l, r, k)) for l, w in enumerate(single)]
+        + [
+            (Fraction(1, n), _A_shift(n, r + 1, k - 1)),
+            (Fraction(-1, n), _A_shift(n, r + 1, k)),
+        ]
     )
     return [(_A(n, r, k), rhs)]
 
@@ -288,34 +396,44 @@ def _thm4_variant(p):
     return _thm4_core(p, printed=False)
 
 
+@lru_cache(maxsize=None)
+def _thm5_weights(n, m) -> list:
+    """Theorem 5's weight of r A_a^{(r+1,k)}(1) in its double sum,
+    a = 0..n-m-1; independent of r and k."""
+    s1 = stirling_triangle(1, n)
+    out = []
+    for a in range(n - m):
+        ls = range(a, n - m)
+        out.append(_dot(
+            [
+                (-1) ** (l - a + 1) * factorial(l - a) * comb(n - 1, l) * comb(l, a)
+                * s1[n - 1 - l][m]
+                for l in ls
+            ],
+            [Fraction(1, l - a + 2) for l in ls],
+        ))
+    return out
+
+
 def _thm5_core(p, printed: bool):
     n, m, r, k = p["n"], p["m"], p["r"], p["k"]
-    lhs = Fraction(0)
-    for l in range(n - m + 1):
-        lhs += comb(n, l) * stirling1(n - l, m) * _A0(l, r, k)
-    rhs = Fraction(0)
-    for l in range(n - m):
-        for a in range(l + 1):
-            rhs += (
-                r
-                * Fraction((-1) ** (l - a + 1) * factorial(l - a), l - a + 2)
-                * comb(n - 1, l)
-                * comb(l, a)
-                * stirling1(n - 1 - l, m)
-                * _A_at(a, r + 1, k, 1)
-            )
-    for l in range(n - m):
-        rhs += r * comb(n - 1, l) * stirling1(n - l - 1, m) * _A_at(l, r, k, 1)
-    for l in range(n - m + 1):
-        s1 = stirling1(n - l - 1, m - 1) if m - 1 <= n - l - 1 else Fraction(0)
-        if s1 == 0:
-            continue
-        if printed:
-            rhs += Fraction(1, m) * comb(n - 1, l) * s1 * _A_at(l, r, k, 1)
-            rhs += (1 - Fraction(1, m)) * comb(n - 1, l) * s1 * _A_at(l, r, k, 1)
-        else:
-            rhs += Fraction(1, m) * comb(n - 1, l) * s1 * _A_at(l, r, k - 1, 1)
-            rhs += (1 - Fraction(1, m)) * comb(n - 1, l) * s1 * _A_at(l, r, k, 1)
+    s1 = stirling_triangle(1, n)
+    lhs = _dot(
+        [comb(n, l) * s1[n - l][m] for l in range(n - m + 1)],
+        [_A_at(l, r, k, 0) for l in range(n - m + 1)],
+    )
+    at_one = [_A_at(l, r, k, 1) for l in range(n - m + 1)]
+    rhs = r * _dot(_thm5_weights(n, m), [_A_at(a, r + 1, k, 1) for a in range(n - m)])
+    rhs += r * _dot([comb(n - 1, l) * s1[n - l - 1][m] for l in range(n - m)], at_one[:-1])
+    # the last sum splits 1/m + (1 - 1/m); only the variant lowers k in
+    # its first part
+    last = [comb(n - 1, l) * s1[n - l - 1][m - 1] for l in range(n - m + 1)]
+    if printed:
+        rhs += _dot(last, at_one)
+    else:
+        lowered = [_A_at(l, r, k - 1, 1) for l in range(n - m + 1)]
+        part = Fraction(1, m)
+        rhs += part * _dot(last, lowered) + (1 - part) * _dot(last, at_one)
     return [(_const(lhs), _const(rhs))]
 
 
@@ -330,55 +448,52 @@ def _thm5_variant(p):
 def _eq52(p):
     n, r, k = p["n"], p["r"], p["k"]
     lhs = _A(n, r, k).derivative()
-    rhs = Polynomial()
-    for l in range(n):
-        w = (
-            Fraction((-1) ** (n + 1) * factorial(n))
-            * Fraction((-1) ** (l + 1), (n - l) * factorial(l))
-        )
-        rhs = rhs + w * _A(l, r, k)
+    rhs = Polynomial.linear_combination(
+        (Fraction((-1) ** (n + l) * factorial(n), (n - l) * factorial(l)), _A(l, r, k))
+        for l in range(n)
+    )
     return [(lhs, rhs)]
 
 
 def _thm6(p):
     n, r, k, s = p["n"], p["r"], p["k"], p["s"]
-    rhs = Polynomial()
-    for m in range(n + 1):
-        c = Fraction(0)
-        for l in range(n - m + 1):
-            c += comb(n, l) * stirling1(n - l, m) * _A_at(l, r + s, k, s)
-        c *= Fraction((-1) ** m)
-        if c:
-            rhs = rhs + c * bernoulli_poly(m, s)
+    c, den = _binomial_stirling(n, [_A_at(l, r + s, k, s) for l in range(n + 1)])
+    rhs = Polynomial.linear_combination(
+        (((-1) ** m * c[m], bernoulli_poly(m, s)) for m in range(n + 1)), den
+    )
     return [(_A(n, r, k), rhs)]
+
+
+@lru_cache(maxsize=None)
+def _thm7_inner(l, r, k, s, lam) -> Fraction:
+    """Theorem 7's sum over a, the same for every n and m:
+    sum (-lam)^a C(s,a) A_l^{(r,k)}(s-a), with lam = p/q summed over q^s."""
+    p, q = lam.numerator, lam.denominator
+    return _dot(
+        [(-p) ** a * q ** (s - a) * comb(s, a) for a in range(s + 1)],
+        [_A_at(l, r, k, s - a) for a in range(s + 1)],
+    ) / q ** s
 
 
 def _thm7(p):
     n, r, k, s, lam = p["n"], p["r"], p["k"], p["s"], p["lam"]
-    scale = Fraction(1) / (1 - lam) ** s
-    # the sum over a does not depend on m: one value per l
-    inner = [
-        sum((-lam) ** a * comb(s, a) * _A_at(l, r, k, s - a) for a in range(s + 1))
-        for l in range(n + 1)
-    ]
-    rhs = Polynomial()
-    for m in range(n + 1):
-        c = Fraction(0)
-        for l in range(n - m + 1):
-            c += comb(n, l) * stirling1(n - l, m) * inner[l]
-        c *= Fraction((-1) ** m) * scale
-        if c:
-            rhs = rhs + c * frobenius_euler(m, s, lam)
+    scale = (1 - lam) ** -s
+    c, den = _binomial_stirling(n, [_thm7_inner(l, r, k, s, lam) for l in range(n + 1)])
+    rhs = Polynomial.linear_combination(
+        (
+            ((-1) ** m * scale.numerator * c[m], _frobenius_euler(m, s, lam))
+            for m in range(n + 1)
+        ),
+        den * scale.denominator,
+    )
     return [(_A(n, r, k), rhs)]
 
 
 def _thm8(p):
     n, r, k = p["n"], p["r"], p["k"]
-    rhs = Polynomial()
-    for m in range(n + 1):
-        w = Fraction((-1) ** m) * comb(n, m) * _A0(n - m, r, k)
-        if w:
-            rhs = rhs + w * rising_factorial(m)
+    rhs = Polynomial.linear_combination(
+        ((-1) ** m * comb(n, m) * _A_at(n - m, r, k, 0), _rising(m)) for m in range(n + 1)
+    )
     return [(_A(n, r, k), rhs)]
 
 
@@ -397,8 +512,7 @@ def _assoc_eq25(p):
     n = p["n"]
     order = _mixed_sheffer_order(n)
     lhs = transfer(Series.t(order), backward_delta(order), n)
-    rhs = Fraction((-1) ** n) * rising_factorial(n)
-    return [(lhs, Polynomial._coerce(rhs))]
+    return [(lhs, (-1) ** n * _rising(n))]
 
 
 # -- domains ---------------------------------------------------------------

@@ -269,3 +269,49 @@ def test_series_of_polynomials_matches_series_of_fraction_columns():
         built = Series(cs)
         assert built == from_columns and hash(built) == hash(from_columns)
         assert built.coeffs == tuple(cs)
+
+
+def _chained(terms, den=1):
+    out = Polynomial()
+    for w, p in terms:
+        out = out + w * p
+    return out / den
+
+
+def _rand_weight(rng):
+    """Zero, a negative or positive integer, or a non-integer Fraction."""
+    kind = rng.random()
+    if kind < 0.15:
+        return rng.choice((0, F(0)))
+    if kind < 0.5:
+        return rng.randint(-9, 9)
+    return F(rng.randint(-99, 99), rng.randint(2, 30))
+
+
+def test_linear_combination_matches_chained_sums():
+    rng = random.Random(20134)
+    for _ in range(300):
+        terms = [
+            (_rand_weight(rng), Polynomial(rand_ref(rng)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        den = rng.choice((1, 1, 2, 7, 12))
+        got = Polynomial.linear_combination(terms, den)
+        want = _chained(terms, den)
+        assert_canonical(got, want.coeffs)
+        # a generator is consumed once, like the list
+        assert Polynomial.linear_combination(iter(terms), den) == want
+
+
+def test_linear_combination_edge_cases():
+    assert_canonical(Polynomial.linear_combination([]), [])
+    assert_canonical(Polynomial.linear_combination([], 5), [])
+    assert_canonical(Polynomial.linear_combination([(0, P), (F(0), X)]), [])
+    # terms that cancel leave no trailing zero and denominator 1
+    assert_canonical(Polynomial.linear_combination([(F(1, 2), P), (F(-1, 2), P)]), [])
+    assert_canonical(Polynomial.linear_combination([(1, X * X), (-1, X * X), (3, X)]), [0, 3])
+    # negative and non-integer weights, reduced to lowest terms
+    got = Polynomial.linear_combination([(F(-3, 4), P), (6, X)], 3)
+    assert_canonical(got, [F(-1, 12), F(9, 4), F(-1, 4)])
+    with pytest.raises(TypeError):
+        Polynomial.linear_combination([(0.5, P)])

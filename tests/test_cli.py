@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -248,6 +249,18 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert doc["results"][0]["diff"] == ["-1"]
 
 
+def test_verify_internal_error_exits_four(capsys, monkeypatch):
+    def broken_pairs(p):
+        raise RuntimeError("evaluator blew up")
+
+    broken = idn.IdentityDef(("n",), lambda p: None, broken_pairs, GridSpec(n_values=(0,)))
+    monkeypatch.setitem(idn._DEFS, "THM8", broken)
+    code, out, err = run(capsys, "verify", "thm8")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: evaluator blew up\n"
+
+
 def test_verify_trunc_guard(capsys):
     code, _, err = run(capsys, "verify", "thm8", "--n-max", "40", "--trunc", "32")
     assert code == 2
@@ -292,23 +305,37 @@ def test_selftest_command():
     assert cli.main(["selftest"]) == 0
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def cold_verify(*argv):
+    """`polycauchy verify ...` in a fresh interpreter, so every cache
+    starts empty."""
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "polycauchy.cli", "verify", *argv],
+        capture_output=True, env=env, timeout=300,
+    )
+
+
 def test_verify_jobs_from_a_cold_process():
     # a fresh interpreter has empty caches, so the worker threads race to
     # fill them; the report must still be byte-identical to the serial one
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv in (("thm1",), ("thm7", "--n-max", "5")):
+        serial = cold_verify(*argv, "--jobs", "1")
+        assert serial.returncode == 0, serial.stderr.decode()
+        # the race does not show on every run; three runs catch most of them
+        for _ in range(3):
+            threaded = cold_verify(*argv, "--jobs", "4")
+            assert threaded.returncode == 0, threaded.stderr.decode()
+            assert threaded.stdout == serial.stdout
 
-    def cold(jobs):
-        return subprocess.run(
-            [sys.executable, "-m", "polycauchy.cli", "verify", "thm1", "--jobs", jobs],
-            capture_output=True, env=env, timeout=300,
-        )
 
-    serial = cold("1")
-    assert serial.returncode == 0, serial.stderr.decode()
-    # the race does not show on every run; three runs catch most of them
-    for _ in range(3):
-        threaded = cold("4")
-        assert threaded.returncode == 0, threaded.stderr.decode()
-        assert threaded.stdout == serial.stdout
+def test_verify_all_matches_the_recorded_default_report():
+    with open(os.path.join(ROOT, "perfbench", "reports.json")) as fh:
+        recorded = json.load(fh)["default"]
+    out = cold_verify("all", "--jobs", "1")
+    assert out.returncode == 0, out.stderr.decode()
+    assert hashlib.sha256(out.stdout).hexdigest() == recorded

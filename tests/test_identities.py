@@ -150,3 +150,48 @@ def test_default_grids_match_declared_ranges():
     g4 = idn.default_grid("THM4")
     assert g4.n_values == tuple(range(7))
     assert g4.r_values == (0, 1, 2, 3)
+
+
+# -- memo independence -----------------------------------------------------
+
+
+def _clear_caches():
+    """Empty the family memo and every lru_cache in identities and umbral."""
+    from polycauchy import families, umbral
+
+    families._memo.clear()
+    for module in (idn, umbral):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+MEMO_GRIDS = {
+    "THM7": GridSpec(
+        n_values=(0, 1, 2, 3, 4), r_values=(-1, 1), k_values=(-1, 2),
+        s_values=(1, 2), lambdas=(F(-1), F(1, 3)),
+    ),
+    "EQ34": GridSpec(n_values=(0, 1, 2, 3, 4, 5), r_values=(0, 2), k_values=(-2, 1)),
+}
+WARM_GRIDS = {
+    "THM7": GridSpec(
+        n_values=(2, 5), r_values=(1, 3), k_values=(2,), s_values=(2, 3),
+        lambdas=(F(1, 3), F(2)),
+    ),
+    "EQ34": GridSpec(n_values=(3, 7), r_values=(1, 2), k_values=(1, 3)),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(MEMO_GRIDS))
+def test_reports_do_not_depend_on_memo_state(identity):
+    grid = MEMO_GRIDS[identity]
+    _clear_caches()
+    assert idn._A_at.cache_info().currsize == 0
+    cold = verify(identity, grid).to_json()
+    assert json.loads(cold)["totals"]["pass"] > 0
+    _clear_caches()
+    verify(identity, WARM_GRIDS[identity])
+    warmed = verify(identity, grid).to_json()
+    _clear_caches()
+    threaded = verify(identity, grid, jobs=4).to_json()
+    assert cold == warmed == threaded
