@@ -1,5 +1,5 @@
-"""Command-line front end: family tables, single polynomials, identity
-verification, and the built-in selftest.
+"""Command-line front end: family tables, single polynomials and identity
+verification.
 
 All numeric output is exact fraction text; there is no decimal rendering
 anywhere.  Exit codes: 0 success, 1 verification failure, 2 usage or
@@ -238,12 +238,6 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest
-
-    return 0 if run_selftest() else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polycauchy",
@@ -304,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--report", default=None)
     add_common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
-
-    p_self = sub.add_parser("selftest", help="run the built-in invariant battery")
-    p_self.set_defaults(func=_cmd_selftest)
 
     return parser
 

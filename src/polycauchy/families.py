@@ -1,20 +1,24 @@
 """Named number and polynomial families, each built from its generating
 function through the series layer.
 
-Every polynomial and Cauchy-number constructor expands the defining
-generating function; closed-form shortcuts exist only in the test suite as
-cross-checks.  Each polynomial family is a Sheffer sequence
-n! [t^n] g(t) e^{x f(t)} with f one of t, log(1+t) and -log(1+t): the
-family supplies its own g, and the factor e^{x f(t)} is expanded once per
-f and shared by every family that uses it.  The Stirling triangles come
-from their two-term recurrences and are kept as rows of ints (their
+Every Cauchy-number constructor and every polynomial family's own factor
+g(t) is expanded from its defining generating function; closed-form
+shortcuts exist only in the test suite as cross-checks.  Each polynomial
+family is a Sheffer sequence n! [t^n] g(t) e^{x f(t)} with f one of t,
+log(1+t) and -log(1+t).  Only the coefficients of e^{x f(t)} are read in
+closed form, through the Sheffer identity: the associated sequence of f
+is x^j, the falling factorial (x)_j or (-x)_j, whose coefficients are
+Stirling numbers of the first kind.  So every row is built from the
+univariate series g and a Stirling row.  The Stirling triangles come from
+their two-term recurrences and are kept as rows of ints (their
 cross-checks live in the test suite).  The required truncation order is
 derived from the requested degree, so callers never pass one.
 
-Every expansion is kept in one memo, `_memo`, keyed per parameter set and
-regrown on demand.  Its values are immutable and each entry is replaced
-whole by one dict assignment, so it needs no lock: threads that race on a
-key only build the same value twice.
+Every expansion is kept in one memo, `_memo`: each g series and each
+Stirling triangle keyed per parameter set and regrown on demand, and
+each polynomial row by itself.  Its values are immutable and each entry
+is replaced whole by one dict assignment, so it needs no lock: threads
+that race on a key only build the same value twice.
 """
 
 from __future__ import annotations
@@ -27,15 +31,12 @@ from .series import (
     Series,
     compose,
     div,
-    exp_series,
     exp_t,
     int_pow,
     log_one_plus_t,
     mul,
     reciprocal,
 )
-
-_X = Polynomial.x()
 
 
 def lif(k: int, order: int) -> Series:
@@ -58,7 +59,9 @@ def lif_neg_t(k: int, order: int) -> Series:
 # _memo maps a key to (order, value): the widest value built so far and
 # the order it is exact through.  Two threads racing on a key may also put
 # a narrower entry back over a wider one; every stored value is still
-# exact through the order stored with it.
+# exact through the order stored with it.  A row's key starts with "row"
+# and its order is its degree; every other key is a string or a tuple
+# that starts with a function or "stirling", so the two never collide.
 
 _memo: dict = {}
 
@@ -94,28 +97,35 @@ def bernoulli_ratio(order: int) -> Series:
     return _grown("bernoulli_ratio", order, _bernoulli_ratio).truncate(order)
 
 
-def _exp_x(order: int, delta: str) -> Series:
-    """e^{x f(t)} for the delta series f named by delta: "t", "log" for
-    log(1+t), or "-log" for -log(1+t)."""
-    f = Series.t(order) if delta == "t" else log_one_plus_t(order)
-    return exp_series(f.scale(-_X if delta == "-log" else _X))
-
-
-def _sheffer_rows(order: int, delta: str, g, params: tuple) -> list:
-    """Rows 0..order of n! [t^n] g(order, *params) e^{x f(t)}, each read
-    straight from the product's integer columns."""
-    ext = _grown(("exp_x", delta), order, _exp_x, delta).truncate(order)
-    f = mul(g(order, *params), ext)
-    return [
-        Polynomial._of([factorial(i) * col[i] for col in f.num], f.den)
-        for i in range(order + 1)
-    ]
-
-
 def _sheffer_row(n: int, delta: str, g, *params) -> Polynomial:
     """The Sheffer polynomial n! [t^n] g(t) e^{x f(t)}, where g(order,
-    *params) expands the family's own factor and delta names f."""
-    return _grown((g, *params), n, _sheffer_rows, delta, g, params)[n]
+    *params) expands the family's own factor and delta names f: "t",
+    "log" for log(1+t), or "-log" for -log(1+t).
+
+    By the Sheffer identity s_n(x) = sum_j C(n, j) s_{n-j}(0) p_j(x), with
+    s_m(0) = m! [t^m] g and p_j the associated sequence of f: x^j for t,
+    the falling factorial (x)_j = sum_i s(j, i) x^i for log(1+t) and
+    (-x)_j for -log(1+t).  So with g = G / D the x^i coefficient of row n
+    is sum_j (n!/j!) G_{n-j} [x^i] p_j / D, summed in integers.
+    """
+    key = ("row", g, n, *params)
+    hit = _memo.get(key)
+    if hit is not None:
+        return hit[1]
+    gs = _grown((g, *params), n, g, *params)
+    w = [factorial(n) // factorial(j) * gs.num[n - j] for j in range(n + 1)]
+    if delta == "t":
+        row = w
+    else:
+        row = [0] * (n + 1)
+        for wj, sj in zip(w, stirling_triangle(1, n)):
+            for i, s in enumerate(sj):
+                row[i] += wj * s
+        if delta == "-log":
+            row[1::2] = [-c for c in row[1::2]]
+    value = Polynomial._of(row, gs.den)
+    _memo[key] = (n, value)
+    return value
 
 
 # -- Stirling triangles ----------------------------------------------------

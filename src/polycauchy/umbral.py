@@ -22,7 +22,6 @@ from .series import (
     comp_inverse,
     compose,
     div,
-    exp_series,
     exp_t,
     int_pow,
     mul,
@@ -128,14 +127,42 @@ def _inverse_data(pair: ShefferPair):
     return fbar, ginv
 
 
+@lru_cache(maxsize=None)
+def _gf_rows(pair: ShefferPair) -> tuple:
+    """S_0 .. S_N of the pair, N its order; see sheffer_by_gf."""
+    fbar, ginv = _inverse_data(pair)
+    powers = [Series.one(pair.order)]
+    for _ in range(pair.order):
+        powers.append(mul(powers[-1], fbar))
+    # p_j(x) = sum_k (j!/k!) [t^j] fbar^k x^k
+    assoc = [
+        Polynomial(Fraction(factorial(j) * pw.num[j], factorial(k) * pw.den)
+                   for k, pw in enumerate(powers[: j + 1]))
+        for j in range(pair.order + 1)
+    ]
+    # with 1/g(fbar) = G / D, C(n, j) S_{n-j}(0) = (n!/j!) G_{n-j} / D
+    g_num = ginv.num
+    return tuple(
+        Polynomial.linear_combination(
+            ((factorial(n) // factorial(j) * g_num[n - j], assoc[j]) for j in range(n + 1)),
+            ginv.den,
+        )
+        for n in range(pair.order + 1)
+    )
+
+
 def sheffer_by_gf(pair: ShefferPair, n: int) -> Polynomial:
-    """S_n = n! [t^n] of (1/g(fbar)) e^{x fbar(t)}."""
+    """S_n = n! [t^n] of (1/g(fbar)) e^{x fbar(t)}.
+
+    The generating function is read through the Sheffer identity
+    S_n(x) = sum_j C(n, j) S_{n-j}(0) p_j(x), from univariate series only:
+    S_m(0) = m! [t^m] 1/g(fbar), and the associated sequence of f is
+    p_j(x) = sum_k (j!/k!) [t^j] fbar^k x^k, from the powers of fbar.
+    Rows 0..N, N the pair's order, are built once per pair.
+    """
     if n > pair.order:
         raise SeriesError(f"pair order {pair.order} too small for degree {n}")
-    fbar, ginv = _inverse_data(pair)
-    gen = mul(ginv, exp_series(fbar.scale(_X)))
-    c = factorial(n) * gen.coeffs[n]
-    return c if isinstance(c, Polynomial) else Polynomial((c,))
+    return _gf_rows(pair)[n]
 
 
 def sheffer_by_conjugate(pair: ShefferPair, n: int) -> Polynomial:

@@ -14,7 +14,6 @@ from polycauchy.series import Series, compose, div, exp_t, int_pow, log_one_plus
 from polycauchy import families as fam
 from polycauchy import umbral as um
 from polycauchy import identities as idn
-from polycauchy.selftest import run_selftest
 
 
 class _Criterion:
@@ -209,4 +208,3 @@ def test_criterion_7_determinism():
         for name in ("THM8", "EQ35", "THM4"):
             docs = {idn.verify(name, grid, jobs=j).to_json() for j in (1, 2, 8)}
             c.check(len(docs) == 1, f"{name}: report varies with worker count")
-        c.check(run_selftest(), "selftest battery")

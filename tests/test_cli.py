@@ -301,10 +301,6 @@ def test_help_exits_zero(capsys):
     assert "table" in out and "verify" in out
 
 
-def test_selftest_command():
-    assert cli.main(["selftest"]) == 0
-
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 

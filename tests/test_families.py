@@ -5,7 +5,15 @@ from math import comb, factorial
 import pytest
 
 from polycauchy.algebra import Polynomial, falling_factorial, poly_shift
-from polycauchy.series import Series, exp_t, mul
+from polycauchy.series import (
+    Series,
+    compose,
+    exp_t,
+    int_pow,
+    log_one_plus_t,
+    mul,
+    reciprocal,
+)
 from polycauchy import families as fam
 
 X = Polynomial.x()
@@ -222,6 +230,39 @@ def test_bernoulli2_at_zero_is_cauchy():
         assert fam.bernoulli2(n).evaluate(0) == fam.cauchy_number(n)
 
 
+def _reference_rows(g, f, n_max):
+    """Rows 0..n_max of n! [t^n] g(t) e^{x f(t)}, with the x^k coefficient
+    read as (n!/k!) [t^n] g(t) f(t)^k from univariate powers of f."""
+    rows = [[] for _ in range(n_max + 1)]
+    h = g
+    for k in range(n_max + 1):
+        for n in range(k, n_max + 1):
+            rows[n].append(F(factorial(n), factorial(k)) * h.coeffs[n])
+        h = mul(h, f)
+    return [Polynomial(row) for row in rows]
+
+
+def test_six_families_match_power_reference_to_64():
+    n = 64
+    ell = log_one_plus_t(n)
+    t = Series.t(n)
+    ratio = fam.cauchy_ratio(n)
+    cases = [
+        (fam.mixed_A, (2, -1), mul(int_pow(ratio, 2), compose(fam.lif(-1, n), ell)), -ell),
+        (fam.poly_cauchy, (2,), compose(fam.lif(2, n), ell), -ell),
+        (fam.bernoulli_poly, (3,), int_pow(fam.bernoulli_ratio(n), 3), t),
+        (fam.frobenius_euler, (2, F(3)),
+         int_pow(reciprocal((exp_t(n) - 3).scale(F(-1, 2))), 2), t),
+        (fam.narumi, (2,), int_pow(ratio, -2), ell),
+        (fam.bernoulli2, (), ratio, ell),
+    ]
+    fam._memo.clear()
+    for family, params, g, f in cases:
+        want = _reference_rows(g, f, n)
+        # one row at a time from a cold memo, so g regrows on the way
+        assert [family(m, *params) for m in range(n + 1)] == want, family.__name__
+
+
 def test_negative_degree_rejected():
     for func in (fam.poly_cauchy, fam.higher_cauchy):
         with pytest.raises(ValueError):
@@ -234,14 +275,14 @@ def test_negative_degree_rejected():
 
 
 def _memo_requests():
-    """Stirling rows to 30 and mixed_A / poly_cauchy / narumi rows to 20,
-    interleaved by degree."""
+    """Stirling rows to 30 and mixed_A / poly_cauchy / narumi /
+    bernoulli_poly rows to 20, interleaved by degree."""
     reqs = []
     for n in range(31):
         reqs.append(("stirling1", n))
         reqs.append(("stirling2", n))
         if n <= 20:
-            reqs += [("mixed_A", n), ("poly_cauchy", n), ("narumi", n)]
+            reqs += [("mixed_A", n), ("poly_cauchy", n), ("narumi", n), ("bernoulli_poly", n)]
     return reqs
 
 
@@ -253,6 +294,8 @@ def _memo_answer(req):
         return fam.mixed_A(n, 2, -1)
     if kind == "poly_cauchy":
         return fam.poly_cauchy(n, 2)
+    if kind == "bernoulli_poly":
+        return fam.bernoulli_poly(n, 3)
     return fam.narumi(n, 2)
 
 

@@ -22,8 +22,6 @@ from polycauchy.series import (
     reciprocal,
 )
 
-X = Polynomial.x()
-
 
 def rand_series(rng, order=8, unit=False, delta=False):
     cs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)]
@@ -209,17 +207,12 @@ def test_log_exp_inverse_pair():
         g = rand_series(rng, 8, unit=False)
         g = Series([F(1)] + list(g.coeffs[1:]))
         assert exp_series(log_series(g)) == g
+    assert exp_series(log_one_plus_t(8)) == Series.t(8) + 1
 
 
 def test_exp_series_basic():
     assert exp_series(Series.t(3)) == Series([1, 1, F(1, 2), F(1, 6)])
     assert exp_series(Series.zero(4)) == Series.one(4)
-
-
-def test_exp_binomial_over_polynomials():
-    # exp(-x log(1+t)) = (1+t)^{-x}; [t^2] = x(x+1)/2
-    f = exp_series(log_one_plus_t(4).scale(-X))
-    assert f.coeffs[2] == Polynomial((0, F(1, 2), F(1, 2)))
 
 
 def test_log_exp_preconditions():
@@ -271,24 +264,6 @@ def test_reciprocal_roundtrip():
         assert mul(f, reciprocal(f)) == Series.one(8)
 
 
-def test_operations_commute_with_evaluation():
-    # evaluating polynomial coefficients before or after the operation
-    # gives the same rational series
-    c = F(5, 3)
-
-    def ev(s):
-        return Series(
-            co.evaluate(c) if isinstance(co, Polynomial) else co for co in s.coeffs
-        )
-
-    ell = log_one_plus_t(8)
-    over_poly = exp_series(ell.scale(-X))
-    over_frac = exp_series(ell.scale(-c))
-    assert ev(over_poly) == over_frac
-    prod_poly = mul(over_poly, over_poly)
-    assert ev(prod_poly) == mul(over_frac, over_frac)
-
-
 def test_truncate_never_extends():
     with pytest.raises(SeriesError):
         Series.t(3).truncate(4)
@@ -305,50 +280,29 @@ def test_comp_inverse_closed_form_order_40():
 # -- representation ---------------------------------------------------------
 
 
-def test_rational_and_constant_polynomial_series_are_one_value():
-    a = Series([1, 2])
-    b = Series([Polynomial((1,)), Polynomial((2,))])
-    assert a == b
-    assert hash(a) == hash(b)
+def test_polynomial_coefficients_are_rejected():
+    p = Polynomial.x()
+    with pytest.raises(TypeError):
+        Series([1, p])
+    with pytest.raises(TypeError):
+        Series.t(2) + p
+    with pytest.raises(TypeError):
+        p + Series.t(2)
+    with pytest.raises(TypeError):
+        Series.t(2).scale(p)
 
 
 def test_coeffs_view_kinds():
-    assert Series([1, F(1, 2)]).coeffs == (F(1), F(1, 2))
-    assert all(isinstance(c, F) for c in Series([1, F(1, 2)]).coeffs)
-    f = Series([1, X, F(1, 2)])
-    assert all(isinstance(c, Polynomial) for c in f.coeffs)
-    assert f.coeffs == (Polynomial((1,)), X, Polynomial((F(1, 2),)))
+    f = Series([1, F(1, 2)])
+    assert f.coeffs == (F(1), F(1, 2))
+    assert all(isinstance(c, F) for c in f.coeffs)
     assert f.coeffs is f.coeffs
+    assert all(isinstance(c, F) for c in Series([0, 3]).coeffs)
 
 
 def test_common_denominator_is_reduced():
-    f = Series([F(1, 6), F(1, 4), X / 3])
+    f = Series([F(1, 6), F(1, 4), F(-1, 3)])
     assert f.den == 12
-    assert f.num == ((2, 3, 0), (0, 0, 4))
-    assert mul(f, Series([6, 0, 0])) == Series([1, F(3, 2), 2 * X])
-
-
-def test_higher_x_degree_operations_commute_with_evaluation():
-    # coefficients of x-degree 2 and 3, in both operands and in divisors
-    c = F(-2, 7)
-
-    def ev(s):
-        return Series(
-            co.evaluate(c) if isinstance(co, Polynomial) else co for co in s.coeffs
-        )
-
-    f = Series([0, X * X + 1, X / 2, -X ** 3, F(1, 3), X])
-    g = Series([1, X * X, F(-1, 2), X + 3, 0, X ** 3 / 5])
-    a = Series([X, 2, X * X / 3, 0, 1, -X])
-    d = Series([0, 2, X, X * X / 3, -1, X])  # a delta series over Q[x]
-    for got, want in [
-        (exp_series(f), exp_series(ev(f))),
-        (mul(f, g), mul(ev(f), ev(g))),
-        (reciprocal(g), reciprocal(ev(g))),
-        (div(a, g), div(ev(a), ev(g))),
-        (div(f, d), div(ev(f), ev(d))),
-        (log_series(g), log_series(ev(g))),
-        (compose(g, f), compose(ev(g), ev(f))),
-        (comp_inverse(d), comp_inverse(ev(d))),
-    ]:
-        assert ev(got) == want
+    assert f.num == (2, 3, -4)
+    assert mul(f, Series([6, 0, 0])) == Series([1, F(3, 2), -2])
+    assert (f.scale(12).num, f.scale(12).den) == ((2, 3, -4), 1)
