@@ -4,19 +4,18 @@ verification.
 All numeric output is exact fraction text; there is no decimal rendering
 anywhere.  Exit codes: 0 success, 1 verification failure, 2 usage or
 parameter error, 3 unwritable report or output path, 4 internal error.
+
+Only `algebra`, `series` and `families` load with this module; the
+`identities` harness, `argparse`, `json` and `csv` load where used.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import json
 import sys
 from fractions import Fraction
 
 from .algebra import Polynomial
 from . import families as fam
-from . import identities as idn
 
 TABLE_FAMILIES = (
     "cauchy",
@@ -29,6 +28,13 @@ TABLE_FAMILIES = (
     "frobenius-euler",
     "narumi",
     "bernoulli2",
+)
+
+# identities.IDENTITY_IDS, spelled out so the parser needs no harness (tested)
+IDENTITY_IDS = (
+    "THM1", "THM2", "EQ32", "EQ34", "EQ35", "EQ36", "THM3", "THM4", "THM4_VARIANT",
+    "THM5", "THM5_VARIANT", "EQ52", "THM6", "THM7", "THM8", "NARUMI_BERNOULLI",
+    "SHEFFER_PAIR_EQ17", "ASSOC_EQ25",
 )
 
 # identity selector aliases accepted on the command line
@@ -111,6 +117,8 @@ def _family_rows(family: str, n_max: int, args) -> list[list]:
 
 def _emit_table(family: str, rows: list[list], fmt: str, params: dict, out) -> None:
     if fmt == "csv":
+        import csv
+
         width = max(len(r) for r in rows)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n"] + [f"v{i}" for i in range(width)])
@@ -124,6 +132,8 @@ def _emit_table(family: str, rows: list[list], fmt: str, params: dict, out) -> N
                 {"n": n, "values": [str(v) for v in row]} for n, row in enumerate(rows)
             ],
         }
+        import json
+
         json.dump(doc, out)
         out.write("\n")
     elif fmt == "latex":
@@ -184,7 +194,9 @@ def _cmd_poly(args) -> int:
     return 0
 
 
-def _build_grid(identity: str, args) -> idn.GridSpec:
+def _build_grid(identity: str, args):
+    from . import identities as idn
+
     base = idn.default_grid(identity)
     values = {
         "n_values": tuple(range(args.n_max + 1)) if args.n_max is not None else base.n_values,
@@ -198,6 +210,10 @@ def _build_grid(identity: str, args) -> idn.GridSpec:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
+    from . import identities as idn
+
     selector = args.identity.lower()
     if selector == "all":
         names = [i for i in idn.IDENTITY_IDS]
@@ -238,7 +254,9 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="polycauchy",
         description="Exact tables and identity verification for mixed-type "
@@ -247,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--trunc", type=int, default=idn.DEFAULT_TRUNCATION,
+        p.add_argument("--trunc", type=int, default=fam.DEFAULT_TRUNCATION,
                        help="truncation order ceiling (default 32)")
 
     def add_params(p):
@@ -284,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify",
         help="verify identities by exact polynomial equality",
-        description="Identity ids: " + ", ".join(i.lower() for i in idn.IDENTITY_IDS)
+        description="Identity ids: " + ", ".join(i.lower() for i in IDENTITY_IDS)
         + ", or 'all'. Ranges are inclusive a..b (single values allowed).",
     )
     p_verify.add_argument("identity")

@@ -38,6 +38,9 @@ from .series import (
     reciprocal,
 )
 
+# the CLI's --trunc default and a report's `engine.truncation`; unused here
+DEFAULT_TRUNCATION = 32
+
 
 def lif(k: int, order: int) -> Series:
     """Polylogarithm factorial Lif_k(t) = sum t^n / (n! (n+1)^k)."""

@@ -37,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import Polynomial, poly_shift, rising_factorial
 from .families import (
+    DEFAULT_TRUNCATION,
     bernoulli_poly,
     bernoulli2,
     frobenius_euler,
@@ -49,8 +50,6 @@ from .series import Series
 from .umbral import backward_delta, mixed_pair, sheffer_by_gf, transfer
 
 __version__ = "0.1.0"
-
-DEFAULT_TRUNCATION = 32
 
 VARIANT_IDS = ("THM4", "THM4_VARIANT", "THM5", "THM5_VARIANT")
 

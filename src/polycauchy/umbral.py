@@ -27,7 +27,7 @@ from .series import (
     mul,
     reciprocal,
 )
-from .families import cauchy_ratio, lif_neg_t
+from .families import lif_neg_t
 
 _X = Polynomial.x()
 

@@ -1,6 +1,6 @@
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
