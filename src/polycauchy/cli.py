@@ -210,8 +210,6 @@ def _build_grid(identity: str, args):
 
 
 def _cmd_verify(args) -> int:
-    import json
-
     from . import identities as idn
 
     selector = args.identity.lower()
@@ -241,7 +239,7 @@ def _cmd_verify(args) -> int:
             failed = True
     docs = [r.to_document() for r in reports]
     payload = docs[0] if len(docs) == 1 else docs
-    text = json.dumps(payload, indent=2) + "\n"
+    text = idn.report_text(payload)
     if args.report:
         try:
             with open(args.report, "w") as fh:
@@ -346,14 +344,14 @@ def main(argv=None) -> int:
     argv = _normalize_argv(list(argv))
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse already uses 2 for usage errors and 0 for --help
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
     except (UsageError, ValueError) as exc:
-        # ValueError (SeriesError included) is a parameter outside a
-        # family's or grid's domain
+        # UsageError also comes out of parse_args, from a malformed range or
+        # lambda list; ValueError (SeriesError included) is a parameter
+        # outside a family's or grid's domain, or --jobs below 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

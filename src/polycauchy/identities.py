@@ -11,12 +11,20 @@ computed once per process and shared by every point, grid and identity
 that needs them: the values A_l^{(r,k)}(c) and the shifts A_n^{(r,k)}(x+1),
 the poly-Cauchy numbers, the a-numbers of Theorem 2 and of (32) and (34),
 the inner sums of Theorems 1, 2 and 7, the weights of Theorems 3, 4 and
-5, and the rising-factorial values and polynomials.  Each is a pure
-module-level function memoized with ``functools.lru_cache``.  The sums
-run on integers: scalar sums are integer dot products over one shared
-denominator (`_dot`, `_binomial_stirling`), and every polynomial right
-side is one `Polynomial.linear_combination` (one lcm, one integer
-accumulation, one gcd pass).
+5, and the rising-factorial values and polynomials.  Theorems 6 and 7
+are summed with the Stirling transform innermost, so that it lands in
+polynomials memoized per order: each point combines n+1 of them
+(`_bernoulli_stirling`, `_frobenius_stirling`), and every cache key of
+Theorem 7 holds lambda = p/q as the two ints p and q.  Each of these is
+a pure module-level function memoized with ``functools.lru_cache``.  The
+sums run on integers: scalar sums are integer dot products over one shared
+denominator (`_dot`, `_binomial_sum`), and every polynomial right side is
+one `Polynomial.linear_combination` (one lcm, one integer accumulation,
+one gcd pass).
+
+`report_text` writes a report as ``json.dumps(payload, indent=2)`` does,
+byte for byte, but renders the pass and skipped entries from cached
+%-templates instead of through the stdlib's pure-Python encoder.
 
 Theorems 4 and 5 are printed in the source with internal inconsistencies
 against their own derivations; both the printed reading and the
@@ -32,6 +40,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import comb, factorial, lcm
 from concurrent.futures import ThreadPoolExecutor
 
@@ -141,11 +150,6 @@ def _rising_at(n: int, y: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _frobenius_euler(n: int, s: int, lam: Fraction) -> Polynomial:
-    return frobenius_euler(n, s, lam)
-
-
-@lru_cache(maxsize=None)
 def _bernoulli_reflected(n: int, alpha: int, b: int) -> Polynomial:
     """B_n^{(alpha)}(-x + b)."""
     return bernoulli_poly(n, alpha).compose_affine(-1, b)
@@ -174,17 +178,18 @@ def _dot(weights, values) -> Fraction:
     )
 
 
-def _binomial_stirling(n: int, values) -> tuple:
-    """Integer numerators over one denominator of c_m = sum over l of
-    C(n, l) s(n-l, m) values[l], for m = 0..n: the values are put over one
-    denominator once, then every c_m is an integer dot product."""
+def _binomial_sum(n: int, values, polys) -> Polynomial:
+    """The sum over l of C(n, l) values[l] polys[l], l = 0..n, as one
+    linear combination with integer weights: the values are put over one
+    denominator first."""
     den = lcm(*(v.denominator for v in values))
-    scaled = [
-        comb(n, l) * v.numerator * (den // v.denominator) for l, v in enumerate(values)
-    ]
-    s1 = stirling_triangle(1, n)
-    nums = [sum(scaled[l] * s1[n - l][m] for l in range(n - m + 1)) for m in range(n + 1)]
-    return nums, den
+    return Polynomial.linear_combination(
+        (
+            (comb(n, l) * v.numerator * (den // v.denominator), poly)
+            for l, (v, poly) in enumerate(zip(values, polys))
+        ),
+        den,
+    )
 
 
 # -- identity evaluators ---------------------------------------------------
@@ -454,36 +459,60 @@ def _eq52(p):
     return [(lhs, rhs)]
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_stirling(j: int, s: int) -> Polynomial:
+    """P_j(x) = sum over m of (-1)^m s(j, m) B_m^{(s)}(x), the part of
+    Theorem 6's right side that depends on neither n nor r nor k."""
+    s1 = stirling_triangle(1, j)[j]
+    return Polynomial.linear_combination(
+        ((-1) ** m * s1[m], bernoulli_poly(m, s)) for m in range(j + 1)
+    )
+
+
 def _thm6(p):
+    # the Stirling transform over m is folded into the memoized P_j
     n, r, k, s = p["n"], p["r"], p["k"], p["s"]
-    c, den = _binomial_stirling(n, [_A_at(l, r + s, k, s) for l in range(n + 1)])
-    rhs = Polynomial.linear_combination(
-        (((-1) ** m * c[m], bernoulli_poly(m, s)) for m in range(n + 1)), den
+    rhs = _binomial_sum(
+        n,
+        [_A_at(l, r + s, k, s) for l in range(n + 1)],
+        [_bernoulli_stirling(n - l, s) for l in range(n + 1)],
     )
     return [(_A(n, r, k), rhs)]
 
 
 @lru_cache(maxsize=None)
-def _thm7_inner(l, r, k, s, lam) -> Fraction:
-    """Theorem 7's sum over a, the same for every n and m:
-    sum (-lam)^a C(s,a) A_l^{(r,k)}(s-a), with lam = p/q summed over q^s."""
-    p, q = lam.numerator, lam.denominator
+def _thm7_inner(l, r, k, s, p, q) -> Fraction:
+    """Theorem 7's sum over a times (1 - lam)^(-s), the same for every n:
+    (1 - lam)^(-s) sum (-lam)^a C(s,a) A_l^{(r,k)}(s-a), with lam = p/q;
+    the sum is taken over q^s, which cancels against (1 - lam)^(-s) =
+    q^s / (q - p)^s."""
     return _dot(
         [(-p) ** a * q ** (s - a) * comb(s, a) for a in range(s + 1)],
         [_A_at(l, r, k, s - a) for a in range(s + 1)],
-    ) / q ** s
+    ) / (q - p) ** s
+
+
+@lru_cache(maxsize=None)
+def _frobenius_stirling(j: int, s: int, p: int, q: int) -> Polynomial:
+    """Q_j(x) = sum over m of (-1)^m s(j, m) H_m^{(s)}(x|p/q), the part of
+    Theorem 7's right side that depends on neither n nor r nor k."""
+    s1 = stirling_triangle(1, j)[j]
+    lam = Fraction(p, q)
+    return Polynomial.linear_combination(
+        ((-1) ** m * s1[m], frobenius_euler(m, s, lam)) for m in range(j + 1)
+    )
 
 
 def _thm7(p):
+    # sum over l of C(n,l) inner_l Q_{n-l}(x), the Stirling transform over
+    # m folded into the memoized Q_j; the cache keys hold lam as the ints
+    # p, q, since hashing a Fraction costs ten times as much
     n, r, k, s, lam = p["n"], p["r"], p["k"], p["s"], p["lam"]
-    scale = (1 - lam) ** -s
-    c, den = _binomial_stirling(n, [_thm7_inner(l, r, k, s, lam) for l in range(n + 1)])
-    rhs = Polynomial.linear_combination(
-        (
-            ((-1) ** m * scale.numerator * c[m], _frobenius_euler(m, s, lam))
-            for m in range(n + 1)
-        ),
-        den * scale.denominator,
+    a, b = lam.numerator, lam.denominator
+    rhs = _binomial_sum(
+        n,
+        [_thm7_inner(l, r, k, s, a, b) for l in range(n + 1)],
+        [_frobenius_stirling(n - l, s, a, b) for l in range(n + 1)],
     )
     return [(_A(n, r, k), rhs)]
 
@@ -535,9 +564,11 @@ def _dom_thm5(p):
     return None
 
 
-def _dom_lambda(p):
+def _dom_thm7(p):
     if p["lam"] == 1:
         return "lam = 1: Frobenius-Euler undefined"
+    if p["s"] < 0:
+        return "s < 0: the sum over a = 0..s needs s >= 0"
     return None
 
 
@@ -649,7 +680,7 @@ _DEFS: dict[str, IdentityDef] = {
     ),
     "THM7": IdentityDef(
         ("n", "r", "k", "s", "lam"),
-        _dom_lambda,
+        _dom_thm7,
         _thm7,
         GridSpec(
             n_values=tuple(range(9)),
@@ -734,6 +765,103 @@ class VerificationReport:
         return json.dumps(self.to_document(), indent=indent)
 
 
+# -- the report text -------------------------------------------------------
+#
+# With `indent` set, json.dumps runs the stdlib's pure-Python encoder, which
+# on a verify-all report costs more than most identities.  report_text
+# writes the same bytes: each pass or skipped entry from one %-template per
+# shape, and every other value with json.dumps, its continuation lines
+# re-indented.  The re-indent is exact because JSON text never holds a raw
+# newline inside a string.
+
+
+def _newline(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+def _dumps_at(value, depth: int) -> str:
+    """json.dumps(value, indent=2) as it reads `depth` levels deep."""
+    return json.dumps(value, indent=2).replace("\n", _newline(depth))
+
+
+@lru_cache(maxsize=None)
+def _entry_template(depth: int, point_keys: tuple, keys: tuple):
+    """The %-template of an entry {"point": {...}, key: ..., ...} `depth`
+    levels deep, with one %s per point value and per later value; None
+    unless every key is a string and the point comes first and is not
+    empty."""
+    if not point_keys or keys[0] != "point":
+        return None
+    if not all(type(key) is str for key in point_keys + keys):
+        return None
+
+    def field(key):
+        return encode_basestring_ascii(key).replace("%", "%%") + ": "
+
+    inner, outer = "," + _newline(depth + 2), "," + _newline(depth + 1)
+    point = (
+        field("point") + "{" + _newline(depth + 2)
+        + inner.join(field(key) + "%s" for key in point_keys)
+        + _newline(depth + 1) + "}"
+    )
+    return (
+        "{" + _newline(depth + 1)
+        + outer.join([point] + [field(key) + "%s" for key in keys[1:]])
+        + _newline(depth) + "}"
+    )
+
+
+def _entry_text(entry, depth: int) -> str:
+    """One result entry `depth` levels deep, from its template if it has one."""
+    point = entry.get("point") if type(entry) is dict else None
+    if type(point) is dict:
+        template = _entry_template(depth, tuple(point), tuple(entry))
+        if template is not None:
+            values = [*point.values(), *entry.values()]
+            del values[len(point)]
+            try:
+                # the encoder takes only strings: any value but an int or
+                # a string raises and falls back to json.dumps
+                return template % tuple(
+                    [v if type(v) is int else encode_basestring_ascii(v) for v in values]
+                )
+            except TypeError:
+                pass
+    return _dumps_at(entry, depth)
+
+
+def _document_text(doc, depth: int) -> str:
+    """One report document `depth` levels deep, its results entry by entry."""
+    results = doc.get("results") if type(doc) is dict else None
+    if type(results) is not list or not results or not all(type(key) is str for key in doc):
+        return _dumps_at(doc, depth)
+    nl = _newline(depth + 1)
+    fields = []
+    for key, value in doc.items():
+        if key == "results":
+            text = (
+                "[" + _newline(depth + 2)
+                + ("," + _newline(depth + 2)).join(
+                    [_entry_text(entry, depth + 2) for entry in value]
+                )
+                + nl + "]"
+            )
+        else:
+            text = _dumps_at(value, depth + 1)
+        fields.append(encode_basestring_ascii(key) + ": " + text)
+    return "{" + nl + ("," + nl).join(fields) + _newline(depth) + "}"
+
+
+def report_text(payload) -> str:
+    """json.dumps(payload, indent=2) + "\n", byte for byte, for one report
+    document or a list of them, written without the pure-Python encoder
+    for the pass and skipped entries that make up most of a report."""
+    if type(payload) is list and payload:
+        docs = ",\n  ".join([_document_text(doc, 1) for doc in payload])
+        return "[\n  " + docs + "\n]\n"
+    return _document_text(payload, 0) + "\n"
+
+
 def _point_entry(definition: IdentityDef, point: dict) -> dict:
     shown = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in point.items()}
     reason = definition.domain(point)
@@ -760,6 +888,8 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
     """
     if identity not in _DEFS:
         raise ValueError(f"unknown identity {identity!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     definition = _DEFS[identity]
     if grid is None:
         grid = definition.default_grid

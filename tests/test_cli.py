@@ -192,6 +192,39 @@ def test_verify_negative_n_max_is_parameter_error(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("thm8", "--r", "3..1"), "error: bad range '3..1': expected INT or INT..INT\n"),
+        (("thm8", "--r", "abc"), "error: bad range 'abc': expected INT or INT..INT\n"),
+        (("thm7", "--lam", "1/0"), "error: bad lambda list '1/0'\n"),
+        (("thm8", "--jobs", "0"), "error: jobs must be >= 1, got 0\n"),
+        (("thm8", "--jobs", "-2"), "error: jobs must be >= 1, got -2\n"),
+    ],
+)
+def test_verify_malformed_parameter_is_parameter_error(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv, "--n-max", "1")
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_verify_thm7_negative_s_is_skipped(capsys):
+    code, out, err = run(capsys, "verify", "thm7", "--n-max", "1", "--s", "-1..0")
+    assert code == 0
+    results = json.loads(out)["results"]
+    for entry in results:
+        if entry["point"]["s"] < 0 or entry["point"]["lam"] == "1":
+            assert entry["verdict"] == "skipped"
+        else:
+            assert entry["verdict"] == "pass"
+    assert {e["verdict"] for e in results} == {"pass", "skipped"}
+    code, out, err = run(capsys, "verify", "all", "--n-max", "2", "--s", "-1")
+    assert code == 0
+    assert "THM6: pass=108 fail=0 skipped=0" in err
+    assert "THM7: pass=0 fail=0 skipped=324" in err
+
+
 def test_table_frobenius_euler_lam_one_is_parameter_error(capsys):
     code, _, err = run(
         capsys, "table", "--family", "frobenius-euler", "--lam", "1", "--s", "1",

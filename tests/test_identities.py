@@ -142,6 +142,26 @@ def test_lambda_one_skipped():
     assert rep.all_passed
 
 
+def test_thm7_negative_s_skipped_thm6_kept():
+    grid = GridSpec(
+        n_values=(0, 1, 2), r_values=(0, 1), k_values=(1,), s_values=(-2, -1, 1),
+        lambdas=(F(2),),
+    )
+    rep = verify("THM7", grid)
+    for entry in rep.results:
+        if entry["point"]["s"] < 0:
+            assert entry == {
+                "point": entry["point"],
+                "verdict": "skipped",
+                "reason": "s < 0: the sum over a = 0..s needs s >= 0",
+            }
+        else:
+            assert entry["verdict"] == "pass"
+    assert rep.totals == {"pass": 6, "fail": 0, "skipped": 12}
+    # Theorem 6 holds for s < 0 as well
+    assert verify("THM6", grid).totals == {"pass": 18, "fail": 0, "skipped": 0}
+
+
 def test_default_grids_match_declared_ranges():
     g = idn.default_grid("THM6")
     assert g.n_values == tuple(range(9))

@@ -1,0 +1,125 @@
+"""The report writer: `identities.report_text` must give the bytes of
+``json.dumps(payload, indent=2) + "\\n"`` for every payload."""
+
+import hashlib
+import json
+import os
+from fractions import Fraction as F
+
+import pytest
+
+from polycauchy import cli
+from polycauchy.identities import GridSpec, report_text, verify
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+GRIDS = {
+    # pass, fail (the printed reading) and skipped (n < 1) entries
+    "THM4": GridSpec(n_values=(0, 1, 2), r_values=(0, 1), k_values=(-1, 1)),
+    # pass, fail and skipped (out of the m domain) entries, four point keys
+    "THM5": GridSpec(
+        n_values=(1, 2, 3), m_values=(0, 1, 2), r_values=(0, 1), k_values=(0, 1)
+    ),
+    # skipped entries from the n >= 1 domain
+    "EQ36": GridSpec(n_values=(0, 1, 2), r_values=(-1, 1), k_values=(0,)),
+    # points with Fraction lambda, shown as strings, and lambda = 1 skipped
+    "THM7": GridSpec(
+        n_values=(0, 2), r_values=(1,), k_values=(-1, 2), s_values=(0, 2),
+        lambdas=(F(1, 2), F(-1, 3), F(1)),
+    ),
+}
+
+
+def reference(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def documents() -> list:
+    return [verify(name, grid).to_document() for name, grid in GRIDS.items()]
+
+
+def test_grids_cover_every_verdict_and_a_fraction_lambda():
+    docs = documents()
+    verdicts = {name: {e["verdict"] for e in d["results"]} for name, d in zip(GRIDS, docs)}
+    assert verdicts["THM4"] == verdicts["THM5"] == {"pass", "fail", "skipped"}
+    assert "skipped" in verdicts["EQ36"]
+    assert {e["point"]["lam"] for e in docs[-1]["results"]} == {"1/2", "-1/3", "1"}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_single_document(name):
+    doc = verify(name, GRIDS[name]).to_document()
+    assert report_text(doc) == reference(doc)
+
+
+def test_list_of_documents():
+    docs = documents()
+    assert report_text(docs) == reference(docs)
+    assert report_text(docs[:1]) == reference(docs[:1])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {},
+        {"identity": "X", "results": []},
+        {"identity": "X", "results": [{"point": {}, "verdict": "pass"}]},
+        # values a template must not take: a bool, a float, None, a list
+        {"results": [{"point": {"n": True}, "verdict": "pass"}]},
+        {"results": [{"point": {"n": 1.5}, "verdict": "pass"}]},
+        {"results": [{"point": {"n": 1}, "verdict": None}]},
+        {"results": [{"point": {"n": 1}, "verdict": "fail", "lhs": ["1", "-1/2"]}]},
+        # keys a template must not take: not strings, or the point not first
+        {"results": [{"point": {1: 2}, "verdict": "pass"}]},
+        {"results": [{"verdict": "pass", "point": {"n": 1}}]},
+        {"results": [{"point": [1, 2], "verdict": "pass"}]},
+        {1: "a", "results": [{"point": {"n": 1}, "verdict": "pass"}]},
+        # strings that need escaping, and a % in a key
+        {"results": [
+            {"point": {"a%%b": -3, "lam": "1/2"}, "verdict": "skïpped \"q\"\n"},
+            {"point": {"n%s": 4, "lam": "\\"}, "verdict": "pass", "reason": "%d %%"},
+        ]},
+        # documents that are not dicts, beside one that is
+        [1, "two", None, {"results": [{"point": {"n": 0}, "verdict": "pass"}]}],
+        "a bare string",
+    ],
+)
+def test_any_payload_matches_json_dumps(payload):
+    assert report_text(payload) == reference(payload)
+
+
+def test_the_same_shape_at_two_depths():
+    doc = {"results": [{"point": {"n": 0}, "verdict": "pass"}]}
+    assert report_text(doc) == reference(doc)
+    assert report_text([doc, doc]) == reference([doc, doc])
+
+
+# -- every recorded report --------------------------------------------------
+
+
+with open(os.path.join(ROOT, "perfbench", "reports.json")) as fh:
+    RECORDED = json.load(fh)
+
+
+def window_argv(key: str) -> list:
+    """`verify all` arguments of a reports.json key such as
+    "r-1..2,k-3..0,s1..3"; "default" takes the default grids."""
+    argv = ["verify", "all", "--jobs", "1"]
+    if key != "default":
+        for part in key.split(","):
+            argv += [f"--{part[0]}", part[1:]]
+    return argv
+
+
+def test_window_argv():
+    assert window_argv("r-1..2,k-3..0,s2..4") == [
+        "verify", "all", "--jobs", "1", "--r", "-1..2", "--k", "-3..0", "--s", "2..4",
+    ]
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED))
+def test_verify_all_matches_every_recorded_report(key, capsys):
+    assert cli.main(window_argv(key)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORDED[key]
