@@ -1,17 +1,9 @@
-"""Exact univariate polynomials over ℚ.
+"""Exact univariate polynomials over ℚ, and the integer-row layout they
+share with ``polycauchy.series.Series``.
 
-A polynomial is stored in the layout of FLINT's fmpq_poly, the same one
-``polycauchy.series`` uses: one tuple of integer numerators ``num`` in
-ascending powers of x over one positive denominator ``den``.  Trailing
-zeros are stripped and one gcd pass per result removes any factor common
-to ``den`` and all of ``num``, so the form is canonical and two
-polynomials are equal iff their numerators and denominators are.  Every
-operation runs on plain Python ints; evaluation builds one ``Fraction``
-at the end.  ``Polynomial.coeffs`` is the read view, a tuple of
-``Fraction``s built once per value on first read.
-
-The polynomial in the variable x is the carrier for all the named
-polynomial families built elsewhere in the package.
+``IntegerRows`` holds that layout and everything the two types do alike;
+``Polynomial`` is the carrier for all the named polynomial families built
+elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -25,14 +17,26 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 
-def _conv(x, y) -> list:
-    """Coefficients of the product of the integer polynomials x and y."""
+def _lowest(num) -> int:
+    """Index of the first nonzero entry; len(num) if there is none."""
+    i, n = 0, len(num)
+    while i < n and not num[i]:
+        i += 1
+    return i
+
+
+def _conv(x, y, n: int) -> list:
+    """The first n coefficients of the product of the integer sequences x
+    and y, out[i] = sum_j x[j] y[i-j], zero-padded past the full product;
+    the leading zeros of x and y are skipped."""
     lx, ly = len(x), len(y)
+    vx, vy = _lowest(x), _lowest(y)
     ry = y[::-1]
-    out = []
-    for k in range(lx + ly - 1):
-        lo, hi = max(0, k - ly + 1), min(k, lx - 1) + 1
-        out.append(sum(map(_times, x[lo:hi], ry[ly - 1 - k + lo:ly - 1 - k + hi])))
+    out = [0] * n
+    for i in range(vx + vy, min(n, lx + ly - 1)):
+        lo = i - ly + 1 if i - ly + 1 > vx else vx
+        # when i - vy is past the end of x, x's slice is the shorter and map stops there
+        out[i] = sum(map(_times, x[lo:i - vy + 1], ry[ly - 1 - i + lo:ly - vy]))
     return out
 
 
@@ -45,13 +49,22 @@ def _ratio(c) -> tuple[int, int]:
     raise TypeError(f"expected an integer or Fraction, got {type(c).__name__}")
 
 
-class Polynomial:
-    """Dense polynomial in x over ℚ: integer numerators over one denominator.
+class IntegerRows:
+    """Immutable row of rationals c_0, c_1, ... in the layout of FLINT's
+    fmpq_poly: one tuple of integer numerators ``num`` over one positive
+    denominator ``den``, so c_i = num[i] / den.
 
-    The zero polynomial has empty numerators, denominator 1 and degree -1.
+    One gcd pass per result removes any factor common to ``den`` and all of
+    ``num``, so the form is canonical: two values of one type are equal iff
+    their numerators and denominators are, and the zero row has denominator
+    1.  ``Polynomial`` also strips trailing zeros (``_strip``), so its zero
+    has empty numerators; a ``Series`` keeps its fixed length.  Every
+    operation runs on plain Python ints and reduces once; ``coeffs`` is the
+    read view, a tuple of ``Fraction``s built once per value on first read.
     """
 
     __slots__ = ("num", "den", "_coeffs")
+    _strip = True
 
     def __init__(self, coeffs: Iterable = ()):
         parts = [_ratio(c) for c in coeffs]
@@ -59,8 +72,9 @@ class Polynomial:
         self._set([p * (den // q) for p, q in parts], den)
 
     def _set(self, num: list, den: int):
-        while num and not num[-1]:
-            num.pop()
+        if self._strip:
+            while num and not num[-1]:
+                num.pop()
         if not num:
             den = 1
         elif den != 1:
@@ -75,14 +89,14 @@ class Polynomial:
         object.__setattr__(self, "_coeffs", None)
 
     @classmethod
-    def _of(cls, num: list, den: int = 1) -> "Polynomial":
-        """The polynomial num / den, reduced; num may be modified."""
+    def _of(cls, num: list, den: int = 1):
+        """The value num / den, reduced; num may be modified."""
         p = object.__new__(cls)
         p._set(num, den)
         return p
 
     def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def coeffs(self) -> tuple:
@@ -91,6 +105,63 @@ class Polynomial:
             view = tuple(Fraction(c, self.den) for c in self.num)
             object.__setattr__(self, "_coeffs", view)
         return view
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self.coeffs)!r})"
+
+    def _combine(self, other, sign: int):
+        """self + sign * other for a value of the same type (the shorter
+        numerator padded with zeros) or an int or Fraction, or NotImplemented
+        for any other type."""
+        if isinstance(other, type(self)):
+            onum, oden = other.num, other.den
+        elif isinstance(other, (int, Fraction)):
+            onum, oden = _ratio(other)
+            onum = (onum,)
+        else:
+            return NotImplemented
+        den = self.den
+        if den == oden:
+            fa, fb = 1, sign
+        else:
+            den = lcm(den, oden)
+            fa, fb = den // self.den, sign * (den // oden)
+        return self._of(
+            [a * fa + b * fb for a, b in zip_longest(self.num, onum, fillvalue=0)], den
+        )
+
+    def __neg__(self):
+        return self._of([-c for c in self.num], self.den)
+
+    def __rsub__(self, other):
+        return (-self)._combine(other, 1)
+
+    def scale(self, c: Scalar):
+        """c times self for an int or Fraction c."""
+        p, q = _ratio(c)
+        return self._of([p * a for a in self.num], self.den * q)
+
+    def derivative(self):
+        """Formal derivative, one entry shorter."""
+        return self._of([i * c for i, c in enumerate(self.num) if i], self.den)
+
+
+class Polynomial(IntegerRows):
+    """Dense polynomial in x over ℚ, the ``IntegerRows`` of its
+    coefficients in ascending powers of x, trailing zeros stripped.
+
+    The zero polynomial has empty numerators, denominator 1 and degree -1.
+    """
+
+    __slots__ = ()
 
     # -- constructors -----------------------------------------------------
 
@@ -144,50 +215,18 @@ class Polynomial:
 
     # -- ring operations --------------------------------------------------
 
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, Polynomial):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return Polynomial((v,))
-        return None
-
-    def _combine(self, other, sign: int):
-        """self + sign * other, or NotImplemented for an unsupported type."""
-        if isinstance(other, Polynomial):
-            onum, oden = other.num, other.den
-        elif isinstance(other, (int, Fraction)):
-            onum, oden = _ratio(other)
-            onum = (onum,)
-        else:
-            return NotImplemented
-        den = self.den
-        if den == oden:
-            fa, fb = 1, sign
-        else:
-            den = lcm(den, oden)
-            fa, fb = den // self.den, sign * (den // oden)
-        return Polynomial._of(
-            [a * fa + b * fb for a, b in zip_longest(self.num, onum, fillvalue=0)], den
-        )
-
     def __add__(self, other):
         return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Polynomial._of([-c for c in self.num], self.den)
-
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __rsub__(self, other):
-        return (-self)._combine(other, 1)
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return Polynomial._of(_conv(self.num, other.num), self.den * other.den)
+            x, y = self.num, other.num
+            return Polynomial._of(_conv(x, y, len(x) + len(y) - 1), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             p, q = _ratio(other)
             return Polynomial._of([c * p for c in self.num], self.den * q)
@@ -216,13 +255,11 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
+        if isinstance(other, (int, Fraction)):
+            other = Polynomial((other,))
+        return IntegerRows.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    __hash__ = IntegerRows.__hash__
 
     def __bool__(self):
         return bool(self.num)
@@ -267,9 +304,6 @@ class Polynomial:
         (ap, aq), (bp, bq) = _ratio(a), _ratio(b)
         return self._affine(ap * bq, bp * aq, aq * bq)
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial._of([i * c for i, c in enumerate(self.num) if i], self.den)
-
     def quotient_by_x(self) -> "Polynomial":
         if self.num and self.num[0]:
             raise ValueError("polynomial has a nonzero constant term, not divisible by x")
@@ -297,9 +331,6 @@ class Polynomial:
             else:
                 parts.append(("- " if c < 0 else "+ ") + body)
         return " ".join(parts)
-
-    def __repr__(self):
-        return f"Polynomial({list(self.coeffs)!r})"
 
 
 # -- module-level operations ---------------------------------------------

@@ -17,18 +17,23 @@ from fractions import Fraction
 from .algebra import Polynomial
 from . import families as fam
 
-TABLE_FAMILIES = (
-    "cauchy",
-    "higher-cauchy",
-    "poly-cauchy",
-    "mixed",
-    "stirling1",
-    "stirling2",
-    "bernoulli",
-    "frobenius-euler",
-    "narumi",
-    "bernoulli2",
-)
+# family -> (function in `families`, looked up when called; the flags it
+# takes after n, in call order; what a row holds: one "number", a Stirling
+# "triangle" row or a "poly"nomial's coefficients in ascending powers)
+TABLE_FAMILIES = {
+    "cauchy": ("cauchy_number", (), "number"),
+    "higher-cauchy": ("higher_cauchy", ("r",), "number"),
+    "poly-cauchy": ("poly_cauchy", ("k",), "poly"),
+    "mixed": ("mixed_A", ("r", "k"), "poly"),
+    "stirling1": ("stirling1", (), "triangle"),
+    "stirling2": ("stirling2", (), "triangle"),
+    "bernoulli": ("bernoulli_poly", ("s",), "poly"),
+    "frobenius-euler": ("frobenius_euler", ("s", "lam"), "poly"),
+    "narumi": ("narumi", ("r",), "poly"),
+    "bernoulli2": ("bernoulli2", (), "poly"),
+}
+# the order flags are checked in, so that the first missing one is reported
+_FLAG_ORDER = ("lam", "r", "k", "s")
 
 # identities.IDENTITY_IDS, spelled out so the parser needs no harness (tested)
 IDENTITY_IDS = (
@@ -73,46 +78,25 @@ def _parse_lambdas(text: str) -> tuple:
 
 
 def _family_rows(family: str, n_max: int, args) -> list[list]:
-    """Rows of exact values per family; scalar families give one value per
-    row, polynomial families the coefficients in ascending powers, and the
-    Stirling triangles their rows."""
-
-    def need(name):
-        v = getattr(args, name)
+    """Rows n = 0..n_max of exact values of a family in TABLE_FAMILIES."""
+    name, flags, kind = TABLE_FAMILIES[family]
+    given = {}
+    for flag in sorted(flags, key=_FLAG_ORDER.index):
+        v = getattr(args, flag)
         if v is None:
-            raise UsageError(f"family {family!r} requires --{name}")
-        return v
-
-    rows = []
-    for n in range(n_max + 1):
-        if family == "cauchy":
-            rows.append([fam.cauchy_number(n)])
-        elif family == "higher-cauchy":
-            rows.append([fam.higher_cauchy(n, need("r"))])
-        elif family == "poly-cauchy":
-            rows.append(list(fam.poly_cauchy(n, need("k")).coeffs) or [Fraction(0)])
-        elif family == "mixed":
-            rows.append(list(fam.mixed_A(n, need("r"), need("k")).coeffs) or [Fraction(0)])
-        elif family == "stirling1":
-            rows.append([fam.stirling1(n, m) for m in range(n + 1)])
-        elif family == "stirling2":
-            rows.append([fam.stirling2(n, m) for m in range(n + 1)])
-        elif family == "bernoulli":
-            rows.append(list(fam.bernoulli_poly(n, need("s")).coeffs) or [Fraction(0)])
-        elif family == "frobenius-euler":
-            lam = need("lam")
-            if len(lam) != 1:
-                raise UsageError("frobenius-euler takes a single --lam value")
-            rows.append(
-                list(fam.frobenius_euler(n, need("s"), lam[0]).coeffs) or [Fraction(0)]
-            )
-        elif family == "narumi":
-            rows.append(list(fam.narumi(n, need("r")).coeffs) or [Fraction(0)])
-        elif family == "bernoulli2":
-            rows.append(list(fam.bernoulli2(n).coeffs) or [Fraction(0)])
-        else:
-            raise UsageError(f"unknown family {family!r}")
-    return rows
+            raise UsageError(f"family {family!r} requires --{flag}")
+        if flag == "lam":
+            if len(v) != 1:
+                raise UsageError(f"{family} takes a single --lam value")
+            v = v[0]
+        given[flag] = v
+    params = [given[flag] for flag in flags]
+    fn = getattr(fam, name)
+    if kind == "number":
+        return [[fn(n, *params)] for n in range(n_max + 1)]
+    if kind == "triangle":
+        return [[fn(n, m) for m in range(n + 1)] for n in range(n_max + 1)]
+    return [list(fn(n, *params).coeffs) or [Fraction(0)] for n in range(n_max + 1)]
 
 
 def _emit_table(family: str, rows: list[list], fmt: str, params: dict, out) -> None:
@@ -187,7 +171,7 @@ def _cmd_poly(args) -> int:
     _check_trunc(args.n, args.trunc)
     rows = _family_rows(args.family, args.n, args)
     row = rows[args.n]
-    if args.family in ("cauchy", "higher-cauchy", "stirling1", "stirling2"):
+    if TABLE_FAMILIES[args.family][2] != "poly":
         print(" ".join(str(v) for v in row))
     else:
         print(Polynomial(row))

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -111,10 +112,6 @@ class GridSpec:
 # the same arguments.
 
 
-def _A(n, r, k) -> Polynomial:
-    return mixed_A(n, r, k)
-
-
 @lru_cache(maxsize=None)
 def _A_at(n, r, k, c) -> Fraction:
     """A_n^{(r,k)}(c)."""
@@ -153,10 +150,6 @@ def _rising_at(n: int, y: int) -> int:
 def _bernoulli_reflected(n: int, alpha: int, b: int) -> Polynomial:
     """B_n^{(alpha)}(-x + b)."""
     return bernoulli_poly(n, alpha).compose_affine(-1, b)
-
-
-def _const(c) -> Polynomial:
-    return Polynomial((c,))
 
 
 def _mixed_sheffer_order(n: int) -> int:
@@ -216,7 +209,7 @@ def _thm1(p):
         (-1) ** j * _dot(s1[j:], [_thm1_inner(m, j, r, k) for m in range(j, n + 1)])
         for j in range(n + 1)
     )
-    return [(_A(n, r, k), rhs)]
+    return [(mixed_A(n, r, k), rhs)]
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +235,7 @@ def _thm2_core(p, a_number):
         )
         for j in range(n + 1)
     )
-    return [(_A(n, r, k), rhs)]
+    return [(mixed_A(n, r, k), rhs)]
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +295,7 @@ def _eq34(p):
 
 def _eq35(p):
     n, r, k = p["n"], p["r"], p["k"]
-    a = [_A(j, r, k) for j in range(n + 1)]
+    a = [mixed_A(j, r, k) for j in range(n + 1)]
     pairs = []
     for y in range(-2, n - 1):
         rhs = Polynomial.linear_combination(
@@ -315,8 +308,8 @@ def _eq35(p):
 
 def _eq36(p):
     n, r, k = p["n"], p["r"], p["k"]
-    lhs = n * _A(n - 1, r, k)
-    a_n = _A(n, r, k)
+    lhs = n * mixed_A(n - 1, r, k)
+    a_n = mixed_A(n, r, k)
     rhs = poly_shift(a_n, -1) - a_n
     return [(lhs, rhs)]
 
@@ -350,7 +343,7 @@ def _thm3(p):
         + [(r * w, _bernoulli_reflected(j, 1 - r, 0)) for j, w in enumerate(mid)]
         + [(w, _bernoulli_reflected(j, -r, -1)) for j, w in enumerate(last)]
     )
-    return [(_A(n + 1, r, k), rhs)]
+    return [(mixed_A(n + 1, r, k), rhs)]
 
 
 @lru_cache(maxsize=None)
@@ -377,19 +370,19 @@ def _thm4_core(p, printed: bool):
     n, r, k = p["n"], p["r"], p["k"]
     dbl, dbl_total, single = _thm4_weights(n)
     if printed:
-        carried = [(r * dbl_total, _A(n, r + 1, k))]
+        carried = [(r * dbl_total, mixed_A(n, r + 1, k))]
     else:
-        carried = [(r * w, _A(a, r + 1, k)) for a, w in enumerate(dbl)]
+        carried = [(r * w, mixed_A(a, r + 1, k)) for a, w in enumerate(dbl)]
     rhs = Polynomial.linear_combination(
         [(-1, _X * _A_shift(n - 1, r, k))]
         + carried
-        + [(r * w, _A(l, r, k)) for l, w in enumerate(single)]
+        + [(r * w, mixed_A(l, r, k)) for l, w in enumerate(single)]
         + [
             (Fraction(1, n), _A_shift(n, r + 1, k - 1)),
             (Fraction(-1, n), _A_shift(n, r + 1, k)),
         ]
     )
-    return [(_A(n, r, k), rhs)]
+    return [(mixed_A(n, r, k), rhs)]
 
 
 def _thm4(p):
@@ -438,7 +431,7 @@ def _thm5_core(p, printed: bool):
         lowered = [_A_at(l, r, k - 1, 1) for l in range(n - m + 1)]
         part = Fraction(1, m)
         rhs += part * _dot(last, lowered) + (1 - part) * _dot(last, at_one)
-    return [(_const(lhs), _const(rhs))]
+    return [(Polynomial.constant(lhs), Polynomial.constant(rhs))]
 
 
 def _thm5(p):
@@ -451,9 +444,9 @@ def _thm5_variant(p):
 
 def _eq52(p):
     n, r, k = p["n"], p["r"], p["k"]
-    lhs = _A(n, r, k).derivative()
+    lhs = mixed_A(n, r, k).derivative()
     rhs = Polynomial.linear_combination(
-        (Fraction((-1) ** (n + l) * factorial(n), (n - l) * factorial(l)), _A(l, r, k))
+        (Fraction((-1) ** (n + l) * factorial(n), (n - l) * factorial(l)), mixed_A(l, r, k))
         for l in range(n)
     )
     return [(lhs, rhs)]
@@ -477,7 +470,7 @@ def _thm6(p):
         [_A_at(l, r + s, k, s) for l in range(n + 1)],
         [_bernoulli_stirling(n - l, s) for l in range(n + 1)],
     )
-    return [(_A(n, r, k), rhs)]
+    return [(mixed_A(n, r, k), rhs)]
 
 
 @lru_cache(maxsize=None)
@@ -514,7 +507,7 @@ def _thm7(p):
         [_thm7_inner(l, r, k, s, a, b) for l in range(n + 1)],
         [_frobenius_stirling(n - l, s, a, b) for l in range(n + 1)],
     )
-    return [(_A(n, r, k), rhs)]
+    return [(mixed_A(n, r, k), rhs)]
 
 
 def _thm8(p):
@@ -522,7 +515,7 @@ def _thm8(p):
     rhs = Polynomial.linear_combination(
         ((-1) ** m * comb(n, m) * _A_at(n - m, r, k, 0), _rising(m)) for m in range(n + 1)
     )
-    return [(_A(n, r, k), rhs)]
+    return [(mixed_A(n, r, k), rhs)]
 
 
 def _narumi_bernoulli(p):
@@ -533,7 +526,7 @@ def _narumi_bernoulli(p):
 def _sheffer_pair_eq17(p):
     n, r, k = p["n"], p["r"], p["k"]
     pair = mixed_pair(r, k, _mixed_sheffer_order(n))
-    return [(_A(n, r, k), sheffer_by_gf(pair, n))]
+    return [(mixed_A(n, r, k), sheffer_by_gf(pair, n))]
 
 
 def _assoc_eq25(p):
@@ -903,7 +896,9 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
     points = [dict(zip(axes, combo)) for combo in itertools.product(*value_lists)]
     start = time.monotonic()
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # the executor's own default ceiling, and no more threads than points
+        workers = min(jobs, len(points), 32, (os.cpu_count() or 1) + 4)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda pt: _point_entry(definition, pt), points))
     else:
         results = [_point_entry(definition, pt) for pt in points]

@@ -1,20 +1,11 @@
 """Truncated formal power series with exact coefficients in ℚ.
 
 A Series holds coefficients c_0..c_N of t^0..t^N; N is the truncation
-order and is fixed per value.
-
-Storage is one integer array over one common denominator, the layout of
-FLINT's fmpq_poly: ``num[i]`` is the numerator of the t^i coefficient and
-``den > 0`` the denominator, so c_i = num[i] / den.  ``den`` has no factor
-common to all entries, so the form is canonical: two series are equal iff
-their numerators and denominators are.  Every operation runs on plain
-Python ints and reduces its result by one gcd pass.  The triangular solves
-(div, reciprocal, exp_series) give each row its own denominator while they
-run, so intermediate numbers stay about the size of the result's instead
-of growing with powers of the input's denominator.
-
-``Series.coeffs`` is the read view, a tuple of Fractions built once per
-value on first read.
+order and is fixed per value.  It is an ``IntegerRows`` (see
+``polycauchy.algebra``) that keeps its trailing zeros.  The triangular
+solves (div, reciprocal, exp_series) give each row its own denominator
+while they run, so intermediate numbers stay about the size of the
+result's instead of growing with powers of the input's denominator.
 
 All operations are exact through index N.  Nothing ever extends or
 shrinks the truncation order silently; div is the one operation that
@@ -28,35 +19,11 @@ from math import factorial, gcd, lcm
 from operator import mul as _times
 from typing import Iterable
 
+from .algebra import IntegerRows, _conv, _lowest
+
 
 class SeriesError(ValueError):
     """Raised when a series operation's preconditions are violated."""
-
-
-def _lowest(num) -> int:
-    """Index of the first nonzero entry; len(num) if there is none."""
-    for i, c in enumerate(num):
-        if c:
-            return i
-    return len(num)
-
-
-def _ratio(c) -> tuple[int, int]:
-    """Numerator and denominator of an int or Fraction coefficient."""
-    if isinstance(c, (int, Fraction)):
-        return c.numerator, c.denominator
-    raise TypeError(f"unsupported series coefficient type {type(c).__name__}")
-
-
-def _conv_add(acc: list, x, y):
-    """acc[i] += sum_j x[j] y[i-j] for every index i of acc."""
-    n = len(acc) - 1
-    vx, vy = _lowest(x), _lowest(y)
-    if vx + vy > n:
-        return
-    ry = y[::-1]
-    for i in range(vx + vy, n + 1):
-        acc[i] += sum(map(_times, x[vx:i - vy + 1], ry[n - i + vx:n - vy + 1]))
 
 
 def _from_rows(num: list, dens: list) -> "Series":
@@ -87,46 +54,16 @@ def _unit(s: "Series", i: int) -> int:
     return s.num[i]
 
 
-class Series:
+class Series(IntegerRows):
     """Immutable truncated power series in t over ℚ."""
 
-    __slots__ = ("num", "den", "_coeffs")
+    __slots__ = ()
+    _strip = False
 
     def __init__(self, coeffs: Iterable):
-        parts = [_ratio(c) for c in coeffs]
-        if not parts:
+        super().__init__(coeffs)
+        if not self.num:
             raise SeriesError("a series needs at least the constant coefficient")
-        den = lcm(*(d for _, d in parts))
-        self._set([p * (den // d) for p, d in parts], den)
-
-    def _set(self, num: list, den: int):
-        g = gcd(den, *num)
-        if den < 0:
-            g = -g
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_coeffs", None)
-
-    @classmethod
-    def _of(cls, num: list, den: int = 1) -> "Series":
-        """The series num / den, reduced; num may be modified."""
-        s = object.__new__(cls)
-        s._set(num, den)
-        return s
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
-
-    @property
-    def coeffs(self) -> tuple:
-        view = self._coeffs
-        if view is None:
-            view = tuple(Fraction(c, self.den) for c in self.num)
-            object.__setattr__(self, "_coeffs", view)
-        return view
 
     # -- constructors -----------------------------------------------------
 
@@ -155,9 +92,6 @@ class Series:
         series (sentinel)."""
         return _lowest(self.num)
 
-    def is_delta(self) -> bool:
-        return self.valuation() == 1
-
     def is_unit(self) -> bool:
         return self.num[0] != 0
 
@@ -168,17 +102,6 @@ class Series:
             return self
         return Series._of(list(self.num[: order + 1]), self.den)
 
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.den, self.num))
-
-    def __repr__(self):
-        return f"Series({list(self.coeffs)!r})"
-
     # -- linear operations ------------------------------------------------
 
     def _check_order(self, other: "Series"):
@@ -187,43 +110,17 @@ class Series:
                 f"truncation order mismatch: {self.order} vs {other.order}"
             )
 
-    def _constant(self, c) -> "Series":
-        """c as a series of this order."""
-        p, d = _ratio(c)
-        return Series._of([p] + [0] * self.order, d)
-
-    def _combine(self, other: "Series", sign: int) -> "Series":
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        return Series._of([x * fa + y * fb for x, y in zip(self.num, other.num)], den)
-
     def __add__(self, other):
         if isinstance(other, Series):
             self._check_order(other)
-            return self._combine(other, 1)
-        if isinstance(other, (int, Fraction)):
-            return self._combine(self._constant(other), 1)
-        return NotImplemented
+        return self._combine(other, 1)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Series._of([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         if isinstance(other, Series):
             self._check_order(other)
-            return self._combine(other, -1)
-        if isinstance(other, (int, Fraction)):
-            return self._combine(self._constant(other), -1)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c) -> "Series":
-        p, d = _ratio(c)
-        return Series._of([p * a for a in self.num], self.den * d)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -232,16 +129,13 @@ class Series:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def derivative(self) -> "Series":
         """Formal d/dt; the result order drops by one."""
         if self.order == 0:
             raise SeriesError("cannot differentiate an order-0 series")
-        return Series._of([i * c for i, c in enumerate(self.num) if i], self.den)
+        return super().derivative()
 
 
 # -- core operations ------------------------------------------------------
@@ -249,9 +143,7 @@ class Series:
 
 def mul(a: Series, b: Series) -> Series:
     a._check_order(b)
-    acc = [0] * (a.order + 1)
-    _conv_add(acc, a.num, b.num)
-    return Series._of(acc, a.den * b.den)
+    return Series._of(_conv(a.num, b.num, a.order + 1), a.den * b.den)
 
 
 def _solve(anum, aden: int, bnum, bden: int, beta: int) -> Series:
@@ -319,10 +211,9 @@ def compose(outer: Series, inner: Series) -> Series:
     outer._check_order(inner)
     if inner.is_unit():
         raise SeriesError("inner series must have zero constant term")
-    zeros = [0] * outer.order
     acc = Series.zero(outer.order)
     for c in reversed(outer.num):
-        acc = mul(acc, inner)._combine(Series._of([c] + zeros, outer.den), 1)
+        acc = mul(acc, inner) + Fraction(c, outer.den)
     return acc
 
 

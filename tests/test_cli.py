@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from polycauchy import cli
+from polycauchy.algebra import Polynomial
 from polycauchy import identities as idn
 from polycauchy.identities import GridSpec
 
@@ -83,6 +85,51 @@ def test_table_missing_param_is_usage_error(capsys):
     code, _, err = run(capsys, "table", "--family", "mixed", "--n-max", "2")
     assert code == 2
     assert "requires" in err
+
+
+@pytest.mark.parametrize(
+    "family, flags, message",
+    [
+        ("frobenius-euler", (), "family 'frobenius-euler' requires --lam"),
+        ("frobenius-euler", ("--lam", "2,3"), "frobenius-euler takes a single --lam value"),
+        ("frobenius-euler", ("--lam", "2"), "family 'frobenius-euler' requires --s"),
+        ("frobenius-euler", ("--s", "1"), "family 'frobenius-euler' requires --lam"),
+        ("mixed", (), "family 'mixed' requires --r"),
+        ("mixed", ("--k", "1"), "family 'mixed' requires --r"),
+        ("mixed", ("--r", "1"), "family 'mixed' requires --k"),
+    ],
+)
+def test_missing_flag_message(capsys, family, flags, message):
+    for command in (("table", "--n-max", "2"), ("poly", "--n", "2")):
+        code, out, err = run(capsys, *command, "--family", family, *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_family_functions_are_looked_up_when_called(capsys, monkeypatch):
+    calls = []
+
+    def fake(n, s, lam):
+        calls.append((n, s, lam))
+        return Polynomial((n, s))
+
+    monkeypatch.setattr(cli.fam, "frobenius_euler", fake)
+    code, out, _ = run(
+        capsys, "table", "--family", "frobenius-euler", "--s", "3", "--lam", "1/2",
+        "--n-max", "1",
+    )
+    assert (code, out) == (0, "n,v0,v1\n0,0,3\n1,1,3\n")
+    assert calls == [(0, 3, Fraction(1, 2)), (1, 3, Fraction(1, 2))]
+
+
+def test_every_table_family_has_a_function_and_row_kind():
+    assert list(cli.TABLE_FAMILIES) == [
+        "cauchy", "higher-cauchy", "poly-cauchy", "mixed", "stirling1", "stirling2",
+        "bernoulli", "frobenius-euler", "narumi", "bernoulli2",
+    ]
+    for name, flags, kind in cli.TABLE_FAMILIES.values():
+        assert callable(getattr(cli.fam, name))
+        assert set(flags) <= set(cli._FLAG_ORDER)
+        assert kind in ("number", "triangle", "poly")
 
 
 def test_table_output_file(tmp_path, capsys):

@@ -127,6 +127,44 @@ def test_report_byte_identical_across_jobs():
     assert docs[0] == docs[1] == docs[2]
 
 
+_TWELVE = GridSpec(n_values=(0, 1), r_values=(0, 1, 2), k_values=(0, 1))
+_THIRTY_SIX = GridSpec(n_values=(0, 1, 2, 3), r_values=(0, 1, 2), k_values=(-1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "cpus, grid, workers",
+    [
+        (64, _TWELVE, 12),  # one thread per grid point at most
+        (64, _THIRTY_SIX, 32),  # the executor's own ceiling
+        (None, _THIRTY_SIX, 5),  # an unknown CPU count counts as 1, plus 4
+        (2, _THIRTY_SIX, 6),
+    ],
+)
+def test_verify_caps_worker_count(monkeypatch, cpus, grid, workers):
+    seen = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this thread; starts no thread."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(idn, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(idn.os, "cpu_count", lambda: cpus)
+    report = verify("THM8", grid, jobs=10_000)
+    assert seen == [workers]
+    assert report.to_json() == verify("THM8", grid, jobs=1).to_json()
+
+
 def test_lambda_one_skipped():
     grid = GridSpec(
         n_values=(0, 1, 2),
