@@ -77,8 +77,10 @@ def _parse_lambdas(text: str) -> tuple:
         raise UsageError(f"bad lambda list {text!r}") from None
 
 
-def _family_rows(family: str, n_max: int, args) -> list[list]:
-    """Rows n = 0..n_max of exact values of a family in TABLE_FAMILIES."""
+def _row_function(family: str, args):
+    """n -> row n of exact values of a family in TABLE_FAMILIES: one number,
+    a Stirling triangle row or a polynomial's coefficients in ascending
+    powers."""
     name, flags, kind = TABLE_FAMILIES[family]
     given = {}
     for flag in sorted(flags, key=_FLAG_ORDER.index):
@@ -93,10 +95,10 @@ def _family_rows(family: str, n_max: int, args) -> list[list]:
     params = [given[flag] for flag in flags]
     fn = getattr(fam, name)
     if kind == "number":
-        return [[fn(n, *params)] for n in range(n_max + 1)]
+        return lambda n: [fn(n, *params)]
     if kind == "triangle":
-        return [[fn(n, m) for m in range(n + 1)] for n in range(n_max + 1)]
-    return [list(fn(n, *params).coeffs) or [Fraction(0)] for n in range(n_max + 1)]
+        return lambda n: [fn(n, m) for m in range(n + 1)]
+    return lambda n: list(fn(n, *params).coeffs) or [Fraction(0)]
 
 
 def _emit_table(family: str, rows: list[list], fmt: str, params: dict, out) -> None:
@@ -124,16 +126,6 @@ def _emit_table(family: str, rows: list[list], fmt: str, params: dict, out) -> N
         for n, row in enumerate(rows):
             cells = " & ".join([str(n)] + [str(v) for v in row])
             out.write(cells + r" \\" + "\n")
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
-
-
-def _check_trunc(needed: int, trunc: int):
-    if needed > trunc:
-        raise UsageError(
-            f"requested degree needs truncation order >= {needed}; "
-            f"rerun with --trunc {needed}"
-        )
 
 
 def _cmd_table(args) -> int:
@@ -141,8 +133,8 @@ def _cmd_table(args) -> int:
         raise UsageError(f"unknown family {args.family!r}; choose from {', '.join(TABLE_FAMILIES)}")
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
-    _check_trunc(args.n_max, args.trunc)
-    rows = _family_rows(args.family, args.n_max, args)
+    row = _row_function(args.family, args)
+    rows = [row(n) for n in range(args.n_max + 1)]
     params = {
         name: getattr(args, name)
         for name in ("r", "k", "s")
@@ -168,9 +160,7 @@ def _cmd_poly(args) -> int:
         raise UsageError(f"unknown family {args.family!r}")
     if args.n < 0:
         raise UsageError("--n must be >= 0")
-    _check_trunc(args.n, args.trunc)
-    rows = _family_rows(args.family, args.n, args)
-    row = rows[args.n]
+    row = _row_function(args.family, args)(args.n)
     if TABLE_FAMILIES[args.family][2] != "poly":
         print(" ".join(str(v) for v in row))
     else:
@@ -204,15 +194,12 @@ def _cmd_verify(args) -> int:
         if canonical not in idn.IDENTITY_IDS:
             raise UsageError(f"unknown identity {args.identity!r}")
         names = [canonical]
-        if canonical in ("THM4", "THM5"):
-            names.append(canonical + "_VARIANT")
-    if args.n_max is not None:
-        _check_trunc(args.n_max, args.trunc)
+        if canonical in idn.VARIANTS:
+            names.append(idn.VARIANTS[canonical])
     reports = []
     failed = False
     for name in names:
         rep = idn.verify(name, _build_grid(name, args), jobs=args.jobs)
-        rep.truncation = args.trunc
         reports.append(rep)
         t = rep.totals
         print(
@@ -246,10 +233,6 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--trunc", type=int, default=fam.DEFAULT_TRUNCATION,
-                       help="truncation order ceiling (default 32)")
-
     def add_params(p):
         p.add_argument("--r", type=int, default=None, help="order r")
         p.add_argument("--k", type=int, default=None, help="polylog index k")
@@ -271,14 +254,12 @@ def build_parser():
     p_table.add_argument("--format", choices=("csv", "json", "latex"), default="csv")
     p_table.add_argument("--output", default=None)
     add_params(p_table)
-    add_common(p_table)
     p_table.set_defaults(func=_cmd_table)
 
     p_poly = sub.add_parser("poly", help="print one family member exactly")
     p_poly.add_argument("--family", required=True)
     p_poly.add_argument("--n", type=int, required=True)
     add_params(p_poly)
-    add_common(p_poly)
     p_poly.set_defaults(func=_cmd_poly)
 
     p_verify = sub.add_parser(
@@ -296,7 +277,6 @@ def build_parser():
     p_verify.add_argument("--lam", type=_parse_lambdas, default=None)
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--report", default=None)
-    add_common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

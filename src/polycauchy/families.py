@@ -38,9 +38,6 @@ from .series import (
     reciprocal,
 )
 
-# the CLI's --trunc default and a report's `engine.truncation`; unused here
-DEFAULT_TRUNCATION = 32
-
 
 def lif(k: int, order: int) -> Series:
     """Polylogarithm factorial Lif_k(t) = sum t^n / (n! (n+1)^k)."""
@@ -182,8 +179,8 @@ def higher_cauchy(n: int, r: int) -> Fraction:
     """Cauchy numbers of order r: n! [t^n] (t/log(1+t))^r; r may be negative."""
     if n < 0:
         raise ValueError("higher_cauchy needs n >= 0")
-    u = int_pow(cauchy_ratio(n), r)
-    return factorial(n) * u.coeffs[n]
+    gs = _grown((_narumi_g, -r), n, _narumi_g, -r)  # shared with narumi(n, -r)
+    return Fraction(factorial(n) * gs.num[n], gs.den)
 
 
 def _poly_cauchy_g(order: int, k: int) -> Series:

@@ -47,7 +47,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import Polynomial, poly_shift, rising_factorial
 from .families import (
-    DEFAULT_TRUNCATION,
     bernoulli_poly,
     bernoulli2,
     frobenius_euler,
@@ -61,7 +60,9 @@ from .umbral import backward_delta, mixed_pair, sheffer_by_gf, transfer
 
 __version__ = "0.1.0"
 
-VARIANT_IDS = ("THM4", "THM4_VARIANT", "THM5", "THM5_VARIANT")
+# printed identity -> its derivation-faithful variant
+VARIANTS = {"THM4": "THM4_VARIANT", "THM5": "THM5_VARIANT"}
+VARIANT_IDS = tuple(i for pair in VARIANTS.items() for i in pair)
 
 _R_STD = (0, 1, 2, 3)
 _R_EXT = (-2, -1, 0, 1, 2, 3)
@@ -725,13 +726,15 @@ def _poly_strings(p: Polynomial) -> list:
     return [str(c) for c in p.coeffs]
 
 
+# fixed: kept only so reports match perfbench/reports.json until ROADMAP item 3's re-record
+_ENGINE = {"truncation": 32, "version": __version__}
+
+
 @dataclass
 class VerificationReport:
     identity: str
     grid: GridSpec
     results: list = field(default_factory=list)
-    truncation: int = DEFAULT_TRUNCATION
-    version: str = __version__
     elapsed: float = 0.0  # not serialized: reports must be byte-stable
 
     @property
@@ -749,13 +752,13 @@ class VerificationReport:
         return {
             "identity": self.identity,
             "grid": self.grid.to_dict(),
-            "engine": {"truncation": self.truncation, "version": self.version},
+            "engine": dict(_ENGINE),
             "results": self.results,
             "totals": self.totals,
         }
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_document(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_document())
 
 
 # -- the report text -------------------------------------------------------
@@ -909,10 +912,10 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
 
 def verify_variants(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> dict:
     """Run the printed statement and its derivation-faithful variant side
-    by side; only THM4 and THM5 have variants."""
-    if identity not in ("THM4", "THM5"):
-        raise ValueError("verify_variants applies to THM4 and THM5 only")
+    by side; only the identities in VARIANTS have variants."""
+    if identity not in VARIANTS:
+        raise ValueError(f"verify_variants applies to {' and '.join(VARIANTS)} only")
     return {
         "printed": verify(identity, grid, jobs),
-        "variant": verify(identity + "_VARIANT", grid, jobs),
+        "variant": verify(VARIANTS[identity], grid, jobs),
     }

@@ -108,7 +108,7 @@ def test_report_document_schema():
     rep = verify("THM8", GridSpec(n_values=(0, 1, 2), r_values=(0, 1), k_values=(0,)))
     doc = rep.to_document()
     assert set(doc) == {"identity", "grid", "engine", "results", "totals"}
-    assert doc["engine"]["truncation"] == idn.DEFAULT_TRUNCATION
+    assert doc["engine"] == {"truncation": 32, "version": idn.__version__}
     assert doc["totals"] == {"pass": 6, "fail": 0, "skipped": 0}
     parsed = json.loads(rep.to_json())
     assert parsed == doc
