@@ -2,17 +2,20 @@
 function through the series layer.
 
 Every Cauchy-number constructor and every polynomial family's own factor
-g(t) is expanded from its defining generating function; closed-form
-shortcuts exist only in the test suite as cross-checks.  Each polynomial
+g(t) is expanded from its defining generating function.  Each polynomial
 family is a Sheffer sequence n! [t^n] g(t) e^{x f(t)} with f one of t,
-log(1+t) and -log(1+t).  Only the coefficients of e^{x f(t)} are read in
+log(1+t) and -log(1+t).  The coefficients of e^{x f(t)} are read in
 closed form, through the Sheffer identity: the associated sequence of f
 is x^j, the falling factorial (x)_j or (-x)_j, whose coefficients are
 Stirling numbers of the first kind.  So every row is built from the
-univariate series g and a Stirling row.  The Stirling triangles come from
-their two-term recurrences and are kept as rows of ints (their
-cross-checks live in the test suite).  The required truncation order is
-derived from the requested degree, so callers never pass one.
+univariate series g and a Stirling row.  Composition with log(1+t) reads
+the same Stirling matrix: log(1+t)^m / m! = sum_n s(n, m) t^n / n!, so
+the factor Lif_k(log(1+t)) of the poly-Cauchy and mixed g is that matrix
+applied to Lif_k's coefficients (the test suite checks it against series
+composition).  The Stirling triangles come from their two-term
+recurrences and are kept as rows of ints (their cross-checks live in the
+test suite).  The required truncation order is derived from the
+requested degree, so callers never pass one.
 
 Every expansion is kept in one memo, `_memo`: each g series and each
 Stirling triangle keyed per parameter set and regrown on demand, and
@@ -24,12 +27,12 @@ that race on a key only build the same value twice.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import mul as _times
 
 from .algebra import Polynomial
 from .series import (
     Series,
-    compose,
     div,
     exp_t,
     int_pow,
@@ -39,19 +42,52 @@ from .series import (
 )
 
 
+# -- Lif_k and its composition with log(1+t) -------------------------------
+
+
+def _lif_weights(order: int, k: int) -> tuple[list, int]:
+    """Integer weights w_m = d / (m+1)^k for m = 0..order, with
+    d = lcm(1..order+1)^k for k > 0 and d = 1 otherwise."""
+    if k <= 0:
+        return [(m + 1) ** -k for m in range(order + 1)], 1
+    d = lcm(*range(1, order + 2)) ** k
+    return [d // (m + 1) ** k for m in range(order + 1)], d
+
+
+def _over_factorials(num: list, d: int) -> Series:
+    """The series sum_n num[n] t^n / (d n!); num is modified."""
+    order = len(num) - 1
+    scale = 1  # order! / n!
+    for n in range(order, 0, -1):
+        num[n] *= scale
+        scale *= n
+    num[0] *= scale
+    return Series._of(num, d * scale)
+
+
 def lif(k: int, order: int) -> Series:
     """Polylogarithm factorial Lif_k(t) = sum t^n / (n! (n+1)^k)."""
-    return Series(
-        Fraction(1, factorial(n)) * Fraction(n + 1) ** (-k) for n in range(order + 1)
-    )
+    return _over_factorials(*_lif_weights(order, k))
 
 
 def lif_neg_t(k: int, order: int) -> Series:
     """Lif_k(-t), the invertible factor of the mixed-type Sheffer pair."""
-    return Series(
-        Fraction((-1) ** n, factorial(n)) * Fraction(n + 1) ** (-k)
-        for n in range(order + 1)
-    )
+    w, d = _lif_weights(order, k)
+    w[1::2] = [-c for c in w[1::2]]
+    return _over_factorials(w, d)
+
+
+def _lif_log(order: int, k: int) -> Series:
+    """Lif_k(log(1+t)) = sum_n (t^n/n!) sum_{m<=n} s(n, m) / (m+1)^k.
+
+    log(1+t)^m / m! = sum_n s(n, m) t^n / n!: the signed Stirling matrix of
+    the first kind is the exponential Riordan array of log(1+t) (Comtet,
+    Advanced Combinatorics, 1974, ch. 5), so the composition is one
+    integer product of that matrix with Lif_k's weights.
+    """
+    w, d = _lif_weights(order, k)
+    rows = stirling_triangle(1, order)
+    return _over_factorials([sum(map(_times, rows[n], w)) for n in range(order + 1)], d)
 
 
 # -- one memo -------------------------------------------------------------
@@ -183,20 +219,15 @@ def higher_cauchy(n: int, r: int) -> Fraction:
     return Fraction(factorial(n) * gs.num[n], gs.den)
 
 
-def _poly_cauchy_g(order: int, k: int) -> Series:
-    return compose(lif(k, order), log_one_plus_t(order))
-
-
 def poly_cauchy(n: int, k: int) -> Polynomial:
     """Poly-Cauchy polynomial C_n^{(k)}(x) from Lif_k(log(1+t)) (1+t)^{-x}."""
     if n < 0:
         raise ValueError("poly_cauchy needs n >= 0")
-    return _sheffer_row(n, "-log", _poly_cauchy_g, k)
+    return _sheffer_row(n, "-log", _lif_log, k)
 
 
 def _mixed_g(order: int, r: int, k: int) -> Series:
-    u = int_pow(cauchy_ratio(order), r)
-    return mul(u, compose(lif(k, order), log_one_plus_t(order)))
+    return mul(int_pow(cauchy_ratio(order), r), _lif_log(order, k))
 
 
 def mixed_A(n: int, r: int, k: int) -> Polynomial:

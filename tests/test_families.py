@@ -36,6 +36,21 @@ def test_lif_negative_index():
     assert list(got.coeffs) == [F(1), F(2), F(3, 2)]
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 8, 33])
+def test_lif_and_lif_neg_t_match_termwise_fractions(order):
+    for k in range(-3, 4):
+        want = [F(1, factorial(n)) * F(n + 1) ** -k for n in range(order + 1)]
+        assert fam.lif(k, order) == Series(want)
+        assert fam.lif_neg_t(k, order) == Series(c * (-1) ** n for n, c in enumerate(want))
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 8, 33, 64])
+def test_lif_log_matches_composition(order):
+    ell = log_one_plus_t(order)
+    for k in range(-3, 4):
+        assert fam._lif_log(order, k) == compose(fam.lif(k, order), ell), k
+
+
 # -- stirling --------------------------------------------------------------
 
 

@@ -44,7 +44,11 @@ def sympy_mixed_A(n, r, k):
 
 @pytest.mark.parametrize(
     "n, r, k",
-    [(4, 0, 2), (5, 1, 1), (6, -2, 3), (7, 3, -2), (9, -1, -3), (12, 2, -1), (14, -3, -2)],
+    [
+        (4, 0, 2), (5, 1, 1), (6, -2, 3), (7, 3, -2), (9, -1, -3), (12, 2, -1), (14, -3, -2),
+        # past degree 32: g is regrown, Lif_k(log(1+t)) read off the Stirling matrix
+        (33, 2, -1), (34, -2, 3), (40, 0, 2),
+    ],
 )
 def test_mixed_A_matches_sympy_expansion(n, r, k):
     want = sympy_mixed_A(n, r, k)
