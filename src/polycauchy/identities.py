@@ -10,20 +10,31 @@ Sub-results that depend on fewer coordinates than a grid point are
 computed once per process and shared by every point, grid and identity
 that needs them: the values A_l^{(r,k)}(c) and the shifts A_n^{(r,k)}(x+1),
 the poly-Cauchy numbers, the a-numbers of Theorem 2 and of (32) and (34),
-the inner sums of Theorems 1, 2 and 7, the weights of Theorems 3, 4 and
-5, and the rising-factorial values and polynomials.  Theorems 6 and 7
-are summed with the Stirling transform innermost, so that it lands in
-polynomials memoized per order: each point combines n+1 of them
-(`_bernoulli_stirling`, `_frobenius_stirling`), and every cache key of
-Theorem 7 holds lambda = p/q as the two ints p and q.  Each of these is
-a pure module-level function memoized with ``functools.lru_cache``.  The
-sums run on integers: scalar sums are integer dot products over one shared
-denominator (`_dot`, `_binomial_sum`), and every polynomial right side is
-one `Polynomial.linear_combination` (one lcm, one integer accumulation,
-one gcd pass).
+the inner sums of Theorems 2 and 7, the weights of Theorems 3, 4 and 5,
+and the rising-factorial values and polynomials.  Theorems 1, 2 (with (32)
+and (34)), 6 and 7 are sums of n+1 polynomials memoized per order, so that
+each point combines them in one pass:
+
+- Theorem 1: s(n, m) times the rows R_m(x) (`_thm1_row`), its sums over
+  j and l folded into R_m per (m, r, k);
+- Theorem 2, (32) and (34): C(n, i) (-1)^i inner_{n-i} times the rising
+  factorials <x>_i (`_binomial_sum`), since the sum over j of
+  (-1)^j s(i, j) x^j is (-x)_i = (-1)^i <x>_i;
+- Theorems 6 and 7: the Stirling transform innermost, in the polynomials
+  `_bernoulli_stirling` and `_frobenius_stirling`; every cache key of
+  Theorem 7 holds lambda = p/q as the two ints p and q.
+
+The printed Theorem 5 and its variant share their left side and all of
+their right side but the variant's lowered-k part (`_thm5_common`, per
+(n, m, r, k)).  Each of these is a pure module-level function memoized
+with ``functools.lru_cache``.  The sums run on integers: scalar sums are
+integer dot products over one shared denominator (`_dot`,
+`_binomial_sum`), and every polynomial right side is one
+`Polynomial.linear_combination` (one lcm, one integer accumulation, one
+gcd pass).
 
 `report_text` writes a report as ``json.dumps(payload, indent=2)`` does,
-byte for byte, but renders the pass and skipped entries from cached
+byte for byte, but renders the pass, fail and skipped entries from cached
 %-templates instead of through the stdlib's pure-Python encoder.
 
 Theorems 4 and 5 are printed in the source with internal inconsistencies
@@ -38,7 +49,6 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -73,16 +83,54 @@ _LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
 _X = Polynomial.x()
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _Record:
+    """A plain record: equal to a record of the same class with equal
+    fields, its ``__slots__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._fields())
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in fields)})"
+
+
+class _FrozenRecord(_Record):
+    """An immutable, hashable record; __init__ sets the fields through
+    ``_set``."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GridSpec(_FrozenRecord):
     """Finite parameter grid; identities read only the axes they use."""
 
-    n_values: tuple = ()
-    r_values: tuple = ()
-    k_values: tuple = ()
-    s_values: tuple = ()
-    m_values: tuple = ()
-    lambdas: tuple = ()
+    __slots__ = ("n_values", "r_values", "k_values", "s_values", "m_values", "lambdas")
+
+    def __init__(
+        self, n_values=(), r_values=(), k_values=(), s_values=(), m_values=(), lambdas=()
+    ):
+        self._set(n_values, r_values, k_values, s_values, m_values, lambdas)
 
     def values_for(self, axis: str) -> tuple:
         return {
@@ -192,24 +240,34 @@ def _binomial_sum(n: int, values, polys) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _thm1_inner(m, j, r, k) -> Fraction:
-    """Theorem 1's sum over l, the same for every n >= m:
-    sum C(m,l) C(m-l,j) (l+1)^(-k) S(m-l-j+r, r) / C(m-l-j+r, r)."""
+def _thm1_row(m, r, k) -> Polynomial:
+    """R_m(x) = sum over j of (-1)^j c_j x^j, the part of Theorem 1's right
+    side that is the same for every n >= m, with c_j the sum over l
+    sum C(m,l) C(m-l,j) (l+1)^(-k) S(m-l-j+r, r) / C(m-l-j+r, r).
+
+    The factors (l+1)^(-k) and S(q+r, r) / C(q+r, r), q = m-l-j, are put
+    over one denominator each, so that every c_j is an integer sum."""
+    powers = [_pow_int(l + 1, -k) for l in range(m + 1)]
+    pden = lcm(*(v.denominator for v in powers))
+    a = [v.numerator * (pden // v.denominator) for v in powers]
     s2 = stirling_triangle(2, m + r)
-    ls = range(m - j + 1)
-    return _dot(
-        [comb(m, l) * comb(m - l, j) * s2[m - l - j + r][r] for l in ls],
-        [_pow_int(l + 1, -k) / comb(m - l - j + r, r) for l in ls],
-    )
+    combs = [comb(q + r, r) for q in range(m + 1)]
+    qden = lcm(*combs)
+    b = [s2[q + r][r] * (qden // c) for q, c in enumerate(combs)]
+    coeffs = [
+        (-1) ** j * sum(
+            comb(m, l) * comb(m - l, j) * a[l] * b[m - l - j] for l in range(m - j + 1)
+        )
+        for j in range(m + 1)
+    ]
+    return Polynomial(coeffs) / (pden * qden)
 
 
 def _thm1(p):
+    # sum over m of s(n, m) R_m(x), the sums over j and l folded into R_m
     n, r, k = p["n"], p["r"], p["k"]
     s1 = stirling_triangle(1, n)[n]
-    rhs = Polynomial(
-        (-1) ** j * _dot(s1[j:], [_thm1_inner(m, j, r, k) for m in range(j, n + 1)])
-        for j in range(n + 1)
-    )
+    rhs = Polynomial.linear_combination((s1[m], _thm1_row(m, r, k)) for m in range(n + 1))
     return [(mixed_A(n, r, k), rhs)]
 
 
@@ -225,16 +283,16 @@ def _thm2_inner(a_number, t, r, k) -> Fraction:
 
 def _thm2_core(p, a_number):
     """Theorem 2's triple sum over Stirling-1, a_number(a, r) and
-    poly-Cauchy numbers; THM2, EQ32 and EQ34 differ only in a_number."""
+    poly-Cauchy numbers; THM2, EQ32 and EQ34 differ only in a_number.
+
+    The sum over j of (-1)^j s(i, j) x^j is (-x)_i = (-1)^i <x>_i, so the
+    right side is the sum over i of C(n,i) (-1)^i inner_{n-i} <x>_i."""
     n, r, k = p["n"], p["r"], p["k"]
-    inner = [_thm2_inner(a_number, t, r, k) for t in range(n + 1)]
-    s1 = stirling_triangle(1, n)
-    rhs = Polynomial(
-        (-1) ** j * _dot(
-            [comb(n, i) * s1[i][j] for i in range(j, n + 1)],
-            [inner[n - i] for i in range(j, n + 1)],
-        )
-        for j in range(n + 1)
+    inner = [_thm2_inner(a_number, n - i, r, k) for i in range(n + 1)]
+    rhs = _binomial_sum(
+        n,
+        [-v if i % 2 else v for i, v in enumerate(inner)],
+        [_rising(i) for i in range(n + 1)],
     )
     return [(mixed_A(n, r, k), rhs)]
 
@@ -413,8 +471,11 @@ def _thm5_weights(n, m) -> list:
     return out
 
 
-def _thm5_core(p, printed: bool):
-    n, m, r, k = p["n"], p["m"], p["r"], p["k"]
+@lru_cache(maxsize=None)
+def _thm5_common(n, m, r, k) -> tuple:
+    """What Theorem 5's printed reading and its variant share: the left
+    side, the first two sums of the right side, the weights of the last
+    sum, and the last sum over A_l^{(r,k)}(1)."""
     s1 = stirling_triangle(1, n)
     lhs = _dot(
         [comb(n, l) * s1[n - l][m] for l in range(n - m + 1)],
@@ -423,15 +484,21 @@ def _thm5_core(p, printed: bool):
     at_one = [_A_at(l, r, k, 1) for l in range(n - m + 1)]
     rhs = r * _dot(_thm5_weights(n, m), [_A_at(a, r + 1, k, 1) for a in range(n - m)])
     rhs += r * _dot([comb(n - 1, l) * s1[n - l - 1][m] for l in range(n - m)], at_one[:-1])
+    last = [comb(n - 1, l) * s1[n - l - 1][m - 1] for l in range(n - m + 1)]
+    return lhs, rhs, last, _dot(last, at_one)
+
+
+def _thm5_core(p, printed: bool):
+    n, m, r, k = p["n"], p["m"], p["r"], p["k"]
+    lhs, rhs, last, last_at_one = _thm5_common(n, m, r, k)
     # the last sum splits 1/m + (1 - 1/m); only the variant lowers k in
     # its first part
-    last = [comb(n - 1, l) * s1[n - l - 1][m - 1] for l in range(n - m + 1)]
     if printed:
-        rhs += _dot(last, at_one)
+        rhs += last_at_one
     else:
         lowered = [_A_at(l, r, k - 1, 1) for l in range(n - m + 1)]
         part = Fraction(1, m)
-        rhs += part * _dot(last, lowered) + (1 - part) * _dot(last, at_one)
+        rhs += part * _dot(last, lowered) + (1 - part) * last_at_one
     return [(Polynomial.constant(lhs), Polynomial.constant(rhs))]
 
 
@@ -570,12 +637,11 @@ def _dom_none(p):
     return None
 
 
-@dataclass(frozen=True)
-class IdentityDef:
-    axes: tuple
-    domain: object
-    pairs: object
-    default_grid: GridSpec
+class IdentityDef(_FrozenRecord):
+    __slots__ = ("axes", "domain", "pairs", "default_grid")
+
+    def __init__(self, axes: tuple, domain, pairs, default_grid: GridSpec):
+        self._set(axes, domain, pairs, default_grid)
 
 
 _DEFS: dict[str, IdentityDef] = {
@@ -730,12 +796,15 @@ def _poly_strings(p: Polynomial) -> list:
 _ENGINE = {"truncation": 32, "version": __version__}
 
 
-@dataclass
-class VerificationReport:
-    identity: str
-    grid: GridSpec
-    results: list = field(default_factory=list)
-    elapsed: float = 0.0  # not serialized: reports must be byte-stable
+class VerificationReport(_Record):
+    __slots__ = ("identity", "grid", "results", "elapsed")
+
+    def __init__(self, identity: str, grid: GridSpec, results: list | None = None,
+                 elapsed: float = 0.0):
+        self.identity = identity
+        self.grid = grid
+        self.results = [] if results is None else results
+        self.elapsed = elapsed  # not serialized: reports must be byte-stable
 
     @property
     def totals(self) -> dict:
@@ -765,8 +834,9 @@ class VerificationReport:
 #
 # With `indent` set, json.dumps runs the stdlib's pure-Python encoder, which
 # on a verify-all report costs more than most identities.  report_text
-# writes the same bytes: each pass or skipped entry from one %-template per
-# shape, and every other value with json.dumps, its continuation lines
+# writes the same bytes: each entry from one %-template per shape, its
+# slots ints, strings and lists of strings (a fail entry's coefficients),
+# and every other value with json.dumps, its continuation lines
 # re-indented.  The re-indent is exact because JSON text never holds a raw
 # newline inside a string.
 
@@ -807,19 +877,31 @@ def _entry_template(depth: int, point_keys: tuple, keys: tuple):
     )
 
 
+def _slot_text(value, depth: int):
+    """One template slot `depth` levels deep: an int as it is, a string or
+    a non-empty list of strings as json.dumps(indent=2) writes it; the
+    encoder raises TypeError on any other value."""
+    if type(value) is int:
+        return value
+    if type(value) is list and value:
+        nl = _newline(depth + 1)
+        items = ("," + nl).join([encode_basestring_ascii(v) for v in value])
+        return "[" + nl + items + _newline(depth) + "]"
+    return encode_basestring_ascii(value)
+
+
 def _entry_text(entry, depth: int) -> str:
     """One result entry `depth` levels deep, from its template if it has one."""
     point = entry.get("point") if type(entry) is dict else None
     if type(point) is dict:
         template = _entry_template(depth, tuple(point), tuple(entry))
         if template is not None:
-            values = [*point.values(), *entry.values()]
-            del values[len(point)]
             try:
-                # the encoder takes only strings: any value but an int or
-                # a string raises and falls back to json.dumps
+                # a slot takes an int, a string or a list of strings: any
+                # other value raises and falls back to json.dumps
                 return template % tuple(
-                    [v if type(v) is int else encode_basestring_ascii(v) for v in values]
+                    [_slot_text(v, depth + 2) for v in point.values()]
+                    + [_slot_text(v, depth + 1) for v in list(entry.values())[1:]]
                 )
             except TypeError:
                 pass
@@ -851,15 +933,16 @@ def _document_text(doc, depth: int) -> str:
 def report_text(payload) -> str:
     """json.dumps(payload, indent=2) + "\n", byte for byte, for one report
     document or a list of them, written without the pure-Python encoder
-    for the pass and skipped entries that make up most of a report."""
+    for the result entries that make up most of a report."""
     if type(payload) is list and payload:
         docs = ",\n  ".join([_document_text(doc, 1) for doc in payload])
         return "[\n  " + docs + "\n]\n"
     return _document_text(payload, 0) + "\n"
 
 
-def _point_entry(definition: IdentityDef, point: dict) -> dict:
-    shown = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in point.items()}
+def _point_entry(definition: IdentityDef, point: dict, shown: dict) -> dict:
+    """The report entry of one point; `shown` is the point as the report
+    writes it."""
     reason = definition.domain(point)
     if reason is not None:
         return {"point": shown, "verdict": "skipped", "reason": reason}
@@ -896,15 +979,23 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
         if not vals:
             raise ValueError(f"grid provides no values for axis {axis!r}")
         value_lists.append(vals)
-    points = [dict(zip(axes, combo)) for combo in itertools.product(*value_lists)]
+    # each point twice: as the evaluators read it, and as the report shows
+    # it, with the Fraction lambdas as strings
+    shown_lists = [
+        [str(v) if isinstance(v, Fraction) else v for v in vals] for vals in value_lists
+    ]
+    points = list(zip(
+        [dict(zip(axes, combo)) for combo in itertools.product(*value_lists)],
+        [dict(zip(axes, combo)) for combo in itertools.product(*shown_lists)],
+    ))
     start = time.monotonic()
     if jobs > 1:
         # the executor's own default ceiling, and no more threads than points
         workers = min(jobs, len(points), 32, (os.cpu_count() or 1) + 4)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda pt: _point_entry(definition, pt), points))
+            results = list(pool.map(lambda pt: _point_entry(definition, *pt), points))
     else:
-        results = [_point_entry(definition, pt) for pt in points]
+        results = [_point_entry(definition, *pt) for pt in points]
     report = VerificationReport(identity=identity, grid=grid, results=results)
     report.elapsed = time.monotonic() - start
     return report

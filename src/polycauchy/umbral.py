@@ -6,11 +6,16 @@ A series f acts on a polynomial p as sum_k c_k p^(k)(x) where c_k is the
 plain t^k coefficient of f; pairing a series with a polynomial gives
 <f | p> = sum_i p_i i! c_i.  Everything below is a direct consequence of
 those two rules plus series algebra.
+
+What a Sheffer route needs of the delta series f alone, its compositional
+inverse fbar and its associated sequence, is memoized per f
+(`_delta_data`), so pairs that share f share it: every mixed pair has
+f = e^{-t}-1.  The g-dependent part, 1/g(fbar) and the rows S_0 .. S_N,
+is memoized per pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -36,20 +41,38 @@ _X = Polynomial.x()
 GUARD = 2
 
 
-@dataclass(frozen=True)
 class ShefferPair:
-    """An (invertible g, delta f) pair defining a Sheffer sequence."""
+    """An (invertible g, delta f) pair defining a Sheffer sequence;
+    immutable, and equal to (and hashed as) any pair with equal g and f."""
 
-    g: Series
-    f: Series
+    __slots__ = ("g", "f")
 
-    def __post_init__(self):
-        if self.g.order != self.f.order:
+    def __init__(self, g: Series, f: Series):
+        if g.order != f.order:
             raise SeriesError("g and f must share a truncation order")
-        if not self.g.is_unit():
+        if not g.is_unit():
             raise SeriesError("g must be invertible (nonzero constant coefficient)")
-        if self.f.valuation() != 1:
+        if f.valuation() != 1:
             raise SeriesError("f must be a delta series (order 1)")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "f", f)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ShefferPair is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ShefferPair is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not ShefferPair:
+            return NotImplemented
+        return self.g == other.g and self.f == other.f
+
+    def __hash__(self):
+        return hash((self.g, self.f))
+
+    def __repr__(self):
+        return f"ShefferPair(g={self.g!r}, f={self.f!r})"
 
     @property
     def order(self) -> int:
@@ -120,9 +143,27 @@ def apply_series(op: Series, p: Polynomial) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
+def _delta_data(f: Series) -> tuple:
+    """(fbar, p_0 .. p_N) for a delta series f of order N: its compositional
+    inverse and its associated sequence, p_j(x) = sum_k (j!/k!) [t^j]
+    fbar^k x^k.  They depend on f alone, so every pair with this f (the
+    mixed pairs all share e^{-t}-1) builds them once."""
+    fbar = comp_inverse(f)
+    powers = [Series.one(f.order)]
+    for _ in range(f.order):
+        powers.append(mul(powers[-1], fbar))
+    assoc = tuple(
+        Polynomial(Fraction(factorial(j) * pw.num[j], factorial(k) * pw.den)
+                   for k, pw in enumerate(powers[: j + 1]))
+        for j in range(f.order + 1)
+    )
+    return fbar, assoc
+
+
+@lru_cache(maxsize=None)
 def _inverse_data(pair: ShefferPair):
     """(fbar, 1/g(fbar)) shared by the gf and conjugate routes."""
-    fbar = comp_inverse(pair.f)
+    fbar, _ = _delta_data(pair.f)
     ginv = reciprocal(compose(pair.g, fbar))
     return fbar, ginv
 
@@ -130,16 +171,8 @@ def _inverse_data(pair: ShefferPair):
 @lru_cache(maxsize=None)
 def _gf_rows(pair: ShefferPair) -> tuple:
     """S_0 .. S_N of the pair, N its order; see sheffer_by_gf."""
-    fbar, ginv = _inverse_data(pair)
-    powers = [Series.one(pair.order)]
-    for _ in range(pair.order):
-        powers.append(mul(powers[-1], fbar))
-    # p_j(x) = sum_k (j!/k!) [t^j] fbar^k x^k
-    assoc = [
-        Polynomial(Fraction(factorial(j) * pw.num[j], factorial(k) * pw.den)
-                   for k, pw in enumerate(powers[: j + 1]))
-        for j in range(pair.order + 1)
-    ]
+    _, ginv = _inverse_data(pair)
+    _, assoc = _delta_data(pair.f)
     # with 1/g(fbar) = G / D, C(n, j) S_{n-j}(0) = (n!/j!) G_{n-j} / D
     g_num = ginv.num
     return tuple(

@@ -114,6 +114,35 @@ def test_report_document_schema():
     assert parsed == doc
 
 
+def test_grid_spec_is_an_immutable_value():
+    grid = GridSpec(n_values=(0, 1), lambdas=(F(1, 2),))
+    assert grid == GridSpec((0, 1), (), (), (), (), (F(1, 2),))
+    assert hash(grid) == hash(GridSpec(n_values=(0, 1), lambdas=(F(1, 2),)))
+    assert grid != GridSpec(n_values=(0, 1))
+    assert GridSpec().values_for("m") == ()
+    with pytest.raises(AttributeError):
+        grid.n_values = (2,)
+    with pytest.raises(TypeError):
+        GridSpec(q_values=(1,))
+    definition = idn._DEFS["THM8"]
+    assert definition == idn.IdentityDef(*(getattr(definition, f) for f in definition.__slots__))
+    assert hash(definition) == hash(idn.IdentityDef(*definition._fields()))
+    with pytest.raises(AttributeError):
+        definition.axes = ()
+
+
+def test_report_is_a_mutable_record():
+    grid = GridSpec(n_values=(0,), r_values=(0,), k_values=(0,))
+    rep = idn.VerificationReport(identity="THM8", grid=grid)
+    assert rep.results == [] and rep.elapsed == 0.0
+    assert rep.results is not idn.VerificationReport("THM8", grid).results
+    rep.elapsed = 1.5
+    assert rep == idn.VerificationReport("THM8", grid, [], 1.5)
+    assert rep != idn.VerificationReport("THM8", grid)
+    with pytest.raises(TypeError):
+        hash(rep)
+
+
 def test_report_results_in_lexicographic_grid_order():
     grid = GridSpec(n_values=(0, 1), r_values=(0, 1), k_values=(0, 1))
     rep = verify("THM8", grid)

@@ -146,6 +146,27 @@ def test_verify_from_a_cold_process():
     assert "polycauchy.identities" in proc.stdout.split()
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        # a verify request, and a sheffer_by_gf expansion of the mixed pair
+        "from polycauchy import cli\n"
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    rc = cli.main(['verify', 'eq17', '--n-max', '2'])\n"
+        "assert rc == 0, rc",
+        "import polycauchy\n"
+        "assert polycauchy.umbral.sheffer_by_gf(polycauchy.umbral.mixed_pair(1, 1, 8), 6)",
+    ],
+)
+def test_harness_loads_neither_dataclasses_nor_inspect(code):
+    proc = cold(code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "polycauchy.umbral" in loaded
+    assert sorted(loaded.intersection({"dataclasses", "inspect"})) == []
+
+
 # -- unused imports --------------------------------------------------------
 
 

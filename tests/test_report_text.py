@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from polycauchy import cli
+from polycauchy import identities as idn
 from polycauchy.identities import GridSpec, report_text, verify
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -93,6 +94,44 @@ def test_the_same_shape_at_two_depths():
     doc = {"results": [{"point": {"n": 0}, "verdict": "pass"}]}
     assert report_text(doc) == reference(doc)
     assert report_text([doc, doc]) == reference([doc, doc])
+
+
+FAIL_ENTRY = {
+    "point": {"n": 2, "m": 1, "r": 0, "k": -1},
+    "verdict": "fail",
+    "lhs": ["1", "-1/2", "7/3"],
+    "rhs": ["0"],
+    "diff": ["\u00e9\"q\"", "back\\slash\n", "%s %d", "\u20ac"],
+}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        FAIL_ENTRY,
+        {"point": {"n": 0}, "verdict": "fail", "lhs": ["0"], "rhs": ["1"], "diff": ["-1"]},
+        # a list in the point sits one level deeper than one after it
+        {"point": {"n": 1, "lam": ["1/2", "3"]}, "verdict": "fail", "lhs": ["2"]},
+        # lists a slot must not take: empty, not all strings, nested
+        {"point": {"n": 1}, "verdict": "fail", "lhs": []},
+        {"point": {"n": 1}, "verdict": "fail", "lhs": ["1", 2]},
+        {"point": {"n": 1}, "verdict": "fail", "lhs": [["1"]]},
+    ],
+)
+def test_fail_entries_at_two_depths(entry):
+    doc = {"identity": "X", "results": [entry, {"point": {"n": 3}, "verdict": "pass"}]}
+    assert report_text(doc) == reference(doc)
+    assert report_text([doc, doc]) == reference([doc, doc])
+
+
+def test_fail_entries_are_written_from_their_template(monkeypatch):
+    def no_encoder(value, depth):
+        raise AssertionError(f"json.dumps called for {value!r}")
+
+    monkeypatch.setattr(idn, "_dumps_at", no_encoder)
+    for depth in (2, 3):
+        text = idn._entry_text(FAIL_ENTRY, depth)
+        assert text == json.dumps(FAIL_ENTRY, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 # -- every recorded report --------------------------------------------------

@@ -108,6 +108,22 @@ def test_conjugate_matches_families():
         assert um.sheffer_by_conjugate(pair, n) == mixed_A(n, 2, 2)
 
 
+def test_mixed_pairs_share_the_delta_series_data():
+    # every mixed pair has f = e^{-t}-1, so a 4x4 block of pairs of one
+    # order builds fbar and the associated sequence of f once
+    for memo in (um._delta_data, um._inverse_data, um._gf_rows):
+        memo.cache_clear()
+    params = [(r, k) for r in range(4) for k in range(-1, 3)]
+    pairs = [um.mixed_pair(r, k, 10) for r, k in params]
+    for pair in pairs:
+        um.sheffer_by_gf(pair, 10)
+    assert um._delta_data.cache_info().misses == 1
+    for (r, k), pair in zip(params, pairs):
+        for n in range(11):
+            got = um.sheffer_by_gf(pair, n)
+            assert got == um.sheffer_by_conjugate(pair, n) == mixed_A(n, r, k), (r, k, n)
+
+
 # -- defining properties ---------------------------------------------------
 
 
@@ -253,3 +269,15 @@ def test_pair_validation():
         um.ShefferPair(Series.t(6), Series.t(6))  # g not invertible
     with pytest.raises(SeriesError):
         um.ShefferPair(Series.one(6), Series.one(6))  # f not delta
+
+
+def test_pair_is_an_immutable_value():
+    pair = um.ShefferPair(g=Series.one(6), f=um.backward_delta(6))
+    same = um.ShefferPair(Series.one(6), um.backward_delta(6))
+    assert pair == same and hash(pair) == hash(same)
+    assert pair != um.ShefferPair(Series.one(6), Series.t(6))
+    assert {pair: 1}[same] == 1
+    with pytest.raises(AttributeError):
+        pair.g = Series.t(6)
+    with pytest.raises(SeriesError, match="truncation order"):
+        um.ShefferPair(Series.one(5), Series.t(6))
