@@ -98,6 +98,7 @@ def _lif_log(order: int, k: int) -> Series:
 # exact through the order stored with it.  A row's key starts with "row"
 # and its order is its degree; every other key is a string or a tuple
 # that starts with a function or "stirling", so the two never collide.
+# `identities` keeps its slab tables here too, keyed by their builders.
 
 _memo: dict = {}
 

@@ -10,28 +10,42 @@ Sub-results that depend on fewer coordinates than a grid point are
 computed once per process and shared by every point, grid and identity
 that needs them: the values A_l^{(r,k)}(c) and the shifts A_n^{(r,k)}(x+1),
 the poly-Cauchy numbers, the a-numbers of Theorem 2 and of (32) and (34),
-the inner sums of Theorems 2 and 7, the weights of Theorems 3, 4 and 5,
-and the rising-factorial values and polynomials.  Theorems 1, 2 (with (32)
-and (34)), 6 and 7 are sums of n+1 polynomials memoized per order, so that
-each point combines them in one pass:
+the weights of Theorems 3, 4 and 5, and the rising-factorial values and
+polynomials.  Theorem 1 is a sum of n+1 polynomials memoized per order:
+s(n, m) times the rows R_m(x) (`_thm1_row`), its sums over j and l folded
+into R_m per (m, r, k).
 
-- Theorem 1: s(n, m) times the rows R_m(x) (`_thm1_row`), its sums over
-  j and l folded into R_m per (m, r, k);
-- Theorem 2, (32) and (34): C(n, i) (-1)^i inner_{n-i} times the rising
-  factorials <x>_i (`_binomial_sum`), since the sum over j of
-  (-1)^j s(i, j) x^j is (-x)_i = (-1)^i <x>_i;
-- Theorems 6 and 7: the Stirling transform innermost, in the polynomials
-  `_bernoulli_stirling` and `_frobenius_stirling`; every cache key of
-  Theorem 7 holds lambda = p/q as the two ints p and q.
+Theorems 2 (with (32) and (34)), 6, 7 and 8 expand A_n^{(r,k)}(x) by the
+Sheffer binomial identity: each right side is
+R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x), where v_l and P_j depend on
+the point's other coordinates but not on n.  So each evaluator reads row n
+of a table of R_0 .. R_N built once per parameter slab (`_binomial_rows`,
+`_slab_row`): (r, k) for Theorems 2 and 8, (r, k, s) for Theorem 6 and
+(r, k, s, lambda) for Theorem 7.  A table puts its values over one
+denominator and its polynomials over another and convolves the integer
+numerators.  It is kept whole in the family memo (`families._grown`) and
+rebuilt at twice the order when a larger n asks for it.  The polynomials
+are:
+
+- Theorems 2 and 8: (-x)_j = (-1)^j <x>_j, since the sum over j of
+  (-1)^j s(i, j) x^j is (-x)_i (`_minus_x_falling`);
+- Theorems 6 and 7: the Stirling transform of the Bernoulli and the
+  Frobenius-Euler polynomials (`_bernoulli_stirling`,
+  `_frobenius_stirling`).
+
+Theorem 7's value v_l, the sum over a of (-lam)^a C(s, a) A_l(s-a) times
+(1 - lam)^(-s), is one integer dot product of A_l's numerators with a
+moment vector kept per (s, lam) (`_thm7_moments`); every key of Theorem 7
+holds lam = p/q as the two ints p and q.
 
 The printed Theorem 5 and its variant share their left side and all of
 their right side but the variant's lowered-k part (`_thm5_common`, per
-(n, m, r, k)).  Each of these is a pure module-level function memoized
-with ``functools.lru_cache``.  The sums run on integers: scalar sums are
-integer dot products over one shared denominator (`_dot`,
-`_binomial_sum`), and every polynomial right side is one
-`Polynomial.linear_combination` (one lcm, one integer accumulation, one
-gcd pass).
+(n, m, r, k)).  Each of these helpers is a pure module-level function,
+memoized with ``functools.lru_cache`` or, for the slab tables, in the
+family memo.  The sums run on integers: scalar sums are integer dot
+products over one shared denominator (`_dot`), and every other polynomial
+right side is one `Polynomial.linear_combination` (one lcm, one integer
+accumulation, one gcd pass).
 
 `report_text` writes a report as ``json.dumps(payload, indent=2)`` does,
 byte for byte, but renders the pass, fail and skipped entries from cached
@@ -53,6 +67,7 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import comb, factorial, lcm
+from operator import mul as _times
 from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import Polynomial, poly_shift, rising_factorial
@@ -64,6 +79,7 @@ from .families import (
     narumi,
     poly_cauchy,
     stirling_triangle,
+    _grown,
 )
 from .series import Series
 from .umbral import backward_delta, mixed_pair, sheffer_by_gf, transfer
@@ -220,17 +236,43 @@ def _dot(weights, values) -> Fraction:
     )
 
 
-def _binomial_sum(n: int, values, polys) -> Polynomial:
-    """The sum over l of C(n, l) values[l] polys[l], l = 0..n, as one
-    linear combination with integer weights: the values are put over one
-    denominator first."""
-    den = lcm(*(v.denominator for v in values))
-    return Polynomial.linear_combination(
-        (
-            (comb(n, l) * v.numerator * (den // v.denominator), poly)
-            for l, (v, poly) in enumerate(zip(values, polys))
-        ),
-        den,
+def _binomial_rows(order: int, values, polys) -> tuple:
+    """R_n(x) = sum over l of C(n, l) values[l] polys[n-l] for n = 0..order,
+    the rows of one parameter slab.  The values are put over one
+    denominator and the polynomials over another, so that each coefficient
+    of a row is one integer dot product, and each row is reduced once;
+    entries past order are ignored."""
+    values, polys = values[: order + 1], polys[: order + 1]
+    vden = lcm(*(v.denominator for v in values))
+    a = [v.numerator * (vden // v.denominator) for v in values]
+    pden = lcm(*(p.den for p in polys))
+    # cols[i][j]: the numerator of [x^i] polys[j]
+    cols = [
+        [p.num[i] * (pden // p.den) if i < len(p.num) else 0 for p in polys]
+        for i in range(max(len(p.num) for p in polys))
+    ]
+    widths = list(itertools.accumulate((len(p.num) for p in polys), max))
+    rows = []
+    for n in range(order + 1):
+        w = [comb(n, j) * a[n - j] for j in range(n + 1)]  # the weight of polys[j]
+        rows.append(Polynomial._of(
+            [sum(map(_times, w, col)) for col in cols[: widths[n]]], vden * pden
+        ))
+    return tuple(rows)
+
+
+def _slab_row(n: int, table, *slab) -> Polynomial:
+    """Row n of table(order, *slab), whose rows 0..order are kept whole in
+    the family memo and rebuilt at a larger order on demand."""
+    return _grown((table, *slab), n, table, *slab)[n]
+
+
+def _minus_x_falling(order: int) -> tuple:
+    """(-x)_j = (-1)^j <x>_j = sum over i of (-1)^i s(j, i) x^i, j = 0..order;
+    the polynomials of Theorems 2 and 8, kept once in the family memo."""
+    return tuple(
+        Polynomial._of([-c if i % 2 else c for i, c in enumerate(row)])
+        for row in stirling_triangle(1, order)[: order + 1]
     )
 
 
@@ -271,30 +313,26 @@ def _thm1(p):
     return [(mixed_A(n, r, k), rhs)]
 
 
-@lru_cache(maxsize=None)
-def _thm2_inner(a_number, t, r, k) -> Fraction:
-    """Theorem 2's innermost sum over a, the same for every n >= t:
-    sum C(t,a) a_number(a, r) C_{t-a}^{(k)}."""
-    return _dot(
-        [comb(t, a) * a_number(a, r) for a in range(t + 1)],
-        [_pc_number(t - a, k) for a in range(t + 1)],
-    )
+def _thm2_table(order, a_number, r, k) -> tuple:
+    """Theorem 2's right sides for one (r, k), n = 0..order; THM2, EQ32 and
+    EQ34 differ only in a_number.
+
+    The sum over j of (-1)^j s(i, j) x^j is (-x)_i, so the right side is
+    the sum over l of C(n, l) inner_l (-x)_{n-l}, with the innermost sum
+    inner_t = sum over a of C(t, a) a_number(a, r) C_{t-a}^{(k)}."""
+    inner = [
+        _dot(
+            [comb(t, a) * a_number(a, r) for a in range(t + 1)],
+            [_pc_number(t - a, k) for a in range(t + 1)],
+        )
+        for t in range(order + 1)
+    ]
+    return _binomial_rows(order, inner, _grown((_minus_x_falling,), order, _minus_x_falling))
 
 
 def _thm2_core(p, a_number):
-    """Theorem 2's triple sum over Stirling-1, a_number(a, r) and
-    poly-Cauchy numbers; THM2, EQ32 and EQ34 differ only in a_number.
-
-    The sum over j of (-1)^j s(i, j) x^j is (-x)_i = (-1)^i <x>_i, so the
-    right side is the sum over i of C(n,i) (-1)^i inner_{n-i} <x>_i."""
     n, r, k = p["n"], p["r"], p["k"]
-    inner = [_thm2_inner(a_number, n - i, r, k) for i in range(n + 1)]
-    rhs = _binomial_sum(
-        n,
-        [-v if i % 2 else v for i, v in enumerate(inner)],
-        [_rising(i) for i in range(n + 1)],
-    )
-    return [(mixed_A(n, r, k), rhs)]
+    return [(mixed_A(n, r, k), _slab_row(n, _thm2_table, a_number, r, k))]
 
 
 @lru_cache(maxsize=None)
@@ -530,27 +568,20 @@ def _bernoulli_stirling(j: int, s: int) -> Polynomial:
     )
 
 
-def _thm6(p):
-    # the Stirling transform over m is folded into the memoized P_j
-    n, r, k, s = p["n"], p["r"], p["k"], p["s"]
-    rhs = _binomial_sum(
-        n,
-        [_A_at(l, r + s, k, s) for l in range(n + 1)],
-        [_bernoulli_stirling(n - l, s) for l in range(n + 1)],
+def _thm6_table(order, r, k, s) -> tuple:
+    """Theorem 6's right sides for one (r, k, s), n = 0..order: the sum
+    over l of C(n, l) A_l^{(r+s,k)}(s) P_{n-l}(x), the Stirling transform
+    over m folded into P_j."""
+    return _binomial_rows(
+        order,
+        [_A_at(l, r + s, k, s) for l in range(order + 1)],
+        [_bernoulli_stirling(j, s) for j in range(order + 1)],
     )
-    return [(mixed_A(n, r, k), rhs)]
 
 
-@lru_cache(maxsize=None)
-def _thm7_inner(l, r, k, s, p, q) -> Fraction:
-    """Theorem 7's sum over a times (1 - lam)^(-s), the same for every n:
-    (1 - lam)^(-s) sum (-lam)^a C(s,a) A_l^{(r,k)}(s-a), with lam = p/q;
-    the sum is taken over q^s, which cancels against (1 - lam)^(-s) =
-    q^s / (q - p)^s."""
-    return _dot(
-        [(-p) ** a * q ** (s - a) * comb(s, a) for a in range(s + 1)],
-        [_A_at(l, r, k, s - a) for a in range(s + 1)],
-    ) / (q - p) ** s
+def _thm6(p):
+    n, r, k, s = p["n"], p["r"], p["k"], p["s"]
+    return [(mixed_A(n, r, k), _slab_row(n, _thm6_table, r, k, s))]
 
 
 @lru_cache(maxsize=None)
@@ -564,26 +595,55 @@ def _frobenius_stirling(j: int, s: int, p: int, q: int) -> Polynomial:
     )
 
 
-def _thm7(p):
-    # sum over l of C(n,l) inner_l Q_{n-l}(x), the Stirling transform over
-    # m folded into the memoized Q_j; the cache keys hold lam as the ints
-    # p, q, since hashing a Fraction costs ten times as much
-    n, r, k, s, lam = p["n"], p["r"], p["k"], p["s"], p["lam"]
-    a, b = lam.numerator, lam.denominator
-    rhs = _binomial_sum(
-        n,
-        [_thm7_inner(l, r, k, s, a, b) for l in range(n + 1)],
-        [_frobenius_stirling(n - l, s, a, b) for l in range(n + 1)],
+def _thm7_moments(order, s, p, q) -> tuple:
+    """M_i = sum over a of (-p)^a q^(s-a) C(s, a) (s-a)^i, i = 0..order.
+
+    For A(x) = sum c_i x^i, the sum over a of (-lam)^a C(s, a) A(s-a)
+    with lam = p/q is sum c_i M_i / q^s."""
+    w = [(-p) ** a * q ** (s - a) * comb(s, a) for a in range(s + 1)]
+    return tuple(sum(wa * (s - a) ** i for a, wa in enumerate(w)) for i in range(order + 1))
+
+
+def _thm7_table(order, r, k, s, p, q) -> tuple:
+    """Theorem 7's right sides for one (r, k, s, lam = p/q), n = 0..order:
+    the sum over l of C(n, l) inner_l Q_{n-l}(x), the Stirling transform
+    over m folded into Q_j.
+
+    inner_l = (1 - lam)^(-s) sum over a of (-lam)^a C(s, a) A_l^{(r,k)}(s-a)
+    is one integer dot product of A_l's numerators with the moments M_i,
+    over A_l's denominator times (q - p)^s, since (1 - lam)^(-s) =
+    q^s / (q - p)^s.  The keys hold lam as the ints p and q, since hashing
+    a Fraction costs ten times as much."""
+    moments = _grown((_thm7_moments, s, p, q), order, _thm7_moments, s, p, q)
+    scale = (q - p) ** s
+    inner = []
+    for l in range(order + 1):
+        a_l = mixed_A(l, r, k)
+        inner.append(Fraction(sum(map(_times, a_l.num, moments)), a_l.den * scale))
+    return _binomial_rows(
+        order, inner, [_frobenius_stirling(j, s, p, q) for j in range(order + 1)]
     )
+
+
+def _thm7(p):
+    n, r, k, s, lam = p["n"], p["r"], p["k"], p["s"], p["lam"]
+    rhs = _slab_row(n, _thm7_table, r, k, s, lam.numerator, lam.denominator)
     return [(mixed_A(n, r, k), rhs)]
+
+
+def _thm8_table(order, r, k) -> tuple:
+    """Theorem 8's right sides for one (r, k), n = 0..order: the sum over l
+    of C(n, l) A_l^{(r,k)}(0) (-x)_{n-l}."""
+    return _binomial_rows(
+        order,
+        [_A_at(l, r, k, 0) for l in range(order + 1)],
+        _grown((_minus_x_falling,), order, _minus_x_falling),
+    )
 
 
 def _thm8(p):
     n, r, k = p["n"], p["r"], p["k"]
-    rhs = Polynomial.linear_combination(
-        ((-1) ** m * comb(n, m) * _A_at(n - m, r, k, 0), _rising(m)) for m in range(n + 1)
-    )
-    return [(mixed_A(n, r, k), rhs)]
+    return [(mixed_A(n, r, k), _slab_row(n, _thm8_table, r, k))]
 
 
 def _narumi_bernoulli(p):
@@ -792,7 +852,7 @@ def _poly_strings(p: Polynomial) -> list:
     return [str(c) for c in p.coeffs]
 
 
-# fixed: kept only so reports match perfbench/reports.json until ROADMAP item 3's re-record
+# fixed: kept only so reports match perfbench/reports.json until ROADMAP item 2's re-record
 _ENGINE = {"truncation": 32, "version": __version__}
 
 

@@ -8,17 +8,18 @@ plain t^k coefficient of f; pairing a series with a polynomial gives
 those two rules plus series algebra.
 
 What a Sheffer route needs of the delta series f alone, its compositional
-inverse fbar and its associated sequence, is memoized per f
-(`_delta_data`), so pairs that share f share it: every mixed pair has
-f = e^{-t}-1.  The g-dependent part, 1/g(fbar) and the rows S_0 .. S_N,
-is memoized per pair.
+inverse fbar, the powers of fbar and its associated sequence, is memoized
+per f (`_delta_data`), so pairs that share f share it: every mixed pair
+has f = e^{-t}-1.  The g-dependent part, 1/g(fbar) (g(fbar) read as one
+integer combination of those powers) and the rows S_0 .. S_N, is
+memoized per pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .algebra import Polynomial
 from .series import (
@@ -32,7 +33,7 @@ from .series import (
     mul,
     reciprocal,
 )
-from .families import lif_neg_t
+from .families import bernoulli_ratio, lif_neg_t
 
 _X = Polynomial.x()
 
@@ -105,8 +106,9 @@ def backward_delta(order: int) -> Series:
 def mixed_pair(r: int, k: int, order: int) -> ShefferPair:
     """The pair ((t e^t/(e^t-1))^r / Lif_k(-t), e^{-t}-1) whose Sheffer
     sequence is A_n^{(r,k)}(x)."""
-    t_exp = mul(Series.t(order + 1), exp_t(order + 1))
-    u = div(t_exp, exp_t(order + 1) - 1)  # t e^t / (e^t - 1), order drops to `order`
+    # t e^t/(e^t-1) = (-t)/(e^{-t}-1), the Bernoulli ratio at -t
+    b = bernoulli_ratio(order)
+    u = Series._of([-c if i % 2 else c for i, c in enumerate(b.num)], b.den)
     g = mul(int_pow(u, r), reciprocal(lif_neg_t(k, order)))
     return ShefferPair(g, backward_delta(order))
 
@@ -144,10 +146,11 @@ def apply_series(op: Series, p: Polynomial) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _delta_data(f: Series) -> tuple:
-    """(fbar, p_0 .. p_N) for a delta series f of order N: its compositional
-    inverse and its associated sequence, p_j(x) = sum_k (j!/k!) [t^j]
-    fbar^k x^k.  They depend on f alone, so every pair with this f (the
-    mixed pairs all share e^{-t}-1) builds them once."""
+    """(fbar, fbar^0 .. fbar^N, p_0 .. p_N) for a delta series f of order
+    N: its compositional inverse, the powers of that inverse and its
+    associated sequence, p_j(x) = sum_k (j!/k!) [t^j] fbar^k x^k.  They
+    depend on f alone, so every pair with this f (the mixed pairs all
+    share e^{-t}-1) builds them once."""
     fbar = comp_inverse(f)
     powers = [Series.one(f.order)]
     for _ in range(f.order):
@@ -157,22 +160,32 @@ def _delta_data(f: Series) -> tuple:
                    for k, pw in enumerate(powers[: j + 1]))
         for j in range(f.order + 1)
     )
-    return fbar, assoc
+    return fbar, tuple(powers), assoc
 
 
 @lru_cache(maxsize=None)
 def _inverse_data(pair: ShefferPair):
-    """(fbar, 1/g(fbar)) shared by the gf and conjugate routes."""
-    fbar, _ = _delta_data(pair.f)
-    ginv = reciprocal(compose(pair.g, fbar))
-    return fbar, ginv
+    """(fbar, 1/g(fbar)) shared by the gf and conjugate routes.
+
+    g(fbar) = sum_m g_m fbar^m is one integer combination of the powers of
+    fbar that `_delta_data` keeps, over the lcm of their denominators."""
+    fbar, powers, _ = _delta_data(pair.f)
+    g = pair.g
+    den = lcm(*(pw.den for pw in powers))
+    acc = [0] * (g.order + 1)
+    for c, pw in zip(g.num, powers):
+        if c:
+            w = c * (den // pw.den)
+            for i, x in enumerate(pw.num):
+                acc[i] += w * x
+    return fbar, reciprocal(Series._of(acc, g.den * den))
 
 
 @lru_cache(maxsize=None)
 def _gf_rows(pair: ShefferPair) -> tuple:
     """S_0 .. S_N of the pair, N its order; see sheffer_by_gf."""
     _, ginv = _inverse_data(pair)
-    _, assoc = _delta_data(pair.f)
+    _, _, assoc = _delta_data(pair.f)
     # with 1/g(fbar) = G / D, C(n, j) S_{n-j}(0) = (n!/j!) G_{n-j} / D
     g_num = ginv.num
     return tuple(

@@ -1,11 +1,16 @@
-"""The evaluators of Theorems 1, 2 and 5 (with (32), (34) and the Theorem 5
-variant) sum their right sides in a re-associated order, over polynomials
-and values memoized across points.  Each must still give the pair of the
-paper's formula, written out here coefficient by coefficient in plain
-Fraction arithmetic as the reference.  The report hashes cannot show this:
-a rewrite that changed a right side and the left side alike would keep
-every verdict."""
+"""The evaluators of Theorems 1, 2 and 5 to 8 (with (32), (34) and the
+Theorem 5 variant) sum their right sides in a re-associated order, over
+polynomials and values memoized across points; Theorems 2, 6, 7 and 8 and
+(32) and (34) read each right side as row n of a table built once per
+parameter slab.  Each must still give the pair of the paper's formula,
+written out here per point in plain Fraction arithmetic as the reference.
+The report hashes cannot show this: a rewrite that changed a right side
+and the left side alike would keep every verdict."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import product
@@ -13,19 +18,27 @@ from math import comb, factorial
 
 import pytest
 
+from polycauchy import families
 from polycauchy import identities as idn
+from polycauchy import umbral as um
 from polycauchy.algebra import Polynomial
 from polycauchy.families import (
     bernoulli2,
     bernoulli_poly,
+    frobenius_euler,
+    lif_neg_t,
     mixed_A,
     narumi,
     poly_cauchy,
     stirling1,
     stirling2,
 )
+from polycauchy.series import Series, comp_inverse, compose, div, exp_t, int_pow, mul, reciprocal
 
 NS = range(9)
+# past the tables' first order, 8, so that every slab table is regrown
+SLAB_NS = range(13)
+LAMBDAS = (F(2), F(-1), F(1, 2), F(3), F(-1, 3))
 RS = range(-2, 4)
 KS = range(-3, 4)
 
@@ -121,7 +134,7 @@ def thm2_reference(n, r, k, a_number):
 def test_thm2_family_matches_the_coefficient_formula(identity, a_number, rs):
     evaluator = idn._DEFS[identity].pairs
     cached = lru_cache(maxsize=None)(a_number)
-    for n, r, k in product(NS, rs, KS):
+    for r, k, n in product(rs, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k}
         assert evaluator(p) == thm2_reference(n, r, k, cached), (identity, p)
 
@@ -160,3 +173,129 @@ def test_thm5_matches_the_termwise_formula(identity, printed):
             assert evaluator(p) == thm5_reference(n, m, r, k, printed), (identity, p)
             checked += 1
     assert checked == 28 * len(RS) * len(KS)
+
+
+# -- Theorems 6, 7 and 8 ----------------------------------------------------
+
+
+def falling_coeffs(j):
+    """(-1)^j <x>_j = (-x)_j, as coefficients: (-1)^i s(j, i)."""
+    return [(-1) ** i * stirling1(j, i) for i in range(j + 1)]
+
+
+def stirling_transform(j, family):
+    """sum_m (-1)^m s(j, m) family(m), as coefficients."""
+    out = [F(0)] * (j + 1)
+    for m in range(j + 1):
+        for i, c in enumerate(family(m).coeffs):
+            out[i] += (-1) ** m * stirling1(j, m) * c
+    return out
+
+
+def binomial_reference(n, values, coeffs):
+    """Coefficients of sum_l C(n, l) values[l] P_{n-l}, P_j given as
+    coefficient lists coeffs[j]."""
+    out = [F(0)] * (n + 1)
+    for l in range(n + 1):
+        w = comb(n, l) * values[l]
+        for i, c in enumerate(coeffs[n - l]):
+            out[i] += w * c
+    return Polynomial(out)
+
+
+@lru_cache(maxsize=None)
+def bernoulli_transform(j, s):
+    return stirling_transform(j, lambda m: bernoulli_poly(m, s))
+
+
+@lru_cache(maxsize=None)
+def frobenius_transform(j, s, lam):
+    return stirling_transform(j, lambda m: frobenius_euler(m, s, lam))
+
+
+def thm6_reference(n, r, k, s):
+    values = [A_at(l, r + s, k, s) for l in range(n + 1)]
+    coeffs = [bernoulli_transform(j, s) for j in range(n + 1)]
+    return [(mixed_A(n, r, k), binomial_reference(n, values, coeffs))]
+
+
+@lru_cache(maxsize=None)
+def thm7_inner(l, r, k, s, lam):
+    """(1 - lam)^(-s) sum_a (-lam)^a C(s, a) A_l(s - a), from A_l's values
+    at the points s - a."""
+    total = sum((-lam) ** a * comb(s, a) * A_at(l, r, k, s - a) for a in range(s + 1))
+    return total / (1 - lam) ** s
+
+
+def thm7_reference(n, r, k, s, lam):
+    values = [thm7_inner(l, r, k, s, lam) for l in range(n + 1)]
+    coeffs = [frobenius_transform(j, s, lam) for j in range(n + 1)]
+    return [(mixed_A(n, r, k), binomial_reference(n, values, coeffs))]
+
+
+def thm8_reference(n, r, k):
+    values = [A_at(l, r, k, 0) for l in range(n + 1)]
+    coeffs = [falling_coeffs(j) for j in range(n + 1)]
+    return [(mixed_A(n, r, k), binomial_reference(n, values, coeffs))]
+
+
+def test_thm8_rows_match_the_per_point_formula():
+    for r, k, n in product(RS, KS, SLAB_NS):
+        p = {"n": n, "r": r, "k": k}
+        assert idn._thm8(p) == thm8_reference(n, r, k), p
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_thm6_rows_match_the_per_point_formula(s):
+    for r, k, n in product(RS, KS, SLAB_NS):
+        p = {"n": n, "r": r, "k": k, "s": s}
+        assert idn._thm6(p) == thm6_reference(n, r, k, s), p
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_thm7_rows_match_the_per_point_formula(s):
+    for lam, r, k, n in product(LAMBDAS, RS, KS, SLAB_NS):
+        p = {"n": n, "r": r, "k": k, "s": s, "lam": lam}
+        assert idn._thm7(p) == thm7_reference(n, r, k, s, lam), p
+
+
+def test_a_slab_table_is_regrown_whole():
+    key = (idn._thm7_table, 2, -1, 3, -1, 3)
+    families._memo.pop(key, None)
+    p = {"n": 3, "r": 2, "k": -1, "s": 3, "lam": F(-1, 3)}
+    assert idn._thm7(p) == thm7_reference(3, 2, -1, 3, F(-1, 3))
+    assert families._memo[key][0] == 8
+    p["n"] = 12
+    assert idn._thm7(p) == thm7_reference(12, 2, -1, 3, F(-1, 3))
+    order, rows = families._memo[key]
+    assert order == 16 and len(rows) == 17 and type(rows) is tuple
+
+
+def test_cold_verify_past_the_first_table_order():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-m", "polycauchy.cli", "verify", "thm7",
+         "--n-max", "12", "--r", "0..1", "--k", "-1..0", "--s", "0..2"],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr.decode()
+    report = json.loads(out.stdout)
+    assert report["totals"] == {"pass": 13 * 2 * 2 * 3 * 3, "fail": 0, "skipped": 0}
+    assert all(entry["verdict"] == "pass" for entry in report["results"])
+
+
+# -- the mixed Sheffer pair ---------------------------------------------------
+
+
+@pytest.mark.parametrize("order", range(1, 31))
+def test_mixed_pair_and_inverse_data_match_the_series_construction(order):
+    # t e^t/(e^t-1) by mul and div, and g(fbar) by Horner composition
+    t_exp = mul(Series.t(order + 1), exp_t(order + 1))
+    u = div(t_exp, exp_t(order + 1) - 1)
+    for r, k in ((2, -1), (-1, 2), (3, 0)):
+        pair = um.mixed_pair(r, k, order)
+        assert pair.g == mul(int_pow(u, r), reciprocal(lif_neg_t(k, order))), (r, k)
+        fbar = comp_inverse(pair.f)
+        assert um._inverse_data(pair) == (fbar, reciprocal(compose(pair.g, fbar))), (r, k)
