@@ -8,44 +8,44 @@ constructors.  A point passes iff every pair matches exactly.
 
 Sub-results that depend on fewer coordinates than a grid point are
 computed once per process and shared by every point, grid and identity
-that needs them: the values A_l^{(r,k)}(c) and the shifts A_n^{(r,k)}(x+1),
-the poly-Cauchy numbers, the a-numbers of Theorem 2 and of (32) and (34),
-the weights of Theorems 3, 4 and 5, and the rising-factorial values and
+that needs them.  Those that depend on n alone, or on n and m, are
+memoized with ``functools.lru_cache``: the shifts A_n^{(r,k)}(x+1), the
+weights of Theorems 3, 4 and 5, and the rising-factorial values and
 polynomials.  Theorem 1 is a sum of n+1 polynomials memoized per order:
 s(n, m) times the rows R_m(x) (`_thm1_row`), its sums over j and l folded
 into R_m per (m, r, k).
 
-Theorems 2 (with (32) and (34)), 6, 7 and 8 expand A_n^{(r,k)}(x) by the
-Sheffer binomial identity: each right side is
-R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x), where v_l and P_j depend on
-the point's other coordinates but not on n.  So each evaluator reads row n
-of a table of R_0 .. R_N built once per parameter slab (`_binomial_rows`,
-`_slab_row`): (r, k) for Theorems 2 and 8, (r, k, s) for Theorem 6 and
-(r, k, s, lambda) for Theorem 7.  A table puts its values over one
-denominator and its polynomials over another and convolves the integer
-numerators.  It is kept whole in the family memo (`families._grown`) and
-rebuilt at twice the order when a larger n asks for it.  The polynomials
-are:
+Most right sides are fixed integer-weighted transforms of a few sequences
+that depend on a parameter slab but not on n.  Each such sequence is kept
+for l = 0..N as one tuple of integer numerators over one denominator, in
+the family memo (`_slab`, through `families._grown`, rebuilt at twice the
+order when a larger n asks for it):
 
-- Theorems 2 and 8: (-x)_j = (-1)^j <x>_j, since the sum over j of
-  (-1)^j s(i, j) x^j is (-x)_i (`_minus_x_falling`);
-- Theorems 6 and 7: the Stirling transform of the Bernoulli and the
-  Frobenius-Euler polynomials (`_bernoulli_stirling`,
-  `_frobenius_stirling`).
+- A_0^{(r,k)} .. A_N^{(r,k)}, as rows and as columns, per (r, k)
+  (`_A_rows`), and their values at an integer c per (r, k, c)
+  (`_A_values`);
+- the a-numbers of Theorem 2 and of (32) and (34) per r, and the
+  poly-Cauchy numbers per k (`_numbers`);
+- the polynomials P_j of a Sheffer binomial sum, as columns over one
+  denominator (`_stirling_side`): the Stirling transform
+  sum over m of (-1)^m s(j, m) p_m(x) of x^m, which is (-x)_j
+  (Theorems 2 and 8), of the Bernoulli polynomials per s (Theorem 6) and
+  of the Frobenius-Euler polynomials per (s, lambda) (Theorem 7).
 
-Theorem 7's value v_l, the sum over a of (-lam)^a C(s, a) A_l(s-a) times
-(1 - lam)^(-s), is one integer dot product of A_l's numerators with a
-moment vector kept per (s, lam) (`_thm7_moments`); every key of Theorem 7
-holds lam = p/q as the two ints p and q.
-
-The printed Theorem 5 and its variant share their left side and all of
-their right side but the variant's lowered-k part (`_thm5_common`, per
-(n, m, r, k)).  Each of these helpers is a pure module-level function,
-memoized with ``functools.lru_cache`` or, for the slab tables, in the
-family memo.  The sums run on integers: scalar sums are integer dot
-products over one shared denominator (`_dot`), and every other polynomial
-right side is one `Polynomial.linear_combination` (one lcm, one integer
-accumulation, one gcd pass).
+The right sides that read them are integer dot products, with one
+`Fraction` or one `Polynomial._of` per result; the polynomial right sides
+of Theorems 1, 3 and 4 and of (52) are each one
+`Polynomial.linear_combination`.  Theorems 2 (with (32) and (34)), 6, 7
+and 8 expand A_n^{(r,k)}(x) by the Sheffer binomial identity: each right
+side is R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x), so each evaluator
+reads row n of a table of R_0 .. R_N built once per parameter slab
+(`_binomial_rows`, `_slab_row`): (r, k) for Theorems 2 and 8, (r, k, s)
+for Theorem 6 and (r, k, s, lambda) for Theorem 7.  Theorem 7's value
+v_l, the sum over a of (-lam)^a C(s, a) A_l(s-a) times (1 - lam)^(-s), is
+one integer dot product of row l of A with a moment vector kept per
+(s, lam) (`_thm7_moments`); every key of Theorem 7 holds lam = p/q as
+the two ints p and q.  `verify` evaluates a grid's points largest n
+first, so that each slab is built once, at its largest order.
 
 `report_text` writes a report as ``json.dumps(payload, indent=2)`` does,
 byte for byte, but renders the pass, fail and skipped entries from cached
@@ -178,20 +178,9 @@ class GridSpec(_FrozenRecord):
 
 
 @lru_cache(maxsize=None)
-def _A_at(n, r, k, c) -> Fraction:
-    """A_n^{(r,k)}(c)."""
-    return mixed_A(n, r, k).evaluate(c)
-
-
-@lru_cache(maxsize=None)
 def _A_shift(n, r, k) -> Polynomial:
     """A_n^{(r,k)}(x + 1)."""
     return poly_shift(mixed_A(n, r, k), 1)
-
-
-@lru_cache(maxsize=None)
-def _pc_number(n, k) -> Fraction:
-    return poly_cauchy(n, k).evaluate(0)
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +207,11 @@ def _bernoulli_reflected(n: int, alpha: int, b: int) -> Polynomial:
 
 
 def _mixed_sheffer_order(n: int) -> int:
-    return max(n + 2, 10)
+    """10, doubled until it reaches n + 2: any order >= n + 2 gives row n."""
+    order = 10
+    while order < n + 2:
+        order *= 2
+    return order
 
 
 def _dot(weights, values) -> Fraction:
@@ -236,44 +229,83 @@ def _dot(weights, values) -> Fraction:
     )
 
 
-def _binomial_rows(order: int, values, polys) -> tuple:
-    """R_n(x) = sum over l of C(n, l) values[l] polys[n-l] for n = 0..order,
-    the rows of one parameter slab.  The values are put over one
-    denominator and the polynomials over another, so that each coefficient
-    of a row is one integer dot product, and each row is reduced once;
-    entries past order are ignored."""
-    values, polys = values[: order + 1], polys[: order + 1]
-    vden = lcm(*(v.denominator for v in values))
-    a = [v.numerator * (vden // v.denominator) for v in values]
-    pden = lcm(*(p.den for p in polys))
-    # cols[i][j]: the numerator of [x^i] polys[j]
-    cols = [
-        [p.num[i] * (pden // p.den) if i < len(p.num) else 0 for p in polys]
+def _common(values) -> tuple:
+    """(nums, den): the ints or Fractions values as a tuple of integer
+    numerators over their lcm denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple([v.numerator * (den // v.denominator) for v in values]), den
+
+
+def _slab(build, order: int, *args):
+    """build(m, *args) for some m >= order, a sequence of one parameter
+    slab kept whole in the family memo and rebuilt at a larger order on
+    demand."""
+    return _grown((build, *args), order, build, *args)
+
+
+def _slab_row(n: int, table, *slab) -> Polynomial:
+    """Row n of the table of R_0 .. R_m of one parameter slab."""
+    return _slab(table, n, *slab)[n]
+
+
+def _numbers(order: int, number, *args) -> tuple:
+    """number(i, *args), i = 0..order, as numerators over one denominator."""
+    return _common([number(i, *args) for i in range(order + 1)])
+
+
+def _A_rows(order: int, r: int, k: int) -> tuple:
+    """(rows, columns, den): A_l^{(r,k)}, l = 0..order, over one
+    denominator, rows[l][i] = columns[i][l] the numerator of [x^i] A_l,
+    the columns zero-padded to length order + 1."""
+    polys = [mixed_A(l, r, k) for l in range(order + 1)]
+    den = lcm(*(a.den for a in polys))
+    rows = tuple([tuple([c * (den // a.den) for c in a.num]) for a in polys])
+    cols = tuple(zip(*(row + (0,) * (order + 1 - len(row)) for row in rows)))
+    return rows, cols, den
+
+
+def _A_values(order: int, r: int, k: int, c: int) -> tuple:
+    """A_l^{(r,k)}(c) at the integer c, l = 0..order, as numerators over
+    one denominator."""
+    rows, _, den = _slab(_A_rows, order, r, k)
+    powers = [c**i for i in range(order + 1)]
+    return tuple([sum(map(_times, row, powers)) for row in rows[: order + 1]]), den
+
+
+def _stirling_side(order: int, family, *args) -> tuple:
+    """(columns, widths, den) of P_j = sum over m of (-1)^m s(j, m)
+    family(m, *args), j = 0..order: columns[i][j] the numerator of
+    [x^i] P_j over the one denominator den, and widths[j] the longest
+    numerator among P_0 .. P_j."""
+    polys = [family(m, *args) for m in range(order + 1)]
+    den = lcm(*(p.den for p in polys))
+    # signed[i][m]: the numerator of (-1)^m [x^i] family(m)
+    signed = [
+        [(-1) ** m * p.num[i] * (den // p.den) if i < len(p.num) else 0
+         for m, p in enumerate(polys)]
         for i in range(max(len(p.num) for p in polys))
     ]
-    widths = list(itertools.accumulate((len(p.num) for p in polys), max))
+    s1 = stirling_triangle(1, order)
+    cols = tuple([
+        tuple([sum(map(_times, s1[j], row)) for j in range(order + 1)]) for row in signed
+    ])
+    return cols, tuple(itertools.accumulate((len(p.num) for p in polys), max)), den
+
+
+def _binomial_rows(order: int, values, vden: int, side) -> tuple:
+    """R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x) for n = 0..order, the
+    rows of one parameter slab, with v_l = values[l] / vden and P_j read
+    from side, a `_stirling_side`: each coefficient of a row is one
+    integer dot product, and each row is reduced once; entries past order
+    are ignored."""
+    cols, widths, pden = side
     rows = []
     for n in range(order + 1):
-        w = [comb(n, j) * a[n - j] for j in range(n + 1)]  # the weight of polys[j]
+        w = [comb(n, j) * values[n - j] for j in range(n + 1)]  # the weight of P_j
         rows.append(Polynomial._of(
             [sum(map(_times, w, col)) for col in cols[: widths[n]]], vden * pden
         ))
     return tuple(rows)
-
-
-def _slab_row(n: int, table, *slab) -> Polynomial:
-    """Row n of table(order, *slab), whose rows 0..order are kept whole in
-    the family memo and rebuilt at a larger order on demand."""
-    return _grown((table, *slab), n, table, *slab)[n]
-
-
-def _minus_x_falling(order: int) -> tuple:
-    """(-x)_j = (-1)^j <x>_j = sum over i of (-1)^i s(j, i) x^i, j = 0..order;
-    the polynomials of Theorems 2 and 8, kept once in the family memo."""
-    return tuple(
-        Polynomial._of([-c if i % 2 else c for i, c in enumerate(row)])
-        for row in stirling_triangle(1, order)[: order + 1]
-    )
 
 
 # -- identity evaluators ---------------------------------------------------
@@ -319,15 +351,13 @@ def _thm2_table(order, a_number, r, k) -> tuple:
 
     The sum over j of (-1)^j s(i, j) x^j is (-x)_i, so the right side is
     the sum over l of C(n, l) inner_l (-x)_{n-l}, with the innermost sum
-    inner_t = sum over a of C(t, a) a_number(a, r) C_{t-a}^{(k)}."""
-    inner = [
-        _dot(
-            [comb(t, a) * a_number(a, r) for a in range(t + 1)],
-            [_pc_number(t - a, k) for a in range(t + 1)],
-        )
-        for t in range(order + 1)
-    ]
-    return _binomial_rows(order, inner, _grown((_minus_x_falling,), order, _minus_x_falling))
+    inner_t = sum over a of C(t, a) a_number(a, r) C_{t-a}^{(k)}, an
+    integer convolution of the a-numbers with the poly-Cauchy numbers."""
+    an, aden = _slab(_numbers, order, a_number, r)
+    pc, pden = _slab(_numbers, order, _pc_number, k)
+    inner = [sum([comb(t, a) * an[a] * pc[t - a] for a in range(t + 1)]) for t in range(order + 1)]
+    side = _slab(_stirling_side, order, Polynomial.monomial)  # (-x)_j
+    return _binomial_rows(order, inner, aden * pden, side)
 
 
 def _thm2_core(p, a_number):
@@ -335,12 +365,14 @@ def _thm2_core(p, a_number):
     return [(mixed_A(n, r, k), _slab_row(n, _thm2_table, a_number, r, k))]
 
 
-@lru_cache(maxsize=None)
+def _pc_number(n, k) -> Fraction:
+    return poly_cauchy(n, k).evaluate(0)
+
+
 def _bernoulli_a(a, r) -> Fraction:
     return bernoulli_poly(a, a - r + 1).evaluate(1)
 
 
-@lru_cache(maxsize=None)
 def _narumi_a(a, r) -> Fraction:
     return narumi(a, -r).evaluate(0)
 
@@ -369,7 +401,6 @@ def _b2_number(i) -> Fraction:
     return bernoulli2(i).evaluate(0)
 
 
-@lru_cache(maxsize=None)
 def _composition_a(a, r) -> Fraction:
     """The sum over compositions a_1 + ... + a_r = a of the multinomial
     a! / (a_1! ... a_r!) times b_{a_1} ... b_{a_r}, b_i the Bernoulli
@@ -392,14 +423,13 @@ def _eq34(p):
 
 def _eq35(p):
     n, r, k = p["n"], p["r"], p["k"]
-    a = [mixed_A(j, r, k) for j in range(n + 1)]
+    _, cols, den = _slab(_A_rows, n, r, k)
+    a_n = mixed_A(n, r, k)
     pairs = []
     for y in range(-2, n - 1):
-        rhs = Polynomial.linear_combination(
-            ((-1) ** (n - j) * comb(n, j) * _rising_at(n - j, y), a[j])
-            for j in range(n + 1)
-        )
-        pairs.append((poly_shift(a[n], y), rhs))
+        w = [(-1) ** (n - j) * comb(n, j) * _rising_at(n - j, y) for j in range(n + 1)]
+        rhs = Polynomial._of([sum(map(_times, w, col)) for col in cols[: n + 1]], den)
+        pairs.append((poly_shift(a_n, y), rhs))
     return pairs
 
 
@@ -491,52 +521,50 @@ def _thm4_variant(p):
 
 
 @lru_cache(maxsize=None)
-def _thm5_weights(n, m) -> list:
-    """Theorem 5's weight of r A_a^{(r+1,k)}(1) in its double sum,
-    a = 0..n-m-1; independent of r and k."""
+def _thm5_weights(n, m) -> tuple:
+    """Theorem 5's integer weights, independent of r and k: of
+    A_l^{(r,k)}(0) on the left side; of r A_a^{(r+1,k)}(1) in the double
+    sum (a = 0..n-m-1), as numerators over the denominator that follows
+    them; of r A_l^{(r,k)}(1) in the second sum; and of A_l^{(r,k)}(1) in
+    the last one."""
     s1 = stirling_triangle(1, n)
-    out = []
-    for a in range(n - m):
-        ls = range(a, n - m)
-        out.append(_dot(
+    double = _common([
+        _dot(
             [
                 (-1) ** (l - a + 1) * factorial(l - a) * comb(n - 1, l) * comb(l, a)
                 * s1[n - 1 - l][m]
-                for l in ls
+                for l in range(a, n - m)
             ],
-            [Fraction(1, l - a + 2) for l in ls],
-        ))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _thm5_common(n, m, r, k) -> tuple:
-    """What Theorem 5's printed reading and its variant share: the left
-    side, the first two sums of the right side, the weights of the last
-    sum, and the last sum over A_l^{(r,k)}(1)."""
-    s1 = stirling_triangle(1, n)
-    lhs = _dot(
+            [Fraction(1, l - a + 2) for l in range(a, n - m)],
+        )
+        for a in range(n - m)
+    ])
+    return (
         [comb(n, l) * s1[n - l][m] for l in range(n - m + 1)],
-        [_A_at(l, r, k, 0) for l in range(n - m + 1)],
+        *double,
+        [comb(n - 1, l) * s1[n - l - 1][m] for l in range(n - m)],
+        [comb(n - 1, l) * s1[n - l - 1][m - 1] for l in range(n - m + 1)],
     )
-    at_one = [_A_at(l, r, k, 1) for l in range(n - m + 1)]
-    rhs = r * _dot(_thm5_weights(n, m), [_A_at(a, r + 1, k, 1) for a in range(n - m)])
-    rhs += r * _dot([comb(n - 1, l) * s1[n - l - 1][m] for l in range(n - m)], at_one[:-1])
-    last = [comb(n - 1, l) * s1[n - l - 1][m - 1] for l in range(n - m + 1)]
-    return lhs, rhs, last, _dot(last, at_one)
 
 
 def _thm5_core(p, printed: bool):
     n, m, r, k = p["n"], p["m"], p["r"], p["k"]
-    lhs, rhs, last, last_at_one = _thm5_common(n, m, r, k)
+    left, double, dden, second, last = _thm5_weights(n, m)
+    zero, zden = _slab(_A_values, n, r, k, 0)
+    one, oden = _slab(_A_values, n, r, k, 1)
+    raised, rden = _slab(_A_values, n, r + 1, k, 1)
+    rhs = Fraction(r * sum(map(_times, double, raised)), dden * rden)
+    inner = r * sum(map(_times, second, one))
+    last_at_one = sum(map(_times, last, one))
     # the last sum splits 1/m + (1 - 1/m); only the variant lowers k in
     # its first part
     if printed:
-        rhs += last_at_one
+        rhs += Fraction(inner + last_at_one, oden)
     else:
-        lowered = [_A_at(l, r, k - 1, 1) for l in range(n - m + 1)]
-        part = Fraction(1, m)
-        rhs += part * _dot(last, lowered) + (1 - part) * last_at_one
+        lowered, lden = _slab(_A_values, n, r, k - 1, 1)
+        rhs += Fraction(m * inner + (m - 1) * last_at_one, m * oden)
+        rhs += Fraction(sum(map(_times, last, lowered)), m * lden)
+    lhs = Fraction(sum(map(_times, left, zero)), zden)
     return [(Polynomial.constant(lhs), Polynomial.constant(rhs))]
 
 
@@ -558,41 +586,17 @@ def _eq52(p):
     return [(lhs, rhs)]
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_stirling(j: int, s: int) -> Polynomial:
-    """P_j(x) = sum over m of (-1)^m s(j, m) B_m^{(s)}(x), the part of
-    Theorem 6's right side that depends on neither n nor r nor k."""
-    s1 = stirling_triangle(1, j)[j]
-    return Polynomial.linear_combination(
-        ((-1) ** m * s1[m], bernoulli_poly(m, s)) for m in range(j + 1)
-    )
-
-
 def _thm6_table(order, r, k, s) -> tuple:
     """Theorem 6's right sides for one (r, k, s), n = 0..order: the sum
-    over l of C(n, l) A_l^{(r+s,k)}(s) P_{n-l}(x), the Stirling transform
-    over m folded into P_j."""
-    return _binomial_rows(
-        order,
-        [_A_at(l, r + s, k, s) for l in range(order + 1)],
-        [_bernoulli_stirling(j, s) for j in range(order + 1)],
-    )
+    over l of C(n, l) A_l^{(r+s,k)}(s) P_{n-l}(x), with P_j the sum over m
+    of (-1)^m s(j, m) B_m^{(s)}(x)."""
+    values, vden = _slab(_A_values, order, r + s, k, s)
+    return _binomial_rows(order, values, vden, _slab(_stirling_side, order, bernoulli_poly, s))
 
 
 def _thm6(p):
     n, r, k, s = p["n"], p["r"], p["k"], p["s"]
     return [(mixed_A(n, r, k), _slab_row(n, _thm6_table, r, k, s))]
-
-
-@lru_cache(maxsize=None)
-def _frobenius_stirling(j: int, s: int, p: int, q: int) -> Polynomial:
-    """Q_j(x) = sum over m of (-1)^m s(j, m) H_m^{(s)}(x|p/q), the part of
-    Theorem 7's right side that depends on neither n nor r nor k."""
-    s1 = stirling_triangle(1, j)[j]
-    lam = Fraction(p, q)
-    return Polynomial.linear_combination(
-        ((-1) ** m * s1[m], frobenius_euler(m, s, lam)) for m in range(j + 1)
-    )
 
 
 def _thm7_moments(order, s, p, q) -> tuple:
@@ -606,23 +610,19 @@ def _thm7_moments(order, s, p, q) -> tuple:
 
 def _thm7_table(order, r, k, s, p, q) -> tuple:
     """Theorem 7's right sides for one (r, k, s, lam = p/q), n = 0..order:
-    the sum over l of C(n, l) inner_l Q_{n-l}(x), the Stirling transform
-    over m folded into Q_j.
+    the sum over l of C(n, l) inner_l Q_{n-l}(x), with Q_j the sum over m
+    of (-1)^m s(j, m) H_m^{(s)}(x|lam).
 
     inner_l = (1 - lam)^(-s) sum over a of (-lam)^a C(s, a) A_l^{(r,k)}(s-a)
-    is one integer dot product of A_l's numerators with the moments M_i,
-    over A_l's denominator times (q - p)^s, since (1 - lam)^(-s) =
+    is one integer dot product of row l of A's numerators with the moments
+    M_i, over A's denominator times (q - p)^s, since (1 - lam)^(-s) =
     q^s / (q - p)^s.  The keys hold lam as the ints p and q, since hashing
     a Fraction costs ten times as much."""
-    moments = _grown((_thm7_moments, s, p, q), order, _thm7_moments, s, p, q)
-    scale = (q - p) ** s
-    inner = []
-    for l in range(order + 1):
-        a_l = mixed_A(l, r, k)
-        inner.append(Fraction(sum(map(_times, a_l.num, moments)), a_l.den * scale))
-    return _binomial_rows(
-        order, inner, [_frobenius_stirling(j, s, p, q) for j in range(order + 1)]
-    )
+    moments = _slab(_thm7_moments, order, s, p, q)
+    rows, _, den = _slab(_A_rows, order, r, k)
+    inner = [sum(map(_times, row, moments)) for row in rows[: order + 1]]
+    side = _slab(_stirling_side, order, frobenius_euler, s, Fraction(p, q))
+    return _binomial_rows(order, inner, den * (q - p) ** s, side)
 
 
 def _thm7(p):
@@ -634,11 +634,8 @@ def _thm7(p):
 def _thm8_table(order, r, k) -> tuple:
     """Theorem 8's right sides for one (r, k), n = 0..order: the sum over l
     of C(n, l) A_l^{(r,k)}(0) (-x)_{n-l}."""
-    return _binomial_rows(
-        order,
-        [_A_at(l, r, k, 0) for l in range(order + 1)],
-        _grown((_minus_x_falling,), order, _minus_x_falling),
-    )
+    values, vden = _slab(_A_values, order, r, k, 0)
+    return _binomial_rows(order, values, vden, _slab(_stirling_side, order, Polynomial.monomial))
 
 
 def _thm8(p):
@@ -659,7 +656,7 @@ def _sheffer_pair_eq17(p):
 
 def _assoc_eq25(p):
     n = p["n"]
-    order = _mixed_sheffer_order(n)
+    order = max(n + 2, 10)
     lhs = transfer(Series.t(order), backward_delta(order), n)
     return [(lhs, (-1) ** n * _rising(n))]
 
@@ -1048,14 +1045,17 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
         [dict(zip(axes, combo)) for combo in itertools.product(*value_lists)],
         [dict(zip(axes, combo)) for combo in itertools.product(*shown_lists)],
     ))
+    # largest n first, so that each slab is built once, at its largest order
+    order = sorted(range(len(points)), key=lambda i: points[i][0]["n"], reverse=True)
     start = time.monotonic()
     if jobs > 1:
         # the executor's own default ceiling, and no more threads than points
         workers = min(jobs, len(points), 32, (os.cpu_count() or 1) + 4)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda pt: _point_entry(definition, *pt), points))
+            entries = list(pool.map(lambda i: _point_entry(definition, *points[i]), order))
     else:
-        results = [_point_entry(definition, *pt) for pt in points]
+        entries = [_point_entry(definition, *points[i]) for i in order]
+    results = [entry for _, entry in sorted(zip(order, entries))]
     report = VerificationReport(identity=identity, grid=grid, results=results)
     report.elapsed = time.monotonic() - start
     return report

@@ -5,6 +5,7 @@ import pytest
 
 from polycauchy.algebra import Polynomial
 from polycauchy.families import mixed_A
+from polycauchy import families
 from polycauchy import identities as idn
 from polycauchy.identities import GridSpec, verify, verify_variants
 
@@ -244,7 +245,7 @@ def test_default_grids_match_declared_ranges():
 
 def _clear_caches():
     """Empty the family memo and every lru_cache in identities and umbral."""
-    from polycauchy import families, umbral
+    from polycauchy import umbral
 
     families._memo.clear()
     for module in (idn, umbral):
@@ -259,26 +260,79 @@ MEMO_GRIDS = {
         s_values=(1, 2), lambdas=(F(-1), F(1, 3)),
     ),
     "EQ34": GridSpec(n_values=(0, 1, 2, 3, 4, 5), r_values=(0, 2), k_values=(-2, 1)),
+    "THM5": GridSpec(
+        n_values=(2, 3, 4, 5, 6), m_values=(1, 2, 4), r_values=(-1, 2), k_values=(-1, 2),
+    ),
 }
+MEMO_GRIDS["THM5_VARIANT"] = MEMO_GRIDS["THM5"]
 WARM_GRIDS = {
     "THM7": GridSpec(
         n_values=(2, 5), r_values=(1, 3), k_values=(2,), s_values=(2, 3),
         lambdas=(F(1, 3), F(2)),
     ),
     "EQ34": GridSpec(n_values=(3, 7), r_values=(1, 2), k_values=(1, 3)),
+    "THM5": GridSpec(n_values=(4, 9), m_values=(2, 3), r_values=(0, 2, 3), k_values=(2, 0)),
 }
+WARM_GRIDS["THM5_VARIANT"] = WARM_GRIDS["THM5"]
 
 
 @pytest.mark.parametrize("identity", sorted(MEMO_GRIDS))
 def test_reports_do_not_depend_on_memo_state(identity):
     grid = MEMO_GRIDS[identity]
     _clear_caches()
-    assert idn._A_at.cache_info().currsize == 0
+    assert not families._memo
+    caches = [v for v in vars(idn).values() if hasattr(v, "cache_info")]
+    assert caches and all(c.cache_info().currsize == 0 for c in caches)
     cold = verify(identity, grid).to_json()
-    assert json.loads(cold)["totals"]["pass"] > 0
+    # the printed readings fail by design
+    assert json.loads(cold)["totals"]["fail" if identity in idn.VARIANTS else "pass"] > 0
     _clear_caches()
     verify(identity, WARM_GRIDS[identity])
     warmed = verify(identity, grid).to_json()
     _clear_caches()
     threaded = verify(identity, grid, jobs=4).to_json()
     assert cold == warmed == threaded
+
+
+def vars_of(grid):
+    return {name: getattr(grid, name) for name in grid.__slots__}
+
+
+def test_cold_verify_builds_each_slab_table_once(monkeypatch):
+    # n past the tables' first order (8): evaluated in grid order, every
+    # table would be built at 8 and again at 16
+    grid = GridSpec(
+        n_values=tuple(range(13)), r_values=(0, 1), k_values=(-1, 0), s_values=(1, 2),
+        lambdas=(F(-1), F(1, 3)),
+    )
+    table, builds = idn._thm7_table, []
+
+    def counted(order, *slab):
+        builds.append(slab)
+        return table(order, *slab)
+
+    monkeypatch.setattr(idn, "_thm7_table", counted)
+    _clear_caches()
+    cold = verify("THM7", grid)
+    assert len(builds) == len(set(builds)) == 2 * 2 * 2 * 2
+    # n is the slowest axis, so the grid-order report is the one-n reports
+    # one after another
+    by_n = [
+        entry
+        for n in grid.n_values
+        for entry in verify("THM7", GridSpec(**{**vars_of(grid), "n_values": (n,)})).results
+    ]
+    assert cold.results == by_n and cold.totals["pass"] == len(by_n)
+    _clear_caches()
+    assert verify("THM7", grid, jobs=4).to_json() == cold.to_json()
+
+
+def test_cold_eq17_past_the_first_pair_order():
+    from polycauchy import umbral
+
+    _clear_caches()
+    grid = idn.default_grid("SHEFFER_PAIR_EQ17")
+    rep = verify("SHEFFER_PAIR_EQ17", GridSpec(**{**vars_of(grid), "n_values": tuple(range(17))}))
+    assert rep.totals["fail"] == 0 and rep.totals["pass"] == 17 * 4 * 4
+    # pair orders 10 (n <= 8) and 20 (n 9..16)
+    assert umbral._delta_data.cache_info().misses <= 2

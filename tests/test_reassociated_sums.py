@@ -175,6 +175,36 @@ def test_thm5_matches_the_termwise_formula(identity, printed):
     assert checked == 28 * len(RS) * len(KS)
 
 
+@pytest.mark.parametrize("identity, printed", [("THM5", True), ("THM5_VARIANT", False)])
+def test_thm5_slab_values_past_the_first_order(identity, printed):
+    # a cold memo, so that the value vectors are built at order 8 and
+    # regrown for n past it
+    families._memo.clear()
+    evaluator = idn._DEFS[identity].pairs
+    for n, r, k in product(SLAB_NS, RS, KS):
+        for m in range(1, n):
+            p = {"n": n, "m": m, "r": r, "k": k}
+            assert evaluator(p) == thm5_reference(n, m, r, k, printed), (identity, p)
+
+
+def test_slab_vectors_match_the_family_rows():
+    families._memo.clear()
+    for r, k in product(RS, KS):
+        rows, cols, den = idn._slab(idn._A_rows, 12, r, k)
+        assert type(rows) is tuple and type(cols) is tuple
+        for l in SLAB_NS:
+            assert type(rows[l]) is tuple and type(cols[l]) is tuple
+            assert Polynomial([F(c, den) for c in rows[l]]) == mixed_A(l, r, k), (l, r, k)
+            assert [col[l] for col in cols[: l + 1]] == list(rows[l])
+            assert not any(col[l] for col in cols[l + 1:])
+        for c in (0, 1, 3):
+            values, vden = idn._slab(idn._A_values, 12, r, k, c)
+            assert type(values) is tuple
+            assert [F(v, vden) for v in values[:13]] == [
+                mixed_A(l, r, k).evaluate(c) for l in SLAB_NS
+            ], (r, k, c)
+
+
 # -- Theorems 6, 7 and 8 ----------------------------------------------------
 
 
