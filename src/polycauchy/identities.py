@@ -8,12 +8,11 @@ constructors.  A point passes iff every pair matches exactly.
 
 Sub-results that depend on fewer coordinates than a grid point are
 computed once per process and shared by every point, grid and identity
-that needs them.  Those that depend on n alone, or on n and m, are
-memoized with ``functools.lru_cache``: the shifts A_n^{(r,k)}(x+1), the
-weights of Theorems 3, 4 and 5, and the rising-factorial values and
-polynomials.  Theorem 1 is a sum of n+1 polynomials memoized per order:
-s(n, m) times the rows R_m(x) (`_thm1_row`), its sums over j and l folded
-into R_m per (m, r, k).
+that needs them.  Those that depend on n alone, or on n and one more
+integer, are memoized with ``functools.lru_cache``: the weights of
+Theorems 3, 4 and 5 and of (35) and (52), the binomial shift matrices
+C(j, i) y^(j-i) per (n, y), Theorem 3's reflected Bernoulli polynomials
+and the rising factorials.
 
 Most right sides are fixed integer-weighted transforms of a few sequences
 that depend on a parameter slab but not on n.  Each such sequence is kept
@@ -32,24 +31,32 @@ order when a larger n asks for it):
   (Theorems 2 and 8), of the Bernoulli polynomials per s (Theorem 6) and
   of the Frobenius-Euler polynomials per (s, lambda) (Theorem 7).
 
-The right sides that read them are integer dot products, with one
-`Fraction` or one `Polynomial._of` per result; the polynomial right sides
-of Theorems 1, 3 and 4 and of (52) are each one
-`Polynomial.linear_combination`.  Theorems 2 (with (32) and (34)), 6, 7
-and 8 expand A_n^{(r,k)}(x) by the Sheffer binomial identity: each right
-side is R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x), so each evaluator
-reads row n of a table of R_0 .. R_N built once per parameter slab
-(`_binomial_rows`, `_slab_row`): (r, k) for Theorems 2 and 8, (r, k, s)
-for Theorem 6 and (r, k, s, lambda) for Theorem 7.  Theorem 7's value
-v_l, the sum over a of (-lam)^a C(s, a) A_l(s-a) times (1 - lam)^(-s), is
-one integer dot product of row l of A with a moment vector kept per
-(s, lam) (`_thm7_moments`); every key of Theorem 7 holds lam = p/q as
-the two ints p and q.  `verify` evaluates a grid's points largest n
-first, so that each slab is built once, at its largest order.
+The right sides that read them are integer dot products with one
+`Polynomial._of` per side.  A shift A_n(x + y) is row n's dot product
+with the columns of a shift matrix (`_shifted`), so (35) and (52) build
+both sides from A's rows and columns over their one denominator, and
+Theorem 4 sums its right side as integers over the rows of the slabs
+(r, k), (r+1, k) and (r+1, k-1); Theorem 3 adds its shifted row to the
+reflected Bernoulli polynomials in one `Polynomial.linear_combination`.
+Theorem 1's right side is the sum over m of s(n, m) R_m(x), each R_m a
+row of integers over one denominator.  Theorems 2 (with (32) and (34)),
+6, 7 and 8 expand A_n^{(r,k)}(x) by the Sheffer binomial identity: each
+right side is R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x).  So each of
+these evaluators, and Theorem 1's, reads row n of a table of right sides
+for n = 0..N built once per parameter slab (`_slab_row`; `_binomial_rows`
+for the Sheffer sums): (r, k) for Theorems 1, 2 and 8, (r, k, s) for
+Theorem 6 and (r, k, s, lambda) for Theorem 7.  Theorem 7's value v_l,
+the sum over a of (-lam)^a C(s, a) A_l(s-a) times (1 - lam)^(-s), is one
+integer dot product of row l of A with a moment vector kept per (s, lam)
+(`_thm7_moments`); every key of Theorem 7 holds lam = p/q as the two ints
+p and q.  `verify` evaluates a grid's points largest n first, so that each
+slab is built once, at its largest order.
 
 `report_text` writes a report as ``json.dumps(payload, indent=2)`` does,
 byte for byte, but renders the pass, fail and skipped entries from cached
-%-templates instead of through the stdlib's pure-Python encoder.
+%-templates instead of through the stdlib's pure-Python encoder: one
+template lookup per run of same-shape entries, and each string slot
+encoded once per document.
 
 Theorems 4 and 5 are printed in the source with internal inconsistencies
 against their own derivations; both the printed reading and the
@@ -66,9 +73,8 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import mul as _times
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import Polynomial, poly_shift, rising_factorial
 from .families import (
@@ -80,6 +86,7 @@ from .families import (
     poly_cauchy,
     stirling_triangle,
     _grown,
+    _lif_weights,
 )
 from .series import Series
 from .umbral import backward_delta, mixed_pair, sheffer_by_gf, transfer
@@ -95,8 +102,6 @@ _R_EXT = (-2, -1, 0, 1, 2, 3)
 _K_STD = (-2, -1, 0, 1, 2, 3)
 _S_STD = (0, 1, 2, 3)
 _LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
-
-_X = Polynomial.x()
 
 
 class _Record:
@@ -178,26 +183,23 @@ class GridSpec(_FrozenRecord):
 
 
 @lru_cache(maxsize=None)
-def _A_shift(n, r, k) -> Polynomial:
-    """A_n^{(r,k)}(x + 1)."""
-    return poly_shift(mixed_A(n, r, k), 1)
-
-
-@lru_cache(maxsize=None)
-def _pow_int(base: int, k: int) -> Fraction:
-    # base**k with k possibly negative
-    return Fraction(base) ** k
-
-
-@lru_cache(maxsize=None)
 def _rising(n: int) -> Polynomial:
     return rising_factorial(n)
 
 
 @lru_cache(maxsize=None)
-def _rising_at(n: int, y: int) -> int:
-    """x(x+1)...(x+n-1) at the integer y."""
-    return int(_rising(n).evaluate(y))
+def _shift_matrix(n: int, y: int) -> tuple:
+    """Columns i = 0..n of C(j, i) y^(j-i), j = 0..n (0 for j < i): [x^i]
+    p(x + y) is column i's dot product with the coefficients of p."""
+    return tuple(
+        tuple([comb(j, i) * y ** (j - i) if j >= i else 0 for j in range(n + 1)])
+        for i in range(n + 1)
+    )
+
+
+def _shifted(row, y: int) -> list:
+    """The numerators of p(x + y) for the numerators `row` of p."""
+    return [sum(map(_times, row, col)) for col in _shift_matrix(len(row) - 1, y)]
 
 
 @lru_cache(maxsize=None)
@@ -292,6 +294,15 @@ def _stirling_side(order: int, family, *args) -> tuple:
     return cols, tuple(itertools.accumulate((len(p.num) for p in polys), max)), den
 
 
+def _pair(lhs: list, rhs: list, den: int) -> tuple:
+    """The pair of polynomials lhs / den and rhs / den, for numerator rows
+    over one denominator: equal rows are equal polynomials, so they are
+    reduced once, into one value."""
+    same = lhs == rhs
+    p = Polynomial._of(lhs, den)
+    return p, p if same else Polynomial._of(rhs, den)
+
+
 def _binomial_rows(order: int, values, vden: int, side) -> tuple:
     """R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x) for n = 0..order, the
     rows of one parameter slab, with v_l = values[l] / vden and P_j read
@@ -313,36 +324,37 @@ def _binomial_rows(order: int, values, vden: int, side) -> tuple:
 # Each returns a list of (lhs, rhs) Polynomial pairs for one grid point.
 
 
-@lru_cache(maxsize=None)
-def _thm1_row(m, r, k) -> Polynomial:
-    """R_m(x) = sum over j of (-1)^j c_j x^j, the part of Theorem 1's right
-    side that is the same for every n >= m, with c_j the sum over l
-    sum C(m,l) C(m-l,j) (l+1)^(-k) S(m-l-j+r, r) / C(m-l-j+r, r).
-
-    The factors (l+1)^(-k) and S(q+r, r) / C(q+r, r), q = m-l-j, are put
-    over one denominator each, so that every c_j is an integer sum."""
-    powers = [_pow_int(l + 1, -k) for l in range(m + 1)]
-    pden = lcm(*(v.denominator for v in powers))
-    a = [v.numerator * (pden // v.denominator) for v in powers]
-    s2 = stirling_triangle(2, m + r)
-    combs = [comb(q + r, r) for q in range(m + 1)]
+def _thm1_table(order, r, k) -> tuple:
+    """Theorem 1's right sides for one (r, k), n = 0..order: the sum over m
+    of s(n, m) R_m(x), R_m(x) = sum over j of (-1)^j c_j x^j, with c_j the
+    sum over l of C(m,l) C(m-l,j) (l+1)^(-k) S(q+r, r) / C(q+r, r),
+    q = m-l-j.  (l+1)^(-k) is w_l / d with the weights of `_lif_weights`
+    and S(q+r, r) / C(q+r, r) is b_q / lcm C(q+r, r), so every R_m and
+    every right side is a row of integers over one denominator."""
+    w, d = _lif_weights(order, k)
+    s2 = stirling_triangle(2, order + r)
+    combs = [comb(q + r, r) for q in range(order + 1)]
     qden = lcm(*combs)
     b = [s2[q + r][r] * (qden // c) for q, c in enumerate(combs)]
-    coeffs = [
-        (-1) ** j * sum(
-            comb(m, l) * comb(m - l, j) * a[l] * b[m - l - j] for l in range(m - j + 1)
-        )
-        for j in range(m + 1)
+    R = [
+        [(-1) ** j * sum([
+            comb(m, l) * comb(m - l, j) * w[l] * b[m - l - j] for l in range(m - j + 1)
+        ]) for j in range(m + 1)]
+        for m in range(order + 1)
     ]
-    return Polynomial(coeffs) / (pden * qden)
+    s1 = stirling_triangle(1, order)
+    return tuple([
+        Polynomial._of(
+            [sum([s1[n][m] * R[m][j] for m in range(j, n + 1)]) for j in range(n + 1)],
+            d * qden,
+        )
+        for n in range(order + 1)
+    ])
 
 
 def _thm1(p):
-    # sum over m of s(n, m) R_m(x), the sums over j and l folded into R_m
     n, r, k = p["n"], p["r"], p["k"]
-    s1 = stirling_triangle(1, n)[n]
-    rhs = Polynomial.linear_combination((s1[m], _thm1_row(m, r, k)) for m in range(n + 1))
-    return [(mixed_A(n, r, k), rhs)]
+    return [(mixed_A(n, r, k), _slab_row(n, _thm1_table, r, k))]
 
 
 def _thm2_table(order, a_number, r, k) -> tuple:
@@ -421,15 +433,22 @@ def _eq34(p):
     return _thm2_core(p, _composition_a)
 
 
+@lru_cache(maxsize=None)
+def _eq35_weights(n, y) -> tuple:
+    """The weights (-1)^(n-j) C(n, j) y(y+1)...(y+n-j-1) of A_j in (35),
+    j = 0..n."""
+    return tuple([(-1) ** (n - j) * comb(n, j) * prod(range(y, y + n - j)) for j in range(n + 1)])
+
+
 def _eq35(p):
     n, r, k = p["n"], p["r"], p["k"]
-    _, cols, den = _slab(_A_rows, n, r, k)
-    a_n = mixed_A(n, r, k)
+    rows, cols, den = _slab(_A_rows, n, r, k)
     pairs = []
     for y in range(-2, n - 1):
-        w = [(-1) ** (n - j) * comb(n, j) * _rising_at(n - j, y) for j in range(n + 1)]
-        rhs = Polynomial._of([sum(map(_times, w, col)) for col in cols[: n + 1]], den)
-        pairs.append((poly_shift(a_n, y), rhs))
+        w = _eq35_weights(n, y)
+        pairs.append(_pair(
+            _shifted(rows[n], y), [sum(map(_times, w, col)) for col in cols[: n + 1]], den
+        ))
     return pairs
 
 
@@ -444,31 +463,38 @@ def _eq36(p):
 @lru_cache(maxsize=None)
 def _thm3_weights(n, k) -> tuple:
     """Theorem 3's weights, j = 0..n, of B_j^{(1-r)}(-x) in the middle sum
-    and of B_j^{(-r)}(-x-1) in the last one; neither depends on r."""
+    and of B_j^{(-r)}(-x-1) in the last one, neither dependent on r, as
+    numerators over the denominator that follows them: (l+1)^(-k) is
+    w_l / d with the weights of `_lif_weights`, and 1/((a+2)(a+1)) is e_a
+    over their lcm."""
     s1 = stirling_triangle(1, n)[n]
-    mid, last = [], []
-    for j in range(n + 1):
-        # the middle sum's terms with m - l - a = j
-        terms = [(m, l, m - l - j) for m in range(j, n + 1) for l in range(m - j + 1)]
-        mid.append(_dot(
-            [(-1) ** a * comb(m, l) * comb(m - l, a) * s1[m] for m, l, a in terms],
-            [_pow_int(l + 1, -k) / ((a + 2) * (a + 1)) for m, l, a in terms],
-        ))
-        ms = range(j, n + 1)
-        last.append(_dot(
-            [comb(m, m - j) * s1[m] for m in ms],
-            [_pow_int(m - j + 2, -k) for m in ms],
-        ))
-    return mid, last
+    w, d = _lif_weights(n + 1, k)
+    eden = lcm(*((a + 2) * (a + 1) for a in range(n + 1)))
+    e = [eden // ((a + 2) * (a + 1)) for a in range(n + 1)]
+    # the middle sum's terms with m - l - a = j, and C(m-l, a) = C(m-l, j)
+    mid = [
+        sum([
+            (-1) ** (m - l - j) * comb(m, l) * comb(m - l, j) * s1[m] * w[l] * e[m - l - j]
+            for m in range(j, n + 1) for l in range(m - j + 1)
+        ])
+        for j in range(n + 1)
+    ]
+    last = [
+        eden * sum([comb(m, j) * s1[m] * w[m - j + 1] for m in range(j, n + 1)])
+        for j in range(n + 1)
+    ]
+    return mid, last, d * eden
 
 
 def _thm3(p):
     n, r, k = p["n"], p["r"], p["k"]
-    mid, last = _thm3_weights(n, k)
+    mid, last, wden = _thm3_weights(n, k)
+    rows, _, den = _slab(_A_rows, n, r, k)
     rhs = Polynomial.linear_combination(
-        [(-1, _X * _A_shift(n, r, k))]
+        [(-wden, Polynomial._of([0] + _shifted(rows[n], 1), den))]  # x A_n(x+1)
         + [(r * w, _bernoulli_reflected(j, 1 - r, 0)) for j, w in enumerate(mid)]
-        + [(w, _bernoulli_reflected(j, -r, -1)) for j, w in enumerate(last)]
+        + [(w, _bernoulli_reflected(j, -r, -1)) for j, w in enumerate(last)],
+        wden,
     )
     return [(mixed_A(n + 1, r, k), rhs)]
 
@@ -476,40 +502,48 @@ def _thm3(p):
 @lru_cache(maxsize=None)
 def _thm4_weights(n) -> tuple:
     """Theorem 4's weights, independent of r and k: of A_a^{(r+1,k)} in
-    the double sum (a = 0..n-1), their total, and of A_l^{(r,k)} in the
-    single sum (l = 0..n-1)."""
-    dbl = []
-    for a in range(n):
-        ls = range(a, n)
-        dbl.append(_dot(
-            [
-                (-1) ** (n - a) * factorial(n - 1 - l) * factorial(l - a)
-                * comb(n - 1, l) * comb(l, a)
-                for l in ls
-            ],
-            [Fraction(1, l - a + 2) for l in ls],
-        ))
+    the double sum (a = 0..n-1), as numerators over the denominator that
+    follows them, lcm(2..n+1); and of A_l^{(r,k)} in the single sum
+    (l = 0..n-1)."""
+    dden = lcm(*range(2, n + 2))
+    dbl = [
+        sum([
+            (-1) ** (n - a) * factorial(n - 1 - l) * factorial(l - a)
+            * comb(n - 1, l) * comb(l, a) * (dden // (l - a + 2))
+            for l in range(a, n)
+        ])
+        for a in range(n)
+    ]
     single = [(-1) ** (n - l - 1) * factorial(n - l - 1) * comb(n - 1, l) for l in range(n)]
-    return dbl, _dot([1] * n, dbl), single
+    return dbl, dden, single
 
 
 def _thm4_core(p, printed: bool):
+    """-x A_{n-1}(x+1) + r (the double sum) + r (the single sum)
+    + (A_n^{(r+1,k-1)}(x+1) - A_n^{(r+1,k)}(x+1)) / n, summed as integers
+    over the rows of the slabs (r, k), (r+1, k) and (r+1, k-1); the
+    printed reading carries the double sum's total to A_n^{(r+1,k)}."""
     n, r, k = p["n"], p["r"], p["k"]
-    dbl, dbl_total, single = _thm4_weights(n)
+    dbl, dden, single = _thm4_weights(n)
+    rows, cols, den = _slab(_A_rows, n, r, k)
+    raised_rows, raised_cols, rden = _slab(_A_rows, n, r + 1, k)
+    lowered_rows, _, lden = _slab(_A_rows, n, r + 1, k - 1)
+    common = lcm(den, rden, lden)
+    f, g, h = common // den * n * dden, common // rden, common // lden
+    x_shifted = [0] + _shifted(rows[n - 1], 1)
+    raised, lowered = _shifted(raised_rows[n], 1), _shifted(lowered_rows[n], 1)
     if printed:
-        carried = [(r * dbl_total, mixed_A(n, r + 1, k))]
+        total = sum(dbl)
+        carried = [total * c for c in raised_rows[n]]
     else:
-        carried = [(r * w, mixed_A(a, r + 1, k)) for a, w in enumerate(dbl)]
-    rhs = Polynomial.linear_combination(
-        [(-1, _X * _A_shift(n - 1, r, k))]
-        + carried
-        + [(r * w, mixed_A(l, r, k)) for l, w in enumerate(single)]
-        + [
-            (Fraction(1, n), _A_shift(n, r + 1, k - 1)),
-            (Fraction(-1, n), _A_shift(n, r + 1, k)),
-        ]
-    )
-    return [(mixed_A(n, r, k), rhs)]
+        carried = [sum(map(_times, dbl, col)) for col in raised_cols[: n + 1]]
+    rhs = [
+        f * (r * sum(map(_times, single, cols[i])) - x_shifted[i])
+        + n * r * g * carried[i]
+        + dden * (h * lowered[i] - g * raised[i])
+        for i in range(n + 1)
+    ]
+    return [(mixed_A(n, r, k), Polynomial._of(rhs, n * dden * common))]
 
 
 def _thm4(p):
@@ -553,19 +587,25 @@ def _thm5_core(p, printed: bool):
     zero, zden = _slab(_A_values, n, r, k, 0)
     one, oden = _slab(_A_values, n, r, k, 1)
     raised, rden = _slab(_A_values, n, r + 1, k, 1)
-    rhs = Fraction(r * sum(map(_times, double, raised)), dden * rden)
+    # r (the double sum) over dden rden, then the sums over A^{(r,k)}(1)
+    # over oden
+    carried = r * sum(map(_times, double, raised))
     inner = r * sum(map(_times, second, one))
     last_at_one = sum(map(_times, last, one))
     # the last sum splits 1/m + (1 - 1/m); only the variant lowers k in
     # its first part
     if printed:
-        rhs += Fraction(inner + last_at_one, oden)
+        rhs = carried * oden + (inner + last_at_one) * dden * rden
+        den = dden * rden * oden
     else:
         lowered, lden = _slab(_A_values, n, r, k - 1, 1)
-        rhs += Fraction(m * inner + (m - 1) * last_at_one, m * oden)
-        rhs += Fraction(sum(map(_times, last, lowered)), m * lden)
-    lhs = Fraction(sum(map(_times, left, zero)), zden)
-    return [(Polynomial.constant(lhs), Polynomial.constant(rhs))]
+        rhs = (
+            (m * carried * oden + (m * inner + (m - 1) * last_at_one) * dden * rden) * lden
+            + sum(map(_times, last, lowered)) * dden * rden * oden
+        )
+        den = m * dden * rden * oden * lden
+    lhs = Polynomial._of([sum(map(_times, left, zero))], zden)
+    return [(lhs, Polynomial._of([rhs], den))]
 
 
 def _thm5(p):
@@ -576,14 +616,19 @@ def _thm5_variant(p):
     return _thm5_core(p, printed=False)
 
 
+@lru_cache(maxsize=None)
+def _eq52_weights(n) -> tuple:
+    """The weights (-1)^(n+l) n! / ((n-l) l!) = (-1)^(n+l) C(n, l) (n-l-1)!
+    of A_l in (52), l = 0..n-1, all integers."""
+    return tuple([(-1) ** (n + l) * comb(n, l) * factorial(n - l - 1) for l in range(n)])
+
+
 def _eq52(p):
     n, r, k = p["n"], p["r"], p["k"]
-    lhs = mixed_A(n, r, k).derivative()
-    rhs = Polynomial.linear_combination(
-        (Fraction((-1) ** (n + l) * factorial(n), (n - l) * factorial(l)), mixed_A(l, r, k))
-        for l in range(n)
-    )
-    return [(lhs, rhs)]
+    rows, cols, den = _slab(_A_rows, n, r, k)
+    w = _eq52_weights(n)
+    lhs = [i * c for i, c in enumerate(rows[n]) if i]
+    return [_pair(lhs, [sum(map(_times, w, col)) for col in cols[:n]], den)]
 
 
 def _thm6_table(order, r, k, s) -> tuple:
@@ -935,11 +980,9 @@ def _entry_template(depth: int, point_keys: tuple, keys: tuple):
 
 
 def _slot_text(value, depth: int):
-    """One template slot `depth` levels deep: an int as it is, a string or
-    a non-empty list of strings as json.dumps(indent=2) writes it; the
-    encoder raises TypeError on any other value."""
-    if type(value) is int:
-        return value
+    """A template slot `depth` levels deep that is neither an int nor a
+    string: a non-empty list of strings as json.dumps(indent=2) writes it;
+    the encoder raises TypeError on any other value."""
     if type(value) is list and value:
         nl = _newline(depth + 1)
         items = ("," + nl).join([encode_basestring_ascii(v) for v in value])
@@ -947,22 +990,48 @@ def _slot_text(value, depth: int):
     return encode_basestring_ascii(value)
 
 
+class _Encoded(dict):
+    """The JSON text of each string slot, encoded on first use."""
+
+    def __missing__(self, value):
+        text = self[value] = encode_basestring_ascii(value)
+        return text
+
+
+def _entries_text(entries, depth: int, encoded: _Encoded) -> list:
+    """The result entries `depth` levels deep, each from its template if
+    it has one: the template is looked up once per run of entries of one
+    shape, ints fill their slots as they are and each string is encoded
+    once per `encoded`."""
+    texts, shape, template = [], None, None
+    for entry in entries:
+        point = entry.get("point") if type(entry) is dict else None
+        if type(point) is dict:
+            # tuples, not keys() views: views compare as sets, and a
+            # template fixes the order of the keys
+            keys = tuple(point), tuple(entry)
+            if keys != shape:
+                shape, template = keys, _entry_template(depth, *keys)
+            if template is not None:
+                try:
+                    # a slot takes an int, a string or a list of strings:
+                    # any other value raises and falls back to json.dumps
+                    texts.append(template % tuple(
+                        [v if type(v) is int else encoded[v] if type(v) is str
+                         else _slot_text(v, depth + 2) for v in point.values()]
+                        + [v if type(v) is int else encoded[v] if type(v) is str
+                           else _slot_text(v, depth + 1) for v in list(entry.values())[1:]]
+                    ))
+                    continue
+                except TypeError:
+                    pass
+        texts.append(_dumps_at(entry, depth))
+    return texts
+
+
 def _entry_text(entry, depth: int) -> str:
     """One result entry `depth` levels deep, from its template if it has one."""
-    point = entry.get("point") if type(entry) is dict else None
-    if type(point) is dict:
-        template = _entry_template(depth, tuple(point), tuple(entry))
-        if template is not None:
-            try:
-                # a slot takes an int, a string or a list of strings: any
-                # other value raises and falls back to json.dumps
-                return template % tuple(
-                    [_slot_text(v, depth + 2) for v in point.values()]
-                    + [_slot_text(v, depth + 1) for v in list(entry.values())[1:]]
-                )
-            except TypeError:
-                pass
-    return _dumps_at(entry, depth)
+    return _entries_text([entry], depth, _Encoded())[0]
 
 
 def _document_text(doc, depth: int) -> str:
@@ -976,9 +1045,7 @@ def _document_text(doc, depth: int) -> str:
         if key == "results":
             text = (
                 "[" + _newline(depth + 2)
-                + ("," + _newline(depth + 2)).join(
-                    [_entry_text(entry, depth + 2) for entry in value]
-                )
+                + ("," + _newline(depth + 2)).join(_entries_text(value, depth + 2, _Encoded()))
                 + nl + "]"
             )
         else:
@@ -1016,6 +1083,14 @@ def _point_entry(definition: IdentityDef, point: dict, shown: dict) -> dict:
     return {"point": shown, "verdict": "pass"}
 
 
+def ThreadPoolExecutor(max_workers: int):
+    """concurrent.futures.ThreadPoolExecutor, imported on first use, so
+    that a request without --jobs > 1 never loads the pool."""
+    from concurrent.futures import ThreadPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> VerificationReport:
     """Check one identity over a grid; failures are recorded, not raised.
 
@@ -1036,26 +1111,33 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
         if not vals:
             raise ValueError(f"grid provides no values for axis {axis!r}")
         value_lists.append(vals)
-    # each point twice: as the evaluators read it, and as the report shows
-    # it, with the Fraction lambdas as strings
-    shown_lists = [
-        [str(v) if isinstance(v, Fraction) else v for v in vals] for vals in value_lists
-    ]
-    points = list(zip(
-        [dict(zip(axes, combo)) for combo in itertools.product(*value_lists)],
-        [dict(zip(axes, combo)) for combo in itertools.product(*shown_lists)],
-    ))
-    # largest n first, so that each slab is built once, at its largest order
-    order = sorted(range(len(points)), key=lambda i: points[i][0]["n"], reverse=True)
+    points = [dict(zip(axes, combo)) for combo in itertools.product(*value_lists)]
+    # a second dict per point only where the report shows a value, a
+    # Fraction lambda, as a string
+    shown = points
+    if any(isinstance(v, Fraction) for vals in value_lists for v in vals):
+        shown_lists = [
+            [str(v) if isinstance(v, Fraction) else v for v in vals] for vals in value_lists
+        ]
+        shown = [dict(zip(axes, combo)) for combo in itertools.product(*shown_lists)]
+    # largest n first, so that each slab is built once, at its largest
+    # order; each entry goes straight to its grid slot
+    order = sorted(range(len(points)), key=lambda i: points[i]["n"], reverse=True)
+    results = [None] * len(points)
     start = time.monotonic()
     if jobs > 1:
+
+        def run(i):
+            results[i] = _point_entry(definition, points[i], shown[i])
+
         # the executor's own default ceiling, and no more threads than points
         workers = min(jobs, len(points), 32, (os.cpu_count() or 1) + 4)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(lambda i: _point_entry(definition, *points[i]), order))
+            for _ in pool.map(run, order):
+                pass
     else:
-        entries = [_point_entry(definition, *points[i]) for i in order]
-    results = [entry for _, entry in sorted(zip(order, entries))]
+        for i in order:
+            results[i] = _point_entry(definition, points[i], shown[i])
     report = VerificationReport(identity=identity, grid=grid, results=results)
     report.elapsed = time.monotonic() - start
     return report

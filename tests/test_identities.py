@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -193,6 +196,44 @@ def test_verify_caps_worker_count(monkeypatch, cpus, grid, workers):
     report = verify("THM8", grid, jobs=10_000)
     assert seen == [workers]
     assert report.to_json() == verify("THM8", grid, jobs=1).to_json()
+
+
+_COLD_VERIFY = """
+import contextlib, io, json, sys
+from polycauchy import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, "concurrent.futures" in sys.modules, out.getvalue()]))
+"""
+
+
+@pytest.mark.parametrize("jobs, pooled", [("1", False), ("4", True)])
+def test_cold_verify_loads_the_pool_only_for_jobs_above_one(jobs, pooled):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = ["verify", "thm8", "--n-max", "2", "--jobs", jobs]
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_VERIFY, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    rc, loaded, text = json.loads(out.stdout)
+    assert (rc, loaded) == (0, pooled)
+    report = verify("THM8", GridSpec(**{**vars_of(idn.default_grid("THM8")), "n_values": (0, 1, 2)}))
+    assert text == idn.report_text(report.to_document())
+
+
+def test_report_text_keeps_each_entry_key_order():
+    # the same keys in another order are another shape: each entry is
+    # written in its own key order, as json.dumps writes it
+    doc = {"results": [
+        {"point": {"n": 1, "r": 2}, "verdict": "pass"},
+        {"point": {"r": 2, "n": 1}, "verdict": "pass"},
+        {"verdict": "pass", "point": {"n": 1, "r": 2}},
+        {"point": {"n": 1, "r": 2}, "verdict": "pass"},
+    ]}
+    assert idn.report_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_lambda_one_skipped():

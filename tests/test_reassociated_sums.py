@@ -1,8 +1,8 @@
-"""The evaluators of Theorems 1, 2 and 5 to 8 (with (32), (34) and the
-Theorem 5 variant) sum their right sides in a re-associated order, over
-polynomials and values memoized across points; Theorems 2, 6, 7 and 8 and
-(32) and (34) read each right side as row n of a table built once per
-parameter slab.  Each must still give the pair of the paper's formula,
+"""The evaluators of Theorems 1 to 8 (with (32), (34), (35), (52) and the
+Theorem 4 and 5 variants) sum their right sides in a re-associated order,
+as integer rows over values memoized across points; Theorems 1, 2, 6, 7
+and 8 and (32) and (34) read each right side as row n of a table built
+once per parameter slab.  Each must still give the pair of the paper's formula,
 written out here per point in plain Fraction arithmetic as the reference.
 The report hashes cannot show this: a rewrite that changed a right side
 and the left side alike would keep every verdict."""
@@ -21,7 +21,7 @@ import pytest
 from polycauchy import families
 from polycauchy import identities as idn
 from polycauchy import umbral as um
-from polycauchy.algebra import Polynomial
+from polycauchy.algebra import Polynomial, poly_shift
 from polycauchy.families import (
     bernoulli2,
     bernoulli_poly,
@@ -203,6 +203,156 @@ def test_slab_vectors_match_the_family_rows():
             assert [F(v, vden) for v in values[:13]] == [
                 mixed_A(l, r, k).evaluate(c) for l in SLAB_NS
             ], (r, k, c)
+
+
+# -- (35), (52), Theorems 3 and 4: shifts of A's rows -------------------------
+
+
+def coeffs(poly):
+    return list(poly.coeffs)
+
+
+def affine(cs, a, b):
+    """Coefficients of p(a x + b) for p with the coefficients cs, a and b
+    integers."""
+    out = [F(0)] * len(cs)
+    for j, c in enumerate(cs):
+        for i in range(j + 1):
+            out[i] += c * (comb(j, i) * a ** i * b ** (j - i))
+    return out
+
+
+@lru_cache(maxsize=None)
+def reflected(j, alpha, b):
+    """Coefficients of B_j^{(alpha)}(-x + b)."""
+    return affine(coeffs(bernoulli_poly(j, alpha)), -1, b)
+
+
+def combination(terms):
+    """The polynomial sum of w * cs over the (w, cs) pairs."""
+    out = [F(0)] * max((len(cs) for _, cs in terms), default=0)
+    for w, cs in terms:
+        if not w:
+            continue
+        for i, c in enumerate(cs):
+            out[i] += w * c
+    return Polynomial(out)
+
+
+def rising(y, m):
+    out = 1
+    for i in range(m):
+        out *= y + i
+    return out
+
+
+def eq35_reference(n, r, k):
+    """A_n(x + y) = sum_j (-1)^(n-j) C(n, j) <y>_{n-j} A_j(x), y = -2..n-2;
+    the left side is the shift that the test below checks the integer
+    shift against."""
+    return [
+        (
+            poly_shift(mixed_A(n, r, k), y),
+            combination([
+                ((-1) ** (n - j) * comb(n, j) * rising(y, n - j), coeffs(mixed_A(j, r, k)))
+                for j in range(n + 1)
+            ]),
+        )
+        for y in range(-2, n - 1)
+    ]
+
+
+def eq52_reference(n, r, k):
+    """A_n'(x) = sum_{l<n} (-1)^(n+l) n! / ((n-l) l!) A_l(x)."""
+    a_n = coeffs(mixed_A(n, r, k))
+    return [(
+        Polynomial([i * c for i, c in enumerate(a_n)][1:]),
+        combination([
+            (F((-1) ** (n + l) * factorial(n), (n - l) * factorial(l)), coeffs(mixed_A(l, r, k)))
+            for l in range(n)
+        ]),
+    )]
+
+
+@lru_cache(maxsize=None)
+def thm3_weights(n, k):
+    """The weights of B_j^{(1-r)}(-x) (over r) and of B_j^{(-r)}(-x-1) in
+    Theorem 3, each summed term by term from the paper's sums."""
+    mid, last = [F(0)] * (n + 1), [F(0)] * (n + 1)
+    for m in range(n + 1):
+        for l in range(m + 1):
+            for a in range(m - l + 1):
+                mid[m - l - a] += (
+                    (-1) ** a * comb(m, l) * comb(m - l, a) * stirling1(n, m)
+                    * F(l + 1) ** -k / ((a + 2) * (a + 1))
+                )
+        for j in range(m + 1):
+            last[j] += stirling1(n, m) * comb(m, j) * F(m - j + 2) ** -k
+    return mid, last
+
+
+def thm3_reference(n, r, k):
+    """A_{n+1}(x) = -x A_n(x+1)
+    + r sum_m s(n,m) sum_l sum_a (-1)^a C(m,l) C(m-l,a) (l+1)^(-k)
+      / ((a+2)(a+1)) B_{m-l-a}^{(1-r)}(-x)
+    + sum_m s(n,m) sum_j C(m,j) (m-j+2)^(-k) B_j^{(-r)}(-x-1)."""
+    mid, last = thm3_weights(n, k)
+    terms = [(-1, [F(0)] + affine(coeffs(mixed_A(n, r, k)), 1, 1))]
+    terms += [(r * w, reflected(j, 1 - r, 0)) for j, w in enumerate(mid)]
+    terms += [(w, reflected(j, -r, -1)) for j, w in enumerate(last)]
+    return [(mixed_A(n + 1, r, k), combination(terms))]
+
+
+def thm4_reference(n, r, k, printed):
+    """A_n(x) = -x A_{n-1}(x+1)
+    + r sum_l sum_a (-1)^(n-a) (n-1-l)! (l-a)! C(n-1,l) C(l,a) / (l-a+2)
+      A_a^{(r+1,k)}(x)   (A_n^{(r+1,k)}(x) for every a in the printed reading)
+    + r sum_l (-1)^(n-l-1) (n-l-1)! C(n-1,l) A_l(x)
+    + (A_n^{(r+1,k-1)}(x+1) - A_n^{(r+1,k)}(x+1)) / n."""
+    terms = [(-1, [F(0)] + affine(coeffs(mixed_A(n - 1, r, k)), 1, 1))]
+    for l in range(n):
+        for a in range(l + 1):
+            w = F(
+                r * (-1) ** (n - a) * factorial(n - 1 - l) * factorial(l - a)
+                * comb(n - 1, l) * comb(l, a),
+                l - a + 2,
+            )
+            terms.append((w, coeffs(mixed_A(n if printed else a, r + 1, k))))
+        w = r * (-1) ** (n - l - 1) * factorial(n - l - 1) * comb(n - 1, l)
+        terms.append((w, coeffs(mixed_A(l, r, k))))
+    terms.append((F(1, n), affine(coeffs(mixed_A(n, r + 1, k - 1)), 1, 1)))
+    terms.append((F(-1, n), affine(coeffs(mixed_A(n, r + 1, k)), 1, 1)))
+    return [(mixed_A(n, r, k), combination(terms))]
+
+
+SHIFT_REFERENCES = {
+    "EQ35": eq35_reference,
+    "EQ52": eq52_reference,
+    "THM3": thm3_reference,
+    "THM4": lambda n, r, k: thm4_reference(n, r, k, printed=True),
+    "THM4_VARIANT": lambda n, r, k: thm4_reference(n, r, k, printed=False),
+}
+
+
+@pytest.mark.parametrize("identity", list(SHIFT_REFERENCES))
+def test_shifted_rows_match_the_per_point_formula(identity):
+    # a cold memo, so that A's rows are built at order 8 and regrown for n
+    # past it
+    families._memo.clear()
+    evaluator, reference = idn._DEFS[identity].pairs, SHIFT_REFERENCES[identity]
+    ns = SLAB_NS[1:] if identity.startswith("THM4") else SLAB_NS  # Theorem 4: n >= 1
+    for n, r, k in product(ns, RS, KS):
+        p = {"n": n, "r": r, "k": k}
+        assert evaluator(p) == reference(n, r, k), (identity, p)
+
+
+def test_integer_shift_of_a_row_matches_poly_shift():
+    families._memo.clear()
+    for r, k in product(RS, KS):
+        rows, _, den = idn._slab(idn._A_rows, 12, r, k)
+        for n, y in product(SLAB_NS, range(-2, 11)):
+            got = Polynomial([F(c, den) for c in idn._shifted(rows[n], y)])
+            assert got == poly_shift(mixed_A(n, r, k), y), (n, r, k, y)
 
 
 # -- Theorems 6, 7 and 8 ----------------------------------------------------
