@@ -529,6 +529,7 @@ def _thm4_core(p, printed: bool):
     raised_rows, raised_cols, rden = _slab(_A_rows, n, r + 1, k)
     lowered_rows, _, lden = _slab(_A_rows, n, r + 1, k - 1)
     common = lcm(den, rden, lden)
+    # common / d for each slab's denominator d, times n dden for the (r, k) slab
     f, g, h = common // den * n * dden, common // rden, common // lden
     x_shifted = [0] + _shifted(rows[n - 1], 1)
     raised, lowered = _shifted(raised_rows[n], 1), _shifted(lowered_rows[n], 1)

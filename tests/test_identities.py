@@ -236,6 +236,21 @@ def test_report_text_keeps_each_entry_key_order():
     assert idn.report_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
+def test_threaded_verify_writes_every_grid_slot():
+    # more workers than cores and a short switch interval: each worker
+    # writes its entries straight into the shared result list
+    grid = GridSpec(n_values=tuple(range(9)), r_values=(0, 1, 2), k_values=(-1, 0, 1))
+    serial = verify("EQ35", grid).to_json()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _clear_caches()
+            assert verify("EQ35", grid, jobs=8).to_json() == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_lambda_one_skipped():
     grid = GridSpec(
         n_values=(0, 1, 2),

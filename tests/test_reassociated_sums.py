@@ -208,10 +208,6 @@ def test_slab_vectors_match_the_family_rows():
 # -- (35), (52), Theorems 3 and 4: shifts of A's rows -------------------------
 
 
-def coeffs(poly):
-    return list(poly.coeffs)
-
-
 def affine(cs, a, b):
     """Coefficients of p(a x + b) for p with the coefficients cs, a and b
     integers."""
@@ -225,7 +221,7 @@ def affine(cs, a, b):
 @lru_cache(maxsize=None)
 def reflected(j, alpha, b):
     """Coefficients of B_j^{(alpha)}(-x + b)."""
-    return affine(coeffs(bernoulli_poly(j, alpha)), -1, b)
+    return affine(bernoulli_poly(j, alpha).coeffs, -1, b)
 
 
 def combination(terms):
@@ -254,7 +250,7 @@ def eq35_reference(n, r, k):
         (
             poly_shift(mixed_A(n, r, k), y),
             combination([
-                ((-1) ** (n - j) * comb(n, j) * rising(y, n - j), coeffs(mixed_A(j, r, k)))
+                ((-1) ** (n - j) * comb(n, j) * rising(y, n - j), mixed_A(j, r, k).coeffs)
                 for j in range(n + 1)
             ]),
         )
@@ -264,11 +260,11 @@ def eq35_reference(n, r, k):
 
 def eq52_reference(n, r, k):
     """A_n'(x) = sum_{l<n} (-1)^(n+l) n! / ((n-l) l!) A_l(x)."""
-    a_n = coeffs(mixed_A(n, r, k))
+    a_n = mixed_A(n, r, k).coeffs
     return [(
         Polynomial([i * c for i, c in enumerate(a_n)][1:]),
         combination([
-            (F((-1) ** (n + l) * factorial(n), (n - l) * factorial(l)), coeffs(mixed_A(l, r, k)))
+            (F((-1) ** (n + l) * factorial(n), (n - l) * factorial(l)), mixed_A(l, r, k).coeffs)
             for l in range(n)
         ]),
     )]
@@ -297,7 +293,7 @@ def thm3_reference(n, r, k):
       / ((a+2)(a+1)) B_{m-l-a}^{(1-r)}(-x)
     + sum_m s(n,m) sum_j C(m,j) (m-j+2)^(-k) B_j^{(-r)}(-x-1)."""
     mid, last = thm3_weights(n, k)
-    terms = [(-1, [F(0)] + affine(coeffs(mixed_A(n, r, k)), 1, 1))]
+    terms = [(-1, [F(0)] + affine(mixed_A(n, r, k).coeffs, 1, 1))]
     terms += [(r * w, reflected(j, 1 - r, 0)) for j, w in enumerate(mid)]
     terms += [(w, reflected(j, -r, -1)) for j, w in enumerate(last)]
     return [(mixed_A(n + 1, r, k), combination(terms))]
@@ -309,7 +305,7 @@ def thm4_reference(n, r, k, printed):
       A_a^{(r+1,k)}(x)   (A_n^{(r+1,k)}(x) for every a in the printed reading)
     + r sum_l (-1)^(n-l-1) (n-l-1)! C(n-1,l) A_l(x)
     + (A_n^{(r+1,k-1)}(x+1) - A_n^{(r+1,k)}(x+1)) / n."""
-    terms = [(-1, [F(0)] + affine(coeffs(mixed_A(n - 1, r, k)), 1, 1))]
+    terms = [(-1, [F(0)] + affine(mixed_A(n - 1, r, k).coeffs, 1, 1))]
     for l in range(n):
         for a in range(l + 1):
             w = F(
@@ -317,11 +313,11 @@ def thm4_reference(n, r, k, printed):
                 * comb(n - 1, l) * comb(l, a),
                 l - a + 2,
             )
-            terms.append((w, coeffs(mixed_A(n if printed else a, r + 1, k))))
+            terms.append((w, mixed_A(n if printed else a, r + 1, k).coeffs))
         w = r * (-1) ** (n - l - 1) * factorial(n - l - 1) * comb(n - 1, l)
-        terms.append((w, coeffs(mixed_A(l, r, k))))
-    terms.append((F(1, n), affine(coeffs(mixed_A(n, r + 1, k - 1)), 1, 1)))
-    terms.append((F(-1, n), affine(coeffs(mixed_A(n, r + 1, k)), 1, 1)))
+        terms.append((w, mixed_A(l, r, k).coeffs))
+    terms.append((F(1, n), affine(mixed_A(n, r + 1, k - 1).coeffs, 1, 1)))
+    terms.append((F(-1, n), affine(mixed_A(n, r + 1, k).coeffs, 1, 1)))
     return [(mixed_A(n, r, k), combination(terms))]
 
 
