@@ -4,6 +4,9 @@ verification.
 All numeric output is exact fraction text; there is no decimal rendering
 anywhere.  Exit codes: 0 success, 1 verification failure, 2 usage or
 parameter error, 3 unwritable report or output path, 4 internal error.
+Every integer parameter and degree (r, k, s, m, n and n-max) must lie in
+-LIMIT..LIMIT; one outside is a parameter error, reported before any
+work starts.
 
 Only `algebra`, `series` and `families` load with this module; the
 `identities` harness, `argparse`, `json` and `csv` load where used.
@@ -52,22 +55,42 @@ _ID_ALIASES = {
 }
 
 
+# the bound on |r|, |k|, |s|, |m|, n and n-max, far above the default
+# grids (n <= 10, |r|, |k| <= 3): it keeps a mistyped value from running
+# without end, and every range a short tuple
+LIMIT = 1000
+
+# integer flags -> the attribute argparse stores them under
+_INT_FLAGS = {"--n": "n", "--n-max": "n_max", "--r": "r", "--k": "k", "--s": "s"}
+
+
 class UsageError(Exception):
     pass
 
 
 def _parse_range(text: str) -> tuple:
-    """Inclusive 'a..b' range or a single integer."""
+    """Inclusive 'a..b' range or a single integer, within -LIMIT..LIMIT."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError
-            return tuple(range(lo, hi + 1))
-        return (int(text),)
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise UsageError(f"bad range {text!r}: expected INT or INT..INT") from None
+    if max(-lo, hi) > LIMIT:
+        raise UsageError(f"bad range {text!r}: values must lie in -{LIMIT}..{LIMIT}")
+    return tuple(range(lo, hi + 1))
+
+
+def _check_limits(args) -> None:
+    """Raise UsageError for an integer flag outside -LIMIT..LIMIT."""
+    for flag, name in _INT_FLAGS.items():
+        v = getattr(args, name, None)
+        if v is not None and abs(v) > LIMIT:
+            raise UsageError(f"{flag} must lie in -{LIMIT}..{LIMIT}, got {v}")
 
 
 def _parse_lambdas(text: str) -> tuple:
@@ -308,6 +331,7 @@ def main(argv=None) -> int:
     argv = _normalize_argv(list(argv))
     try:
         args = parser.parse_args(argv)
+        _check_limits(args)
         return args.func(args)
     except SystemExit as exc:
         # argparse already uses 2 for usage errors and 0 for --help

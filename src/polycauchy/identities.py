@@ -1,10 +1,16 @@
 """Identity verification harness.
 
 Each registered identity owns an evaluator that produces one or more
-(lhs, rhs) polynomial pairs per grid point.  The left side always comes
+(lhs, rhs) pairs of sides per grid point.  The left side always comes
 from the generating-function expansion of A_n^{(r,k)} (and shifts of it);
 the right side is the combinatorial formula built from the other family
-constructors.  A point passes iff every pair matches exactly.
+constructors.  A side is a `Polynomial` or, unreduced, a pair
+(numerators, den) of integers in ascending powers of x over one
+denominator.  A point passes iff every pair matches exactly: the harness
+cross-multiplies the two numerator lists by the other side's denominator
+(`_same`) and builds reduced Polynomials only for the first pair that
+differs, the lhs, rhs and diff of the point's fail entry.  A_n^{(r,k)}
+itself is read as row n of its parameter slab (`_A_row`).
 
 Sub-results that depend on fewer coordinates than a grid point are
 computed once per process and shared by every point, grid and identity
@@ -31,21 +37,29 @@ order when a larger n asks for it):
   (Theorems 2 and 8), of the Bernoulli polynomials per s (Theorem 6) and
   of the Frobenius-Euler polynomials per (s, lambda) (Theorem 7).
 
-The right sides that read them are integer dot products with one
-`Polynomial._of` per side.  A shift A_n(x + y) is row n's dot product
-with the columns of a shift matrix (`_shifted`), so (35) and (52) build
-both sides from A's rows and columns over their one denominator, and
-Theorem 4 sums its right side as integers over the rows of the slabs
-(r, k), (r+1, k) and (r+1, k-1); Theorem 3 adds its shifted row to the
-reflected Bernoulli polynomials in one `Polynomial.linear_combination`.
+The right sides that read them are integer dot products, left
+unreduced.  A shift A_n(x + y) is row n's dot product with the columns of
+a shift matrix (`_shifted`), so (52) builds both sides from A's rows and
+columns over their one denominator, and Theorem 4 sums its right side as
+integers over the rows of the slabs (r, k), (r+1, k) and (r+1, k-1);
+Theorem 3 adds its shifted row to the reflected Bernoulli polynomials in
+one `Polynomial.linear_combination`, and (36) compares a row of A's slab
+with one `poly_shift`.  (35) is checked once
+per (n, r, k) as an identity in x and y (`_eq35_sides`): both sides have
+degree at most n in y, so it holds iff it holds at the n + 1 points
+y = -2..n-2; only when it fails are the sides specialized at each y, so
+that the report shows the first y that fails.  Theorem 5's sides are
+constants, integer dot products with A's values at 0 and 1.
+
 Theorem 1's right side is the sum over m of s(n, m) R_m(x), each R_m a
 row of integers over one denominator.  Theorems 2 (with (32) and (34)),
 6, 7 and 8 expand A_n^{(r,k)}(x) by the Sheffer binomial identity: each
 right side is R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x).  So each of
 these evaluators, and Theorem 1's, reads row n of a table of right sides
-for n = 0..N built once per parameter slab (`_slab_row`; `_binomial_rows`
-for the Sheffer sums): (r, k) for Theorems 1, 2 and 8, (r, k, s) for
-Theorem 6 and (r, k, s, lambda) for Theorem 7.  Theorem 7's value v_l,
+for n = 0..N, each row a side (numerators, den), built once per
+parameter slab (`_slab_row`; `_binomial_rows` for the Sheffer sums):
+(r, k) for Theorems 1, 2 and 8, (r, k, s) for Theorem 6 and
+(r, k, s, lambda) for Theorem 7.  Theorem 7's value v_l,
 the sum over a of (-lam)^a C(s, a) A_l(s-a) times (1 - lam)^(-s), is one
 integer dot product of row l of A with a moment vector kept per (s, lam)
 (`_thm7_moments`); every key of Theorem 7 holds lam = p/q as the two ints
@@ -72,8 +86,9 @@ import os
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm
 from operator import mul as _times
 
 from .algebra import Polynomial, poly_shift, rising_factorial
@@ -245,8 +260,9 @@ def _slab(build, order: int, *args):
     return _grown((build, *args), order, build, *args)
 
 
-def _slab_row(n: int, table, *slab) -> Polynomial:
-    """Row n of the table of R_0 .. R_m of one parameter slab."""
+def _slab_row(n: int, table, *slab) -> tuple:
+    """Row n of the table of R_0 .. R_m of one parameter slab, a side
+    (numerators, den)."""
     return _slab(table, n, *slab)[n]
 
 
@@ -264,6 +280,13 @@ def _A_rows(order: int, r: int, k: int) -> tuple:
     rows = tuple([tuple([c * (den // a.den) for c in a.num]) for a in polys])
     cols = tuple(zip(*(row + (0,) * (order + 1 - len(row)) for row in rows)))
     return rows, cols, den
+
+
+def _A_row(n: int, r: int, k: int) -> tuple:
+    """A_n^{(r,k)}(x) as the side (numerators, den): row n of the (r, k)
+    slab of `_A_rows`."""
+    rows, _, den = _slab(_A_rows, n, r, k)
+    return rows[n], den
 
 
 def _A_values(order: int, r: int, k: int, c: int) -> tuple:
@@ -294,34 +317,26 @@ def _stirling_side(order: int, family, *args) -> tuple:
     return cols, tuple(itertools.accumulate((len(p.num) for p in polys), max)), den
 
 
-def _pair(lhs: list, rhs: list, den: int) -> tuple:
-    """The pair of polynomials lhs / den and rhs / den, for numerator rows
-    over one denominator: equal rows are equal polynomials, so they are
-    reduced once, into one value."""
-    same = lhs == rhs
-    p = Polynomial._of(lhs, den)
-    return p, p if same else Polynomial._of(rhs, den)
-
-
 def _binomial_rows(order: int, values, vden: int, side) -> tuple:
     """R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x) for n = 0..order, the
-    rows of one parameter slab, with v_l = values[l] / vden and P_j read
-    from side, a `_stirling_side`: each coefficient of a row is one
-    integer dot product, and each row is reduced once; entries past order
-    are ignored."""
+    rows of one parameter slab as sides (numerators, den), with
+    v_l = values[l] / vden and P_j read from side, a `_stirling_side`:
+    each coefficient of a row is one integer dot product, and no row is
+    reduced; entries past order are ignored."""
     cols, widths, pden = side
+    den = vden * pden
     rows = []
     for n in range(order + 1):
         w = [comb(n, j) * values[n - j] for j in range(n + 1)]  # the weight of P_j
-        rows.append(Polynomial._of(
-            [sum(map(_times, w, col)) for col in cols[: widths[n]]], vden * pden
-        ))
+        rows.append((tuple([sum(map(_times, w, col)) for col in cols[: widths[n]]]), den))
     return tuple(rows)
 
 
 # -- identity evaluators ---------------------------------------------------
 #
-# Each returns a list of (lhs, rhs) Polynomial pairs for one grid point.
+# Each returns a list of (lhs, rhs) pairs for one grid point.  A side is a
+# `Polynomial` or an unreduced (numerators, den): integer numerators in
+# ascending powers of x, trailing zeros allowed, over one nonzero integer.
 
 
 def _thm1_table(order, r, k) -> tuple:
@@ -344,8 +359,8 @@ def _thm1_table(order, r, k) -> tuple:
     ]
     s1 = stirling_triangle(1, order)
     return tuple([
-        Polynomial._of(
-            [sum([s1[n][m] * R[m][j] for m in range(j, n + 1)]) for j in range(n + 1)],
+        (
+            tuple([sum([s1[n][m] * R[m][j] for m in range(j, n + 1)]) for j in range(n + 1)]),
             d * qden,
         )
         for n in range(order + 1)
@@ -354,7 +369,7 @@ def _thm1_table(order, r, k) -> tuple:
 
 def _thm1(p):
     n, r, k = p["n"], p["r"], p["k"]
-    return [(mixed_A(n, r, k), _slab_row(n, _thm1_table, r, k))]
+    return [(_A_row(n, r, k), _slab_row(n, _thm1_table, r, k))]
 
 
 def _thm2_table(order, a_number, r, k) -> tuple:
@@ -374,7 +389,7 @@ def _thm2_table(order, a_number, r, k) -> tuple:
 
 def _thm2_core(p, a_number):
     n, r, k = p["n"], p["r"], p["k"]
-    return [(mixed_A(n, r, k), _slab_row(n, _thm2_table, a_number, r, k))]
+    return [(_A_row(n, r, k), _slab_row(n, _thm2_table, a_number, r, k))]
 
 
 def _pc_number(n, k) -> Fraction:
@@ -434,30 +449,63 @@ def _eq34(p):
 
 
 @lru_cache(maxsize=None)
-def _eq35_weights(n, y) -> tuple:
-    """The weights (-1)^(n-j) C(n, j) y(y+1)...(y+n-j-1) of A_j in (35),
-    j = 0..n."""
-    return tuple([(-1) ** (n - j) * comb(n, j) * prod(range(y, y + n - j)) for j in range(n + 1)])
+def _eq35_weights(n) -> tuple:
+    """(binomials, weights) of (35) by powers of y, j = 0..n: binomials[i]
+    lists C(i+j, i) for i + j <= n, and weights[j][l], l = 0..n-j, is
+    [y^j] of the weight (-1)^(n-l) C(n, l) y(y+1)...(y+n-l-1) of A_l,
+    which is (-1)^j C(n, l) s(n-l, j)."""
+    s1 = stirling_triangle(1, n)
+    return (
+        tuple([tuple([comb(i + j, i) for j in range(n - i + 1)]) for i in range(n + 1)]),
+        tuple([
+            tuple([(-1) ** j * comb(n, l) * s1[n - l][j] for l in range(n - j + 1)])
+            for j in range(n + 1)
+        ]),
+    )
+
+
+def _eq35_sides(n, r, k) -> tuple:
+    """(lhs, rhs, den): both sides of (35) as polynomials in x and y,
+    side[i][j] the numerator of [x^i y^j] over den for i + j <= n:
+    [x^i y^j] A_n(x+y) is C(i+j, i) [x^(i+j)] A_n, and the right side's is
+    the dot product of weights[j] with column i of A's slab.  Both sides
+    have degree at most n in y, so they agree as polynomials iff they
+    agree at the n + 1 points y = -2..n-2."""
+    rows, cols, den = _slab(_A_rows, n, r, k)
+    binomials, weights = _eq35_weights(n)
+    a = rows[n]
+    lhs = [list(map(_times, b, a[i:])) for i, b in enumerate(binomials)]
+    rhs = [[sum(map(_times, w, cols[i])) for w in weights[: n - i + 1]] for i in range(n + 1)]
+    return lhs, rhs, den
+
+
+def _eq35_at(n, lhs, rhs, den) -> list:
+    """The pairs of sides of (35) at y = -2..n-2, as polynomials in x,
+    from the bivariate sides of `_eq35_sides`."""
+    def at(side, y):
+        return [sum([c * y**j for j, c in enumerate(row)]) for row in side]
+
+    return [((at(lhs, y), den), (at(rhs, y), den)) for y in range(-2, n - 1)]
 
 
 def _eq35(p):
-    n, r, k = p["n"], p["r"], p["k"]
-    rows, cols, den = _slab(_A_rows, n, r, k)
-    pairs = []
-    for y in range(-2, n - 1):
-        w = _eq35_weights(n, y)
-        pairs.append(_pair(
-            _shifted(rows[n], y), [sum(map(_times, w, col)) for col in cols[: n + 1]], den
-        ))
-    return pairs
+    """No pair when the two sides agree in x and y; else the pairs at each
+    y, so that the report shows the first y where they differ."""
+    n = p["n"]
+    lhs, rhs, den = _eq35_sides(n, p["r"], p["k"])
+    if lhs == rhs:
+        return []
+    return _eq35_at(n, lhs, rhs, den)
 
 
 def _eq36(p):
+    """n A_{n-1}(x) = A_n(x-1) - A_n(x).  The left side is row n-1 of A's
+    slab; the right side stays one `poly_shift`, the Polynomial shift that
+    the benchmark's tracer test counts in a traced `verify EQ36`."""
     n, r, k = p["n"], p["r"], p["k"]
-    lhs = n * mixed_A(n - 1, r, k)
+    rows, _, den = _slab(_A_rows, n, r, k)
     a_n = mixed_A(n, r, k)
-    rhs = poly_shift(a_n, -1) - a_n
-    return [(lhs, rhs)]
+    return [(([n * c for c in rows[n - 1]], den), poly_shift(a_n, -1) - a_n)]
 
 
 @lru_cache(maxsize=None)
@@ -496,7 +544,7 @@ def _thm3(p):
         + [(w, _bernoulli_reflected(j, -r, -1)) for j, w in enumerate(last)],
         wden,
     )
-    return [(mixed_A(n + 1, r, k), rhs)]
+    return [(_A_row(n + 1, r, k), rhs)]
 
 
 @lru_cache(maxsize=None)
@@ -544,7 +592,7 @@ def _thm4_core(p, printed: bool):
         + dden * (h * lowered[i] - g * raised[i])
         for i in range(n + 1)
     ]
-    return [(mixed_A(n, r, k), Polynomial._of(rhs, n * dden * common))]
+    return [((rows[n], den), (rhs, n * dden * common))]
 
 
 def _thm4(p):
@@ -605,8 +653,7 @@ def _thm5_core(p, printed: bool):
             + sum(map(_times, last, lowered)) * dden * rden * oden
         )
         den = m * dden * rden * oden * lden
-    lhs = Polynomial._of([sum(map(_times, left, zero))], zden)
-    return [(lhs, Polynomial._of([rhs], den))]
+    return [(([sum(map(_times, left, zero))], zden), ([rhs], den))]
 
 
 def _thm5(p):
@@ -629,7 +676,7 @@ def _eq52(p):
     rows, cols, den = _slab(_A_rows, n, r, k)
     w = _eq52_weights(n)
     lhs = [i * c for i, c in enumerate(rows[n]) if i]
-    return [_pair(lhs, [sum(map(_times, w, col)) for col in cols[:n]], den)]
+    return [((lhs, den), ([sum(map(_times, w, col)) for col in cols[:n]], den))]
 
 
 def _thm6_table(order, r, k, s) -> tuple:
@@ -642,7 +689,7 @@ def _thm6_table(order, r, k, s) -> tuple:
 
 def _thm6(p):
     n, r, k, s = p["n"], p["r"], p["k"], p["s"]
-    return [(mixed_A(n, r, k), _slab_row(n, _thm6_table, r, k, s))]
+    return [(_A_row(n, r, k), _slab_row(n, _thm6_table, r, k, s))]
 
 
 def _thm7_moments(order, s, p, q) -> tuple:
@@ -674,7 +721,7 @@ def _thm7_table(order, r, k, s, p, q) -> tuple:
 def _thm7(p):
     n, r, k, s, lam = p["n"], p["r"], p["k"], p["s"], p["lam"]
     rhs = _slab_row(n, _thm7_table, r, k, s, lam.numerator, lam.denominator)
-    return [(mixed_A(n, r, k), rhs)]
+    return [(_A_row(n, r, k), rhs)]
 
 
 def _thm8_table(order, r, k) -> tuple:
@@ -686,7 +733,7 @@ def _thm8_table(order, r, k) -> tuple:
 
 def _thm8(p):
     n, r, k = p["n"], p["r"], p["k"]
-    return [(mixed_A(n, r, k), _slab_row(n, _thm8_table, r, k))]
+    return [(_A_row(n, r, k), _slab_row(n, _thm8_table, r, k))]
 
 
 def _narumi_bernoulli(p):
@@ -697,7 +744,7 @@ def _narumi_bernoulli(p):
 def _sheffer_pair_eq17(p):
     n, r, k = p["n"], p["r"], p["k"]
     pair = mixed_pair(r, k, _mixed_sheffer_order(n))
-    return [(mixed_A(n, r, k), sheffer_by_gf(pair, n))]
+    return [(_A_row(n, r, k), sheffer_by_gf(pair, n))]
 
 
 def _assoc_eq25(p):
@@ -890,9 +937,45 @@ def default_grid(identity: str) -> GridSpec:
 
 
 def _poly_strings(p: Polynomial) -> list:
-    if p.is_zero:
+    """The coefficients of p as `str` writes them as Fractions ("-3/4",
+    "5", "0"), from its integers: one gcd per coefficient."""
+    den = p.den
+    if not p.num:
         return ["0"]
-    return [str(c) for c in p.coeffs]
+    if den == 1:
+        return [str(c) for c in p.num]
+    out = []
+    for c in p.num:
+        g = gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out
+
+
+def _polynomial(side) -> Polynomial:
+    """A side as a reduced Polynomial."""
+    if isinstance(side, Polynomial):
+        return side
+    num, den = side
+    return Polynomial._of(list(num), den)
+
+
+def _polynomial_pairs(pairs) -> list:
+    """An evaluator's pairs with each side a reduced Polynomial."""
+    return [(_polynomial(lhs), _polynomial(rhs)) for lhs, rhs in pairs]
+
+
+def _same(lhs, rhs) -> bool:
+    """Whether two sides are one polynomial: a/da = b/db iff a db = b da,
+    each numerator list multiplied through at C speed, the shorter padded
+    with zeros."""
+    a, da = (lhs.num, lhs.den) if isinstance(lhs, Polynomial) else lhs
+    b, db = (rhs.num, rhs.den) if isinstance(rhs, Polynomial) else rhs
+    if len(a) != len(b):
+        width = max(len(a), len(b))
+        a, b = list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))
+    if da == db:
+        return list(a) == list(b)
+    return list(map(_times, a, repeat(db))) == list(map(_times, b, repeat(da)))
 
 
 # fixed: kept only so reports match perfbench/reports.json until ROADMAP item 2's re-record
@@ -1072,7 +1155,8 @@ def _point_entry(definition: IdentityDef, point: dict, shown: dict) -> dict:
     if reason is not None:
         return {"point": shown, "verdict": "skipped", "reason": reason}
     for lhs, rhs in definition.pairs(point):
-        if lhs != rhs:
+        if not _same(lhs, rhs):
+            lhs, rhs = _polynomial(lhs), _polynomial(rhs)
             diff = lhs - rhs
             return {
                 "point": shown,

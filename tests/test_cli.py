@@ -257,6 +257,40 @@ def test_verify_malformed_parameter_is_parameter_error(capsys, argv, message):
     assert err == message
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "thm1", "--k", "99999999999999999999"),
+         "bad range '99999999999999999999': values must lie in -1000..1000"),
+        (("verify", "thm8", "--r", "-1001..0"), "bad range '-1001..0': values must lie in -1000..1000"),
+        (("verify", "thm5", "--m", "0..1001"), "bad range '0..1001': values must lie in -1000..1000"),
+        (("verify", "thm6", "--s", "2000"), "bad range '2000': values must lie in -1000..1000"),
+        (("verify", "thm1", "--n-max", "1001"), "--n-max must lie in -1000..1000, got 1001"),
+        (("table", "--family", "mixed", "--r", "1", "--k", "1", "--n-max", "100000000"),
+         "--n-max must lie in -1000..1000, got 100000000"),
+        (("table", "--family", "mixed", "--r", "1001", "--k", "1", "--n-max", "2"),
+         "--r must lie in -1000..1000, got 1001"),
+        (("poly", "--family", "poly-cauchy", "--n", "2", "--k", "-1001"),
+         "--k must lie in -1000..1000, got -1001"),
+        (("poly", "--family", "bernoulli", "--n", "1001", "--s", "1"),
+         "--n must lie in -1000..1000, got 1001"),
+    ],
+)
+def test_parameter_past_the_limit_is_parameter_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_parameters_at_the_limit_are_accepted(capsys):
+    code, out, _ = run(capsys, "poly", "--family", "mixed", "--n", "1", "--r", "1000", "--k", "-1000")
+    assert code == 0 and out
+    code, _, err = run(capsys, "verify", "thm8", "--n-max", "0", "--r", "-1000..1000", "--k", "0")
+    assert code == 0
+    assert err == "THM8: pass=2001 fail=0 skipped=0\n"
+
+
 def test_verify_thm7_negative_s_is_skipped(capsys):
     code, out, err = run(capsys, "verify", "thm7", "--n-max", "1", "--s", "-1..0")
     assert code == 0

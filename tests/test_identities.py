@@ -28,14 +28,14 @@ NON_VARIANT = [i for i in idn.IDENTITY_IDS if i not in idn.VARIANT_IDS]
 
 
 def test_thm8_rhs_example():
-    (lhs, rhs), = idn._thm8({"n": 2, "r": 1, "k": 1})
+    (lhs, rhs), = idn._polynomial_pairs(idn._thm8({"n": 2, "r": 1, "k": 1}))
     # A_2 - 2 A_1 x^(1) + A_0 x^(2) with A_2 = 1/6, A_1 = 1, A_0 = 1
     assert rhs == Polynomial((F(1, 6), -1, 1))
     assert lhs == rhs
 
 
 def test_eq36_rhs_example():
-    (lhs, rhs), = idn._eq36({"n": 2, "r": 1, "k": 1})
+    (lhs, rhs), = idn._polynomial_pairs(idn._eq36({"n": 2, "r": 1, "k": 1}))
     assert rhs == 2 * mixed_A(1, 1, 1)
     assert lhs == rhs
 
@@ -43,7 +43,7 @@ def test_eq36_rhs_example():
 def test_thm1_degenerate_degree_zero():
     for r in (0, 1, 3):
         for k in (-2, 0, 2):
-            (lhs, rhs), = idn._thm1({"n": 0, "r": r, "k": k})
+            (lhs, rhs), = idn._polynomial_pairs(idn._thm1({"n": 0, "r": r, "k": k}))
             assert rhs == Polynomial((1,))
             assert lhs == rhs
 

@@ -3,7 +3,9 @@ Theorem 4 and 5 variants) sum their right sides in a re-associated order,
 as integer rows over values memoized across points; Theorems 1, 2, 6, 7
 and 8 and (32) and (34) read each right side as row n of a table built
 once per parameter slab.  Each must still give the pair of the paper's formula,
-written out here per point in plain Fraction arithmetic as the reference.
+written out here per point in plain Fraction arithmetic as the reference;
+an evaluator's sides, integer rows over one denominator, are compared as
+reduced Polynomials through `identities._polynomial_pairs`.
 The report hashes cannot show this: a rewrite that changed a right side
 and the left side alike would keep every verdict."""
 
@@ -21,6 +23,7 @@ import pytest
 from polycauchy import families
 from polycauchy import identities as idn
 from polycauchy import umbral as um
+from polycauchy.identities import GridSpec
 from polycauchy.algebra import Polynomial, poly_shift
 from polycauchy.families import (
     bernoulli2,
@@ -43,6 +46,9 @@ RS = range(-2, 4)
 KS = range(-3, 4)
 
 
+pairs = idn._polynomial_pairs
+
+
 @lru_cache(maxsize=None)
 def A_at(n, r, k, c):
     return mixed_A(n, r, k).evaluate(c)
@@ -51,9 +57,9 @@ def A_at(n, r, k, c):
 # -- Theorem 1 --------------------------------------------------------------
 
 
-def thm1_reference(n, r, k):
+def thm1_reference(n, r, k, first=1):
     """[x^j] = (-1)^j sum_{m=j}^n s(n,m) sum_l C(m,l) C(m-l,j) (l+1)^(-k)
-    S(m-l-j+r, r) / C(m-l-j+r, r)."""
+    S(m-l-j+r, r) / C(m-l-j+r, r); `first` stands for (0+1)^(-k) = 1."""
     coeffs = []
     for j in range(n + 1):
         total = F(0)
@@ -62,7 +68,7 @@ def thm1_reference(n, r, k):
             for l in range(m - j + 1):
                 q = m - l - j
                 inner += (
-                    comb(m, l) * comb(m - l, j) * F(l + 1) ** -k
+                    comb(m, l) * comb(m - l, j) * (F(l + 1) ** -k if l else first)
                     * stirling2(q + r, r) / comb(q + r, r)
                 )
             total += stirling1(n, m) * inner
@@ -74,7 +80,7 @@ def thm1_reference(n, r, k):
 def test_thm1_matches_the_coefficient_formula(r):
     for n, k in product(NS, KS):
         p = {"n": n, "r": r, "k": k}
-        assert idn._thm1(p) == thm1_reference(n, r, k), p
+        assert pairs(idn._thm1(p)) == thm1_reference(n, r, k), p
 
 
 # -- Theorem 2, (32) and (34) ----------------------------------------------
@@ -136,7 +142,7 @@ def test_thm2_family_matches_the_coefficient_formula(identity, a_number, rs):
     cached = lru_cache(maxsize=None)(a_number)
     for r, k, n in product(rs, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k}
-        assert evaluator(p) == thm2_reference(n, r, k, cached), (identity, p)
+        assert pairs(evaluator(p)) == thm2_reference(n, r, k, cached), (identity, p)
 
 
 # -- Theorem 5 and its variant ---------------------------------------------
@@ -170,7 +176,7 @@ def test_thm5_matches_the_termwise_formula(identity, printed):
     for n, r, k in product(NS, RS, KS):
         for m in range(1, n):  # every m of the domain n-1 >= m >= 1
             p = {"n": n, "m": m, "r": r, "k": k}
-            assert evaluator(p) == thm5_reference(n, m, r, k, printed), (identity, p)
+            assert pairs(evaluator(p)) == thm5_reference(n, m, r, k, printed), (identity, p)
             checked += 1
     assert checked == 28 * len(RS) * len(KS)
 
@@ -184,7 +190,7 @@ def test_thm5_slab_values_past_the_first_order(identity, printed):
     for n, r, k in product(SLAB_NS, RS, KS):
         for m in range(1, n):
             p = {"n": n, "m": m, "r": r, "k": k}
-            assert evaluator(p) == thm5_reference(n, m, r, k, printed), (identity, p)
+            assert pairs(evaluator(p)) == thm5_reference(n, m, r, k, printed), (identity, p)
 
 
 def test_slab_vectors_match_the_family_rows():
@@ -256,6 +262,15 @@ def eq35_reference(n, r, k):
         )
         for y in range(-2, n - 1)
     ]
+
+
+def eq35_pairs(p):
+    """(35)'s pairs at y = -2..n-2, specialized from the two sides in x and
+    y that the evaluator compares as integers; it returns no pair when
+    they agree."""
+    lhs, rhs, den = idn._eq35_sides(p["n"], p["r"], p["k"])
+    assert lhs == rhs and idn._eq35(p) == [], p
+    return idn._eq35_at(p["n"], lhs, rhs, den)
 
 
 def eq52_reference(n, r, k):
@@ -335,11 +350,12 @@ def test_shifted_rows_match_the_per_point_formula(identity):
     # a cold memo, so that A's rows are built at order 8 and regrown for n
     # past it
     families._memo.clear()
-    evaluator, reference = idn._DEFS[identity].pairs, SHIFT_REFERENCES[identity]
+    evaluator = eq35_pairs if identity == "EQ35" else idn._DEFS[identity].pairs
+    reference = SHIFT_REFERENCES[identity]
     ns = SLAB_NS[1:] if identity.startswith("THM4") else SLAB_NS  # Theorem 4: n >= 1
     for n, r, k in product(ns, RS, KS):
         p = {"n": n, "r": r, "k": k}
-        assert evaluator(p) == reference(n, r, k), (identity, p)
+        assert pairs(evaluator(p)) == reference(n, r, k), (identity, p)
 
 
 def test_integer_shift_of_a_row_matches_poly_shift():
@@ -418,31 +434,31 @@ def thm8_reference(n, r, k):
 def test_thm8_rows_match_the_per_point_formula():
     for r, k, n in product(RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k}
-        assert idn._thm8(p) == thm8_reference(n, r, k), p
+        assert pairs(idn._thm8(p)) == thm8_reference(n, r, k), p
 
 
 @pytest.mark.parametrize("s", range(4))
 def test_thm6_rows_match_the_per_point_formula(s):
     for r, k, n in product(RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k, "s": s}
-        assert idn._thm6(p) == thm6_reference(n, r, k, s), p
+        assert pairs(idn._thm6(p)) == thm6_reference(n, r, k, s), p
 
 
 @pytest.mark.parametrize("s", range(4))
 def test_thm7_rows_match_the_per_point_formula(s):
     for lam, r, k, n in product(LAMBDAS, RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k, "s": s, "lam": lam}
-        assert idn._thm7(p) == thm7_reference(n, r, k, s, lam), p
+        assert pairs(idn._thm7(p)) == thm7_reference(n, r, k, s, lam), p
 
 
 def test_a_slab_table_is_regrown_whole():
     key = (idn._thm7_table, 2, -1, 3, -1, 3)
     families._memo.pop(key, None)
     p = {"n": 3, "r": 2, "k": -1, "s": 3, "lam": F(-1, 3)}
-    assert idn._thm7(p) == thm7_reference(3, 2, -1, 3, F(-1, 3))
+    assert pairs(idn._thm7(p)) == thm7_reference(3, 2, -1, 3, F(-1, 3))
     assert families._memo[key][0] == 8
     p["n"] = 12
-    assert idn._thm7(p) == thm7_reference(12, 2, -1, 3, F(-1, 3))
+    assert pairs(idn._thm7(p)) == thm7_reference(12, 2, -1, 3, F(-1, 3))
     order, rows = families._memo[key]
     assert order == 16 and len(rows) == 17 and type(rows) is tuple
 
@@ -460,6 +476,218 @@ def test_cold_verify_past_the_first_table_order():
     report = json.loads(out.stdout)
     assert report["totals"] == {"pass": 13 * 2 * 2 * 3 * 3, "fail": 0, "skipped": 0}
     assert all(entry["verdict"] == "pass" for entry in report["results"])
+
+
+# -- the fail path -------------------------------------------------------------
+#
+# The harness compares integer sides by cross-multiplying them and builds
+# reduced Polynomials only for a failing point.  Each case below perturbs
+# one weight (or one shift) of an evaluator and gives the pairs of the
+# perturbed formula from the references above: every report entry must be
+# the one built from those Polynomials, "pass" where they agree and the
+# first differing pair's "fail" entry where not.
+
+
+def strings(p):
+    return [str(c) for c in p.coeffs] or ["0"]
+
+
+def expected_entry(shown, pairs):
+    for lhs, rhs in pairs:
+        if lhs != rhs:
+            return {
+                "point": shown, "verdict": "fail",
+                "lhs": strings(lhs), "rhs": strings(rhs), "diff": strings(lhs - rhs),
+            }
+    return {"point": shown, "verdict": "pass"}
+
+
+def patch_result(monkeypatch, name, change):
+    """identities.<name>(*args) becomes change(its value, *args); the
+    memoized original is never modified."""
+    original = getattr(idn, name)
+    monkeypatch.setattr(idn, name, lambda *args: change(original(*args), *args))
+
+
+def first_binomial_value_plus_one(monkeypatch):
+    """v_0 + 1 in every Sheffer binomial sum: row n gains P_n(x)."""
+    original = idn._binomial_rows
+
+    def bumped(order, values, vden, side):
+        return original(order, [values[0] + vden, *values[1:]], vden, side)
+
+    monkeypatch.setattr(idn, "_binomial_rows", bumped)
+
+
+def eq35_weights_plus_rising(weights, n):
+    """(y+1)(y+2) = y^2 + 3y + 2 added to the weight of A_0 for n >= 2:
+    zero at y = -2 and -1, so y = 0 is the first point that fails."""
+    binomials, w = weights
+    if n < 2:
+        return weights
+    w = [list(wj) for wj in w]
+    for j, c in enumerate((2, 3, 1)):
+        w[j][0] += c
+    return binomials, tuple(tuple(wj) for wj in w)
+
+
+def eq35_perturbed(n, r, k):
+    ref = eq35_reference(n, r, k)
+    if n < 2:
+        return ref
+    return [
+        (lhs, rhs + (y + 1) * (y + 2) * mixed_A(0, r, k))
+        for y, (lhs, rhs) in zip(range(-2, n - 1), ref)
+    ]
+
+
+def plus(pairs, dl=0, dr=0):
+    return [(lhs + dl, rhs + dr) for lhs, rhs in pairs]
+
+
+def falling(n):
+    return Polynomial(falling_coeffs(n))
+
+
+def shift_one_further(monkeypatch):
+    """Every `poly_shift` by c becomes a shift by c - 1."""
+    original = idn.poly_shift
+    monkeypatch.setattr(idn, "poly_shift", lambda p, c: original(p, c - 1))
+
+FAIL_CASES = {
+    "THM1": (
+        lambda mp: patch_result(mp, "_lif_weights", lambda wd, order, k: (
+            [wd[0][0] + wd[1], *wd[0][1:]], wd[1])),
+        lambda p: thm1_reference(p["n"], p["r"], p["k"], first=2),
+    ),
+    "THM2": (
+        first_binomial_value_plus_one,
+        lambda p: plus(thm2_reference(p["n"], p["r"], p["k"], bernoulli_a), dr=falling(p["n"])),
+    ),
+    "EQ32": (
+        first_binomial_value_plus_one,
+        lambda p: plus(thm2_reference(p["n"], p["r"], p["k"], narumi_a), dr=falling(p["n"])),
+    ),
+    "EQ34": (
+        first_binomial_value_plus_one,
+        lambda p: plus(thm2_reference(p["n"], p["r"], p["k"], composition_a), dr=falling(p["n"])),
+    ),
+    "EQ35": (
+        lambda mp: patch_result(mp, "_eq35_weights", eq35_weights_plus_rising),
+        lambda p: eq35_perturbed(p["n"], p["r"], p["k"]),
+    ),
+    "EQ36": (
+        # A_n(x-2) - A_n(x) for A_n(x-1) - A_n(x)
+        shift_one_further,
+        lambda p: [(
+            p["n"] * mixed_A(p["n"] - 1, p["r"], p["k"]),
+            poly_shift(mixed_A(p["n"], p["r"], p["k"]), -2) - mixed_A(p["n"], p["r"], p["k"]),
+        )],
+    ),
+    "THM3": (
+        # B_0^{(-r)}(-x-1) = 1 gains weight 1
+        lambda mp: patch_result(mp, "_thm3_weights", lambda w, n, k: (
+            w[0], [w[1][0] + w[2], *w[1][1:]], w[2])),
+        lambda p: plus(thm3_reference(p["n"], p["r"], p["k"]), dr=1),
+    ),
+    "THM4": (
+        lambda mp: patch_result(mp, "_thm4_weights", lambda w, n: (w[0], w[1], [w[2][0] + 1, *w[2][1:]])),
+        lambda p: plus(thm4_reference(p["n"], p["r"], p["k"], printed=True),
+                       dr=p["r"] * mixed_A(0, p["r"], p["k"])),
+    ),
+    "THM4_VARIANT": (
+        lambda mp: patch_result(mp, "_thm4_weights", lambda w, n: (w[0], w[1], [w[2][0] + 1, *w[2][1:]])),
+        lambda p: plus(thm4_reference(p["n"], p["r"], p["k"], printed=False),
+                       dr=p["r"] * mixed_A(0, p["r"], p["k"])),
+    ),
+    "THM5": (
+        lambda mp: patch_result(mp, "_thm5_weights", lambda w, n, m: ([w[0][0] + 1, *w[0][1:]], *w[1:])),
+        lambda p: plus(thm5_reference(p["n"], p["m"], p["r"], p["k"], True),
+                       dl=A_at(0, p["r"], p["k"], 0)),
+    ),
+    "THM5_VARIANT": (
+        lambda mp: patch_result(mp, "_thm5_weights", lambda w, n, m: ([w[0][0] + 1, *w[0][1:]], *w[1:])),
+        lambda p: plus(thm5_reference(p["n"], p["m"], p["r"], p["k"], False),
+                       dl=A_at(0, p["r"], p["k"], 0)),
+    ),
+    "EQ52": (
+        lambda mp: patch_result(mp, "_eq52_weights", lambda w, n: (w[0] + 1, *w[1:]) if n else w),
+        lambda p: plus(eq52_reference(p["n"], p["r"], p["k"]),
+                       dr=mixed_A(0, p["r"], p["k"]) if p["n"] else 0),
+    ),
+    "THM6": (
+        first_binomial_value_plus_one,
+        lambda p: plus(thm6_reference(p["n"], p["r"], p["k"], p["s"]),
+                       dr=Polynomial(bernoulli_transform(p["n"], p["s"]))),
+    ),
+    "THM7": (
+        first_binomial_value_plus_one,
+        lambda p: plus(thm7_reference(p["n"], p["r"], p["k"], p["s"], p["lam"]),
+                       dr=Polynomial(frobenius_transform(p["n"], p["s"], p["lam"]))),
+    ),
+    "THM8": (
+        first_binomial_value_plus_one,
+        lambda p: plus(thm8_reference(p["n"], p["r"], p["k"]), dr=falling(p["n"])),
+    ),
+    "SHEFFER_PAIR_EQ17": (
+        lambda mp: patch_result(mp, "sheffer_by_gf", lambda poly, pair, n: poly + Polynomial.x()),
+        lambda p: [(mixed_A(p["n"], p["r"], p["k"]), mixed_A(p["n"], p["r"], p["k"]) + Polynomial.x())],
+    ),
+}
+
+
+FAIL_GRID = GridSpec(
+    n_values=tuple(range(6)), r_values=(0, 1, 2), k_values=(-1, 0, 1), s_values=(0, 2),
+    m_values=tuple(range(6)), lambdas=(F(2), F(1, 2)),
+)
+
+
+@pytest.fixture
+def cold_memo():
+    # slab tables built from a perturbed weight must not outlive the test
+    families._memo.clear()
+    yield
+    families._memo.clear()
+
+
+@pytest.mark.parametrize("identity", list(FAIL_CASES))
+def test_fail_entries_match_the_perturbed_reference(identity, monkeypatch, cold_memo):
+    perturb, reference = FAIL_CASES[identity]
+    perturb(monkeypatch)
+    definition = idn._DEFS[identity]
+    report = idn.verify(identity, FAIL_GRID)
+    assert report.totals["fail"] > 0, report.totals
+    for entry in report.results:
+        p = {**entry["point"]}
+        if "lam" in p:
+            p["lam"] = F(p["lam"])
+        if definition.domain(p) is not None:
+            assert entry["verdict"] == "skipped"
+        else:
+            assert entry == expected_entry(entry["point"], reference(p)), (identity, p)
+
+
+def test_eq35_fail_entry_names_the_first_failing_y(monkeypatch, cold_memo):
+    FAIL_CASES["EQ35"][0](monkeypatch)
+    report = idn.verify("EQ35", FAIL_GRID)
+    assert report.totals["fail"] == 4 * 3 * 3  # n = 2..5
+    for entry in report.results:
+        n, r, k = entry["point"]["n"], entry["point"]["r"], entry["point"]["k"]
+        if n < 2:
+            assert entry["verdict"] == "pass"
+            continue
+        # y = -2 and y = -1 pass; the entry is the pair at y = 0
+        pairs = eq35_perturbed(n, r, k)
+        assert [lhs == rhs for lhs, rhs in pairs[:3]] == [True, True, False]
+        assert entry == expected_entry(entry["point"], pairs[2:3])
+        assert entry["diff"] == strings(-2 * mixed_A(0, r, k))
+
+
+def test_fail_strings_are_the_fraction_strings():
+    p = Polynomial((F(-3, 4), 5, 0, F(7, 12), F(-1, 6), 1))
+    assert idn._poly_strings(p) == ["-3/4", "5", "0", "7/12", "-1/6", "1"]
+    assert idn._poly_strings(Polynomial((-2, 0, 3))) == ["-2", "0", "3"]
+    assert idn._poly_strings(Polynomial(())) == ["0"]
 
 
 # -- the mixed Sheffer pair ---------------------------------------------------
