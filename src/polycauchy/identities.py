@@ -468,9 +468,10 @@ def _eq35_sides(n, r, k) -> tuple:
     """(lhs, rhs, den): both sides of (35) as polynomials in x and y,
     side[i][j] the numerator of [x^i y^j] over den for i + j <= n:
     [x^i y^j] A_n(x+y) is C(i+j, i) [x^(i+j)] A_n, and the right side's is
-    the dot product of weights[j] with column i of A's slab.  Both sides
-    have degree at most n in y, so they agree as polynomials iff they
-    agree at the n + 1 points y = -2..n-2."""
+    the dot product of weights[j] with column i of A's slab; A_l has
+    degree l, so no coefficient of either side lies past i + j = n.  Both
+    sides have degree at most n in y, so they agree as polynomials iff
+    they agree at the n + 1 points y = -2..n-2."""
     rows, cols, den = _slab(_A_rows, n, r, k)
     binomials, weights = _eq35_weights(n)
     a = rows[n]
@@ -939,9 +940,9 @@ def default_grid(identity: str) -> GridSpec:
 def _poly_strings(p: Polynomial) -> list:
     """The coefficients of p as `str` writes them as Fractions ("-3/4",
     "5", "0"), from its integers: one gcd per coefficient."""
-    den = p.den
     if not p.num:
         return ["0"]
+    den = p.den
     if den == 1:
         return [str(c) for c in p.num]
     out = []
