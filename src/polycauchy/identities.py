@@ -974,8 +974,6 @@ def _same(lhs, rhs) -> bool:
     if len(a) != len(b):
         width = max(len(a), len(b))
         a, b = list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))
-    if da == db:
-        return list(a) == list(b)
     return list(map(_times, a, repeat(db))) == list(map(_times, b, repeat(da)))
 
 
