@@ -7,27 +7,31 @@ family is a Sheffer sequence n! [t^n] g(t) e^{x f(t)} with f one of t,
 log(1+t) and -log(1+t).  The coefficients of e^{x f(t)} are read in
 closed form, through the Sheffer identity: the associated sequence of f
 is x^j, the falling factorial (x)_j or (-x)_j, whose coefficients are
-Stirling numbers of the first kind.  So every row is built from the
-univariate series g and a Stirling row.  Composition with log(1+t) reads
-the same Stirling matrix: log(1+t)^m / m! = sum_n s(n, m) t^n / n!, so
-the factor Lif_k(log(1+t)) of the poly-Cauchy and mixed g is that matrix
-applied to Lif_k's coefficients (the test suite checks it against series
-composition).  The Stirling triangles come from their two-term
-recurrences and are kept as rows of ints (their cross-checks live in the
-test suite).  The required truncation order is derived from the
-requested degree, so callers never pass one.
+Stirling numbers of the first kind.  `sheffer_rows` is the package's one
+kernel of that identity: the rows here, the Sheffer binomial sums of
+`identities` and `umbral`'s generating-function route all call it.
+Composition with log(1+t) reads the same Stirling matrix:
+log(1+t)^m / m! = sum_n s(n, m) t^n / n!, so the factor Lif_k(log(1+t))
+of the poly-Cauchy and mixed g is that matrix applied to Lif_k's
+coefficients (the test suite checks it against series composition).
+The Stirling triangles come from their two-term recurrences and are kept
+as rows of ints (their cross-checks live in the test suite).  The
+required truncation order is derived from the requested degree, so
+callers never pass one.
 
-Every expansion is kept in one memo, `_memo`: each g series and each
-Stirling triangle keyed per parameter set and regrown on demand, and
-each polynomial row by itself.  Its values are immutable and each entry
-is replaced whole by one dict assignment, so it needs no lock: threads
-that race on a key only build the same value twice.
+Every expansion is kept in one memo, `_memo`: each g series, each
+Stirling triangle and each f's associated columns keyed per parameter
+set and regrown on demand, and each polynomial row by itself.  Its
+values are immutable and each entry is replaced whole by one dict
+assignment, so it needs no lock: threads that race on a key only build
+the same value twice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import accumulate
+from math import comb, factorial, lcm
 from operator import mul as _times
 
 from .algebra import Polynomial
@@ -134,33 +138,49 @@ def bernoulli_ratio(order: int) -> Series:
     return _grown("bernoulli_ratio", order, _bernoulli_ratio).truncate(order)
 
 
+def sheffer_rows(values, cols, ns) -> list:
+    """The numerators of s_n(x) = sum_j C(n, j) v_{n-j} p_j(x), n in ns,
+    the Sheffer identity (Roman, The Umbral Calculus, 1984, ch. 2), with
+    v_l = values[l] / d and [x^i] p_j = cols[i][j] / e (0 past the end):
+    row n lists d e [x^i] s_n(x), i = 0..n, unreduced, each one integer
+    dot product of the weights C(n, j) v_{n-j} with column i from j = i
+    on, since p_j has degree j."""
+    rows = []
+    for n in ns:
+        w = [comb(n, j) * values[n - j] for j in range(n + 1)]
+        rows.append([sum(map(_times, w[i:], col[i:])) for i, col in enumerate(cols[: n + 1])])
+    return rows
+
+
+def _associated(order: int, delta: str) -> tuple:
+    """Columns cols[i][j] = [x^i] p_j, i, j <= order, of f's associated
+    sequence, in integers: x^j for "t" (each column cut after its 1), the
+    falling factorial (x)_j = sum_i s(j, i) x^i for "log", (-x)_j for "-log"."""
+    if delta == "t":
+        return tuple((0,) * i + (1,) for i in range(order + 1))
+    s1 = stirling_triangle(1, order)
+    sign = -1 if delta == "-log" else 1
+    return tuple(
+        tuple([sign**i * s1[j][i] if i <= j else 0 for j in range(order + 1)])
+        for i in range(order + 1)
+    )
+
+
 def _sheffer_row(n: int, delta: str, g, *params) -> Polynomial:
     """The Sheffer polynomial n! [t^n] g(t) e^{x f(t)}, where g(order,
     *params) expands the family's own factor and delta names f: "t",
     "log" for log(1+t), or "-log" for -log(1+t).
 
-    By the Sheffer identity s_n(x) = sum_j C(n, j) s_{n-j}(0) p_j(x), with
-    s_m(0) = m! [t^m] g and p_j the associated sequence of f: x^j for t,
-    the falling factorial (x)_j = sum_i s(j, i) x^i for log(1+t) and
-    (-x)_j for -log(1+t).  So with g = G / D the x^i coefficient of row n
-    is sum_j (n!/j!) G_{n-j} [x^i] p_j / D, summed in integers.
-    """
+    With g = G / D, s_l(0) = l! G_l / D: row n is `sheffer_rows` of the
+    values l! G_l and f's columns, over D."""
     key = ("row", g, n, *params)
     hit = _memo.get(key)
     if hit is not None:
         return hit[1]
     gs = _grown((g, *params), n, g, *params)
-    w = [factorial(n) // factorial(j) * gs.num[n - j] for j in range(n + 1)]
-    if delta == "t":
-        row = w
-    else:
-        row = [0] * (n + 1)
-        for wj, sj in zip(w, stirling_triangle(1, n)):
-            for i, s in enumerate(sj):
-                row[i] += wj * s
-        if delta == "-log":
-            row[1::2] = [-c for c in row[1::2]]
-    value = Polynomial._of(row, gs.den)
+    values = list(map(_times, accumulate(range(1, n + 1), _times, initial=1), gs.num))
+    cols = _grown((_associated, delta), n, _associated, delta)
+    value = Polynomial._of(sheffer_rows(values, cols, (n,))[0], gs.den)
     _memo[key] = (n, value)
     return value
 

@@ -32,9 +32,9 @@ order when a larger n asks for it):
 - the a-numbers of Theorem 2 and of (32) and (34) per r, and the
   poly-Cauchy numbers per k (`_numbers`);
 - the polynomials P_j of a Sheffer binomial sum, as columns over one
-  denominator (`_stirling_side`): the Stirling transform
-  sum over m of (-1)^m s(j, m) p_m(x) of x^m, which is (-x)_j
-  (Theorems 2 and 8), of the Bernoulli polynomials per s (Theorem 6) and
+  denominator: (-x)_j, the family rows' own columns (Theorems 2 and 8),
+  and the Stirling transform sum over m of (-1)^m s(j, m) p_m(x)
+  (`_stirling_side`) of the Bernoulli polynomials per s (Theorem 6) and
   of the Frobenius-Euler polynomials per (s, lambda) (Theorem 7).
 
 The right sides that read them are integer dot products, left
@@ -57,9 +57,9 @@ row of integers over one denominator.  Theorems 2 (with (32) and (34)),
 right side is R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x).  So each of
 these evaluators, and Theorem 1's, reads row n of a table of right sides
 for n = 0..N, each row a side (numerators, den), built once per
-parameter slab (`_slab_row`; `_binomial_rows` for the Sheffer sums):
-(r, k) for Theorems 1, 2 and 8, (r, k, s) for Theorem 6 and
-(r, k, s, lambda) for Theorem 7.  Theorem 7's value v_l,
+parameter slab (`_slab_row`; the Sheffer sums by `families.sheffer_rows`,
+the package's one Sheffer-row kernel): (r, k) for Theorems 1, 2 and 8,
+(r, k, s) for Theorem 6 and (r, k, s, lambda) for Theorem 7.  Theorem 7's value v_l,
 the sum over a of (-lam)^a C(s, a) A_l(s-a) times (1 - lam)^(-s), is one
 integer dot product of row l of A with a moment vector kept per (s, lam)
 (`_thm7_moments`); every key of Theorem 7 holds lam = p/q as the two ints
@@ -99,7 +99,9 @@ from .families import (
     mixed_A,
     narumi,
     poly_cauchy,
+    sheffer_rows,
     stirling_triangle,
+    _associated,
     _grown,
     _lif_weights,
 )
@@ -298,10 +300,9 @@ def _A_values(order: int, r: int, k: int, c: int) -> tuple:
 
 
 def _stirling_side(order: int, family, *args) -> tuple:
-    """(columns, widths, den) of P_j = sum over m of (-1)^m s(j, m)
-    family(m, *args), j = 0..order: columns[i][j] the numerator of
-    [x^i] P_j over the one denominator den, and widths[j] the longest
-    numerator among P_0 .. P_j."""
+    """(columns, den) of P_j = sum over m of (-1)^m s(j, m) family(m,
+    *args), j = 0..order, for `families.sheffer_rows`: columns[i][j] the
+    numerator of [x^i] P_j over the one denominator den."""
     polys = [family(m, *args) for m in range(order + 1)]
     den = lcm(*(p.den for p in polys))
     # signed[i][m]: the numerator of (-1)^m [x^i] family(m)
@@ -314,22 +315,7 @@ def _stirling_side(order: int, family, *args) -> tuple:
     cols = tuple([
         tuple([sum(map(_times, s1[j], row)) for j in range(order + 1)]) for row in signed
     ])
-    return cols, tuple(itertools.accumulate((len(p.num) for p in polys), max)), den
-
-
-def _binomial_rows(order: int, values, vden: int, side) -> tuple:
-    """R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x) for n = 0..order, the
-    rows of one parameter slab as sides (numerators, den), with
-    v_l = values[l] / vden and P_j read from side, a `_stirling_side`:
-    each coefficient of a row is one integer dot product, and no row is
-    reduced; entries past order are ignored."""
-    cols, widths, pden = side
-    den = vden * pden
-    rows = []
-    for n in range(order + 1):
-        w = [comb(n, j) * values[n - j] for j in range(n + 1)]  # the weight of P_j
-        rows.append((tuple([sum(map(_times, w, col)) for col in cols[: widths[n]]]), den))
-    return tuple(rows)
+    return cols, den
 
 
 # -- identity evaluators ---------------------------------------------------
@@ -383,8 +369,8 @@ def _thm2_table(order, a_number, r, k) -> tuple:
     an, aden = _slab(_numbers, order, a_number, r)
     pc, pden = _slab(_numbers, order, _pc_number, k)
     inner = [sum([comb(t, a) * an[a] * pc[t - a] for a in range(t + 1)]) for t in range(order + 1)]
-    side = _slab(_stirling_side, order, Polynomial.monomial)  # (-x)_j
-    return _binomial_rows(order, inner, aden * pden, side)
+    rows = sheffer_rows(inner, _slab(_associated, order, "-log"), range(order + 1))
+    return tuple(zip(rows, repeat(aden * pden)))
 
 
 def _thm2_core(p, a_number):
@@ -412,17 +398,6 @@ def _eq32(p):
     return _thm2_core(p, _narumi_a)
 
 
-def _compositions(total: int, parts: int):
-    """Ordered tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _b2_number(i) -> Fraction:
     return bernoulli2(i).evaluate(0)
@@ -431,17 +406,16 @@ def _b2_number(i) -> Fraction:
 def _composition_a(a, r) -> Fraction:
     """The sum over compositions a_1 + ... + a_r = a of the multinomial
     a! / (a_1! ... a_r!) times b_{a_1} ... b_{a_r}, b_i the Bernoulli
-    numbers of the second kind."""
-    multinomials, products = [], []
-    for parts in _compositions(a, r):
-        multinom = factorial(a)
-        prod = Fraction(1)
-        for ai in parts:
-            multinom //= factorial(ai)
-            prod *= _b2_number(ai)
-        multinomials.append(multinom)
-        products.append(prod)
-    return _dot(multinomials, products)
+    numbers of the second kind.
+
+    It is a! [t^a] (sum_i b_i t^i / i!)^r, so it is taken as r binomial
+    convolutions c_m <- sum_i C(m, i) c_i b_{m-i} of integer numerators
+    over one denominator, in O(r a^2) products."""
+    b, bden = _common([_b2_number(i) for i in range(a + 1)])
+    c = [1] + [0] * a
+    for _ in range(r):
+        c = [sum([comb(m, i) * c[i] * b[m - i] for i in range(m + 1)]) for m in range(a + 1)]
+    return Fraction(c[a], bden**r)
 
 
 def _eq34(p):
@@ -685,7 +659,8 @@ def _thm6_table(order, r, k, s) -> tuple:
     over l of C(n, l) A_l^{(r+s,k)}(s) P_{n-l}(x), with P_j the sum over m
     of (-1)^m s(j, m) B_m^{(s)}(x)."""
     values, vden = _slab(_A_values, order, r + s, k, s)
-    return _binomial_rows(order, values, vden, _slab(_stirling_side, order, bernoulli_poly, s))
+    cols, pden = _slab(_stirling_side, order, bernoulli_poly, s)
+    return tuple(zip(sheffer_rows(values, cols, range(order + 1)), repeat(vden * pden)))
 
 
 def _thm6(p):
@@ -715,8 +690,9 @@ def _thm7_table(order, r, k, s, p, q) -> tuple:
     moments = _slab(_thm7_moments, order, s, p, q)
     rows, _, den = _slab(_A_rows, order, r, k)
     inner = [sum(map(_times, row, moments)) for row in rows[: order + 1]]
-    side = _slab(_stirling_side, order, frobenius_euler, s, Fraction(p, q))
-    return _binomial_rows(order, inner, den * (q - p) ** s, side)
+    cols, pden = _slab(_stirling_side, order, frobenius_euler, s, Fraction(p, q))
+    rows = sheffer_rows(inner, cols, range(order + 1))
+    return tuple(zip(rows, repeat(den * (q - p) ** s * pden)))
 
 
 def _thm7(p):
@@ -729,7 +705,8 @@ def _thm8_table(order, r, k) -> tuple:
     """Theorem 8's right sides for one (r, k), n = 0..order: the sum over l
     of C(n, l) A_l^{(r,k)}(0) (-x)_{n-l}."""
     values, vden = _slab(_A_values, order, r, k, 0)
-    return _binomial_rows(order, values, vden, _slab(_stirling_side, order, Polynomial.monomial))
+    rows = sheffer_rows(values, _slab(_associated, order, "-log"), range(order + 1))
+    return tuple(zip(rows, repeat(vden)))
 
 
 def _thm8(p):
@@ -1194,6 +1171,8 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
         vals = grid.values_for(axis)
         if not vals:
             raise ValueError(f"grid provides no values for axis {axis!r}")
+        if axis == "n" and min(vals) < 0:
+            raise ValueError(f"n must be >= 0, got {min(vals)}")
         value_lists.append(vals)
     points = [dict(zip(axes, combo)) for combo in itertools.product(*value_lists)]
     # a second dict per point only where the report shows a value, a

@@ -8,11 +8,12 @@ plain t^k coefficient of f; pairing a series with a polynomial gives
 those two rules plus series algebra.
 
 What a Sheffer route needs of the delta series f alone, its compositional
-inverse fbar, the powers of fbar and its associated sequence, is memoized
-per f (`_delta_data`), so pairs that share f share it: every mixed pair
-has f = e^{-t}-1.  The g-dependent part, 1/g(fbar) (g(fbar) read as one
-integer combination of those powers) and the rows S_0 .. S_N, is
-memoized per pair.
+inverse fbar, the powers of fbar and its associated sequence (as integer
+columns over one denominator), is memoized per f (`_delta_data`), so
+pairs that share f share it: every mixed pair has f = e^{-t}-1.  The
+g-dependent part, 1/g(fbar) (g(fbar) read as one integer combination of
+those powers) and the rows S_0 .. S_N, is memoized per pair; the rows
+come from `families.sheffer_rows`, the package's one Sheffer-row kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .series import (
     mul,
     reciprocal,
 )
-from .families import bernoulli_ratio, lif_neg_t
+from .families import bernoulli_ratio, lif_neg_t, sheffer_rows
 
 _X = Polynomial.x()
 
@@ -146,21 +147,24 @@ def apply_series(op: Series, p: Polynomial) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _delta_data(f: Series) -> tuple:
-    """(fbar, fbar^0 .. fbar^N, p_0 .. p_N) for a delta series f of order
+    """(fbar, fbar^0 .. fbar^N, (cols, den)) for a delta series f of order
     N: its compositional inverse, the powers of that inverse and its
-    associated sequence, p_j(x) = sum_k (j!/k!) [t^j] fbar^k x^k.  They
-    depend on f alone, so every pair with this f (the mixed pairs all
+    associated sequence p_0 .. p_N, p_j(x) = sum_k (j!/k!) [t^j] fbar^k x^k,
+    as integer columns over one denominator, cols[k][j] / den = [x^k] p_j.
+    They depend on f alone, so every pair with this f (the mixed pairs all
     share e^{-t}-1) builds them once."""
     fbar = comp_inverse(f)
     powers = [Series.one(f.order)]
     for _ in range(f.order):
         powers.append(mul(powers[-1], fbar))
-    assoc = tuple(
-        Polynomial(Fraction(factorial(j) * pw.num[j], factorial(k) * pw.den)
-                   for k, pw in enumerate(powers[: j + 1]))
-        for j in range(f.order + 1)
+    fact = [factorial(j) for j in range(f.order + 1)]
+    dens = [fk * pw.den for fk, pw in zip(fact, powers)]
+    den = lcm(*dens)
+    cols = tuple(
+        tuple([fj * c * u for fj, c in zip(fact, pw.num)])
+        for pw, u in zip(powers, [den // d for d in dens])
     )
-    return fbar, tuple(powers), assoc
+    return fbar, tuple(powers), (cols, den)
 
 
 @lru_cache(maxsize=None)
@@ -185,16 +189,11 @@ def _inverse_data(pair: ShefferPair):
 def _gf_rows(pair: ShefferPair) -> tuple:
     """S_0 .. S_N of the pair, N its order; see sheffer_by_gf."""
     _, ginv = _inverse_data(pair)
-    _, _, assoc = _delta_data(pair.f)
-    # with 1/g(fbar) = G / D, C(n, j) S_{n-j}(0) = (n!/j!) G_{n-j} / D
-    g_num = ginv.num
-    return tuple(
-        Polynomial.linear_combination(
-            ((factorial(n) // factorial(j) * g_num[n - j], assoc[j]) for j in range(n + 1)),
-            ginv.den,
-        )
-        for n in range(pair.order + 1)
-    )
+    _, _, (cols, den) = _delta_data(pair.f)
+    # with 1/g(fbar) = G / D, S_m(0) = m! G_m / D
+    values = [factorial(m) * c for m, c in enumerate(ginv.num)]
+    rows = sheffer_rows(values, cols, range(pair.order + 1))
+    return tuple(Polynomial._of(row, ginv.den * den) for row in rows)
 
 
 def sheffer_by_gf(pair: ShefferPair, n: int) -> Polynomial:

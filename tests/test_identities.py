@@ -105,6 +105,16 @@ def test_unknown_identity_rejected():
         verify("THM9")
 
 
+@pytest.mark.parametrize("identity", idn.IDENTITY_IDS)
+def test_negative_n_rejected_before_any_point(identity, monkeypatch):
+    # n = -1 would read the last row of a slab
+    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    grid = GridSpec(n_values=(2, -1), r_values=(1,), k_values=(1,), s_values=(1,),
+                    m_values=(1,), lambdas=(F(2),))
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        verify(identity, grid)
+
+
 # -- report mechanics ------------------------------------------------------
 
 

@@ -29,6 +29,7 @@ from polycauchy.families import (
     bernoulli2,
     bernoulli_poly,
     frobenius_euler,
+    higher_cauchy,
     lif_neg_t,
     mixed_A,
     narumi,
@@ -143,6 +144,14 @@ def test_thm2_family_matches_the_coefficient_formula(identity, a_number, rs):
     for r, k, n in product(rs, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k}
         assert pairs(evaluator(p)) == thm2_reference(n, r, k, cached), (identity, p)
+
+
+@pytest.mark.parametrize("r", [20, 40])
+def test_composition_a_is_the_higher_order_cauchy_number(r):
+    # the sum is a! [t^a] (t/log(1+t))^r; r parts are far past what
+    # enumerating the compositions can reach
+    for a in range(9):
+        assert idn._composition_a(a, r) == higher_cauchy(a, r), (a, r)
 
 
 # -- Theorem 5 and its variant ---------------------------------------------
@@ -510,13 +519,16 @@ def patch_result(monkeypatch, name, change):
 
 
 def first_binomial_value_plus_one(monkeypatch):
-    """v_0 + 1 in every Sheffer binomial sum: row n gains P_n(x)."""
-    original = idn._binomial_rows
+    """v_0 + 1 in every Sheffer binomial sum: row n gains P_n(x).  Every
+    v_0 there is 1 (A_0 = 1, and the a-numbers and the C^{(k)} start at
+    1), so its numerator is the values' denominator and doubling it adds
+    1."""
+    original = idn.sheffer_rows
 
-    def bumped(order, values, vden, side):
-        return original(order, [values[0] + vden, *values[1:]], vden, side)
+    def bumped(values, cols, ns):
+        return original([2 * values[0], *values[1:]], cols, ns)
 
-    monkeypatch.setattr(idn, "_binomial_rows", bumped)
+    monkeypatch.setattr(idn, "sheffer_rows", bumped)
 
 
 def eq35_weights_plus_rising(weights, n):
