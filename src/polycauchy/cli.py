@@ -5,8 +5,9 @@ All numeric output is exact fraction text; there is no decimal rendering
 anywhere.  Exit codes: 0 success, 1 verification failure, 2 usage or
 parameter error, 3 unwritable report or output path, 4 internal error.
 Every integer parameter and degree (r, k, s, m, n and n-max) must lie in
--LIMIT..LIMIT; one outside is a parameter error, reported before any
-work starts.
+-LIMIT..LIMIT, and every lambda must be p/q in lowest terms with |p| and
+q at most LIMIT; a value outside is a parameter error, reported before
+any work starts.
 
 Only `algebra`, `series` and `families` load with this module; the
 `identities` harness, `argparse`, `json` and `csv` load where used.
@@ -55,9 +56,10 @@ _ID_ALIASES = {
 }
 
 
-# the bound on |r|, |k|, |s|, |m|, n and n-max, far above the default
-# grids (n <= 10, |r|, |k| <= 3): it keeps a mistyped value from running
-# without end, and every range a short tuple
+# the bound on |r|, |k|, |s|, |m|, n and n-max, and on the numerator and
+# denominator of each lambda, far above the default grids (n <= 10,
+# |r|, |k| <= 3, lambda in 2, -1, 1/2): it keeps a mistyped value from
+# running without end, and every range a short tuple
 LIMIT = 1000
 
 # integer flags -> the attribute argparse stores them under
@@ -94,10 +96,20 @@ def _check_limits(args) -> None:
 
 
 def _parse_lambdas(text: str) -> tuple:
-    try:
-        return tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad lambda list {text!r}") from None
+    """Comma-separated exact fractions, each p/q with |p|, q <= LIMIT."""
+    lams = []
+    for part in text.split(","):
+        # Fraction builds 10**e for an exponent e first; past the part's
+        # length plus 3, e cannot leave p/q within the bound
+        e = part.lower().partition("e")[2]
+        try:
+            lam = None if e and abs(int(e)) > len(part) + 3 else Fraction(part)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"bad lambda list {text!r}") from None
+        if lam is None or max(abs(lam.numerator), lam.denominator) > LIMIT:
+            raise UsageError(f"--lam values must be p/q with |p|, q <= {LIMIT}, got {part}")
+        lams.append(lam)
+    return tuple(lams)
 
 
 def _row_function(family: str, args):

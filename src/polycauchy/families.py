@@ -19,17 +19,20 @@ as rows of ints (their cross-checks live in the test suite).  The
 required truncation order is derived from the requested degree, so
 callers never pass one.
 
-Every expansion is kept in one memo, `_memo`: each g series, each
-Stirling triangle and each f's associated columns keyed per parameter
-set and regrown on demand, and each polynomial row by itself.  Its
-values are immutable and each entry is replaced whole by one dict
-assignment, so it needs no lock: threads that race on a key only build
-the same value twice.
+`_memo` is the package's one process-wide cache, keyed by each kept
+value's builder and its arguments: `_grown` regrows a value with an
+order (g series, Stirling triangles, f's columns, the slab tables of
+`identities`), `_memoized` keeps any other (the rows here, the weights
+of `identities`, the Sheffer pairs of `umbral`), and `_memo.clear()`
+returns a process to its cold state.  Its values are immutable and each
+entry is replaced whole by one dict assignment, so it needs no lock:
+threads that race on a key only build the same value twice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from itertools import accumulate
 from math import comb, factorial, lcm
 from operator import mul as _times
@@ -96,21 +99,19 @@ def _lif_log(order: int, k: int) -> Series:
 
 # -- one memo -------------------------------------------------------------
 #
-# _memo maps a key to (order, value): the widest value built so far and
-# the order it is exact through.  Two threads racing on a key may also put
-# a narrower entry back over a wider one; every stored value is still
-# exact through the order stored with it.  A row's key starts with "row"
-# and its order is its degree; every other key is a string or a tuple
-# that starts with a function or "stirling", so the two never collide.
-# `identities` keeps its slab tables here too, keyed by their builders.
+# _memo maps (build, *args) to (order, value): for `_grown` the order the
+# value is exact through, the widest built so far (two threads racing on
+# a key may put a narrower entry back over a wider one, still exact
+# through its own order); None for `_memoized`.  Each builder uses one of
+# the two, so their keys never collide.
 
 _memo: dict = {}
 
 
-def _grown(key, order: int, build, *args):
-    """The memo value for key, exact through at least `order`; a short or
-    missing one is rebuilt as build(m, *args) at m = max(order, 8, twice
-    the old order)."""
+def _grown(build, order: int, *args):
+    """build(m, *args) for some m >= order, kept in `_memo`; a short or
+    missing value is rebuilt at m = max(order, 8, twice the old order)."""
+    key = (build, *args)
     hit = _memo.get(key)
     if hit is not None and hit[0] >= order:
         return hit[1]
@@ -118,6 +119,19 @@ def _grown(key, order: int, build, *args):
     value = build(order, *args)
     _memo[key] = (order, value)
     return value
+
+
+def _memoized(build):
+    """build with each value kept in `_memo` under its exact arguments."""
+
+    @wraps(build)
+    def memoized(*args):
+        hit = _memo.get((build, *args))
+        if hit is None:
+            hit = _memo[(build, *args)] = (None, build(*args))
+        return hit[1]
+
+    return memoized
 
 
 def _cauchy_ratio(order: int) -> Series:
@@ -130,12 +144,12 @@ def _bernoulli_ratio(order: int) -> Series:
 
 def cauchy_ratio(order: int) -> Series:
     """t/log(1+t), the Cauchy-number generating function, at the given order."""
-    return _grown("cauchy_ratio", order, _cauchy_ratio).truncate(order)
+    return _grown(_cauchy_ratio, order).truncate(order)
 
 
 def bernoulli_ratio(order: int) -> Series:
     """t/(e^t - 1), the Bernoulli generating function, at the given order."""
-    return _grown("bernoulli_ratio", order, _bernoulli_ratio).truncate(order)
+    return _grown(_bernoulli_ratio, order).truncate(order)
 
 
 def sheffer_rows(values, cols, ns) -> list:
@@ -166,6 +180,7 @@ def _associated(order: int, delta: str) -> tuple:
     )
 
 
+@_memoized
 def _sheffer_row(n: int, delta: str, g, *params) -> Polynomial:
     """The Sheffer polynomial n! [t^n] g(t) e^{x f(t)}, where g(order,
     *params) expands the family's own factor and delta names f: "t",
@@ -173,16 +188,10 @@ def _sheffer_row(n: int, delta: str, g, *params) -> Polynomial:
 
     With g = G / D, s_l(0) = l! G_l / D: row n is `sheffer_rows` of the
     values l! G_l and f's columns, over D."""
-    key = ("row", g, n, *params)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit[1]
-    gs = _grown((g, *params), n, g, *params)
+    gs = _grown(g, n, *params)
     values = list(map(_times, accumulate(range(1, n + 1), _times, initial=1), gs.num))
-    cols = _grown((_associated, delta), n, _associated, delta)
-    value = Polynomial._of(sheffer_rows(values, cols, (n,))[0], gs.den)
-    _memo[key] = (n, value)
-    return value
+    cols = _grown(_associated, n, delta)
+    return Polynomial._of(sheffer_rows(values, cols, (n,))[0], gs.den)
 
 
 # -- Stirling triangles ----------------------------------------------------
@@ -205,7 +214,7 @@ def _stirling_rows(order: int, kind: int) -> list:
 def stirling_triangle(kind: int, n: int) -> list:
     """Rows 0..n (or more) of the signed first (kind 1) or the second
     (kind 2) Stirling triangle, each a tuple of ints."""
-    return _grown(("stirling", kind), n, _stirling_rows, kind)
+    return _grown(_stirling_rows, n, kind)
 
 
 def stirling1(n: int, m: int) -> Fraction:
@@ -236,7 +245,7 @@ def higher_cauchy(n: int, r: int) -> Fraction:
     """Cauchy numbers of order r: n! [t^n] (t/log(1+t))^r; r may be negative."""
     if n < 0:
         raise ValueError("higher_cauchy needs n >= 0")
-    gs = _grown((_narumi_g, -r), n, _narumi_g, -r)  # shared with narumi(n, -r)
+    gs = _grown(_narumi_g, n, -r)  # shared with narumi(n, -r)
     return Fraction(factorial(n) * gs.num[n], gs.den)
 
 

@@ -14,23 +14,24 @@ itself is read as row n of its parameter slab (`_A_row`).
 
 Sub-results that depend on fewer coordinates than a grid point are
 computed once per process and shared by every point, grid and identity
-that needs them.  Those that depend on n alone, or on n and one more
-integer, are memoized with ``functools.lru_cache``: the weights of
-Theorems 3, 4 and 5 and of (35) and (52), the binomial shift matrices
-C(j, i) y^(j-i) per (n, y), Theorem 3's reflected Bernoulli polynomials
-and the rising factorials.
+that needs them, in the family memo (`families._memo`, the package's one
+process-wide cache).  Those that depend on n alone, or on n and one or
+two more integers, are kept per exact arguments (`families._memoized`):
+the weights of Theorems 3, 4 and 5 and of (35) and (52), and Theorem 3's
+reflected Bernoulli polynomials.  The binomial shift matrix C(j, i)
+y^(j-i) is kept per y and regrown with n, as the slab tables below are.
 
 Most right sides are fixed integer-weighted transforms of a few sequences
 that depend on a parameter slab but not on n.  Each such sequence is kept
 for l = 0..N as one tuple of integer numerators over one denominator, in
-the family memo (`_slab`, through `families._grown`, rebuilt at twice the
-order when a larger n asks for it):
+the family memo (`_slab`, which is `families._grown`, rebuilt at twice
+the order when a larger n asks for it):
 
 - A_0^{(r,k)} .. A_N^{(r,k)}, as rows and as columns, per (r, k)
   (`_A_rows`), and their values at an integer c per (r, k, c)
   (`_A_values`);
-- the a-numbers of Theorem 2 and of (32) and (34) per r, and the
-  poly-Cauchy numbers per k (`_numbers`);
+- the a-numbers of Theorem 2 and of (32) and (34) per r, the
+  poly-Cauchy numbers per k and the Cauchy numbers (`_numbers`);
 - the polynomials P_j of a Sheffer binomial sum, as columns over one
   denominator: (-x)_j, the family rows' own columns (Theorems 2 and 8),
   and the Stirling transform sum over m of (-1)^m s(j, m) p_m(x)
@@ -67,10 +68,10 @@ p and q.  `verify` evaluates a grid's points largest n first, so that each
 slab is built once, at its largest order.
 
 `report_text` writes a report as ``json.dumps(payload, indent=2)`` does,
-byte for byte, but renders the pass, fail and skipped entries from cached
+byte for byte, but renders the pass, fail and skipped entries from
 %-templates instead of through the stdlib's pure-Python encoder: one
-template lookup per run of same-shape entries, and each string slot
-encoded once per document.
+template lookup per run of same-shape entries, and each template and
+each string slot made once per call, in a dict that the call drops.
 
 Theorems 4 and 5 are printed in the source with internal inconsistencies
 against their own derivations; both the printed reading and the
@@ -85,7 +86,6 @@ import json
 import os
 import time
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import comb, factorial, gcd, lcm
@@ -94,7 +94,7 @@ from operator import mul as _times
 from .algebra import Polynomial, poly_shift, rising_factorial
 from .families import (
     bernoulli_poly,
-    bernoulli2,
+    cauchy_number,
     frobenius_euler,
     mixed_A,
     narumi,
@@ -102,8 +102,9 @@ from .families import (
     sheffer_rows,
     stirling_triangle,
     _associated,
-    _grown,
+    _grown as _slab,
     _lif_weights,
+    _memoized,
 )
 from .series import Series
 from .umbral import backward_delta, mixed_pair, sheffer_by_gf, transfer
@@ -193,33 +194,30 @@ class GridSpec(_FrozenRecord):
 
 # -- shared sub-results ----------------------------------------------------
 #
-# Each lru_cache'd helper here and among the evaluators is a pure function
-# of fewer coordinates than a grid point, so it is memoized for the life of
-# the process and shared by all points, grids and identities that ask for
-# the same arguments.
+# Each helper here and among the evaluators that is kept in the family
+# memo, through `_slab` or `_memoized`, is a pure function of fewer
+# coordinates than a grid point, so it is built once per process and
+# shared by all points, grids and identities that ask for the same
+# arguments.
 
 
-@lru_cache(maxsize=None)
-def _rising(n: int) -> Polynomial:
-    return rising_factorial(n)
-
-
-@lru_cache(maxsize=None)
-def _shift_matrix(n: int, y: int) -> tuple:
-    """Columns i = 0..n of C(j, i) y^(j-i), j = 0..n (0 for j < i): [x^i]
-    p(x + y) is column i's dot product with the coefficients of p."""
+def _shift_matrix(order: int, y: int) -> tuple:
+    """Columns i = 0..order of C(j, i) y^(j-i), j = 0..order (0 for j < i):
+    [x^i] p(x + y) is column i's dot product with the coefficients of p,
+    and a longer matrix's columns start with a shorter one's."""
     return tuple(
-        tuple([comb(j, i) * y ** (j - i) if j >= i else 0 for j in range(n + 1)])
-        for i in range(n + 1)
+        tuple([comb(j, i) * y ** (j - i) if j >= i else 0 for j in range(order + 1)])
+        for i in range(order + 1)
     )
 
 
 def _shifted(row, y: int) -> list:
     """The numerators of p(x + y) for the numerators `row` of p."""
-    return [sum(map(_times, row, col)) for col in _shift_matrix(len(row) - 1, y)]
+    cols = _slab(_shift_matrix, len(row) - 1, y)
+    return [sum(map(_times, row, col)) for col in cols[: len(row)]]
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _bernoulli_reflected(n: int, alpha: int, b: int) -> Polynomial:
     """B_n^{(alpha)}(-x + b)."""
     return bernoulli_poly(n, alpha).compose_affine(-1, b)
@@ -233,33 +231,11 @@ def _mixed_sheffer_order(n: int) -> int:
     return order
 
 
-def _dot(weights, values) -> Fraction:
-    """The sum of w * v over two equally long sequences of ints or
-    Fractions, accumulated as one integer over the product of each
-    sequence's lcm denominator."""
-    wd = lcm(*(w.denominator for w in weights))
-    vd = lcm(*(v.denominator for v in values))
-    return Fraction(
-        sum(
-            w.numerator * (wd // w.denominator) * v.numerator * (vd // v.denominator)
-            for w, v in zip(weights, values)
-        ),
-        wd * vd,
-    )
-
-
 def _common(values) -> tuple:
     """(nums, den): the ints or Fractions values as a tuple of integer
     numerators over their lcm denominator."""
     den = lcm(*(v.denominator for v in values))
     return tuple([v.numerator * (den // v.denominator) for v in values]), den
-
-
-def _slab(build, order: int, *args):
-    """build(m, *args) for some m >= order, a sequence of one parameter
-    slab kept whole in the family memo and rebuilt at a larger order on
-    demand."""
-    return _grown((build, *args), order, build, *args)
 
 
 def _slab_row(n: int, table, *slab) -> tuple:
@@ -398,20 +374,15 @@ def _eq32(p):
     return _thm2_core(p, _narumi_a)
 
 
-@lru_cache(maxsize=None)
-def _b2_number(i) -> Fraction:
-    return bernoulli2(i).evaluate(0)
-
-
 def _composition_a(a, r) -> Fraction:
     """The sum over compositions a_1 + ... + a_r = a of the multinomial
-    a! / (a_1! ... a_r!) times b_{a_1} ... b_{a_r}, b_i the Bernoulli
-    numbers of the second kind.
+    a! / (a_1! ... a_r!) times b_{a_1} ... b_{a_r}, b_i = b_i(0) the
+    Bernoulli numbers of the second kind, which are the Cauchy numbers.
 
     It is a! [t^a] (sum_i b_i t^i / i!)^r, so it is taken as r binomial
     convolutions c_m <- sum_i C(m, i) c_i b_{m-i} of integer numerators
     over one denominator, in O(r a^2) products."""
-    b, bden = _common([_b2_number(i) for i in range(a + 1)])
+    b, bden = _slab(_numbers, a, cauchy_number)
     c = [1] + [0] * a
     for _ in range(r):
         c = [sum([comb(m, i) * c[i] * b[m - i] for i in range(m + 1)]) for m in range(a + 1)]
@@ -422,7 +393,7 @@ def _eq34(p):
     return _thm2_core(p, _composition_a)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _eq35_weights(n) -> tuple:
     """(binomials, weights) of (35) by powers of y, j = 0..n: binomials[i]
     lists C(i+j, i) for i + j <= n, and weights[j][l], l = 0..n-j, is
@@ -483,7 +454,7 @@ def _eq36(p):
     return [(([n * c for c in rows[n - 1]], den), poly_shift(a_n, -1) - a_n)]
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _thm3_weights(n, k) -> tuple:
     """Theorem 3's weights, j = 0..n, of B_j^{(1-r)}(-x) in the middle sum
     and of B_j^{(-r)}(-x-1) in the last one, neither dependent on r, as
@@ -522,7 +493,7 @@ def _thm3(p):
     return [(_A_row(n + 1, r, k), rhs)]
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _thm4_weights(n) -> tuple:
     """Theorem 4's weights, independent of r and k: of A_a^{(r+1,k)} in
     the double sum (a = 0..n-1), as numerators over the denominator that
@@ -578,7 +549,7 @@ def _thm4_variant(p):
     return _thm4_core(p, printed=False)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _thm5_weights(n, m) -> tuple:
     """Theorem 5's integer weights, independent of r and k: of
     A_l^{(r,k)}(0) on the left side; of r A_a^{(r+1,k)}(1) in the double
@@ -587,14 +558,14 @@ def _thm5_weights(n, m) -> tuple:
     the last one."""
     s1 = stirling_triangle(1, n)
     double = _common([
-        _dot(
-            [
+        sum([
+            Fraction(
                 (-1) ** (l - a + 1) * factorial(l - a) * comb(n - 1, l) * comb(l, a)
-                * s1[n - 1 - l][m]
-                for l in range(a, n - m)
-            ],
-            [Fraction(1, l - a + 2) for l in range(a, n - m)],
-        )
+                * s1[n - 1 - l][m],
+                l - a + 2,
+            )
+            for l in range(a, n - m)
+        ])
         for a in range(n - m)
     ])
     return (
@@ -639,7 +610,7 @@ def _thm5_variant(p):
     return _thm5_core(p, printed=False)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _eq52_weights(n) -> tuple:
     """The weights (-1)^(n+l) n! / ((n-l) l!) = (-1)^(n+l) C(n, l) (n-l-1)!
     of A_l in (52), l = 0..n-1, all integers."""
@@ -729,7 +700,7 @@ def _assoc_eq25(p):
     n = p["n"]
     order = max(n + 2, 10)
     lhs = transfer(Series.t(order), backward_delta(order), n)
-    return [(lhs, (-1) ** n * _rising(n))]
+    return [(lhs, (-1) ** n * rising_factorial(n))]
 
 
 # -- domains ---------------------------------------------------------------
@@ -1012,7 +983,6 @@ def _dumps_at(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", _newline(depth))
 
 
-@lru_cache(maxsize=None)
 def _entry_template(depth: int, point_keys: tuple, keys: tuple):
     """The %-template of an entry {"point": {...}, key: ..., ...} `depth`
     levels deep, with one %s per point value and per later value; None
@@ -1050,19 +1020,22 @@ def _slot_text(value, depth: int):
     return encode_basestring_ascii(value)
 
 
-class _Encoded(dict):
-    """The JSON text of each string slot, encoded on first use."""
+class _Texts(dict):
+    """One report's texts, each made on first use: a string slot's JSON
+    text under the string, and the %-template of an entry shape under
+    (depth, point keys, keys)."""
 
-    def __missing__(self, value):
-        text = self[value] = encode_basestring_ascii(value)
+    def __missing__(self, key):
+        text = encode_basestring_ascii(key) if type(key) is str else _entry_template(*key)
+        self[key] = text
         return text
 
 
-def _entries_text(entries, depth: int, encoded: _Encoded) -> list:
+def _entries_text(entries, depth: int, known: _Texts) -> list:
     """The result entries `depth` levels deep, each from its template if
     it has one: the template is looked up once per run of entries of one
-    shape, ints fill their slots as they are and each string is encoded
-    once per `encoded`."""
+    shape, ints fill their slots as they are and each string and each
+    template is made once per `known`."""
     texts, shape, template = [], None, None
     for entry in entries:
         point = entry.get("point") if type(entry) is dict else None
@@ -1071,15 +1044,15 @@ def _entries_text(entries, depth: int, encoded: _Encoded) -> list:
             # template fixes the order of the keys
             keys = tuple(point), tuple(entry)
             if keys != shape:
-                shape, template = keys, _entry_template(depth, *keys)
+                shape, template = keys, known[(depth, *keys)]
             if template is not None:
                 try:
                     # a slot takes an int, a string or a list of strings:
                     # any other value raises and falls back to json.dumps
                     texts.append(template % tuple(
-                        [v if type(v) is int else encoded[v] if type(v) is str
+                        [v if type(v) is int else known[v] if type(v) is str
                          else _slot_text(v, depth + 2) for v in point.values()]
-                        + [v if type(v) is int else encoded[v] if type(v) is str
+                        + [v if type(v) is int else known[v] if type(v) is str
                            else _slot_text(v, depth + 1) for v in list(entry.values())[1:]]
                     ))
                     continue
@@ -1091,10 +1064,10 @@ def _entries_text(entries, depth: int, encoded: _Encoded) -> list:
 
 def _entry_text(entry, depth: int) -> str:
     """One result entry `depth` levels deep, from its template if it has one."""
-    return _entries_text([entry], depth, _Encoded())[0]
+    return _entries_text([entry], depth, _Texts())[0]
 
 
-def _document_text(doc, depth: int) -> str:
+def _document_text(doc, depth: int, known: _Texts) -> str:
     """One report document `depth` levels deep, its results entry by entry."""
     results = doc.get("results") if type(doc) is dict else None
     if type(results) is not list or not results or not all(type(key) is str for key in doc):
@@ -1105,7 +1078,7 @@ def _document_text(doc, depth: int) -> str:
         if key == "results":
             text = (
                 "[" + _newline(depth + 2)
-                + ("," + _newline(depth + 2)).join(_entries_text(value, depth + 2, _Encoded()))
+                + ("," + _newline(depth + 2)).join(_entries_text(value, depth + 2, known))
                 + nl + "]"
             )
         else:
@@ -1118,10 +1091,11 @@ def report_text(payload) -> str:
     """json.dumps(payload, indent=2) + "\n", byte for byte, for one report
     document or a list of them, written without the pure-Python encoder
     for the result entries that make up most of a report."""
+    known = _Texts()
     if type(payload) is list and payload:
-        docs = ",\n  ".join([_document_text(doc, 1) for doc in payload])
+        docs = ",\n  ".join([_document_text(doc, 1, known) for doc in payload])
         return "[\n  " + docs + "\n]\n"
-    return _document_text(payload, 0) + "\n"
+    return _document_text(payload, 0, known) + "\n"
 
 
 def _point_entry(definition: IdentityDef, point: dict, shown: dict) -> dict:

@@ -9,17 +9,17 @@ those two rules plus series algebra.
 
 What a Sheffer route needs of the delta series f alone, its compositional
 inverse fbar, the powers of fbar and its associated sequence (as integer
-columns over one denominator), is memoized per f (`_delta_data`), so
-pairs that share f share it: every mixed pair has f = e^{-t}-1.  The
+columns over one denominator), is kept per f (`_delta_data`), so pairs
+that share f share it: every mixed pair has f = e^{-t}-1.  The
 g-dependent part, 1/g(fbar) (g(fbar) read as one integer combination of
-those powers) and the rows S_0 .. S_N, is memoized per pair; the rows
-come from `families.sheffer_rows`, the package's one Sheffer-row kernel.
+those powers) and the rows S_0 .. S_N, is kept per pair; the rows come
+from `families.sheffer_rows`, the package's one Sheffer-row kernel.
+Both, and each mixed pair, are kept in `families._memo`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .algebra import Polynomial
@@ -34,7 +34,7 @@ from .series import (
     mul,
     reciprocal,
 )
-from .families import bernoulli_ratio, lif_neg_t, sheffer_rows
+from .families import _memoized, bernoulli_ratio, lif_neg_t, sheffer_rows
 
 _X = Polynomial.x()
 
@@ -103,7 +103,7 @@ def backward_delta(order: int) -> Series:
     return exp_minus_t(order) - 1
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def mixed_pair(r: int, k: int, order: int) -> ShefferPair:
     """The pair ((t e^t/(e^t-1))^r / Lif_k(-t), e^{-t}-1) whose Sheffer
     sequence is A_n^{(r,k)}(x)."""
@@ -145,7 +145,7 @@ def apply_series(op: Series, p: Polynomial) -> Polynomial:
 # -- Sheffer construction routes ------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _delta_data(f: Series) -> tuple:
     """(fbar, fbar^0 .. fbar^N, (cols, den)) for a delta series f of order
     N: its compositional inverse, the powers of that inverse and its
@@ -167,7 +167,7 @@ def _delta_data(f: Series) -> tuple:
     return fbar, tuple(powers), (cols, den)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _inverse_data(pair: ShefferPair):
     """(fbar, 1/g(fbar)) shared by the gf and conjugate routes.
 
@@ -185,7 +185,7 @@ def _inverse_data(pair: ShefferPair):
     return fbar, reciprocal(Series._of(acc, g.den * den))
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _gf_rows(pair: ShefferPair) -> tuple:
     """S_0 .. S_N of the pair, N its order; see sheffer_by_gf."""
     _, ginv = _inverse_data(pair)

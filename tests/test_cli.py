@@ -274,6 +274,14 @@ def test_verify_malformed_parameter_is_parameter_error(capsys, argv, message):
          "--k must lie in -1000..1000, got -1001"),
         (("poly", "--family", "bernoulli", "--n", "1001", "--s", "1"),
          "--n must lie in -1000..1000, got 1001"),
+        (("table", "--family", "frobenius-euler", "--s", "1", "--lam", "1001/2", "--n-max", "2"),
+         "--lam values must be p/q with |p|, q <= 1000, got 1001/2"),
+        (("poly", "--family", "frobenius-euler", "--s", "1", "--lam", "1e20000", "--n", "1"),
+         "--lam values must be p/q with |p|, q <= 1000, got 1e20000"),
+        (("verify", "thm7", "--n-max", "1", "--lam", "2,1e-20000"),
+         "--lam values must be p/q with |p|, q <= 1000, got 1e-20000"),
+        (("verify", "thm7", "--n-max", "1", "--lam", "-1/1001"),
+         "--lam values must be p/q with |p|, q <= 1000, got -1/1001"),
     ],
 )
 def test_parameter_past_the_limit_is_parameter_error(capsys, argv, message):
@@ -289,6 +297,17 @@ def test_parameters_at_the_limit_are_accepted(capsys):
     code, _, err = run(capsys, "verify", "thm8", "--n-max", "0", "--r", "-1000..1000", "--k", "0")
     assert code == 0
     assert err == "THM8: pass=2001 fail=0 skipped=0\n"
+
+
+def test_lambdas_at_the_limit_are_accepted(capsys):
+    code, out, _ = run(
+        capsys, "poly", "--family", "frobenius-euler", "--s", "1", "--lam", "1000/999", "--n", "1"
+    )
+    assert code == 0
+    assert out == "999 + 1x\n"
+    code, _, err = run(capsys, "verify", "thm7", "--n-max", "1", "--lam", "1000/999,-1/1000,0.001")
+    assert code == 0
+    assert err == "THM7: pass=864 fail=0 skipped=0\n"
 
 
 def test_verify_thm7_negative_s_is_skipped(capsys):

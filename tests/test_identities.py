@@ -255,7 +255,7 @@ def test_threaded_verify_writes_every_grid_slot():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            _clear_caches()
+            families._memo.clear()
             assert verify("EQ35", grid, jobs=8).to_json() == serial
     finally:
         sys.setswitchinterval(interval)
@@ -309,17 +309,6 @@ def test_default_grids_match_declared_ranges():
 # -- memo independence -----------------------------------------------------
 
 
-def _clear_caches():
-    """Empty the family memo and every lru_cache in identities and umbral."""
-    from polycauchy import umbral
-
-    families._memo.clear()
-    for module in (idn, umbral):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 MEMO_GRIDS = {
     "THM7": GridSpec(
         n_values=(0, 1, 2, 3, 4), r_values=(-1, 1), k_values=(-1, 2),
@@ -345,17 +334,15 @@ WARM_GRIDS["THM5_VARIANT"] = WARM_GRIDS["THM5"]
 @pytest.mark.parametrize("identity", sorted(MEMO_GRIDS))
 def test_reports_do_not_depend_on_memo_state(identity):
     grid = MEMO_GRIDS[identity]
-    _clear_caches()
+    families._memo.clear()
     assert not families._memo
-    caches = [v for v in vars(idn).values() if hasattr(v, "cache_info")]
-    assert caches and all(c.cache_info().currsize == 0 for c in caches)
     cold = verify(identity, grid).to_json()
     # the printed readings fail by design
     assert json.loads(cold)["totals"]["fail" if identity in idn.VARIANTS else "pass"] > 0
-    _clear_caches()
+    families._memo.clear()
     verify(identity, WARM_GRIDS[identity])
     warmed = verify(identity, grid).to_json()
-    _clear_caches()
+    families._memo.clear()
     threaded = verify(identity, grid, jobs=4).to_json()
     assert cold == warmed == threaded
 
@@ -378,7 +365,7 @@ def test_cold_verify_builds_each_slab_table_once(monkeypatch):
         return table(order, *slab)
 
     monkeypatch.setattr(idn, "_thm7_table", counted)
-    _clear_caches()
+    families._memo.clear()
     cold = verify("THM7", grid)
     assert len(builds) == len(set(builds)) == 2 * 2 * 2 * 2
     # n is the slowest axis, so the grid-order report is the one-n reports
@@ -389,16 +376,16 @@ def test_cold_verify_builds_each_slab_table_once(monkeypatch):
         for entry in verify("THM7", GridSpec(**{**vars_of(grid), "n_values": (n,)})).results
     ]
     assert cold.results == by_n and cold.totals["pass"] == len(by_n)
-    _clear_caches()
+    families._memo.clear()
     assert verify("THM7", grid, jobs=4).to_json() == cold.to_json()
 
 
 def test_cold_eq17_past_the_first_pair_order():
     from polycauchy import umbral
 
-    _clear_caches()
+    families._memo.clear()
     grid = idn.default_grid("SHEFFER_PAIR_EQ17")
     rep = verify("SHEFFER_PAIR_EQ17", GridSpec(**{**vars_of(grid), "n_values": tuple(range(17))}))
     assert rep.totals["fail"] == 0 and rep.totals["pass"] == 17 * 4 * 4
     # pair orders 10 (n <= 8) and 20 (n 9..16)
-    assert umbral._delta_data.cache_info().misses <= 2
+    assert sum(key[0] is umbral._delta_data.__wrapped__ for key in families._memo) <= 2

@@ -200,3 +200,22 @@ def test_unused_imports_are_detected():
 def test_no_unused_module_level_imports(filename):
     with open(os.path.join(SRC, "polycauchy", filename)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+# -- one process-wide cache ------------------------------------------------
+
+
+def test_no_submodule_keeps_a_cache_of_its_own():
+    # families._memo holds every value kept across calls, so clearing it
+    # returns a process to its cold state
+    import importlib
+
+    cached = []
+    for filename in sorted(os.listdir(os.path.join(SRC, "polycauchy"))):
+        if filename.endswith(".py") and filename != "__init__.py":
+            module = importlib.import_module(f"polycauchy.{filename[:-3]}")
+            cached += [
+                f"{module.__name__}.{name}"
+                for name, value in vars(module).items() if hasattr(value, "cache_info")
+            ]
+    assert cached == []

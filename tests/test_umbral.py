@@ -13,6 +13,7 @@ from polycauchy.series import (
     mul,
 )
 from polycauchy.families import mixed_A, poly_cauchy, stirling2
+from polycauchy import families
 from polycauchy import umbral as um
 
 X = Polynomial.x()
@@ -111,13 +112,12 @@ def test_conjugate_matches_families():
 def test_mixed_pairs_share_the_delta_series_data():
     # every mixed pair has f = e^{-t}-1, so a 4x4 block of pairs of one
     # order builds fbar and the associated sequence of f once
-    for memo in (um._delta_data, um._inverse_data, um._gf_rows):
-        memo.cache_clear()
+    families._memo.clear()
     params = [(r, k) for r in range(4) for k in range(-1, 3)]
     pairs = [um.mixed_pair(r, k, 10) for r, k in params]
     for pair in pairs:
         um.sheffer_by_gf(pair, 10)
-    assert um._delta_data.cache_info().misses == 1
+    assert sum(key[0] is um._delta_data.__wrapped__ for key in families._memo) == 1
     for (r, k), pair in zip(params, pairs):
         for n in range(11):
             got = um.sheffer_by_gf(pair, n)
