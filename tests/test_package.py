@@ -1,7 +1,8 @@
 """The package surface: lazy exports, the modules a cold request loads,
-and no unused imports in the sources."""
+no unused imports in the sources, and no cache outside the family memo."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -208,8 +209,6 @@ def test_no_unused_module_level_imports(filename):
 def test_no_submodule_keeps_a_cache_of_its_own():
     # families._memo holds every value kept across calls, so clearing it
     # returns a process to its cold state
-    import importlib
-
     cached = []
     for filename in sorted(os.listdir(os.path.join(SRC, "polycauchy"))):
         if filename.endswith(".py") and filename != "__init__.py":
