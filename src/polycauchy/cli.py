@@ -169,7 +169,10 @@ def _cmd_table(args) -> int:
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
     row = _row_function(args.family, args)
-    rows = [row(n) for n in range(args.n_max + 1)]
+    # the largest row first, so that each g series, Stirling triangle and
+    # column set is built once, at n-max, instead of regrown by doubling
+    last = row(args.n_max)
+    rows = [row(n) for n in range(args.n_max)] + [last]
     params = {
         name: getattr(args, name)
         for name in ("r", "k", "s")
@@ -231,30 +234,36 @@ def _cmd_verify(args) -> int:
         names = [canonical]
         if canonical in idn.VARIANTS:
             names.append(idn.VARIANTS[canonical])
-    reports = []
-    failed = False
-    for name in names:
+    failed = []
+
+    def document(name):
         rep = idn.verify(name, _build_grid(name, args), jobs=args.jobs)
-        reports.append(rep)
         t = rep.totals
         print(
             f"{name}: pass={t['pass']} fail={t['fail']} skipped={t['skipped']}",
             file=sys.stderr,
         )
         if t["fail"] and name not in idn.VARIANT_IDS:
-            failed = True
-    docs = [r.to_document() for r in reports]
-    payload = docs[0] if len(docs) == 1 else docs
-    text = idn.report_text(payload)
+            failed.append(name)
+        return rep.to_document()
+
+    # lazy, so each identity's entries are rendered and dropped before the
+    # next is verified; nothing is written until the last one is, so an
+    # identity that raises leaves no partial report
+    documents = map(document, names)
+    if len(names) == 1:
+        chunks = [idn.report_text(next(documents))]
+    else:
+        chunks = idn._report_chunks(documents)
     if args.report:
         try:
             with open(args.report, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             print(f"cannot write report {args.report!r}: {exc}", file=sys.stderr)
             return 3
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 1 if failed else 0
 
 

@@ -71,7 +71,10 @@ slab is built once, at its largest order.
 byte for byte, but renders the pass, fail and skipped entries from
 %-templates instead of through the stdlib's pure-Python encoder: one
 template lookup per run of same-shape entries, and each template and
-each string slot made once per call, in a dict that the call drops.
+each string slot made once per call, in a dict that the call drops.  A
+list report is rendered document by document (`_report_chunks`): fed a
+lazy iterable, it keeps each document's text, never more than one
+document.
 
 Theorems 4 and 5 are printed in the source with internal inconsistencies
 against their own derivations; both the printed reading and the
@@ -1087,15 +1090,29 @@ def _document_text(doc, depth: int, known: _Texts) -> str:
     return "{" + nl + ("," + nl).join(fields) + _newline(depth) + "}"
 
 
+def _report_chunks(documents) -> list:
+    """json.dumps(list(documents), indent=2) + "\n" as strings whose
+    concatenation it is.  Each document is taken from the iterable only
+    after the one before it is rendered, and only its text is kept, so a
+    lazy iterable holds one document at a time."""
+    chunks = ["[\n  "]
+    # map drops each document as soon as its text is made; a loop variable
+    # would keep it until the next document is built
+    for text in map(_document_text, documents, repeat(1), repeat(_Texts())):
+        chunks += (text, ",\n  ")
+    if len(chunks) == 1:
+        return ["[]\n"]
+    chunks[-1] = "\n]\n"
+    return chunks
+
+
 def report_text(payload) -> str:
     """json.dumps(payload, indent=2) + "\n", byte for byte, for one report
     document or a list of them, written without the pure-Python encoder
     for the result entries that make up most of a report."""
-    known = _Texts()
-    if type(payload) is list and payload:
-        docs = ",\n  ".join([_document_text(doc, 1, known) for doc in payload])
-        return "[\n  " + docs + "\n]\n"
-    return _document_text(payload, 0, known) + "\n"
+    if type(payload) is list:
+        return "".join(_report_chunks(payload))
+    return _document_text(payload, 0, _Texts()) + "\n"
 
 
 def _point_entry(definition: IdentityDef, point: dict, shown: dict) -> dict:

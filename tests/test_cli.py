@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -119,7 +120,16 @@ def test_family_functions_are_looked_up_when_called(capsys, monkeypatch):
         "--n-max", "1",
     )
     assert (code, out) == (0, "n,v0,v1\n0,0,3\n1,1,3\n")
-    assert calls == [(0, 3, Fraction(1, 2)), (1, 3, Fraction(1, 2))]
+    # the largest row is built first, each row once
+    assert calls == [(1, 3, Fraction(1, 2)), (0, 3, Fraction(1, 2))]
+
+
+def test_cold_table_builds_g_once_at_n_max(capsys):
+    # ascending rows would regrow g at orders 8, 16, 32 and 64
+    fam._memo.clear()
+    code, _, _ = run(capsys, "table", "--family", "mixed", "--r", "2", "--k", "-1", "--n-max", "40")
+    assert code == 0
+    assert fam._memo[(fam._mixed_g, 2, -1)][0] == 40
 
 
 def test_every_table_family_has_a_function_and_row_kind():
@@ -400,6 +410,65 @@ def test_verify_internal_error_exits_four(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "internal error: RuntimeError: evaluator blew up\n"
+
+
+@pytest.mark.parametrize(
+    "selector, broken_id", [("all", "THM8"), ("thm4", "THM4_VARIANT")]
+)
+@pytest.mark.parametrize("to_file", [False, True])
+def test_verify_error_in_a_later_identity_writes_nothing(
+    capsys, monkeypatch, tmp_path, selector, broken_id, to_file
+):
+    # the identities before the broken one are verified and rendered, but
+    # the report is written only after the last one
+    def broken_pairs(p):
+        raise RuntimeError("evaluator blew up")
+
+    broken = idn.IdentityDef(("n",), lambda p: None, broken_pairs, GridSpec(n_values=(0,)))
+    monkeypatch.setitem(idn._DEFS, broken_id, broken)
+    dest = tmp_path / "report.json"
+    argv = ["verify", selector, "--n-max", "2"] + (["--report", str(dest)] if to_file else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert not dest.exists()
+    lines = err.splitlines()
+    assert lines[-1] == "internal error: RuntimeError: evaluator blew up"
+    done = list(idn.IDENTITY_IDS if selector == "all" else ("THM4", "THM4_VARIANT"))
+    done = done[: done.index(broken_id)]
+    assert [line.split(":")[0] for line in lines[:-1]] == done
+
+
+def test_verify_all_renders_each_identity_before_verifying_the_next(capsys, monkeypatch):
+    # each identity's entries are rendered, then dropped, before the next
+    # identity is verified: a weakly referenced copy of its result list
+    # must be gone by then
+    class Results(list):
+        pass
+
+    events, kept = [], []
+    real_verify, real_render = idn.verify, idn._document_text
+
+    def verify(identity, *args, **kwargs):
+        # with the number of earlier result lists still alive
+        events.append(("verify", identity, sum(ref() is not None for ref in kept)))
+        rep = real_verify(identity, *args, **kwargs)
+        rep.results = Results(rep.results)
+        kept.append(weakref.ref(rep.results))
+        return rep
+
+    def render(doc, *args):
+        events.append(("render", doc["identity"]))
+        return real_render(doc, *args)
+
+    monkeypatch.setattr(idn, "verify", verify)
+    monkeypatch.setattr(idn, "_document_text", render)
+    code, out, _ = run(capsys, "verify", "all", "--n-max", "2")
+    assert code == 0
+    assert events == [
+        event for i in idn.IDENTITY_IDS for event in (("verify", i, 0), ("render", i))
+    ]
+    assert all(ref() is None for ref in kept)
+    assert [d["identity"] for d in json.loads(out)] == list(idn.IDENTITY_IDS)
 
 
 @pytest.mark.parametrize(

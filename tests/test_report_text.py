@@ -158,7 +158,12 @@ def test_window_argv():
 
 
 @pytest.mark.parametrize("key", sorted(RECORDED))
-def test_verify_all_matches_every_recorded_report(key, capsys):
+def test_verify_all_matches_every_recorded_report(key, capsys, tmp_path):
     assert cli.main(window_argv(key)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == RECORDED[key]
+    # the same bytes through --report, and nothing on stdout
+    path = tmp_path / "report.json"
+    assert cli.main(window_argv(key) + ["--report", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDED[key]
