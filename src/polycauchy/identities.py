@@ -76,10 +76,15 @@ list report is rendered document by document (`_report_chunks`): fed a
 lazy iterable, it keeps each document's text, never more than one
 document.
 
-Theorems 4 and 5 are printed in the source with internal inconsistencies
-against their own derivations; both the printed reading and the
-derivation-faithful variant are registered, and verify_variants reports
-which one holds.
+The registry `_DEFS` is one table, one row per identity in report order:
+its axes (the order in which a report writes a point's keys), its domain,
+its evaluator and its default grid.  Each default grid that rows share is
+named once (`_GRID_R4` .. `_GRID_THM7`).  Theorems 4 and 5 are printed in
+the source with internal inconsistencies against their own derivations;
+both the printed reading and the derivation-faithful variant are
+registered, as one evaluator that takes `printed=` (as Theorem 2, (32) and
+(34) share one that takes `a_number=`), and verify_variants reports which
+one holds.
 """
 
 from __future__ import annotations
@@ -88,7 +93,9 @@ import itertools
 import json
 import os
 import time
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import comb, factorial, gcd, lcm
@@ -118,10 +125,6 @@ __version__ = "0.1.0"
 VARIANTS = {"THM4": "THM4_VARIANT", "THM5": "THM5_VARIANT"}
 VARIANT_IDS = tuple(i for pair in VARIANTS.items() for i in pair)
 
-_R_STD = (0, 1, 2, 3)
-_R_EXT = (-2, -1, 0, 1, 2, 3)
-_K_STD = (-2, -1, 0, 1, 2, 3)
-_S_STD = (0, 1, 2, 3)
 _LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
 
 
@@ -144,35 +147,11 @@ class _Record:
         return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in fields)})"
 
 
-class _FrozenRecord(_Record):
-    """An immutable, hashable record; __init__ sets the fields through
-    ``_set``."""
-
-    __slots__ = ()
-
-    def _set(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class GridSpec(_FrozenRecord):
+class GridSpec(namedtuple("GridSpec", "n_values r_values k_values s_values m_values lambdas",
+                          defaults=((),) * 6)):
     """Finite parameter grid; identities read only the axes they use."""
 
-    __slots__ = ("n_values", "r_values", "k_values", "s_values", "m_values", "lambdas")
-
-    def __init__(
-        self, n_values=(), r_values=(), k_values=(), s_values=(), m_values=(), lambdas=()
-    ):
-        self._set(n_values, r_values, k_values, s_values, m_values, lambdas)
+    __slots__ = ()
 
     def values_for(self, axis: str) -> tuple:
         return {
@@ -369,14 +348,6 @@ def _narumi_a(a, r) -> Fraction:
     return narumi(a, -r).evaluate(0)
 
 
-def _thm2(p):
-    return _thm2_core(p, _bernoulli_a)
-
-
-def _eq32(p):
-    return _thm2_core(p, _narumi_a)
-
-
 def _composition_a(a, r) -> Fraction:
     """The sum over compositions a_1 + ... + a_r = a of the multinomial
     a! / (a_1! ... a_r!) times b_{a_1} ... b_{a_r}, b_i = b_i(0) the
@@ -390,10 +361,6 @@ def _composition_a(a, r) -> Fraction:
     for _ in range(r):
         c = [sum([comb(m, i) * c[i] * b[m - i] for i in range(m + 1)]) for m in range(a + 1)]
     return Fraction(c[a], bden**r)
-
-
-def _eq34(p):
-    return _thm2_core(p, _composition_a)
 
 
 @_memoized
@@ -544,14 +511,6 @@ def _thm4_core(p, printed: bool):
     return [((rows[n], den), (rhs, n * dden * common))]
 
 
-def _thm4(p):
-    return _thm4_core(p, printed=True)
-
-
-def _thm4_variant(p):
-    return _thm4_core(p, printed=False)
-
-
 @_memoized
 def _thm5_weights(n, m) -> tuple:
     """Theorem 5's integer weights, independent of r and k: of
@@ -603,14 +562,6 @@ def _thm5_core(p, printed: bool):
         )
         den = m * dden * rden * oden * lden
     return [(([sum(map(_times, left, zero))], zden), ([rhs], den))]
-
-
-def _thm5(p):
-    return _thm5_core(p, printed=True)
-
-
-def _thm5_variant(p):
-    return _thm5_core(p, printed=False)
 
 
 @_memoized
@@ -739,143 +690,45 @@ def _dom_none(p):
     return None
 
 
-class IdentityDef(_FrozenRecord):
-    __slots__ = ("axes", "domain", "pairs", "default_grid")
+IdentityDef = namedtuple("IdentityDef", "axes domain pairs default_grid")
 
-    def __init__(self, axes: tuple, domain, pairs, default_grid: GridSpec):
-        self._set(axes, domain, pairs, default_grid)
+# the default grids that more than one identity shares
+_GRID_R4 = GridSpec(tuple(range(9)), (0, 1, 2, 3), (-2, -1, 0, 1, 2, 3))
+_GRID_R6 = _GRID_R4._replace(r_values=(-2, -1, 0, 1, 2, 3))
+_GRID_N6 = _GRID_R4._replace(n_values=tuple(range(7)))
+_GRID_THM5 = _GRID_N6._replace(m_values=tuple(range(7)))
+_GRID_THM6 = _GRID_R6._replace(s_values=(0, 1, 2, 3))
+_GRID_THM7 = _GRID_THM6._replace(lambdas=_LAMBDAS)
 
+_NRK = ("n", "r", "k")
+_NMRK = ("n", "m", "r", "k")  # the order of THM5's point keys in a report
 
+# one row per identity, in report order: id, axes, domain, evaluator and
+# default grid
 _DEFS: dict[str, IdentityDef] = {
-    "THM1": IdentityDef(
-        ("n", "r", "k"),
-        _dom_r_nonneg,
-        _thm1,
-        GridSpec(n_values=tuple(range(9)), r_values=_R_STD, k_values=_K_STD),
-    ),
-    "THM2": IdentityDef(
-        ("n", "r", "k"),
-        _dom_none,
-        _thm2,
-        GridSpec(n_values=tuple(range(9)), r_values=_R_STD, k_values=_K_STD),
-    ),
-    "EQ32": IdentityDef(
-        ("n", "r", "k"),
-        _dom_none,
-        _eq32,
-        GridSpec(n_values=tuple(range(9)), r_values=_R_STD, k_values=_K_STD),
-    ),
-    "EQ34": IdentityDef(
-        ("n", "r", "k"),
-        _dom_r_nonneg,
-        _eq34,
-        GridSpec(n_values=tuple(range(9)), r_values=_R_STD, k_values=_K_STD),
-    ),
-    "EQ35": IdentityDef(
-        ("n", "r", "k"),
-        _dom_none,
-        _eq35,
-        GridSpec(n_values=tuple(range(9)), r_values=_R_EXT, k_values=_K_STD),
-    ),
-    "EQ36": IdentityDef(
-        ("n", "r", "k"),
-        _dom_n_pos,
-        _eq36,
-        GridSpec(n_values=tuple(range(9)), r_values=_R_EXT, k_values=_K_STD),
-    ),
-    "THM3": IdentityDef(
-        ("n", "r", "k"),
-        _dom_none,
-        _thm3,
-        GridSpec(n_values=tuple(range(7)), r_values=_R_STD, k_values=_K_STD),
-    ),
-    "THM4": IdentityDef(
-        ("n", "r", "k"),
-        _dom_n_pos,
-        _thm4,
-        GridSpec(n_values=tuple(range(7)), r_values=_R_STD, k_values=_K_STD),
-    ),
-    "THM4_VARIANT": IdentityDef(
-        ("n", "r", "k"),
-        _dom_n_pos,
-        _thm4_variant,
-        GridSpec(n_values=tuple(range(7)), r_values=_R_STD, k_values=_K_STD),
-    ),
-    "THM5": IdentityDef(
-        ("n", "m", "r", "k"),
-        _dom_thm5,
-        _thm5,
-        GridSpec(
-            n_values=tuple(range(7)),
-            m_values=tuple(range(7)),
-            r_values=_R_STD,
-            k_values=_K_STD,
-        ),
-    ),
-    "THM5_VARIANT": IdentityDef(
-        ("n", "m", "r", "k"),
-        _dom_thm5,
-        _thm5_variant,
-        GridSpec(
-            n_values=tuple(range(7)),
-            m_values=tuple(range(7)),
-            r_values=_R_STD,
-            k_values=_K_STD,
-        ),
-    ),
-    "EQ52": IdentityDef(
-        ("n", "r", "k"),
-        _dom_none,
-        _eq52,
-        GridSpec(n_values=tuple(range(9)), r_values=_R_EXT, k_values=_K_STD),
-    ),
-    "THM6": IdentityDef(
-        ("n", "r", "k", "s"),
-        _dom_none,
-        _thm6,
-        GridSpec(
-            n_values=tuple(range(9)),
-            r_values=_R_EXT,
-            k_values=_K_STD,
-            s_values=_S_STD,
-        ),
-    ),
-    "THM7": IdentityDef(
-        ("n", "r", "k", "s", "lam"),
-        _dom_thm7,
-        _thm7,
-        GridSpec(
-            n_values=tuple(range(9)),
-            r_values=_R_EXT,
-            k_values=_K_STD,
-            s_values=_S_STD,
-            lambdas=_LAMBDAS,
-        ),
-    ),
-    "THM8": IdentityDef(
-        ("n", "r", "k"),
-        _dom_none,
-        _thm8,
-        GridSpec(n_values=tuple(range(9)), r_values=_R_EXT, k_values=_K_STD),
-    ),
-    "NARUMI_BERNOULLI": IdentityDef(
-        ("n", "r"),
-        _dom_none,
-        _narumi_bernoulli,
-        GridSpec(n_values=tuple(range(11)), r_values=(-3, -2, -1, 0, 1, 2, 3)),
-    ),
-    "SHEFFER_PAIR_EQ17": IdentityDef(
-        ("n", "r", "k"),
-        _dom_none,
-        _sheffer_pair_eq17,
-        GridSpec(n_values=tuple(range(9)), r_values=_R_STD, k_values=(-1, 0, 1, 2)),
-    ),
-    "ASSOC_EQ25": IdentityDef(
-        ("n",),
-        _dom_none,
-        _assoc_eq25,
-        GridSpec(n_values=tuple(range(11))),
-    ),
+    identity: IdentityDef(axes, domain, pairs, grid)
+    for identity, axes, domain, pairs, grid in (
+        ("THM1", _NRK, _dom_r_nonneg, _thm1, _GRID_R4),
+        ("THM2", _NRK, _dom_none, partial(_thm2_core, a_number=_bernoulli_a), _GRID_R4),
+        ("EQ32", _NRK, _dom_none, partial(_thm2_core, a_number=_narumi_a), _GRID_R4),
+        ("EQ34", _NRK, _dom_r_nonneg, partial(_thm2_core, a_number=_composition_a), _GRID_R4),
+        ("EQ35", _NRK, _dom_none, _eq35, _GRID_R6),
+        ("EQ36", _NRK, _dom_n_pos, _eq36, _GRID_R6),
+        ("THM3", _NRK, _dom_none, _thm3, _GRID_N6),
+        ("THM4", _NRK, _dom_n_pos, partial(_thm4_core, printed=True), _GRID_N6),
+        ("THM4_VARIANT", _NRK, _dom_n_pos, partial(_thm4_core, printed=False), _GRID_N6),
+        ("THM5", _NMRK, _dom_thm5, partial(_thm5_core, printed=True), _GRID_THM5),
+        ("THM5_VARIANT", _NMRK, _dom_thm5, partial(_thm5_core, printed=False), _GRID_THM5),
+        ("EQ52", _NRK, _dom_none, _eq52, _GRID_R6),
+        ("THM6", ("n", "r", "k", "s"), _dom_none, _thm6, _GRID_THM6),
+        ("THM7", ("n", "r", "k", "s", "lam"), _dom_thm7, _thm7, _GRID_THM7),
+        ("THM8", _NRK, _dom_none, _thm8, _GRID_R6),
+        ("NARUMI_BERNOULLI", ("n", "r"), _dom_none, _narumi_bernoulli,
+         GridSpec(tuple(range(11)), (-3, -2, -1, 0, 1, 2, 3))),
+        ("SHEFFER_PAIR_EQ17", _NRK, _dom_none, _sheffer_pair_eq17,
+         _GRID_R4._replace(k_values=(-1, 0, 1, 2))),
+        ("ASSOC_EQ25", ("n",), _dom_none, _assoc_eq25, GridSpec(tuple(range(11)))),
+    )
 }
 
 IDENTITY_IDS = tuple(_DEFS)

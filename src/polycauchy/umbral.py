@@ -19,6 +19,7 @@ Both, and each mixed pair, are kept in `families._memo`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -43,38 +44,20 @@ _X = Polynomial.x()
 GUARD = 2
 
 
-class ShefferPair:
+class ShefferPair(namedtuple("ShefferPair", "g f")):
     """An (invertible g, delta f) pair defining a Sheffer sequence;
     immutable, and equal to (and hashed as) any pair with equal g and f."""
 
-    __slots__ = ("g", "f")
+    __slots__ = ()
 
-    def __init__(self, g: Series, f: Series):
+    def __new__(cls, g: Series, f: Series):
         if g.order != f.order:
             raise SeriesError("g and f must share a truncation order")
         if not g.is_unit():
             raise SeriesError("g must be invertible (nonzero constant coefficient)")
         if f.valuation() != 1:
             raise SeriesError("f must be a delta series (order 1)")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "f", f)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShefferPair is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ShefferPair is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not ShefferPair:
-            return NotImplemented
-        return self.g == other.g and self.f == other.f
-
-    def __hash__(self):
-        return hash((self.g, self.f))
-
-    def __repr__(self):
-        return f"ShefferPair(g={self.g!r}, f={self.f!r})"
+        return super().__new__(cls, g, f)
 
     @property
     def order(self) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -139,8 +140,9 @@ def test_grid_spec_is_an_immutable_value():
     with pytest.raises(TypeError):
         GridSpec(q_values=(1,))
     definition = idn._DEFS["THM8"]
-    assert definition == idn.IdentityDef(*(getattr(definition, f) for f in definition.__slots__))
-    assert hash(definition) == hash(idn.IdentityDef(*definition._fields()))
+    fields = [getattr(definition, name) for name in definition._fields]
+    assert definition == idn.IdentityDef(*fields)
+    assert hash(definition) == hash(idn.IdentityDef(*fields))
     with pytest.raises(AttributeError):
         definition.axes = ()
 
@@ -296,14 +298,34 @@ def test_thm7_negative_s_skipped_thm6_kept():
     assert verify("THM6", grid).totals == {"pass": 18, "fail": 0, "skipped": 0}
 
 
-def test_default_grids_match_declared_ranges():
-    g = idn.default_grid("THM6")
-    assert g.n_values == tuple(range(9))
-    assert g.r_values == (-2, -1, 0, 1, 2, 3)
-    assert g.s_values == (0, 1, 2, 3)
-    g4 = idn.default_grid("THM4")
-    assert g4.n_values == tuple(range(7))
-    assert g4.r_values == (0, 1, 2, 3)
+_GRID_FIELDS = {"n": "n_values", "r": "r_values", "k": "k_values", "s": "s_values",
+                "m": "m_values", "lam": "lambdas"}
+DECLARED_RANGES = {
+    "THM6": {"n_values": tuple(range(9)), "r_values": (-2, -1, 0, 1, 2, 3),
+             "s_values": (0, 1, 2, 3)},
+    "THM4": {"n_values": tuple(range(7)), "r_values": (0, 1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("identity", idn.IDENTITY_IDS)
+def test_default_grids_match_declared_ranges(identity):
+    definition = idn._DEFS[identity]
+    grid = definition.default_grid
+    for name, values in DECLARED_RANGES.get(identity, {}).items():
+        assert getattr(grid, name) == values
+    # a registry row that points at the wrong shared grid, or loses an
+    # axis, fills an axis the identity does not read or leaves one empty
+    filled = {axis for axis in _GRID_FIELDS if grid.values_for(axis)}
+    assert filled == set(definition.axes)
+    # the last in-domain point of the grid, as a one-point grid
+    axes = definition.axes
+    points = [dict(zip(axes, combo))
+              for combo in itertools.product(*(grid.values_for(axis) for axis in axes))]
+    point = [p for p in points if definition.domain(p) is None][-1]
+    rep = verify(identity, GridSpec(**{_GRID_FIELDS[axis]: (v,) for axis, v in point.items()}))
+    (entry,) = rep.results
+    assert list(entry["point"]) == list(axes)
+    assert entry["verdict"] == ("fail" if identity in idn.VARIANTS else "pass")
 
 
 # -- memo independence -----------------------------------------------------
@@ -348,7 +370,7 @@ def test_reports_do_not_depend_on_memo_state(identity):
 
 
 def vars_of(grid):
-    return {name: getattr(grid, name) for name in grid.__slots__}
+    return grid._asdict()
 
 
 def test_cold_verify_builds_each_slab_table_once(monkeypatch):
