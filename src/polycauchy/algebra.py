@@ -59,11 +59,12 @@ class IntegerRows:
     their numerators and denominators are, and the zero row has denominator
     1.  ``Polynomial`` also strips trailing zeros (``_strip``), so its zero
     has empty numerators; a ``Series`` keeps its fixed length.  Every
-    operation runs on plain Python ints and reduces once; ``coeffs`` is the
-    read view, a tuple of ``Fraction``s built once per value on first read.
+    operation runs on plain Python ints and reduces once; ``coeffs`` is a
+    read view for printing, a tuple of ``Fraction``s built on each read
+    and kept nowhere.
     """
 
-    __slots__ = ("num", "den", "_coeffs")
+    __slots__ = ("num", "den")
     _strip = True
 
     def __init__(self, coeffs: Iterable = ()):
@@ -86,7 +87,6 @@ class IntegerRows:
                 den //= g
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_coeffs", None)
 
     @classmethod
     def _of(cls, num: list, den: int = 1):
@@ -100,11 +100,7 @@ class IntegerRows:
 
     @property
     def coeffs(self) -> tuple:
-        view = self._coeffs
-        if view is None:
-            view = tuple(Fraction(c, self.den) for c in self.num)
-            object.__setattr__(self, "_coeffs", view)
-        return view
+        return tuple([Fraction(c, self.den) for c in self.num])
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -210,7 +206,7 @@ class Polynomial(IntegerRows):
 
     def coefficient(self, i: int) -> Fraction:
         if 0 <= i < len(self.num):
-            return self.coeffs[i]
+            return Fraction(self.num[i], self.den)
         return Fraction(0)
 
     # -- ring operations --------------------------------------------------

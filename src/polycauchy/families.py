@@ -180,18 +180,23 @@ def _associated(order: int, delta: str) -> tuple:
     )
 
 
-@_memoized
-def _sheffer_row(n: int, delta: str, g, *params) -> Polynomial:
-    """The Sheffer polynomial n! [t^n] g(t) e^{x f(t)}, where g(order,
-    *params) expands the family's own factor and delta names f: "t",
-    "log" for log(1+t), or "-log" for -log(1+t).
-
-    With g = G / D, s_l(0) = l! G_l / D: row n is `sheffer_rows` of the
-    values l! G_l and f's columns, over D."""
+def _family_rows(ns, delta: str, g, *params) -> tuple:
+    """(rows, D): the numerators of n! [t^n] g(t) e^{x f(t)}, n in ns,
+    row n with n + 1 entries, over D, where g(order, *params) expands the
+    family's own factor and delta names f: "t", "log" for log(1+t), or
+    "-log" for -log(1+t).  With g = G / D, s_l(0) = l! G_l / D: the rows
+    are `sheffer_rows` of the values l! G_l and f's columns."""
+    n = max(ns)
     gs = _grown(g, n, *params)
     values = list(map(_times, accumulate(range(1, n + 1), _times, initial=1), gs.num))
-    cols = _grown(_associated, n, delta)
-    return Polynomial._of(sheffer_rows(values, cols, (n,))[0], gs.den)
+    return sheffer_rows(values, _grown(_associated, n, delta), ns), gs.den
+
+
+@_memoized
+def _sheffer_row(n: int, delta: str, g, *params) -> Polynomial:
+    """The Sheffer polynomial n! [t^n] g(t) e^{x f(t)}; see `_family_rows`."""
+    rows, den = _family_rows((n,), delta, g, *params)
+    return Polynomial._of(rows[0], den)
 
 
 # -- Stirling triangles ----------------------------------------------------

@@ -105,16 +105,19 @@ from .algebra import Polynomial, poly_shift, rising_factorial
 from .families import (
     bernoulli_poly,
     cauchy_number,
-    frobenius_euler,
     mixed_A,
     narumi,
     poly_cauchy,
     sheffer_rows,
     stirling_triangle,
     _associated,
+    _bernoulli_g,
+    _family_rows,
+    _frobenius_g,
     _grown as _slab,
     _lif_weights,
     _memoized,
+    _mixed_g,
 )
 from .series import Series
 from .umbral import backward_delta, mixed_pair, sheffer_by_gf, transfer
@@ -213,13 +216,6 @@ def _mixed_sheffer_order(n: int) -> int:
     return order
 
 
-def _common(values) -> tuple:
-    """(nums, den): the ints or Fractions values as a tuple of integer
-    numerators over their lcm denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple([v.numerator * (den // v.denominator) for v in values]), den
-
-
 def _slab_row(n: int, table, *slab) -> tuple:
     """Row n of the table of R_0 .. R_m of one parameter slab, a side
     (numerators, den)."""
@@ -227,19 +223,21 @@ def _slab_row(n: int, table, *slab) -> tuple:
 
 
 def _numbers(order: int, number, *args) -> tuple:
-    """number(i, *args), i = 0..order, as numerators over one denominator."""
-    return _common([number(i, *args) for i in range(order + 1)])
+    """number(i, *args), i = 0..order, ints or Fractions, as numerators
+    over their lcm denominator."""
+    values = [number(i, *args) for i in range(order + 1)]
+    den = lcm(*(v.denominator for v in values))
+    return tuple([v.numerator * (den // v.denominator) for v in values]), den
 
 
 def _A_rows(order: int, r: int, k: int) -> tuple:
     """(rows, columns, den): A_l^{(r,k)}, l = 0..order, over one
     denominator, rows[l][i] = columns[i][l] the numerator of [x^i] A_l,
-    the columns zero-padded to length order + 1."""
-    polys = [mixed_A(l, r, k) for l in range(order + 1)]
-    den = lcm(*(a.den for a in polys))
-    rows = tuple([tuple([c * (den // a.den) for c in a.num]) for a in polys])
-    cols = tuple(zip(*(row + (0,) * (order + 1 - len(row)) for row in rows)))
-    return rows, cols, den
+    the columns zero-padded to length order + 1; the rows are `mixed_A`'s
+    over g's own denominator, all from one `families._family_rows` call."""
+    rows, den = _family_rows(range(order + 1), "-log", _mixed_g, r, k)
+    cols = tuple(zip(*(row + [0] * (order - len(row) + 1) for row in rows)))
+    return tuple(map(tuple, rows)), cols, den
 
 
 def _A_row(n: int, r: int, k: int) -> tuple:
@@ -257,17 +255,16 @@ def _A_values(order: int, r: int, k: int, c: int) -> tuple:
     return tuple([sum(map(_times, row, powers)) for row in rows[: order + 1]]), den
 
 
-def _stirling_side(order: int, family, *args) -> tuple:
-    """(columns, den) of P_j = sum over m of (-1)^m s(j, m) family(m,
-    *args), j = 0..order, for `families.sheffer_rows`: columns[i][j] the
-    numerator of [x^i] P_j over the one denominator den."""
-    polys = [family(m, *args) for m in range(order + 1)]
-    den = lcm(*(p.den for p in polys))
-    # signed[i][m]: the numerator of (-1)^m [x^i] family(m)
+def _stirling_side(order: int, g, *params) -> tuple:
+    """(columns, den) of P_j = sum over m of (-1)^m s(j, m) p_m(x),
+    j = 0..order, with p_m = m! [t^m] g(t) e^{xt} (g(order, *params) the
+    Bernoulli or Frobenius-Euler factor), for `families.sheffer_rows`:
+    columns[i][j] the numerator of [x^i] P_j over g's denominator den."""
+    rows, den = _family_rows(range(order + 1), "t", g, *params)
+    # signed[i][m]: the numerator of (-1)^m [x^i] p_m
     signed = [
-        [(-1) ** m * p.num[i] * (den // p.den) if i < len(p.num) else 0
-         for m, p in enumerate(polys)]
-        for i in range(max(len(p.num) for p in polys))
+        [(-1) ** m * row[i] if i < len(row) else 0 for m, row in enumerate(rows)]
+        for i in range(order + 1)
     ]
     s1 = stirling_triangle(1, order)
     cols = tuple([
@@ -516,23 +513,22 @@ def _thm5_weights(n, m) -> tuple:
     """Theorem 5's integer weights, independent of r and k: of
     A_l^{(r,k)}(0) on the left side; of r A_a^{(r+1,k)}(1) in the double
     sum (a = 0..n-m-1), as numerators over the denominator that follows
-    them; of r A_l^{(r,k)}(1) in the second sum; and of A_l^{(r,k)}(1) in
-    the last one."""
+    them, lcm(2..n-m+1); of r A_l^{(r,k)}(1) in the second sum; and of
+    A_l^{(r,k)}(1) in the last one."""
     s1 = stirling_triangle(1, n)
-    double = _common([
+    dden = lcm(*range(2, n - m + 2))
+    double = [
         sum([
-            Fraction(
-                (-1) ** (l - a + 1) * factorial(l - a) * comb(n - 1, l) * comb(l, a)
-                * s1[n - 1 - l][m],
-                l - a + 2,
-            )
+            (-1) ** (l - a + 1) * factorial(l - a) * comb(n - 1, l) * comb(l, a)
+            * s1[n - 1 - l][m] * (dden // (l - a + 2))
             for l in range(a, n - m)
         ])
         for a in range(n - m)
-    ])
+    ]
     return (
         [comb(n, l) * s1[n - l][m] for l in range(n - m + 1)],
-        *double,
+        double,
+        dden,
         [comb(n - 1, l) * s1[n - l - 1][m] for l in range(n - m)],
         [comb(n - 1, l) * s1[n - l - 1][m - 1] for l in range(n - m + 1)],
     )
@@ -584,7 +580,7 @@ def _thm6_table(order, r, k, s) -> tuple:
     over l of C(n, l) A_l^{(r+s,k)}(s) P_{n-l}(x), with P_j the sum over m
     of (-1)^m s(j, m) B_m^{(s)}(x)."""
     values, vden = _slab(_A_values, order, r + s, k, s)
-    cols, pden = _slab(_stirling_side, order, bernoulli_poly, s)
+    cols, pden = _slab(_stirling_side, order, _bernoulli_g, s)
     return tuple(zip(sheffer_rows(values, cols, range(order + 1)), repeat(vden * pden)))
 
 
@@ -615,7 +611,7 @@ def _thm7_table(order, r, k, s, p, q) -> tuple:
     moments = _slab(_thm7_moments, order, s, p, q)
     rows, _, den = _slab(_A_rows, order, r, k)
     inner = [sum(map(_times, row, moments)) for row in rows[: order + 1]]
-    cols, pden = _slab(_stirling_side, order, frobenius_euler, s, Fraction(p, q))
+    cols, pden = _slab(_stirling_side, order, _frobenius_g, s, Fraction(p, q))
     rows = sheffer_rows(inner, cols, range(order + 1))
     return tuple(zip(rows, repeat(den * (q - p) ** s * pden)))
 

@@ -271,12 +271,14 @@ def exp_series(f: Series) -> Series:
     return _from_rows(out, dens)
 
 
-def coefficient(f: Series, n: int):
+def coefficient(f: Series, n: int) -> Fraction:
+    if n < 0:
+        raise SeriesError(f"coefficient index {n} is negative")
     if n > f.order:
         raise SeriesError(
             f"coefficient {n} exceeds truncation order {f.order}; recompute at a higher order"
         )
-    return f.coeffs[n]
+    return Fraction(f.num[n], f.den)
 
 
 def factorial_coefficient(f: Series, n: int):

@@ -5,7 +5,10 @@ and the transfer formula.
 A series f acts on a polynomial p as sum_k c_k p^(k)(x) where c_k is the
 plain t^k coefficient of f; pairing a series with a polynomial gives
 <f | p> = sum_i p_i i! c_i.  Everything below is a direct consequence of
-those two rules plus series algebra.
+those two rules plus series algebra.  Each route computes on the integer
+numerators ``num`` over one ``den`` of its series and polynomials, one
+integer dot product or row per result, and builds a `Fraction` only for
+a scalar it returns.
 
 What a Sheffer route needs of the delta series f alone, its compositional
 inverse fbar, the powers of fbar and its associated sequence (as integer
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm, perm
 
 from .algebra import Polynomial
 from .series import (
@@ -106,23 +109,18 @@ def functional(f: Series, p: Polynomial) -> Fraction:
         raise SeriesError(
             f"functional needs series order >= deg p ({p.degree}), have {f.order}"
         )
-    acc = Fraction(0)
-    for i, c in enumerate(p.coeffs):
-        if c:
-            acc += c * factorial(i) * f.coeffs[i]
-    return acc
+    acc = sum([factorial(i) * c * a for i, (c, a) in enumerate(zip(p.num, f.num))])
+    return Fraction(acc, p.den * f.den)
 
 
 def apply_series(op: Series, p: Polynomial) -> Polynomial:
-    """Operator action: (sum c_k t^k) p = sum c_k p^(k)(x)."""
-    result = Polynomial()
-    deriv = p
-    for k in range(min(op.order, p.degree) + 1 if p.degree >= 0 else 1):
-        c = op.coeffs[k]
-        if c:
-            result = result + c * deriv
-        deriv = deriv.derivative()
-    return result
+    """Operator action: (sum c_k t^k) p = sum c_k p^(k)(x), one row with
+    [x^j] = sum_k c_k (j+k)!/j! p_{j+k}."""
+    c, a = op.num, p.num
+    return Polynomial._of([
+        sum([c[k] * perm(j + k, k) * a[j + k] for k in range(min(op.order, len(a) - 1 - j) + 1)])
+        for j in range(len(a))
+    ], op.den * p.den)
 
 
 # -- Sheffer construction routes ------------------------------------------
@@ -199,14 +197,14 @@ def sheffer_by_conjugate(pair: ShefferPair, n: int) -> Polynomial:
     if n > pair.order:
         raise SeriesError(f"pair order {pair.order} too small for degree {n}")
     fbar, ginv = _inverse_data(pair)
-    acc = Polynomial()
+    nums, dens = [], []
     pw = ginv
     for j in range(n + 1):
-        coeff = Fraction(factorial(n), factorial(j)) * pw.coeffs[n]
-        if coeff:
-            acc = acc + Polynomial.monomial(j, coeff)
+        nums.append(perm(n, n - j) * pw.num[n])
+        dens.append(pw.den)
         pw = mul(pw, fbar)
-    return acc
+    den = lcm(*dens)
+    return Polynomial._of([c * (den // d) for c, d in zip(nums, dens)], den)
 
 
 def sheffer_sequence(pair: ShefferPair, n: int) -> list[Polynomial]:
@@ -232,12 +230,9 @@ def sheffer_derivative(pair: ShefferPair, n: int, lower: list[Polynomial]) -> Po
     if len(lower) < n:
         raise ValueError("lower must hold S_0 .. S_{n-1}")
     fbar, _ = _inverse_data(pair)
-    acc = Polynomial()
-    for l in range(n):
-        w = comb(n, l) * factorial(n - l) * fbar.coeffs[n - l]
-        if w:
-            acc = acc + w * lower[l]
-    return acc
+    return Polynomial.linear_combination(
+        [(perm(n, n - l) * fbar.num[n - l], lower[l]) for l in range(n)], fbar.den
+    )
 
 
 # -- connection constants and transfer ------------------------------------
@@ -259,7 +254,7 @@ def connection_constants(src: ShefferPair, dst: ShefferPair, n: int) -> list[lis
     pw = base
     for m in range(n + 1):
         for i in range(m, n + 1):
-            rows[i][m] = Fraction(factorial(i), factorial(m)) * pw.coeffs[i]
+            rows[i][m] = Fraction(perm(i, i - m) * pw.num[i], pw.den)
         pw = mul(pw, lcomp)
     return rows
 

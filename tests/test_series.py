@@ -243,6 +243,10 @@ def test_factorial_coefficient_exp():
 def test_coefficient_beyond_truncation_raises():
     with pytest.raises(SeriesError):
         coefficient(Series.t(3), 4)
+    # a negative index neither wraps around nor raises a bare IndexError
+    for n in (-1, -5):
+        with pytest.raises(SeriesError):
+            coefficient(Series([1, 2, 3]), n)
 
 
 # -- structural properties -------------------------------------------------
@@ -296,7 +300,6 @@ def test_coeffs_view_kinds():
     f = Series([1, F(1, 2)])
     assert f.coeffs == (F(1), F(1, 2))
     assert all(isinstance(c, F) for c in f.coeffs)
-    assert f.coeffs is f.coeffs
     assert all(isinstance(c, F) for c in Series([0, 3]).coeffs)
 
 

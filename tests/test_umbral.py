@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -7,12 +8,13 @@ from polycauchy.algebra import Polynomial, poly_shift, rising_factorial
 from polycauchy.series import (
     Series,
     SeriesError,
+    div,
     exp_t,
     int_pow,
     log_one_plus_t,
     mul,
 )
-from polycauchy.families import mixed_A, poly_cauchy, stirling2
+from polycauchy.families import mixed_A, poly_cauchy, stirling1, stirling2
 from polycauchy import families
 from polycauchy import umbral as um
 
@@ -229,6 +231,30 @@ def test_connection_matrices_invert():
         for j in range(6):
             acc = sum(fwd[i][m] * back[m][j] for m in range(6))
             assert acc == (1 if i == j else 0)
+
+
+def test_connection_mixed_to_higher_bernoulli_is_theorem6():
+    # Theorem 6's coefficient of B_m^{(s)}(x) in A_n^{(r,k)}(x) is
+    # c_{n,m} = sum_l C(n,l) A_l^{(r+s,k)}(s) (-1)^m s(n-l,m); B_m^{(s)} is
+    # the Sheffer sequence of (((e^t-1)/t)^s, t), and this route shares no
+    # code with the Sheffer-row kernel
+    order = 6
+    checked = 0
+    for r, k, s in product((-1, 0, 2), (-1, 0, 2), (0, 1, 3)):
+        src = um.mixed_pair(r, k, order)
+        ratio = div(exp_t(order + 1) - 1, Series.t(order + 1))
+        dst = um.ShefferPair(int_pow(ratio, s), Series.t(order))
+        rows = um.connection_constants(src, dst, order)
+        values = [mixed_A(l, r + s, k).evaluate(s) for l in range(order + 1)]
+        for n in range(order + 1):
+            for m in range(n + 1):
+                want = sum(
+                    comb(n, l) * values[l] * (-1) ** m * stirling1(n - l, m)
+                    for l in range(n - m + 1)
+                )
+                assert rows[n][m] == want, (r, k, s, n, m)
+                checked += 1
+    assert checked == 756
 
 
 def test_connection_triangular_with_unit_diagonal_scale():
