@@ -69,12 +69,13 @@ slab is built once, at its largest order.
 
 `report_text` writes a report as ``json.dumps(payload, indent=2)`` does,
 byte for byte, but renders the pass, fail and skipped entries from
-%-templates instead of through the stdlib's pure-Python encoder: one
-template lookup per run of same-shape entries, and each template and
-each string slot made once per call, in a dict that the call drops.  A
-list report is rendered document by document (`_report_chunks`): fed a
-lazy iterable, it keeps each document's text, never more than one
-document.
+%-templates instead of through the stdlib's pure-Python encoder.
+json.dumps lays out each template itself, once per entry shape and
+depth, from a sample entry with a sentinel in every slot; the slots take
+ints, strings and lists of strings, and any other entry is written by
+json.dumps.  The templates live in a dict that the call drops.  A list
+report is rendered document by document (`_report_chunks`): fed a lazy
+iterable, it keeps each document's text, never more than one document.
 
 The registry `_DEFS` is one table, one row per identity in report order:
 its axes (the order in which a report writes a point's keys), its domain,
@@ -105,6 +106,7 @@ from .algebra import Polynomial, poly_shift, rising_factorial
 from .families import (
     bernoulli_poly,
     cauchy_number,
+    higher_cauchy,
     mixed_A,
     narumi,
     poly_cauchy,
@@ -341,10 +343,6 @@ def _bernoulli_a(a, r) -> Fraction:
     return bernoulli_poly(a, a - r + 1).evaluate(1)
 
 
-def _narumi_a(a, r) -> Fraction:
-    return narumi(a, -r).evaluate(0)
-
-
 def _composition_a(a, r) -> Fraction:
     """The sum over compositions a_1 + ... + a_r = a of the multinomial
     a! / (a_1! ... a_r!) times b_{a_1} ... b_{a_r}, b_i = b_i(0) the
@@ -517,14 +515,11 @@ def _thm5_weights(n, m) -> tuple:
     A_l^{(r,k)}(1) in the last one."""
     s1 = stirling_triangle(1, n)
     dden = lcm(*range(2, n - m + 2))
-    double = [
-        sum([
-            (-1) ** (l - a + 1) * factorial(l - a) * comb(n - 1, l) * comb(l, a)
-            * s1[n - 1 - l][m] * (dden // (l - a + 2))
-            for l in range(a, n - m)
-        ])
-        for a in range(n - m)
-    ]
+    # the double sum's term (-1)^(l-a+1) (l-a)! C(n-1, l) C(l, a) s(n-1-l, m)
+    # / (l-a+2) is L_l e_(l-a) / a!, since (l-a)! C(l, a) = l! / a!
+    L = [factorial(l) * comb(n - 1, l) * s1[n - 1 - l][m] for l in range(n - m)]
+    e = [(-1) ** (j + 1) * (dden // (j + 2)) for j in range(n - m)]
+    double = [sum(map(_times, L[a:], e)) // factorial(a) for a in range(n - m)]
     return (
         [comb(n, l) * s1[n - l][m] for l in range(n - m + 1)],
         double,
@@ -706,7 +701,7 @@ _DEFS: dict[str, IdentityDef] = {
     for identity, axes, domain, pairs, grid in (
         ("THM1", _NRK, _dom_r_nonneg, _thm1, _GRID_R4),
         ("THM2", _NRK, _dom_none, partial(_thm2_core, a_number=_bernoulli_a), _GRID_R4),
-        ("EQ32", _NRK, _dom_none, partial(_thm2_core, a_number=_narumi_a), _GRID_R4),
+        ("EQ32", _NRK, _dom_none, partial(_thm2_core, a_number=higher_cauchy), _GRID_R4),
         ("EQ34", _NRK, _dom_r_nonneg, partial(_thm2_core, a_number=_composition_a), _GRID_R4),
         ("EQ35", _NRK, _dom_none, _eq35, _GRID_R6),
         ("EQ36", _NRK, _dom_n_pos, _eq36, _GRID_R6),
@@ -819,124 +814,77 @@ class VerificationReport(_Record):
 #
 # With `indent` set, json.dumps runs the stdlib's pure-Python encoder, which
 # on a verify-all report costs more than most identities.  report_text
-# writes the same bytes: each entry from one %-template per shape, its
-# slots ints, strings and lists of strings (a fail entry's coefficients),
-# and every other value with json.dumps, its continuation lines
-# re-indented.  The re-indent is exact because JSON text never holds a raw
-# newline inside a string.
+# writes the same bytes, each result entry from a %-template that json.dumps
+# itself lays out once per entry shape and depth: the text of a sample
+# entry with the sentinel _SLOT in every slot.  Every other value goes
+# through json.dumps, its continuation lines re-indented; that is exact
+# because JSON text never holds a raw newline inside a string.
 
-
-def _newline(depth: int) -> str:
-    return "\n" + "  " * depth
+_SLOT = "\x00"
+_SLOT_JSON = json.dumps(_SLOT)  # "\u0000", quotes included
 
 
 def _dumps_at(value, depth: int) -> str:
     """json.dumps(value, indent=2) as it reads `depth` levels deep."""
-    return json.dumps(value, indent=2).replace("\n", _newline(depth))
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _entry_template(depth: int, point_keys: tuple, keys: tuple):
+def _template(depth: int, point_keys: tuple, keys: tuple):
     """The %-template of an entry {"point": {...}, key: ..., ...} `depth`
-    levels deep, with one %s per point value and per later value; None
-    unless every key is a string and the point comes first and is not
-    empty."""
-    if not point_keys or keys[0] != "point":
+    levels deep, one %s per point value and per later value; None unless
+    the point comes first and every key is a string (1 and True are one
+    key of a dict, but json.dumps writes them apart).  A key that holds
+    _SLOT adds a %s that no value fills, so filling the template raises."""
+    if keys[0] != "point" or not all(type(key) is str for key in point_keys + keys):
         return None
-    if not all(type(key) is str for key in point_keys + keys):
-        return None
-
-    def field(key):
-        return encode_basestring_ascii(key).replace("%", "%%") + ": "
-
-    inner, outer = "," + _newline(depth + 2), "," + _newline(depth + 1)
-    point = (
-        field("point") + "{" + _newline(depth + 2)
-        + inner.join(field(key) + "%s" for key in point_keys)
-        + _newline(depth + 1) + "}"
-    )
-    return (
-        "{" + _newline(depth + 1)
-        + outer.join([point] + [field(key) + "%s" for key in keys[1:]])
-        + _newline(depth) + "}"
-    )
+    sample = dict.fromkeys(keys, _SLOT)
+    sample["point"] = dict.fromkeys(point_keys, _SLOT)
+    return _dumps_at(sample, depth).replace("%", "%%").replace(_SLOT_JSON, "%s")
 
 
-def _slot_text(value, depth: int):
-    """A template slot `depth` levels deep that is neither an int nor a
-    string: a non-empty list of strings as json.dumps(indent=2) writes it;
-    the encoder raises TypeError on any other value."""
+def _slot(value, depth: int):
+    """A template slot `depth` levels deep that is not an int: a string or
+    a non-empty list of strings as json.dumps(indent=2) writes it; any
+    other value raises TypeError."""
     if type(value) is list and value:
-        nl = _newline(depth + 1)
-        items = ("," + nl).join([encode_basestring_ascii(v) for v in value])
-        return "[" + nl + items + _newline(depth) + "]"
+        nl = "\n" + "  " * (depth + 1)
+        return "[" + nl + ("," + nl).join(map(encode_basestring_ascii, value)) + nl[:-2] + "]"
     return encode_basestring_ascii(value)
 
 
-class _Texts(dict):
-    """One report's texts, each made on first use: a string slot's JSON
-    text under the string, and the %-template of an entry shape under
-    (depth, point keys, keys)."""
-
-    def __missing__(self, key):
-        text = encode_basestring_ascii(key) if type(key) is str else _entry_template(*key)
-        self[key] = text
-        return text
-
-
-def _entries_text(entries, depth: int, known: _Texts) -> list:
-    """The result entries `depth` levels deep, each from its template if
-    it has one: the template is looked up once per run of entries of one
-    shape, ints fill their slots as they are and each string and each
-    template is made once per `known`."""
-    texts, shape, template = [], None, None
-    for entry in entries:
+def _document_text(doc, depth: int, templates: dict) -> str:
+    """One report document `depth` levels deep, its results entry by entry,
+    each from its shape's template in `templates` if it has one."""
+    results = doc.get("results") if type(doc) is dict else None
+    if type(results) is not list or not results:
+        return _dumps_at(doc, depth)
+    # the document's other fields, split where the results go
+    frame = _dumps_at({**doc, "results": _SLOT}, depth).split(_SLOT_JSON)
+    if len(frame) != 2:
+        return _dumps_at(doc, depth)
+    texts = []
+    for entry in results:
         point = entry.get("point") if type(entry) is dict else None
         if type(point) is dict:
             # tuples, not keys() views: views compare as sets, and a
             # template fixes the order of the keys
-            keys = tuple(point), tuple(entry)
-            if keys != shape:
-                shape, template = keys, known[(depth, *keys)]
+            shape = depth + 2, tuple(point), tuple(entry)
+            if shape not in templates:
+                templates[shape] = _template(*shape)
+            template = templates[shape]
             if template is not None:
                 try:
-                    # a slot takes an int, a string or a list of strings:
-                    # any other value raises and falls back to json.dumps
-                    texts.append(template % tuple(
-                        [v if type(v) is int else known[v] if type(v) is str
-                         else _slot_text(v, depth + 2) for v in point.values()]
-                        + [v if type(v) is int else known[v] if type(v) is str
-                           else _slot_text(v, depth + 1) for v in list(entry.values())[1:]]
+                    texts.append(template % (
+                        *[v if type(v) is int else _slot(v, depth + 4) for v in point.values()],
+                        *[v if type(v) is int else _slot(v, depth + 3)
+                          for v in list(entry.values())[1:]],
                     ))
                     continue
                 except TypeError:
                     pass
-        texts.append(_dumps_at(entry, depth))
-    return texts
-
-
-def _entry_text(entry, depth: int) -> str:
-    """One result entry `depth` levels deep, from its template if it has one."""
-    return _entries_text([entry], depth, _Texts())[0]
-
-
-def _document_text(doc, depth: int, known: _Texts) -> str:
-    """One report document `depth` levels deep, its results entry by entry."""
-    results = doc.get("results") if type(doc) is dict else None
-    if type(results) is not list or not results or not all(type(key) is str for key in doc):
-        return _dumps_at(doc, depth)
-    nl = _newline(depth + 1)
-    fields = []
-    for key, value in doc.items():
-        if key == "results":
-            text = (
-                "[" + _newline(depth + 2)
-                + ("," + _newline(depth + 2)).join(_entries_text(value, depth + 2, known))
-                + nl + "]"
-            )
-        else:
-            text = _dumps_at(value, depth + 1)
-        fields.append(encode_basestring_ascii(key) + ": " + text)
-    return "{" + nl + ("," + nl).join(fields) + _newline(depth) + "}"
+        texts.append(_dumps_at(entry, depth + 2))
+    nl = "\n" + "  " * (depth + 2)
+    return frame[0] + "[" + nl + ("," + nl).join(texts) + nl[:-2] + "]" + frame[1]
 
 
 def _report_chunks(documents) -> list:
@@ -947,7 +895,7 @@ def _report_chunks(documents) -> list:
     chunks = ["[\n  "]
     # map drops each document as soon as its text is made; a loop variable
     # would keep it until the next document is built
-    for text in map(_document_text, documents, repeat(1), repeat(_Texts())):
+    for text in map(_document_text, documents, repeat(1), repeat({})):
         chunks += (text, ",\n  ")
     if len(chunks) == 1:
         return ["[]\n"]
@@ -961,7 +909,7 @@ def report_text(payload) -> str:
     for the result entries that make up most of a report."""
     if type(payload) is list:
         return "".join(_report_chunks(payload))
-    return _document_text(payload, 0, _Texts()) + "\n"
+    return _document_text(payload, 0, {}) + "\n"
 
 
 def _point_entry(definition: IdentityDef, point: dict, shown: dict) -> dict:

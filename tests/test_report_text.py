@@ -10,7 +10,7 @@ import pytest
 
 from polycauchy import cli
 from polycauchy import identities as idn
-from polycauchy.identities import GridSpec, report_text, verify
+from polycauchy.identities import IDENTITY_IDS, GridSpec, report_text, verify
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,9 +47,14 @@ def test_grids_cover_every_verdict_and_a_fraction_lambda():
     assert {e["point"]["lam"] for e in docs[-1]["results"]} == {"1/2", "-1/3", "1"}
 
 
-@pytest.mark.parametrize("name", sorted(GRIDS))
-def test_single_document(name):
-    doc = verify(name, GRIDS[name]).to_document()
+@pytest.mark.parametrize(
+    "name, grid",
+    [pytest.param(name, GRIDS[name], id=name) for name in sorted(GRIDS)]
+    # and each identity's default grid
+    + [pytest.param(name, None, id=f"{name}-default") for name in IDENTITY_IDS],
+)
+def test_single_document(name, grid):
+    doc = verify(name, grid).to_document()
     assert report_text(doc) == reference(doc)
 
 
@@ -84,6 +89,21 @@ def test_list_of_documents():
         # documents that are not dicts, beside one that is
         [1, "two", None, {"results": [{"point": {"n": 0}, "verdict": "pass"}]}],
         "a bare string",
+        # keys that hold the template sentinel "\x00", which json.dumps
+        # writes "\u0000", in the point, the entry and the document
+        {"results": [{"point": {"\x00": 1}, "verdict": "pass"}]},
+        {"results": [{"point": {"n": 1}, "verdict": "pass", "\x00": 2}]},
+        {"results": [{"point": {'a"\x00': 1}, "verdict": "pass"}]},
+        {"results": [{"point": {"n": 1}, "verdict": "pass", 'a"\x00': 2}]},
+        {'a"\x00': 1, "results": [{"point": {"n": 1}, "verdict": "pass"}]},
+        # the sentinel as a value: of the point, of the entry, of the document
+        {"results": [{"point": {"n": "\x00"}, "verdict": "pass"}]},
+        {"results": [{"point": {"n": 1}, "verdict": "\x00", "lhs": ["\x00"]}]},
+        {"identity": "\x00", "results": [{"point": {"n": 1}, "verdict": "pass"}]},
+        # keys of one shape to a dict that json.dumps writes apart
+        {"results": [
+            {"point": {True: 1}, "verdict": "pass"}, {"point": {1: 1}, "verdict": "pass"},
+        ]},
     ],
 )
 def test_any_payload_matches_json_dumps(payload):
@@ -125,13 +145,23 @@ def test_fail_entries_at_two_depths(entry):
 
 
 def test_fail_entries_are_written_from_their_template(monkeypatch):
-    def no_encoder(value, depth):
-        raise AssertionError(f"json.dumps called for {value!r}")
+    # once its shape's template is made, a fail entry is written without
+    # json.dumps: a second render dumps only the document around it
+    real_dumps_at, dumped = idn._dumps_at, []
 
-    monkeypatch.setattr(idn, "_dumps_at", no_encoder)
-    for depth in (2, 3):
-        text = idn._entry_text(FAIL_ENTRY, depth)
-        assert text == json.dumps(FAIL_ENTRY, indent=2).replace("\n", "\n" + "  " * depth)
+    def dumps_at(value, depth):
+        dumped.append(value)
+        return real_dumps_at(value, depth)
+
+    monkeypatch.setattr(idn, "_dumps_at", dumps_at)
+    doc = {"identity": "X", "results": [FAIL_ENTRY]}
+    for depth in (0, 1):
+        templates = {}
+        idn._document_text(doc, depth, templates)
+        dumped.clear()
+        text = idn._document_text(doc, depth, templates)
+        assert text == real_dumps_at(doc, depth)
+        assert all("point" not in value for value in dumped)
 
 
 # -- every recorded report --------------------------------------------------

@@ -257,6 +257,53 @@ def test_connection_mixed_to_higher_bernoulli_is_theorem6():
     assert checked == 756
 
 
+def test_connection_mixed_to_frobenius_euler_is_theorem7():
+    # Theorem 7's coefficient of H_m^{(s)}(x|lam) in A_n^{(r,k)}(x) is
+    # c_{n,m} = sum_l C(n,l) inner_l (-1)^m s(n-l,m), with inner_l =
+    # (1-lam)^(-s) sum_a (-lam)^a C(s,a) A_l^{(r,k)}(s-a); H_m^{(s)}(x|lam)
+    # is the Sheffer sequence of (((e^t-lam)/(1-lam))^s, t)
+    order = 6
+    checked = 0
+    for r, k in product((-1, 0, 2), (-1, 0, 2)):
+        src = um.mixed_pair(r, k, order)
+        rows_A = [mixed_A(l, r, k) for l in range(order + 1)]
+        for s, lam in product((0, 1, 3), (F(2), F(-1), F(1, 2))):
+            base = (exp_t(order) - lam) * (1 / (1 - lam))
+            dst = um.ShefferPair(int_pow(base, s), Series.t(order))
+            rows = um.connection_constants(src, dst, order)
+            inner = [
+                sum((-lam) ** a * comb(s, a) * A.evaluate(s - a) for a in range(s + 1))
+                / (1 - lam) ** s
+                for A in rows_A
+            ]
+            for n in range(order + 1):
+                for m in range(n + 1):
+                    want = sum(
+                        comb(n, l) * inner[l] * (-1) ** m * stirling1(n - l, m)
+                        for l in range(n - m + 1)
+                    )
+                    assert rows[n][m] == want, (r, k, s, lam, n, m)
+                    checked += 1
+    assert checked == 2268
+
+
+def test_connection_mixed_to_rising_is_theorem8():
+    # Theorem 8's coefficient of the rising factorial x(x+1)...(x+m-1) in
+    # A_n^{(r,k)}(x) is c_{n,m} = (-1)^m C(n,m) A_{n-m}^{(r,k)}(0); the rising
+    # factorials are the Sheffer sequence of (1, 1-e^{-t})
+    order = 6
+    dst = um.ShefferPair(Series.one(order), Series.one(order) - um.exp_minus_t(order))
+    checked = 0
+    for r, k in product(range(-2, 4), range(-2, 4)):
+        rows = um.connection_constants(um.mixed_pair(r, k, order), dst, order)
+        for n in range(order + 1):
+            for m in range(n + 1):
+                want = (-1) ** m * comb(n, m) * mixed_A(n - m, r, k).evaluate(0)
+                assert rows[n][m] == want, (r, k, n, m)
+                checked += 1
+    assert checked == 1008
+
+
 def test_connection_triangular_with_unit_diagonal_scale():
     a = um.mixed_pair(2, -1, 8)
     b = um.bernoulli_pair(8)
