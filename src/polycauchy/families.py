@@ -8,8 +8,8 @@ log(1+t) and -log(1+t).  The coefficients of e^{x f(t)} are read in
 closed form, through the Sheffer identity: the associated sequence of f
 is x^j, the falling factorial (x)_j or (-x)_j, whose coefficients are
 Stirling numbers of the first kind.  `sheffer_rows` is the package's one
-kernel of that identity: the rows here, the Sheffer binomial sums of
-`identities` and `umbral`'s generating-function route all call it.
+kernel of that identity (the rows here, the Sheffer sums of `identities`
+and `umbral`'s route call it), and `_values` reads l! [t^l] of a series.
 Composition with log(1+t) reads the same Stirling matrix:
 log(1+t)^m / m! = sum_n s(n, m) t^n / n!, so the factor Lif_k(log(1+t))
 of the poly-Cauchy and mixed g is that matrix applied to Lif_k's
@@ -180,16 +180,20 @@ def _associated(order: int, delta: str) -> tuple:
     )
 
 
+def _values(gs: Series, order: int) -> tuple:
+    """(l! G_l, l = 0..order, D) for the series G / D: s_l(0) of its Sheffer sequences."""
+    return tuple(map(_times, accumulate(range(1, order + 1), _times, initial=1), gs.num)), gs.den
+
+
 def _family_rows(ns, delta: str, g, *params) -> tuple:
     """(rows, D): the numerators of n! [t^n] g(t) e^{x f(t)}, n in ns,
     row n with n + 1 entries, over D, where g(order, *params) expands the
     family's own factor and delta names f: "t", "log" for log(1+t), or
-    "-log" for -log(1+t).  With g = G / D, s_l(0) = l! G_l / D: the rows
-    are `sheffer_rows` of the values l! G_l and f's columns."""
+    "-log" for -log(1+t).  The rows are `sheffer_rows` of g's `_values`
+    and f's columns."""
     n = max(ns)
-    gs = _grown(g, n, *params)
-    values = list(map(_times, accumulate(range(1, n + 1), _times, initial=1), gs.num))
-    return sheffer_rows(values, _grown(_associated, n, delta), ns), gs.den
+    values, den = _values(_grown(g, n, *params), n)
+    return sheffer_rows(values, _grown(_associated, n, delta), ns), den
 
 
 @_memoized

@@ -27,11 +27,11 @@ for l = 0..N as one tuple of integer numerators over one denominator, in
 the family memo (`_slab`, which is `families._grown`, rebuilt at twice
 the order when a larger n asks for it):
 
-- A_0^{(r,k)} .. A_N^{(r,k)}, as rows and as columns, per (r, k)
-  (`_A_rows`), and their values at an integer c per (r, k, c)
-  (`_A_values`);
-- the a-numbers of Theorem 2 and of (32) and (34) per r, the
-  poly-Cauchy numbers per k and the Cauchy numbers (`_numbers`);
+- A_0^{(r,k)} .. A_N^{(r,k)}, as rows and as columns, per (r, k) (`_A_rows`);
+- values read by `families._values`, l! [t^l] of a series: A_l(c) per
+  (r, k, c) from g(t) (1+t)^(-c) (`_A_values`), the poly-Cauchy numbers
+  from Lif_k(log(1+t)), and the a-numbers of Theorem 2, (32) and (34)
+  per r (`_bernoulli_values`, `_cauchy_values`, `_composition_values`);
 - the polynomials P_j of a Sheffer binomial sum, as columns over one
   denominator: (-x)_j, the family rows' own columns (Theorems 2 and 8),
   and the Stirling transform sum over m of (-1)^m s(j, m) p_m(x)
@@ -68,14 +68,9 @@ p and q.  `verify` evaluates a grid's points largest n first, so that each
 slab is built once, at its largest order.
 
 `report_text` writes a report as ``json.dumps(payload, indent=2)`` does,
-byte for byte, but renders the pass, fail and skipped entries from
-%-templates instead of through the stdlib's pure-Python encoder.
-json.dumps lays out each template itself, once per entry shape and
-depth, from a sample entry with a sentinel in every slot; the slots take
-ints, strings and lists of strings, and any other entry is written by
-json.dumps.  The templates live in a dict that the call drops.  A list
-report is rendered document by document (`_report_chunks`): fed a lazy
-iterable, it keeps each document's text, never more than one document.
+byte for byte, its result entries from %-templates that json.dumps lays
+out once per entry shape (see "the report text" below), and a list report
+document by document (`_report_chunks`).
 
 The registry `_DEFS` is one table, one row per identity in report order:
 its axes (the order in which a report writes a point's keys), its domain,
@@ -84,7 +79,7 @@ named once (`_GRID_R4` .. `_GRID_THM7`).  Theorems 4 and 5 are printed in
 the source with internal inconsistencies against their own derivations;
 both the printed reading and the derivation-faithful variant are
 registered, as one evaluator that takes `printed=` (as Theorem 2, (32) and
-(34) share one that takes `a_number=`), and verify_variants reports which
+(34) share one that takes `a_values=`), and verify_variants reports which
 one holds.
 """
 
@@ -97,7 +92,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb, factorial, gcd, lcm
 from operator import mul as _times
@@ -105,11 +100,8 @@ from operator import mul as _times
 from .algebra import Polynomial, poly_shift, rising_factorial
 from .families import (
     bernoulli_poly,
-    cauchy_number,
-    higher_cauchy,
     mixed_A,
     narumi,
-    poly_cauchy,
     sheffer_rows,
     stirling_triangle,
     _associated,
@@ -117,11 +109,14 @@ from .families import (
     _family_rows,
     _frobenius_g,
     _grown as _slab,
+    _lif_log,
     _lif_weights,
     _memoized,
     _mixed_g,
+    _narumi_g,
+    _values,
 )
-from .series import Series
+from .series import Series, mul
 from .umbral import backward_delta, mixed_pair, sheffer_by_gf, transfer
 
 __version__ = "0.1.0"
@@ -224,14 +219,6 @@ def _slab_row(n: int, table, *slab) -> tuple:
     return _slab(table, n, *slab)[n]
 
 
-def _numbers(order: int, number, *args) -> tuple:
-    """number(i, *args), i = 0..order, ints or Fractions, as numerators
-    over their lcm denominator."""
-    values = [number(i, *args) for i in range(order + 1)]
-    den = lcm(*(v.denominator for v in values))
-    return tuple([v.numerator * (den // v.denominator) for v in values]), den
-
-
 def _A_rows(order: int, r: int, k: int) -> tuple:
     """(rows, columns, den): A_l^{(r,k)}, l = 0..order, over one
     denominator, rows[l][i] = columns[i][l] the numerator of [x^i] A_l,
@@ -251,10 +238,10 @@ def _A_row(n: int, r: int, k: int) -> tuple:
 
 def _A_values(order: int, r: int, k: int, c: int) -> tuple:
     """A_l^{(r,k)}(c) at the integer c, l = 0..order, as numerators over
-    one denominator."""
-    rows, _, den = _slab(_A_rows, order, r, k)
-    powers = [c**i for i in range(order + 1)]
-    return tuple([sum(map(_times, row, powers)) for row in rows[: order + 1]]), den
+    one denominator: the `_values` of g(t) (1+t)^(-c), g A's own factor."""
+    # b_j = C(-c, j) = b_(j-1) (1-c-j) / j, the integer binomials of (1+t)^(-c)
+    b = list(accumulate(range(1, order + 1), lambda prev, j: prev * (1 - c - j) // j, initial=1))
+    return _values(mul(_slab(_mixed_g, order, r, k).truncate(order), Series._of(b)), order)
 
 
 def _stirling_side(order: int, g, *params) -> tuple:
@@ -315,47 +302,52 @@ def _thm1(p):
     return [(_A_row(n, r, k), _slab_row(n, _thm1_table, r, k))]
 
 
-def _thm2_table(order, a_number, r, k) -> tuple:
+def _thm2_table(order, a_values, r, k) -> tuple:
     """Theorem 2's right sides for one (r, k), n = 0..order; THM2, EQ32 and
-    EQ34 differ only in a_number.
+    EQ34 differ only in a_values, the builder of their a-numbers a_l.
 
     The sum over j of (-1)^j s(i, j) x^j is (-x)_i, so the right side is
     the sum over l of C(n, l) inner_l (-x)_{n-l}, with the innermost sum
-    inner_t = sum over a of C(t, a) a_number(a, r) C_{t-a}^{(k)}, an
-    integer convolution of the a-numbers with the poly-Cauchy numbers."""
-    an, aden = _slab(_numbers, order, a_number, r)
-    pc, pden = _slab(_numbers, order, _pc_number, k)
+    inner_t = sum over a of C(t, a) a_a C_{t-a}^{(k)}, an integer
+    convolution of the a-numbers with the poly-Cauchy numbers."""
+    an, aden = _slab(a_values, order, r)
+    pc, pden = _values(_slab(_lif_log, order, k), order)
     inner = [sum([comb(t, a) * an[a] * pc[t - a] for a in range(t + 1)]) for t in range(order + 1)]
     rows = sheffer_rows(inner, _slab(_associated, order, "-log"), range(order + 1))
     return tuple(zip(rows, repeat(aden * pden)))
 
 
-def _thm2_core(p, a_number):
+def _thm2_core(p, a_values):
     n, r, k = p["n"], p["r"], p["k"]
-    return [(_A_row(n, r, k), _slab_row(n, _thm2_table, a_number, r, k))]
+    return [(_A_row(n, r, k), _slab_row(n, _thm2_table, a_values, r, k))]
 
 
-def _pc_number(n, k) -> Fraction:
-    return poly_cauchy(n, k).evaluate(0)
+def _bernoulli_values(order, r) -> tuple:
+    """Theorem 2's a-numbers B_a^{(a-r+1)}(1), a = 0..order, over one
+    denominator: B_a^{(alpha)}(1) is the sum over j of C(a, j) v_j, v the
+    `_values` of (t/(e^t-1))^alpha."""
+    vals = [_values(_slab(_bernoulli_g, a, a - r + 1), a) for a in range(order + 1)]
+    sums = [sum([comb(a, j) * c for j, c in enumerate(v)]) for a, (v, _) in enumerate(vals)]
+    den = lcm(*(d for _, d in vals))
+    return tuple([s * (den // d) for s, (_, d) in zip(sums, vals)]), den
 
 
-def _bernoulli_a(a, r) -> Fraction:
-    return bernoulli_poly(a, a - r + 1).evaluate(1)
+def _cauchy_values(order, r) -> tuple:
+    """(32)'s a-numbers, the Cauchy numbers a! [t^a] (t/log(1+t))^r."""
+    return _values(_slab(_narumi_g, order, -r), order)
 
 
-def _composition_a(a, r) -> Fraction:
-    """The sum over compositions a_1 + ... + a_r = a of the multinomial
-    a! / (a_1! ... a_r!) times b_{a_1} ... b_{a_r}, b_i = b_i(0) the
-    Bernoulli numbers of the second kind, which are the Cauchy numbers.
-
-    It is a! [t^a] (sum_i b_i t^i / i!)^r, so it is taken as r binomial
-    convolutions c_m <- sum_i C(m, i) c_i b_{m-i} of integer numerators
-    over one denominator, in O(r a^2) products."""
-    b, bden = _slab(_numbers, a, cauchy_number)
-    c = [1] + [0] * a
+def _composition_values(order, r) -> tuple:
+    """(34)'s a-numbers, a = 0..order, over one denominator: the sum over
+    the compositions of a into r parts of a! b_{a_1} ... b_{a_r} /
+    (a_1! ... a_r!), b_i the Cauchy numbers, is a! [t^a] (sum_i b_i t^i /
+    i!)^r, so all of them are r binomial convolutions at full length, in
+    O(r order^2) products."""
+    b, bden = _cauchy_values(order, 1)
+    c = [1] + [0] * order
     for _ in range(r):
-        c = [sum([comb(m, i) * c[i] * b[m - i] for i in range(m + 1)]) for m in range(a + 1)]
-    return Fraction(c[a], bden**r)
+        c = [sum([comb(m, i) * c[i] * b[m - i] for i in range(m + 1)]) for m in range(order + 1)]
+    return tuple(c), bden**r
 
 
 @_memoized
@@ -700,9 +692,10 @@ _DEFS: dict[str, IdentityDef] = {
     identity: IdentityDef(axes, domain, pairs, grid)
     for identity, axes, domain, pairs, grid in (
         ("THM1", _NRK, _dom_r_nonneg, _thm1, _GRID_R4),
-        ("THM2", _NRK, _dom_none, partial(_thm2_core, a_number=_bernoulli_a), _GRID_R4),
-        ("EQ32", _NRK, _dom_none, partial(_thm2_core, a_number=higher_cauchy), _GRID_R4),
-        ("EQ34", _NRK, _dom_r_nonneg, partial(_thm2_core, a_number=_composition_a), _GRID_R4),
+        ("THM2", _NRK, _dom_none, partial(_thm2_core, a_values=_bernoulli_values), _GRID_R4),
+        ("EQ32", _NRK, _dom_none, partial(_thm2_core, a_values=_cauchy_values), _GRID_R4),
+        ("EQ34", _NRK, _dom_r_nonneg, partial(_thm2_core, a_values=_composition_values),
+         _GRID_R4),
         ("EQ35", _NRK, _dom_none, _eq35, _GRID_R6),
         ("EQ36", _NRK, _dom_n_pos, _eq36, _GRID_R6),
         ("THM3", _NRK, _dom_none, _thm3, _GRID_N6),
@@ -951,8 +944,7 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     definition = _DEFS[identity]
-    if grid is None:
-        grid = definition.default_grid
+    grid = definition.default_grid if grid is None else grid
     axes = definition.axes
     value_lists = []
     for axis in axes:
@@ -961,7 +953,10 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
             raise ValueError(f"grid provides no values for axis {axis!r}")
         if axis == "n" and min(vals) < 0:
             raise ValueError(f"n must be >= 0, got {min(vals)}")
-        value_lists.append(vals)
+        if axis == "lam" and not all(isinstance(v, (int, Fraction)) for v in vals):
+            raise ValueError(f"lam must be ints or Fractions, got {list(vals)!r}")
+        # an int lambda becomes the Fraction it stands for, shown as a string
+        value_lists.append([Fraction(v) for v in vals] if axis == "lam" else vals)
     points = [dict(zip(axes, combo)) for combo in itertools.product(*value_lists)]
     # a second dict per point only where the report shows a value, a
     # Fraction lambda, as a string

@@ -38,7 +38,7 @@ from .series import (
     mul,
     reciprocal,
 )
-from .families import _memoized, bernoulli_ratio, lif_neg_t, sheffer_rows
+from .families import _memoized, _values, bernoulli_ratio, lif_neg_t, sheffer_rows
 
 _X = Polynomial.x()
 
@@ -171,10 +171,9 @@ def _gf_rows(pair: ShefferPair) -> tuple:
     """S_0 .. S_N of the pair, N its order; see sheffer_by_gf."""
     _, ginv = _inverse_data(pair)
     _, _, (cols, den) = _delta_data(pair.f)
-    # with 1/g(fbar) = G / D, S_m(0) = m! G_m / D
-    values = [factorial(m) * c for m, c in enumerate(ginv.num)]
+    values, vden = _values(ginv, pair.order)
     rows = sheffer_rows(values, cols, range(pair.order + 1))
-    return tuple(Polynomial._of(row, ginv.den * den) for row in rows)
+    return tuple(Polynomial._of(row, vden * den) for row in rows)
 
 
 def sheffer_by_gf(pair: ShefferPair, n: int) -> Polynomial:

@@ -278,6 +278,23 @@ def test_lambda_one_skipped():
     assert rep.all_passed
 
 
+def test_int_lambda_is_shown_as_its_fraction():
+    grid = GridSpec(n_values=(0, 1, 2), r_values=(0,), k_values=(1,), s_values=(1,),
+                    lambdas=(2, -1))
+    rep = verify("THM7", grid)
+    assert [e["point"]["lam"] for e in rep.results] == ["2", "-1"] * 3
+    assert rep.to_json() == verify("THM7", grid._replace(lambdas=(F(2), F(-1)))).to_json()
+
+
+@pytest.mark.parametrize("lam", [2.0, "2", None])
+def test_lambda_neither_int_nor_fraction_rejected_before_any_point(lam, monkeypatch):
+    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    grid = GridSpec(n_values=(2,), r_values=(1,), k_values=(1,), s_values=(1,),
+                    lambdas=(F(2), lam))
+    with pytest.raises(ValueError, match="lam must be ints or Fractions"):
+        verify("THM7", grid)
+
+
 def test_thm7_negative_s_skipped_thm6_kept():
     grid = GridSpec(
         n_values=(0, 1, 2), r_values=(0, 1), k_values=(1,), s_values=(-2, -1, 1),
@@ -411,3 +428,25 @@ def test_cold_eq17_past_the_first_pair_order():
     assert rep.totals["fail"] == 0 and rep.totals["pass"] == 17 * 4 * 4
     # pair orders 10 (n <= 8) and 20 (n 9..16)
     assert sum(key[0] is umbral._delta_data.__wrapped__ for key in families._memo) <= 2
+
+
+# -- value vectors -----------------------------------------------------------
+
+
+def _memo_keys(build):
+    return sorted(key[1:] for key in families._memo if key[0] is build)
+
+
+def test_value_vectors_are_read_from_their_series():
+    # A_l(c) is read from g(t) (1+t)^(-c), not from a slab of A's rows
+    families._memo.clear()
+    verify("THM5", GridSpec(n_values=(6,), m_values=(2,), r_values=(1,), k_values=(0,)))
+    assert _memo_keys(idn._A_rows) == []
+    # THM6 at (r, s) reads A^{(r+s,k)}(s), and only its left side reads rows
+    families._memo.clear()
+    verify("THM6", GridSpec(n_values=(6,), r_values=(1,), k_values=(0,), s_values=(2,)))
+    assert _memo_keys(idn._A_rows) == [(1, 0)]
+    # the poly-Cauchy numbers are read from Lif_k(log(1+t)), not from its rows
+    families._memo.clear()
+    verify("THM2", GridSpec(n_values=(6,), r_values=(1,), k_values=(0,)))
+    assert not [key for key in families._memo if families._lif_log in key[1:]]

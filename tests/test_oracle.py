@@ -1,45 +1,21 @@
 """A_n^{(r,k)}(x) against an expansion that shares no code with
-polycauchy.series: sympy's own ring-series arithmetic over ℚ[t, x]."""
+polycauchy.series: sympy's own ring-series arithmetic over ℚ[t, x], for
+`mixed_A` and, through the slabs of A's rows, for the whole registry."""
 
-from fractions import Fraction
-from math import factorial
+import hashlib
+import json
+import os
 
 import pytest
 
-sympy = pytest.importorskip("sympy")
+pytest.importorskip("sympy")
 
-from sympy.polys.ring_series import rs_mul, rs_pow  # noqa: E402
-from sympy.polys.rings import ring  # noqa: E402
-
+from polycauchy import cli, families  # noqa: E402
+from polycauchy import identities as idn  # noqa: E402
 from polycauchy.families import mixed_A  # noqa: E402
+from sympy_oracle import sympy_A_rows, sympy_mixed_A  # noqa: E402
 
-QQ = sympy.QQ
-R, t, x = ring("t, x", QQ)
-
-
-def sympy_mixed_A(n, r, k):
-    """n! [t^n] (t/log(1+t))^r Lif_k(log(1+t)) (1+t)^{-x}, coefficients in
-    ascending powers of x."""
-    prec = n + 1
-    ell = sum(QQ((-1) ** (m + 1), m) * t ** m for m in range(1, prec + 1))
-    ell_over_t = sum(QQ((-1) ** m, m + 1) * t ** m for m in range(prec))
-    ratio = rs_pow(ell_over_t, -r, t, prec)
-    lif, ell_pow = R(0), R(1)
-    for m in range(prec):
-        lif += ell_pow * QQ(1, factorial(m)) * QQ(m + 1) ** (-k)
-        ell_pow = rs_mul(ell_pow, ell, t, prec)
-    # (1+t)^{-x} = sum_m (-1)^m x(x+1)...(x+m-1) t^m / m!
-    binom, rising = R(0), R(1)
-    for m in range(prec):
-        binom += (-1) ** m * rising * QQ(1, factorial(m)) * t ** m
-        rising *= x + m
-    prod = rs_mul(rs_mul(ratio, lif, t, prec), binom, t, prec)
-    coeffs = {
-        j: Fraction(int(c.numerator), int(c.denominator)) * factorial(n)
-        for (i, j), c in prod.terms()
-        if i == n
-    }
-    return [coeffs.get(j, Fraction(0)) for j in range(max(coeffs, default=-1) + 1)]
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize(
@@ -54,3 +30,34 @@ def test_mixed_A_matches_sympy_expansion(n, r, k):
     want = sympy_mixed_A(n, r, k)
     assert len(want) == n + 1  # degree n, leading coefficient (-1)^n
     assert list(mixed_A(n, r, k).coeffs) == want
+
+
+@pytest.fixture
+def sympy_rows(monkeypatch):
+    """Every left side A_n, and every other read of A's rows, from sympy:
+    `identities._A_rows` patched, in a cold memo that is cleared again
+    afterwards, since the slab tables built here may hold mutated rows."""
+    monkeypatch.setattr(idn, "_A_rows", sympy_A_rows)
+    families._memo.clear()
+    yield
+    families._memo.clear()
+
+
+def test_verify_all_with_sympy_rows_reproduces_the_recorded_report(sympy_rows, capsys):
+    with open(os.path.join(ROOT, "perfbench", "reports.json")) as fh:
+        recorded = json.load(fh)["default"]
+    assert cli.main(["verify", "all", "--jobs", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded
+
+
+def test_swapped_associated_columns_fail_thm8(sympy_rows, monkeypatch):
+    # (x)_j for (-x)_j: the engine's A and THM8's right side both read these
+    # columns, so only a left side from sympy can tell
+    original = families._associated
+
+    def swapped(order, delta):
+        return original(order, "log" if delta == "-log" else delta)
+
+    monkeypatch.setattr(families, "_associated", swapped)
+    monkeypatch.setattr(idn, "_associated", swapped)
+    assert not idn.verify("THM8").all_passed
