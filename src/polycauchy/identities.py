@@ -67,10 +67,12 @@ integer dot product of row l of A with a moment vector kept per (s, lam)
 p and q.  `verify` evaluates a grid's points largest n first, so that each
 slab is built once, at its largest order.
 
-`report_text` writes a report as ``json.dumps(payload, indent=2)`` does,
-byte for byte, its result entries from %-templates that json.dumps lays
-out once per entry shape (see "the report text" below), and a list report
-document by document (`_report_chunks`).
+`report_text` writes a document from `verify`, or a list of them, as
+``json.dumps(payload, indent=2)`` does, byte for byte: its result entries
+from %-templates that json.dumps lays out once per entry shape, and a list
+report document by document (`_report_chunks`).  It assumes what `verify`
+makes: int or str point values, and str or list-of-str entry values (see
+"the report text" below); `verify` refuses a point value of another type.
 
 The registry `_DEFS` is one table, one row per identity in report order:
 its axes (the order in which a report writes a point's keys), its domain,
@@ -457,15 +459,13 @@ def _thm4_weights(n) -> tuple:
     follows them, lcm(2..n+1); and of A_l^{(r,k)} in the single sum
     (l = 0..n-1)."""
     dden = lcm(*range(2, n + 2))
-    dbl = [
-        sum([
-            (-1) ** (n - a) * factorial(n - 1 - l) * factorial(l - a)
-            * comb(n - 1, l) * comb(l, a) * (dden // (l - a + 2))
-            for l in range(a, n)
-        ])
-        for a in range(n)
-    ]
-    single = [(-1) ** (n - l - 1) * factorial(n - l - 1) * comb(n - 1, l) for l in range(n)]
+    # (n-1-l)! C(n-1, l) (l-a)! C(l, a) = (n-1)!/a!, so the double sum's
+    # weight is (-1)^(n-a) (n-1)!/a! h_(n-1-a), h_i the sum of dden/(j+2)
+    # over j = 0..i
+    h = list(accumulate(dden // (j + 2) for j in range(n)))
+    ratio = [factorial(n - 1) // factorial(a) for a in range(n)]
+    dbl = [(-1) ** (n - a) * ratio[a] * h[n - 1 - a] for a in range(n)]
+    single = [(-1) ** (n - l - 1) * ratio[l] for l in range(n)]
     return dbl, dden, single
 
 
@@ -805,13 +805,13 @@ class VerificationReport(_Record):
 
 # -- the report text -------------------------------------------------------
 #
-# With `indent` set, json.dumps runs the stdlib's pure-Python encoder, which
-# on a verify-all report costs more than most identities.  report_text
-# writes the same bytes, each result entry from a %-template that json.dumps
-# itself lays out once per entry shape and depth: the text of a sample
-# entry with the sentinel _SLOT in every slot.  Every other value goes
-# through json.dumps, its continuation lines re-indented; that is exact
-# because JSON text never holds a raw newline inside a string.
+# json.dumps with `indent` runs the stdlib's pure-Python encoder, which on a
+# verify-all report costs more than most identities.  report_text writes the
+# same bytes for the documents `verify` makes, each result entry from a
+# %-template that json.dumps lays out once per entry shape from a sample
+# entry with the sentinel _SLOT in every slot.  It takes what `verify` makes:
+# the point first, keys that are axis names or fixed words, ints or strs in
+# the point, and strs or non-empty lists of strs after it.
 
 _SLOT = "\x00"
 _SLOT_JSON = json.dumps(_SLOT)  # "\u0000", quotes included
@@ -822,87 +822,48 @@ def _dumps_at(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _template(depth: int, point_keys: tuple, keys: tuple):
-    """The %-template of an entry {"point": {...}, key: ..., ...} `depth`
-    levels deep, one %s per point value and per later value; None unless
-    the point comes first and every key is a string (1 and True are one
-    key of a dict, but json.dumps writes them apart).  A key that holds
-    _SLOT adds a %s that no value fills, so filling the template raises."""
-    if keys[0] != "point" or not all(type(key) is str for key in point_keys + keys):
-        return None
-    sample = dict.fromkeys(keys, _SLOT)
-    sample["point"] = dict.fromkeys(point_keys, _SLOT)
-    return _dumps_at(sample, depth).replace("%", "%%").replace(_SLOT_JSON, "%s")
-
-
-def _slot(value, depth: int):
-    """A template slot `depth` levels deep that is not an int: a string or
-    a non-empty list of strings as json.dumps(indent=2) writes it; any
-    other value raises TypeError."""
-    if type(value) is list and value:
-        nl = "\n" + "  " * (depth + 1)
+def _slot(value, nl: str):
+    """A str or list of strs as json.dumps(indent=2) writes it; `nl` starts each item."""
+    if type(value) is list:
         return "[" + nl + ("," + nl).join(map(encode_basestring_ascii, value)) + nl[:-2] + "]"
     return encode_basestring_ascii(value)
 
 
-def _document_text(doc, depth: int, templates: dict) -> str:
-    """One report document `depth` levels deep, its results entry by entry,
-    each from its shape's template in `templates` if it has one."""
-    results = doc.get("results") if type(doc) is dict else None
-    if type(results) is not list or not results:
-        return _dumps_at(doc, depth)
-    # the document's other fields, split where the results go
-    frame = _dumps_at({**doc, "results": _SLOT}, depth).split(_SLOT_JSON)
-    if len(frame) != 2:
-        return _dumps_at(doc, depth)
-    texts = []
-    for entry in results:
-        point = entry.get("point") if type(entry) is dict else None
-        if type(point) is dict:
-            # tuples, not keys() views: views compare as sets, and a
-            # template fixes the order of the keys
-            shape = depth + 2, tuple(point), tuple(entry)
-            if shape not in templates:
-                templates[shape] = _template(*shape)
-            template = templates[shape]
-            if template is not None:
-                try:
-                    texts.append(template % (
-                        *[v if type(v) is int else _slot(v, depth + 4) for v in point.values()],
-                        *[v if type(v) is int else _slot(v, depth + 3)
-                          for v in list(entry.values())[1:]],
-                    ))
-                    continue
-                except TypeError:
-                    pass
-        texts.append(_dumps_at(entry, depth + 2))
-    nl = "\n" + "  " * (depth + 2)
-    return frame[0] + "[" + nl + ("," + nl).join(texts) + nl[:-2] + "]" + frame[1]
+def _document_text(doc, depth: int) -> str:
+    """One document from `verify`, `depth` levels deep, each entry from its shape's template."""
+    head, tail = _dumps_at({**doc, "results": _SLOT}, depth).split(_SLOT_JSON)
+    nl, item_nl = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 4)
+    templates, texts = {}, []
+    for entry in doc["results"]:
+        point, *values = entry.values()
+        shape = tuple(entry)  # not a keys() view, which compares as a set
+        if shape not in templates:
+            sample = dict.fromkeys(shape, _SLOT)
+            sample["point"] = dict.fromkeys(point, _SLOT)
+            templates[shape] = _dumps_at(sample, depth + 2).replace(_SLOT_JSON, "%s")
+        values[:0] = point.values()
+        texts.append(templates[shape] % tuple(
+            [v if type(v) is int else _slot(v, item_nl) for v in values]))
+    return head + "[" + nl + ("," + nl).join(texts) + nl[:-2] + "]" + tail
 
 
 def _report_chunks(documents) -> list:
-    """json.dumps(list(documents), indent=2) + "\n" as strings whose
-    concatenation it is.  Each document is taken from the iterable only
-    after the one before it is rendered, and only its text is kept, so a
-    lazy iterable holds one document at a time."""
+    """json.dumps(list(documents), indent=2) + "\n" in pieces, holding one
+    document at a time: the next is taken once the one before is rendered."""
     chunks = ["[\n  "]
-    # map drops each document as soon as its text is made; a loop variable
-    # would keep it until the next document is built
-    for text in map(_document_text, documents, repeat(1), repeat({})):
+    # map drops each document once its text is made; a loop variable would not
+    for text in map(_document_text, documents, repeat(1)):
         chunks += (text, ",\n  ")
-    if len(chunks) == 1:
-        return ["[]\n"]
     chunks[-1] = "\n]\n"
     return chunks
 
 
 def report_text(payload) -> str:
-    """json.dumps(payload, indent=2) + "\n", byte for byte, for one report
-    document or a list of them, written without the pure-Python encoder
-    for the result entries that make up most of a report."""
+    """json.dumps(payload, indent=2) + "\n", byte for byte, for one document
+    from `verify` or a non-empty list of them."""
     if type(payload) is list:
         return "".join(_report_chunks(payload))
-    return _document_text(payload, 0, {}) + "\n"
+    return _document_text(payload, 0) + "\n"
 
 
 def _point_entry(definition: IdentityDef, point: dict, shown: dict) -> dict:
@@ -941,6 +902,8 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
     """
     if identity not in _DEFS:
         raise ValueError(f"unknown identity {identity!r}")
+    if type(jobs) is not int:
+        raise ValueError(f"jobs must be an int, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     definition = _DEFS[identity]
@@ -951,6 +914,9 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
         vals = grid.values_for(axis)
         if not vals:
             raise ValueError(f"grid provides no values for axis {axis!r}")
+        # not bool either, which a report would write as true
+        if axis != "lam" and not all(type(v) is int for v in vals):
+            raise ValueError(f"{axis} must be ints, got {list(vals)!r}")
         if axis == "n" and min(vals) < 0:
             raise ValueError(f"n must be >= 0, got {min(vals)}")
         if axis == "lam" and not all(isinstance(v, (int, Fraction)) for v in vals):

@@ -236,18 +236,6 @@ def test_cold_verify_loads_the_pool_only_for_jobs_above_one(jobs, pooled):
     assert text == idn.report_text(report.to_document())
 
 
-def test_report_text_keeps_each_entry_key_order():
-    # the same keys in another order are another shape: each entry is
-    # written in its own key order, as json.dumps writes it
-    doc = {"results": [
-        {"point": {"n": 1, "r": 2}, "verdict": "pass"},
-        {"point": {"r": 2, "n": 1}, "verdict": "pass"},
-        {"verdict": "pass", "point": {"n": 1, "r": 2}},
-        {"point": {"n": 1, "r": 2}, "verdict": "pass"},
-    ]}
-    assert idn.report_text(doc) == json.dumps(doc, indent=2) + "\n"
-
-
 def test_threaded_verify_writes_every_grid_slot():
     # more workers than cores and a short switch interval: each worker
     # writes its entries straight into the shared result list
@@ -293,6 +281,25 @@ def test_lambda_neither_int_nor_fraction_rejected_before_any_point(lam, monkeypa
                     lambdas=(F(2), lam))
     with pytest.raises(ValueError, match="lam must be ints or Fractions"):
         verify("THM7", grid)
+
+
+@pytest.mark.parametrize("value", [0.5, "1", True, None])
+@pytest.mark.parametrize("axis", ["n", "r", "k", "s", "m"])
+def test_non_int_axis_value_rejected_before_any_point(axis, value, monkeypatch):
+    # a bool too: a report would write it as true
+    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    values = {"n_values": (2,), "r_values": (1,), "k_values": (1,), "s_values": (1,),
+              "m_values": (1,)}
+    values[f"{axis}_values"] = (2, value)
+    with pytest.raises(ValueError, match=f"{axis} must be ints"):
+        verify("THM6" if axis == "s" else "THM5", GridSpec(**values))
+
+
+@pytest.mark.parametrize("jobs", ["2", 2.5, None])
+def test_non_int_jobs_rejected_before_any_point(jobs, monkeypatch):
+    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    with pytest.raises(ValueError, match="jobs must be an int"):
+        verify("THM8", jobs=jobs)
 
 
 def test_thm7_negative_s_skipped_thm6_kept():

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -366,6 +366,23 @@ def test_shifted_rows_match_the_per_point_formula(identity):
     for n, r, k in product(ns, RS, KS):
         p = {"n": n, "r": r, "k": k}
         assert pairs(evaluator(p)) == reference(n, r, k), (identity, p)
+
+
+def test_thm4_weights_match_the_double_sum():
+    # the closed forms against Theorem 4's sums as the paper writes them,
+    # over lcm(2..n+1)
+    for n in range(60):
+        dden = lcm(*range(2, n + 2))
+        dbl = [
+            sum(
+                (-1) ** (n - a) * factorial(n - 1 - l) * factorial(l - a)
+                * comb(n - 1, l) * comb(l, a) * (dden // (l - a + 2))
+                for l in range(a, n)
+            )
+            for a in range(n)
+        ]
+        single = [(-1) ** (n - l - 1) * factorial(n - l - 1) * comb(n - 1, l) for l in range(n)]
+        assert idn._thm4_weights(n) == (dbl, dden, single), n
 
 
 def test_integer_shift_of_a_row_matches_poly_shift():

