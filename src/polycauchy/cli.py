@@ -76,12 +76,12 @@ def _parse_range(text: str) -> tuple:
         if ".." in text:
             lo, hi = text.split("..", 1)
             lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
         else:
             lo = hi = int(text)
     except ValueError:
         raise UsageError(f"bad range {text!r}: expected INT or INT..INT") from None
+    if hi < lo:
+        raise UsageError(f"range {text!r} is empty: a..b needs a <= b")
     if max(-lo, hi) > LIMIT:
         raise UsageError(f"bad range {text!r}: values must lie in -{LIMIT}..{LIMIT}")
     return tuple(range(lo, hi + 1))
@@ -109,6 +109,8 @@ def _parse_lambdas(text: str) -> tuple:
         if lam is None or max(abs(lam.numerator), lam.denominator) > LIMIT:
             raise UsageError(f"--lam values must be p/q with |p|, q <= {LIMIT}, got {part}")
         lams.append(lam)
+    if len(set(lams)) < len(lams):
+        raise UsageError(f"bad lambda list {text!r}: a value repeats")
     return tuple(lams)
 
 

@@ -8,9 +8,15 @@ constructors.  A side is a `Polynomial` or, unreduced, a pair
 (numerators, den) of integers in ascending powers of x over one
 denominator.  A point passes iff every pair matches exactly: the harness
 cross-multiplies the two numerator lists by the other side's denominator
-(`_same`) and builds reduced Polynomials only for the first pair that
-differs, the lhs, rhs and diff of the point's fail entry.  A_n^{(r,k)}
+(`_same_rows`), and writes the lhs, rhs and diff of the first pair that
+differs, the point's fail entry, as reduced fractions.  A_n^{(r,k)}
 itself is read as row n of its parameter slab (`_A_row`).
+
+`verify`'s unit of work is a parameter slab, one value on every axis but
+n (`_slab_entries`).  An identity whose sides are A_n and row n of a table
+decides a slab's points at once, its rows in one comparison (`_table`);
+any other identity, and a slab that fails, is evaluated point by point,
+largest n first, so that each slab is built once, at its largest order.
 
 Sub-results that depend on fewer coordinates than a grid point are
 computed once per process and shared by every point, grid and identity
@@ -58,31 +64,32 @@ row of integers over one denominator.  Theorems 2 (with (32) and (34)),
 right side is R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x).  So each of
 these evaluators, and Theorem 1's, reads row n of a table of right sides
 for n = 0..N, each row a side (numerators, den), built once per
-parameter slab (`_slab_row`; the Sheffer sums by `families.sheffer_rows`,
+parameter slab (`_table`; the Sheffer sums by `families.sheffer_rows`,
 the package's one Sheffer-row kernel): (r, k) for Theorems 1, 2 and 8,
 (r, k, s) for Theorem 6 and (r, k, s, lambda) for Theorem 7.  Theorem 7's value v_l,
 the sum over a of (-lam)^a C(s, a) A_l(s-a) times (1 - lam)^(-s), is one
 integer dot product of row l of A with a moment vector kept per (s, lam)
 (`_thm7_moments`); every key of Theorem 7 holds lam = p/q as the two ints
-p and q.  `verify` evaluates a grid's points largest n first, so that each
-slab is built once, at its largest order.
+p and q.  The left sides of the transfer formula (25) are one table too,
+the powers of its ratio built one at a time (`_eq25_lhs`).
 
 `report_text` writes a document from `verify`, or a list of them, as
 ``json.dumps(payload, indent=2)`` does, byte for byte: its result entries
-from %-templates that json.dumps lays out once per entry shape, and a list
-report document by document (`_report_chunks`).  It assumes what `verify`
+from %-templates that json.dumps lays out once per entry shape, each
+mapped over a run of entries of its shape, and a list report document by
+document (`_report_chunks`).  It assumes what `verify`
 makes: int or str point values, and str or list-of-str entry values (see
 "the report text" below); `verify` refuses a point value of another type.
 
 The registry `_DEFS` is one table, one row per identity in report order:
 its axes (the order in which a report writes a point's keys), its domain,
-its evaluator and its default grid.  Each default grid that rows share is
-named once (`_GRID_R4` .. `_GRID_THM7`).  Theorems 4 and 5 are printed in
-the source with internal inconsistencies against their own derivations;
-both the printed reading and the derivation-faithful variant are
-registered, as one evaluator that takes `printed=` (as Theorem 2, (32) and
-(34) share one that takes `a_values=`), and verify_variants reports which
-one holds.
+its default grid, its evaluator and, if it has one, its slab decider
+slab(p, ns): whether every point of the slab p with n in ns passes.  Each
+default grid that rows share is named once (`_GRID_R4` .. `_GRID_THM7`).
+Theorems 4 and 5 are printed in the source with internal inconsistencies
+against their own derivations; both the printed reading and the
+derivation-faithful variant are registered, as one evaluator that takes
+`printed=`, and verify_variants reports which one holds.
 """
 
 from __future__ import annotations
@@ -94,7 +101,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from json.encoder import encode_basestring_ascii
 from math import comb, factorial, gcd, lcm
 from operator import mul as _times
@@ -118,8 +125,8 @@ from .families import (
     _narumi_g,
     _values,
 )
-from .series import Series, mul
-from .umbral import backward_delta, mixed_pair, sheffer_by_gf, transfer
+from .series import Series, div, mul
+from .umbral import apply_series, backward_delta, mixed_pair, sheffer_by_gf
 
 __version__ = "0.1.0"
 
@@ -215,12 +222,6 @@ def _mixed_sheffer_order(n: int) -> int:
     return order
 
 
-def _slab_row(n: int, table, *slab) -> tuple:
-    """Row n of the table of R_0 .. R_m of one parameter slab, a side
-    (numerators, den)."""
-    return _slab(table, n, *slab)[n]
-
-
 def _A_rows(order: int, r: int, k: int) -> tuple:
     """(rows, columns, den): A_l^{(r,k)}, l = 0..order, over one
     denominator, rows[l][i] = columns[i][l] the numerator of [x^i] A_l,
@@ -299,11 +300,6 @@ def _thm1_table(order, r, k) -> tuple:
     ])
 
 
-def _thm1(p):
-    n, r, k = p["n"], p["r"], p["k"]
-    return [(_A_row(n, r, k), _slab_row(n, _thm1_table, r, k))]
-
-
 def _thm2_table(order, a_values, r, k) -> tuple:
     """Theorem 2's right sides for one (r, k), n = 0..order; THM2, EQ32 and
     EQ34 differ only in a_values, the builder of their a-numbers a_l.
@@ -317,11 +313,6 @@ def _thm2_table(order, a_values, r, k) -> tuple:
     inner = [sum([comb(t, a) * an[a] * pc[t - a] for a in range(t + 1)]) for t in range(order + 1)]
     rows = sheffer_rows(inner, _slab(_associated, order, "-log"), range(order + 1))
     return tuple(zip(rows, repeat(aden * pden)))
-
-
-def _thm2_core(p, a_values):
-    n, r, k = p["n"], p["r"], p["k"]
-    return [(_A_row(n, r, k), _slab_row(n, _thm2_table, a_values, r, k))]
 
 
 def _bernoulli_values(order, r) -> tuple:
@@ -571,11 +562,6 @@ def _thm6_table(order, r, k, s) -> tuple:
     return tuple(zip(sheffer_rows(values, cols, range(order + 1)), repeat(vden * pden)))
 
 
-def _thm6(p):
-    n, r, k, s = p["n"], p["r"], p["k"], p["s"]
-    return [(_A_row(n, r, k), _slab_row(n, _thm6_table, r, k, s))]
-
-
 def _thm7_moments(order, s, p, q) -> tuple:
     """M_i = sum over a of (-p)^a q^(s-a) C(s, a) (s-a)^i, i = 0..order.
 
@@ -603,12 +589,6 @@ def _thm7_table(order, r, k, s, p, q) -> tuple:
     return tuple(zip(rows, repeat(den * (q - p) ** s * pden)))
 
 
-def _thm7(p):
-    n, r, k, s, lam = p["n"], p["r"], p["k"], p["s"], p["lam"]
-    rhs = _slab_row(n, _thm7_table, r, k, s, lam.numerator, lam.denominator)
-    return [(_A_row(n, r, k), rhs)]
-
-
 def _thm8_table(order, r, k) -> tuple:
     """Theorem 8's right sides for one (r, k), n = 0..order: the sum over l
     of C(n, l) A_l^{(r,k)}(0) (-x)_{n-l}."""
@@ -617,9 +597,27 @@ def _thm8_table(order, r, k) -> tuple:
     return tuple(zip(rows, repeat(vden)))
 
 
-def _thm8(p):
-    n, r, k = p["n"], p["r"], p["k"]
-    return [(_A_row(n, r, k), _slab_row(n, _thm8_table, r, k))]
+def _table_slab(key, p, ns) -> bool:
+    """Whether A_n^{(r,k)} is row n of the table key(p) = (table, *slab) for
+    every n in ns: A's rows and the table's, which share one denominator,
+    each read once at max(ns) and all compared at once."""
+    table, *slab = key(p)
+    order = max(ns)
+    rows, _, da = _slab(_A_rows, order, p["r"], p["k"])
+    sides = _slab(table, order, *slab)
+    return _same_rows([(rows[n], sides[n][0]) for n in ns], da, sides[0][1])
+
+
+def _table(key) -> tuple:
+    """The evaluator and the slab decider of an identity whose sides are
+    A_n^{(r,k)} and row n of the table key(p) = (table, *slab), a side
+    (numerators, den); key looks the table up when it is called."""
+    def pairs(p):
+        n = p["n"]
+        table, *slab = key(p)
+        return [(_A_row(n, p["r"], p["k"]), _slab(table, n, *slab)[n])]
+
+    return pairs, partial(_table_slab, key)
 
 
 def _narumi_bernoulli(p):
@@ -633,11 +631,18 @@ def _sheffer_pair_eq17(p):
     return [(_A_row(n, r, k), sheffer_by_gf(pair, n))]
 
 
+def _eq25_lhs(order) -> list:
+    """x (t/f)^n x^(n-1), n = 0..order: `umbral.transfer` from t to f =
+    e^{-t} - 1, with the powers of t/f built one at a time."""
+    ratio = div(Series.t(order + 2), backward_delta(order + 2))
+    powers = accumulate(repeat(ratio, order - 1), mul, initial=ratio)  # (t/f)^1 .. (t/f)^order
+    sides = [Polynomial.x() * apply_series(q, Polynomial.monomial(n)) for n, q in enumerate(powers)]
+    return [Polynomial((1,)), *sides]
+
+
 def _assoc_eq25(p):
     n = p["n"]
-    order = max(n + 2, 10)
-    lhs = transfer(Series.t(order), backward_delta(order), n)
-    return [(lhs, (-1) ** n * rising_factorial(n))]
+    return [(_slab(_eq25_lhs, n)[n], (-1) ** n * rising_factorial(n))]
 
 
 # -- domains ---------------------------------------------------------------
@@ -673,7 +678,7 @@ def _dom_none(p):
     return None
 
 
-IdentityDef = namedtuple("IdentityDef", "axes domain pairs default_grid")
+IdentityDef = namedtuple("IdentityDef", "axes domain pairs default_grid slab", defaults=(None,))
 
 # the default grids that more than one identity shares
 _GRID_R4 = GridSpec(tuple(range(9)), (0, 1, 2, 3), (-2, -1, 0, 1, 2, 3))
@@ -686,32 +691,36 @@ _GRID_THM7 = _GRID_THM6._replace(lambdas=_LAMBDAS)
 _NRK = ("n", "r", "k")
 _NMRK = ("n", "m", "r", "k")  # the order of THM5's point keys in a report
 
-# one row per identity, in report order: id, axes, domain, evaluator and
-# default grid
+# one row per identity, in report order: id, axes, domain, default grid,
+# evaluator and, for an identity with a table (`_table`), slab decider
 _DEFS: dict[str, IdentityDef] = {
-    identity: IdentityDef(axes, domain, pairs, grid)
-    for identity, axes, domain, pairs, grid in (
-        ("THM1", _NRK, _dom_r_nonneg, _thm1, _GRID_R4),
-        ("THM2", _NRK, _dom_none, partial(_thm2_core, a_values=_bernoulli_values), _GRID_R4),
-        ("EQ32", _NRK, _dom_none, partial(_thm2_core, a_values=_cauchy_values), _GRID_R4),
-        ("EQ34", _NRK, _dom_r_nonneg, partial(_thm2_core, a_values=_composition_values),
-         _GRID_R4),
-        ("EQ35", _NRK, _dom_none, _eq35, _GRID_R6),
-        ("EQ36", _NRK, _dom_n_pos, _eq36, _GRID_R6),
-        ("THM3", _NRK, _dom_none, _thm3, _GRID_N6),
-        ("THM4", _NRK, _dom_n_pos, partial(_thm4_core, printed=True), _GRID_N6),
-        ("THM4_VARIANT", _NRK, _dom_n_pos, partial(_thm4_core, printed=False), _GRID_N6),
-        ("THM5", _NMRK, _dom_thm5, partial(_thm5_core, printed=True), _GRID_THM5),
-        ("THM5_VARIANT", _NMRK, _dom_thm5, partial(_thm5_core, printed=False), _GRID_THM5),
-        ("EQ52", _NRK, _dom_none, _eq52, _GRID_R6),
-        ("THM6", ("n", "r", "k", "s"), _dom_none, _thm6, _GRID_THM6),
-        ("THM7", ("n", "r", "k", "s", "lam"), _dom_thm7, _thm7, _GRID_THM7),
-        ("THM8", _NRK, _dom_none, _thm8, _GRID_R6),
-        ("NARUMI_BERNOULLI", ("n", "r"), _dom_none, _narumi_bernoulli,
-         GridSpec(tuple(range(11)), (-3, -2, -1, 0, 1, 2, 3))),
-        ("SHEFFER_PAIR_EQ17", _NRK, _dom_none, _sheffer_pair_eq17,
-         _GRID_R4._replace(k_values=(-1, 0, 1, 2))),
-        ("ASSOC_EQ25", ("n",), _dom_none, _assoc_eq25, GridSpec(tuple(range(11)))),
+    identity: IdentityDef(axes, domain, pairs, grid, *slab)
+    for identity, axes, domain, grid, pairs, *slab in (
+        ("THM1", _NRK, _dom_r_nonneg, _GRID_R4, *_table(lambda p: (_thm1_table, p["r"], p["k"]))),
+        ("THM2", _NRK, _dom_none, _GRID_R4,
+         *_table(lambda p: (_thm2_table, _bernoulli_values, p["r"], p["k"]))),
+        ("EQ32", _NRK, _dom_none, _GRID_R4,
+         *_table(lambda p: (_thm2_table, _cauchy_values, p["r"], p["k"]))),
+        ("EQ34", _NRK, _dom_r_nonneg, _GRID_R4,
+         *_table(lambda p: (_thm2_table, _composition_values, p["r"], p["k"]))),
+        ("EQ35", _NRK, _dom_none, _GRID_R6, _eq35),
+        ("EQ36", _NRK, _dom_n_pos, _GRID_R6, _eq36),
+        ("THM3", _NRK, _dom_none, _GRID_N6, _thm3),
+        ("THM4", _NRK, _dom_n_pos, _GRID_N6, partial(_thm4_core, printed=True)),
+        ("THM4_VARIANT", _NRK, _dom_n_pos, _GRID_N6, partial(_thm4_core, printed=False)),
+        ("THM5", _NMRK, _dom_thm5, _GRID_THM5, partial(_thm5_core, printed=True)),
+        ("THM5_VARIANT", _NMRK, _dom_thm5, _GRID_THM5, partial(_thm5_core, printed=False)),
+        ("EQ52", _NRK, _dom_none, _GRID_R6, _eq52),
+        ("THM6", ("n", "r", "k", "s"), _dom_none, _GRID_THM6,
+         *_table(lambda p: (_thm6_table, p["r"], p["k"], p["s"]))),
+        ("THM7", ("n", "r", "k", "s", "lam"), _dom_thm7, _GRID_THM7, *_table(lambda p: (
+            _thm7_table, p["r"], p["k"], p["s"], p["lam"].numerator, p["lam"].denominator))),
+        ("THM8", _NRK, _dom_none, _GRID_R6, *_table(lambda p: (_thm8_table, p["r"], p["k"]))),
+        ("NARUMI_BERNOULLI", ("n", "r"), _dom_none,
+         GridSpec(tuple(range(11)), (-3, -2, -1, 0, 1, 2, 3)), _narumi_bernoulli),
+        ("SHEFFER_PAIR_EQ17", _NRK, _dom_none, _GRID_R4._replace(k_values=(-1, 0, 1, 2)),
+         _sheffer_pair_eq17),
+        ("ASSOC_EQ25", ("n",), _dom_none, GridSpec(tuple(range(11))), _assoc_eq25),
     )
 }
 
@@ -723,45 +732,50 @@ def default_grid(identity: str) -> GridSpec:
 
 
 # -- the harness -----------------------------------------------------------
+#
+# The unit of work is a parameter slab: `verify` hands each one, with all of
+# the grid's n, to `_slab_entries`, which decides it with the identity's slab
+# decider or point by point (`_point_entry`).
 
 
-def _poly_strings(p: Polynomial) -> list:
-    """The coefficients of p as `str` writes them as Fractions ("-3/4",
-    "5", "0"), from its integers: one gcd per coefficient."""
-    if not p.num:
-        return ["0"]
-    den = p.den
-    if den == 1:
-        return [str(c) for c in p.num]
-    out = []
-    for c in p.num:
-        g = gcd(c, den)
-        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
-    return out
+def _side(side) -> tuple:
+    """A side as (numerators, den)."""
+    return (side.num, side.den) if isinstance(side, Polynomial) else side
 
 
-def _polynomial(side) -> Polynomial:
-    """A side as a reduced Polynomial."""
-    if isinstance(side, Polynomial):
-        return side
-    num, den = side
-    return Polynomial._of(list(num), den)
+def _poly_strings(side) -> list:
+    """The coefficients of a side as `str` writes them as Fractions ("-3/4",
+    "5", "0"), trailing zeros dropped, from its integers: one gcd per
+    coefficient, none per reduced Polynomial."""
+    num, den = _side(side)
+    num = list(num) if den > 0 else [-c for c in num]
+    den = abs(den)
+    while num and not num[-1]:
+        num.pop()
+    return [str(c // g) if (g := gcd(c, den)) == den else f"{c // g}/{den // g}"
+            for c in num] or ["0"]
 
 
-def _polynomial_pairs(pairs) -> list:
-    """An evaluator's pairs with each side a reduced Polynomial."""
-    return [(_polynomial(lhs), _polynomial(rhs)) for lhs, rhs in pairs]
+def _same_rows(pairs, da: int, db: int) -> bool:
+    """Whether a/da = b/db, i.e. a db = b da, for every pair (a, b) of
+    numerator lists, all at once at C speed, each pair's shorter list
+    padded with zeros so that no row runs into the next."""
+    left, right = [], []
+    for a, b in pairs:
+        if len(a) != len(b):
+            width = max(len(a), len(b))
+            a, b = [*a, *[0] * (width - len(a))], [*b, *[0] * (width - len(b))]
+        left += a
+        right += b
+    return list(map(_times, left, repeat(db))) == list(map(_times, right, repeat(da)))
 
 
 def _same(lhs, rhs) -> bool:
-    """Whether two sides are one polynomial: a/da = b/db iff a db = b da,
-    each numerator list multiplied through at C speed, the shorter padded
-    with zeros."""
-    a, da = (lhs.num, lhs.den) if isinstance(lhs, Polynomial) else lhs
-    b, db = (rhs.num, rhs.den) if isinstance(rhs, Polynomial) else rhs
+    """Whether two sides are one polynomial: `_same_rows` of one pair, with
+    nothing to pad when the numerator lists are of one length."""
+    (a, da), (b, db) = _side(lhs), _side(rhs)
     if len(a) != len(b):
-        width = max(len(a), len(b))
-        a, b = list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))
+        return _same_rows([(a, b)], da, db)
     return list(map(_times, a, repeat(db))) == list(map(_times, b, repeat(da)))
 
 
@@ -811,7 +825,8 @@ class VerificationReport(_Record):
 # %-template that json.dumps lays out once per entry shape from a sample
 # entry with the sentinel _SLOT in every slot.  It takes what `verify` makes:
 # the point first, keys that are axis names or fixed words, ints or strs in
-# the point, and strs or non-empty lists of strs after it.
+# the point, and strs or non-empty lists of strs after it, each slot of one
+# type in all entries of one shape, with the same point keys throughout.
 
 _SLOT = "\x00"
 _SLOT_JSON = json.dumps(_SLOT)  # "\u0000", quotes included
@@ -822,28 +837,32 @@ def _dumps_at(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _slot(value, nl: str):
-    """A str or list of strs as json.dumps(indent=2) writes it; `nl` starts each item."""
-    if type(value) is list:
-        return "[" + nl + ("," + nl).join(map(encode_basestring_ascii, value)) + nl[:-2] + "]"
-    return encode_basestring_ascii(value)
+def _column(values: tuple, nl: str):
+    """A run's values of one slot as json.dumps(indent=2) writes them; `nl` starts list items."""
+    kind = type(values[0])
+    if kind is int:
+        return values
+    if kind is str:
+        return map(encode_basestring_ascii, values)
+    return ["[" + nl + ("," + nl).join(map(encode_basestring_ascii, v)) + nl[:-2] + "]"
+            for v in values]
 
 
 def _document_text(doc, depth: int) -> str:
-    """One document from `verify`, `depth` levels deep, each entry from its shape's template."""
+    """One document from `verify`, `depth` levels deep: each run of entries
+    of one shape (its keys, in order) from that shape's template, mapped
+    over the run's columns of slot values."""
     head, tail = _dumps_at({**doc, "results": _SLOT}, depth).split(_SLOT_JSON)
     nl, item_nl = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 4)
     templates, texts = {}, []
-    for entry in doc["results"]:
-        point, *values = entry.values()
-        shape = tuple(entry)  # not a keys() view, which compares as a set
+    for shape, run in itertools.groupby(doc["results"], tuple):
+        points, *values = zip(*map(dict.values, run))
         if shape not in templates:
             sample = dict.fromkeys(shape, _SLOT)
-            sample["point"] = dict.fromkeys(point, _SLOT)
+            sample["point"] = dict.fromkeys(points[0], _SLOT)
             templates[shape] = _dumps_at(sample, depth + 2).replace(_SLOT_JSON, "%s")
-        values[:0] = point.values()
-        texts.append(templates[shape] % tuple(
-            [v if type(v) is int else _slot(v, item_nl) for v in values]))
+        columns = [*zip(*map(dict.values, points)), *values]
+        texts += map(templates[shape].__mod__, zip(*[_column(c, item_nl) for c in columns]))
     return head + "[" + nl + ("," + nl).join(texts) + nl[:-2] + "]" + tail
 
 
@@ -867,23 +886,40 @@ def report_text(payload) -> str:
 
 
 def _point_entry(definition: IdentityDef, point: dict, shown: dict) -> dict:
-    """The report entry of one point; `shown` is the point as the report
-    writes it."""
-    reason = definition.domain(point)
-    if reason is not None:
-        return {"point": shown, "verdict": "skipped", "reason": reason}
+    """The report entry of one point in the domain; `shown` is the point as
+    the report writes it."""
     for lhs, rhs in definition.pairs(point):
         if not _same(lhs, rhs):
-            lhs, rhs = _polynomial(lhs), _polynomial(rhs)
-            diff = lhs - rhs
+            (a, da), (b, db) = _side(lhs), _side(rhs)
+            diff = [x * db - y * da for x, y in zip_longest(a, b, fillvalue=0)]
             return {
                 "point": shown,
                 "verdict": "fail",
                 "lhs": _poly_strings(lhs),
                 "rhs": _poly_strings(rhs),
-                "diff": _poly_strings(diff),
+                "diff": _poly_strings((diff, da * db)),
             }
     return {"point": shown, "verdict": "pass"}
+
+
+def _slab_entries(definition: IdentityDef, slab: dict, shown: dict, n_values) -> list:
+    """The entries of one parameter slab's points, one per n of n_values in
+    that order; `shown` is the slab as the report writes it.  The points in
+    the domain are decided at once, or, with no decider or one that finds
+    a failure, one by one, largest n first."""
+    points = [{"n": n, **slab} for n in n_values]
+    written = points if shown is slab else [{"n": n, **shown} for n in n_values]
+    reasons = list(map(definition.domain, points))
+    entries = [
+        {"point": point, "verdict": "pass"} if reason is None
+        else {"point": point, "verdict": "skipped", "reason": reason}
+        for point, reason in zip(written, reasons)
+    ]
+    live = [i for i, reason in enumerate(reasons) if reason is None]
+    if live and (definition.slab is None or not definition.slab(slab, [n_values[i] for i in live])):
+        for i in sorted(live, key=n_values.__getitem__, reverse=True):
+            entries[i] = _point_entry(definition, points[i], entries[i]["point"])
+    return entries
 
 
 def ThreadPoolExecutor(max_workers: int):
@@ -922,34 +958,34 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
         if axis == "lam" and not all(isinstance(v, (int, Fraction)) for v in vals):
             raise ValueError(f"lam must be ints or Fractions, got {list(vals)!r}")
         # an int lambda becomes the Fraction it stands for, shown as a string
-        value_lists.append([Fraction(v) for v in vals] if axis == "lam" else vals)
-    points = [dict(zip(axes, combo)) for combo in itertools.product(*value_lists)]
-    # a second dict per point only where the report shows a value, a
-    # Fraction lambda, as a string
-    shown = points
-    if any(isinstance(v, Fraction) for vals in value_lists for v in vals):
-        shown_lists = [
-            [str(v) if isinstance(v, Fraction) else v for v in vals] for vals in value_lists
-        ]
-        shown = [dict(zip(axes, combo)) for combo in itertools.product(*shown_lists)]
-    # largest n first, so that each slab is built once, at its largest
-    # order; each entry goes straight to its grid slot
-    order = sorted(range(len(points)), key=lambda i: points[i]["n"], reverse=True)
-    results = [None] * len(points)
+        vals = [Fraction(v) for v in vals] if axis == "lam" else vals
+        # a repeated value would verify and report its points twice
+        if len(set(vals)) < len(vals):
+            raise ValueError(f"{axis} values must differ, got {', '.join(map(str, vals))}")
+        value_lists.append(vals)
+    # n is every identity's first axis: a slab is one value on each of the others
+    n_values, *slab_lists = value_lists
+    slabs = [dict(zip(axes[1:], combo)) for combo in itertools.product(*slab_lists)]
+    # the slabs as the report writes them: a Fraction lambda as a string
+    shown = slabs if "lam" not in axes else [
+        {axis: str(v) if type(v) is Fraction else v for axis, v in slab.items()} for slab in slabs]
+    width = len(slabs)
+    results = [None] * (len(n_values) * width)
+
+    def run(j):
+        # in grid order, the slab's entries are every width-th from j
+        results[j::width] = _slab_entries(definition, slabs[j], shown[j], n_values)
+
     start = time.monotonic()
     if jobs > 1:
-
-        def run(i):
-            results[i] = _point_entry(definition, points[i], shown[i])
-
-        # the executor's own default ceiling, and no more threads than points
-        workers = min(jobs, len(points), 32, (os.cpu_count() or 1) + 4)
+        # the executor's own default ceiling, and no more threads than slabs
+        workers = min(jobs, width, 32, (os.cpu_count() or 1) + 4)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(run, order):
+            for _ in pool.map(run, range(width)):
                 pass
     else:
-        for i in order:
-            results[i] = _point_entry(definition, points[i], shown[i])
+        for j in range(width):
+            run(j)
     report = VerificationReport(identity=identity, grid=grid, results=results)
     report.elapsed = time.monotonic() - start
     return report

@@ -253,11 +253,13 @@ def test_verify_negative_n_max_is_parameter_error(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("thm8", "--r", "3..1"), "error: bad range '3..1': expected INT or INT..INT\n"),
+        (("thm8", "--r", "3..1"), "error: range '3..1' is empty: a..b needs a <= b\n"),
         (("thm8", "--r", "abc"), "error: bad range 'abc': expected INT or INT..INT\n"),
         (("thm7", "--lam", "1/0"), "error: bad lambda list '1/0'\n"),
         (("thm8", "--jobs", "0"), "error: jobs must be >= 1, got 0\n"),
         (("thm8", "--jobs", "-2"), "error: jobs must be >= 1, got -2\n"),
+        # 4/2 is 2: every point would be verified and reported twice
+        (("thm7", "--lam", "2,4/2"), "error: bad lambda list '2,4/2': a value repeats\n"),
     ],
 )
 def test_verify_malformed_parameter_is_parameter_error(capsys, argv, message):

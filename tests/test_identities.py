@@ -28,15 +28,21 @@ NON_VARIANT = [i for i in idn.IDENTITY_IDS if i not in idn.VARIANT_IDS]
 # -- rhs spot examples -----------------------------------------------------
 
 
+def reduced(pairs) -> list:
+    """An evaluator's pairs with each side a reduced Polynomial."""
+    return [tuple(side if isinstance(side, Polynomial) else Polynomial._of(list(side[0]), side[1])
+                  for side in pair) for pair in pairs]
+
+
 def test_thm8_rhs_example():
-    (lhs, rhs), = idn._polynomial_pairs(idn._thm8({"n": 2, "r": 1, "k": 1}))
+    (lhs, rhs), = reduced(idn._DEFS["THM8"].pairs({"n": 2, "r": 1, "k": 1}))
     # A_2 - 2 A_1 x^(1) + A_0 x^(2) with A_2 = 1/6, A_1 = 1, A_0 = 1
     assert rhs == Polynomial((F(1, 6), -1, 1))
     assert lhs == rhs
 
 
 def test_eq36_rhs_example():
-    (lhs, rhs), = idn._polynomial_pairs(idn._eq36({"n": 2, "r": 1, "k": 1}))
+    (lhs, rhs), = reduced(idn._eq36({"n": 2, "r": 1, "k": 1}))
     assert rhs == 2 * mixed_A(1, 1, 1)
     assert lhs == rhs
 
@@ -44,7 +50,7 @@ def test_eq36_rhs_example():
 def test_thm1_degenerate_degree_zero():
     for r in (0, 1, 3):
         for k in (-2, 0, 2):
-            (lhs, rhs), = idn._polynomial_pairs(idn._thm1({"n": 0, "r": r, "k": k}))
+            (lhs, rhs), = reduced(idn._DEFS["THM1"].pairs({"n": 0, "r": r, "k": k}))
             assert rhs == Polynomial((1,))
             assert lhs == rhs
 
@@ -106,10 +112,17 @@ def test_unknown_identity_rejected():
         verify("THM9")
 
 
+def refuse_points(monkeypatch):
+    """Fail the test if verify evaluates a point, on its own or with the
+    rest of its slab."""
+    for name in ("_point_entry", "_slab_entries"):
+        monkeypatch.setattr(idn, name, lambda *args: pytest.fail("a point was evaluated"))
+
+
 @pytest.mark.parametrize("identity", idn.IDENTITY_IDS)
 def test_negative_n_rejected_before_any_point(identity, monkeypatch):
     # n = -1 would read the last row of a slab
-    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    refuse_points(monkeypatch)
     grid = GridSpec(n_values=(2, -1), r_values=(1,), k_values=(1,), s_values=(1,),
                     m_values=(1,), lambdas=(F(2),))
     with pytest.raises(ValueError, match="n must be >= 0"):
@@ -172,14 +185,15 @@ def test_report_byte_identical_across_jobs():
     assert docs[0] == docs[1] == docs[2]
 
 
-_TWELVE = GridSpec(n_values=(0, 1), r_values=(0, 1, 2), k_values=(0, 1))
-_THIRTY_SIX = GridSpec(n_values=(0, 1, 2, 3), r_values=(0, 1, 2), k_values=(-1, 0, 1))
+# twelve and thirty-six slabs (r, k), the units that verify maps over its threads
+_TWELVE = GridSpec(n_values=(0, 1), r_values=(0, 1, 2), k_values=(-1, 0, 1, 2))
+_THIRTY_SIX = GridSpec(n_values=(0, 1), r_values=tuple(range(6)), k_values=tuple(range(-3, 3)))
 
 
 @pytest.mark.parametrize(
     "cpus, grid, workers",
     [
-        (64, _TWELVE, 12),  # one thread per grid point at most
+        (64, _TWELVE, 12),  # one thread per slab at most
         (64, _THIRTY_SIX, 32),  # the executor's own ceiling
         (None, _THIRTY_SIX, 5),  # an unknown CPU count counts as 1, plus 4
         (2, _THIRTY_SIX, 6),
@@ -276,7 +290,7 @@ def test_int_lambda_is_shown_as_its_fraction():
 
 @pytest.mark.parametrize("lam", [2.0, "2", None])
 def test_lambda_neither_int_nor_fraction_rejected_before_any_point(lam, monkeypatch):
-    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    refuse_points(monkeypatch)
     grid = GridSpec(n_values=(2,), r_values=(1,), k_values=(1,), s_values=(1,),
                     lambdas=(F(2), lam))
     with pytest.raises(ValueError, match="lam must be ints or Fractions"):
@@ -287,7 +301,7 @@ def test_lambda_neither_int_nor_fraction_rejected_before_any_point(lam, monkeypa
 @pytest.mark.parametrize("axis", ["n", "r", "k", "s", "m"])
 def test_non_int_axis_value_rejected_before_any_point(axis, value, monkeypatch):
     # a bool too: a report would write it as true
-    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    refuse_points(monkeypatch)
     values = {"n_values": (2,), "r_values": (1,), "k_values": (1,), "s_values": (1,),
               "m_values": (1,)}
     values[f"{axis}_values"] = (2, value)
@@ -297,9 +311,32 @@ def test_non_int_axis_value_rejected_before_any_point(axis, value, monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["2", 2.5, None])
 def test_non_int_jobs_rejected_before_any_point(jobs, monkeypatch):
-    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    refuse_points(monkeypatch)
     with pytest.raises(ValueError, match="jobs must be an int"):
         verify("THM8", jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "identity, field, values",
+    [
+        ("THM8", "n_values", (1, 1)),
+        ("ASSOC_EQ25", "n_values", (3, 0, 3)),
+        ("THM8", "r_values", (0, 1, 0)),
+        ("THM8", "k_values", (2, 2)),
+        ("THM6", "s_values", (1, 1)),
+        ("THM5", "m_values", (1, 1)),
+        # an int lambda is the Fraction it stands for
+        ("THM7", "lambdas", (2, F(2))),
+    ],
+)
+def test_repeated_axis_value_rejected_before_any_point(identity, field, values, monkeypatch):
+    # verify would evaluate and report each point of a repeated value twice
+    refuse_points(monkeypatch)
+    grid = GridSpec(n_values=(2,), r_values=(1,), k_values=(1,), s_values=(1,), m_values=(1,),
+                    lambdas=(F(2),))._replace(**{field: values})
+    axis = "lam" if field == "lambdas" else field[0]
+    with pytest.raises(ValueError, match=f"{axis} values must differ"):
+        verify(identity, grid)
 
 
 def test_thm7_negative_s_skipped_thm6_kept():
@@ -457,3 +494,96 @@ def test_value_vectors_are_read_from_their_series():
     families._memo.clear()
     verify("THM2", GridSpec(n_values=(6,), r_values=(1,), k_values=(0,)))
     assert not [key for key in families._memo if families._lif_log in key[1:]]
+
+
+# -- slab deciders -----------------------------------------------------------
+
+
+@pytest.fixture
+def cold_memo():
+    # slabs built from a patched builder must not outlive the test
+    families._memo.clear()
+    yield
+    families._memo.clear()
+
+
+def bumped_table(build):
+    """_thm8_table with row 3 of the slab (1, -1) raised by 1."""
+    def bumped(order, r, k):
+        sides = list(build(order, r, k))
+        if (r, k) == (1, -1):
+            (c, *rest), den = sides[3]
+            sides[3] = ((c + den, *rest), den)
+        return tuple(sides)
+    return bumped
+
+
+def bumped_rows(build):
+    """_A_rows with A_3 of the slab (1, -1) raised by 1."""
+    def bumped(order, r, k):
+        rows, cols, den = build(order, r, k)
+        if (r, k) == (1, -1):
+            rows = list(rows)
+            rows[3] = (rows[3][0] + den, *rows[3][1:])
+        return tuple(rows), cols, den
+    return bumped
+
+
+@pytest.mark.parametrize("builder, bump", [("_thm8_table", bumped_table), ("_A_rows", bumped_rows)])
+def test_perturbed_slab_row_fails_only_its_point(builder, bump, monkeypatch, cold_memo):
+    # the deciders look both builders up when they are called, so a
+    # patched one reaches them
+    monkeypatch.setattr(idn, builder, bump(getattr(idn, builder)))
+    grid = GridSpec(n_values=tuple(range(6)), r_values=(0, 1), k_values=(-1, 0))
+    report = verify("THM8", grid)
+    point = {"n": 3, "r": 1, "k": -1}
+    assert [e["point"] for e in report.results if e["verdict"] != "pass"] == [point]
+    entry = next(e for e in report.results if e["point"] == point)
+    assert entry["verdict"] == "fail"
+    assert entry == idn._point_entry(idn._DEFS["THM8"], point, point)
+
+
+def test_slab_rows_are_padded_row_by_row():
+    a, b, c = 5, -3, 7
+    assert idn._same_rows([((a, b, 0), (2 * a, 2 * b)), ((c,), (2 * c, 0, 0))], 1, 2)
+    # [a, b], [c] against [a], [b, c]: one list once flattened, not row by row
+    assert not idn._same_rows([((a, b), (a,)), ((c,), (b, c))], 1, 1)
+
+
+_THM8_SLAB = GridSpec(n_values=(0, 1, 2, 3), r_values=(1,), k_values=(1,))
+
+
+def test_table_rows_with_trailing_zeros_pass_by_slab(monkeypatch, cold_memo):
+    table = idn._thm8_table
+    monkeypatch.setattr(idn, "_thm8_table", lambda order, r, k: tuple(
+        ((*num, 0, 0), den) for num, den in table(order, r, k)))
+    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    assert verify("THM8", _THM8_SLAB).totals == {"pass": 4, "fail": 0, "skipped": 0}
+
+
+def test_table_rows_equal_only_once_flattened_fail(monkeypatch, cold_memo):
+    # A_1 and A_2's rows, split as [a], [b, c, d, e] instead of [a, b], [c, d, e]
+    def resplit(order, r, k):
+        rows, _, den = idn._A_rows(order, r, k)
+        sides = [(row, den) for row in rows]
+        sides[1], sides[2] = (rows[1][:1], den), ((rows[1][1], *rows[2]), den)
+        return tuple(sides)
+
+    monkeypatch.setattr(idn, "_thm8_table", resplit)
+    verdicts = [e["verdict"] for e in verify("THM8", _THM8_SLAB).results]
+    assert verdicts == ["pass", "fail", "fail", "pass"]
+
+
+@pytest.mark.parametrize("identity, table", [("THM1", "_thm1_table"), ("EQ34", "_thm2_table")])
+def test_slab_outside_the_domain_builds_no_table(identity, table, monkeypatch, cold_memo):
+    # the tables of both need r >= 0
+    build, slabs = getattr(idn, table), []
+
+    def recorded(order, *slab):
+        slabs.append(slab)
+        return build(order, *slab)
+
+    monkeypatch.setattr(idn, table, recorded)
+    report = verify(identity, GridSpec(n_values=(0, 1, 2), r_values=(-1, 1), k_values=(0,)))
+    assert report.totals == {"pass": 3, "fail": 0, "skipped": 3}
+    assert [slab[-2:] for slab in slabs] == [(1, 0)]

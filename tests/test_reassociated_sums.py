@@ -5,7 +5,7 @@ and 8 and (32) and (34) read each right side as row n of a table built
 once per parameter slab.  Each must still give the pair of the paper's formula,
 written out here per point in plain Fraction arithmetic as the reference;
 an evaluator's sides, integer rows over one denominator, are compared as
-reduced Polynomials through `identities._polynomial_pairs`.
+reduced Polynomials through `pairs`.
 The report hashes cannot show this: a rewrite that changed a right side
 and the left side alike would keep every verdict."""
 
@@ -47,7 +47,10 @@ RS = range(-2, 4)
 KS = range(-3, 4)
 
 
-pairs = idn._polynomial_pairs
+def pairs(sides) -> list:
+    """An evaluator's pairs with each side a reduced Polynomial."""
+    return [tuple(side if isinstance(side, Polynomial) else Polynomial._of(list(side[0]), side[1])
+                  for side in pair) for pair in sides]
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +84,7 @@ def thm1_reference(n, r, k, first=1):
 def test_thm1_matches_the_coefficient_formula(r):
     for n, k in product(NS, KS):
         p = {"n": n, "r": r, "k": k}
-        assert pairs(idn._thm1(p)) == thm1_reference(n, r, k), p
+        assert pairs(idn._DEFS["THM1"].pairs(p)) == thm1_reference(n, r, k), p
 
 
 # -- Theorem 2, (32) and (34) ----------------------------------------------
@@ -461,31 +464,31 @@ def thm8_reference(n, r, k):
 def test_thm8_rows_match_the_per_point_formula():
     for r, k, n in product(RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k}
-        assert pairs(idn._thm8(p)) == thm8_reference(n, r, k), p
+        assert pairs(idn._DEFS["THM8"].pairs(p)) == thm8_reference(n, r, k), p
 
 
 @pytest.mark.parametrize("s", range(4))
 def test_thm6_rows_match_the_per_point_formula(s):
     for r, k, n in product(RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k, "s": s}
-        assert pairs(idn._thm6(p)) == thm6_reference(n, r, k, s), p
+        assert pairs(idn._DEFS["THM6"].pairs(p)) == thm6_reference(n, r, k, s), p
 
 
 @pytest.mark.parametrize("s", range(4))
 def test_thm7_rows_match_the_per_point_formula(s):
     for lam, r, k, n in product(LAMBDAS, RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k, "s": s, "lam": lam}
-        assert pairs(idn._thm7(p)) == thm7_reference(n, r, k, s, lam), p
+        assert pairs(idn._DEFS["THM7"].pairs(p)) == thm7_reference(n, r, k, s, lam), p
 
 
 def test_a_slab_table_is_regrown_whole():
     key = (idn._thm7_table, 2, -1, 3, -1, 3)
     families._memo.pop(key, None)
     p = {"n": 3, "r": 2, "k": -1, "s": 3, "lam": F(-1, 3)}
-    assert pairs(idn._thm7(p)) == thm7_reference(3, 2, -1, 3, F(-1, 3))
+    assert pairs(idn._DEFS["THM7"].pairs(p)) == thm7_reference(3, 2, -1, 3, F(-1, 3))
     assert families._memo[key][0] == 8
     p["n"] = 12
-    assert pairs(idn._thm7(p)) == thm7_reference(12, 2, -1, 3, F(-1, 3))
+    assert pairs(idn._DEFS["THM7"].pairs(p)) == thm7_reference(12, 2, -1, 3, F(-1, 3))
     order, rows = families._memo[key]
     assert order == 16 and len(rows) == 17 and type(rows) is tuple
 
