@@ -1,95 +1,52 @@
 """Identity verification harness.
 
-Each registered identity owns an evaluator that produces one or more
-(lhs, rhs) pairs of sides per grid point.  The left side always comes
-from the generating-function expansion of A_n^{(r,k)} (and shifts of it);
-the right side is the combinatorial formula built from the other family
-constructors.  A side is a `Polynomial` or, unreduced, a pair
-(numerators, den) of integers in ascending powers of x over one
-denominator.  A point passes iff every pair matches exactly: the harness
-cross-multiplies the two numerator lists by the other side's denominator
-(`_same_rows`), and writes the lhs, rhs and diff of the first pair that
-differs, the point's fail entry, as reduced fractions.  A_n^{(r,k)}
-itself is read as row n of its parameter slab (`_A_row`).
+Each registered identity compares two sides at every point of a finite
+grid: the expansion of A_n^{(r,k)} (or of shifts of it) from its
+generating function, and a formula built from the other family
+constructors.  A side is unreduced, integer numerators in ascending powers
+of x over one denominator; a point passes iff its sides a/da and b/db
+match exactly, a db = b da (`_same_rows`), and its fail entry writes the
+lhs, rhs and diff as reduced fractions.
 
 `verify`'s unit of work is a parameter slab, one value on every axis but
-n (`_slab_entries`).  An identity whose sides are A_n and row n of a table
-decides a slab's points at once, its rows in one comparison (`_table`);
-any other identity, and a slab that fails, is evaluated point by point,
-largest n first, so that each slab is built once, at its largest order.
+n (`_slab_entries`).  Every identity but (36) reads a point's sides from
+row n of one table per slab (`_table`), built once per process for
+n = 0..max(n): the row (a, da, b, db), or only the right side (b, db)
+against row n of A's slab.  A slab's rows are compared at once, and only
+a slab that fails writes its entries one by one, from the same rows.
+(36) still goes point by point, largest n first: its right side stays one
+`poly_shift`, the Polynomial shift that the benchmark's tracer test counts.
 
-Sub-results that depend on fewer coordinates than a grid point are
-computed once per process and shared by every point, grid and identity
-that needs them, in the family memo (`families._memo`, the package's one
-process-wide cache).  Those that depend on n alone, or on n and one or
-two more integers, are kept per exact arguments (`families._memoized`):
-the weights of Theorems 3, 4 and 5 and of (35) and (52), and Theorem 3's
-reflected Bernoulli polynomials.  The binomial shift matrix C(j, i)
-y^(j-i) is kept per y and regrown with n, as the slab tables below are.
-
-Most right sides are fixed integer-weighted transforms of a few sequences
-that depend on a parameter slab but not on n.  Each such sequence is kept
-for l = 0..N as one tuple of integer numerators over one denominator, in
-the family memo (`_slab`, which is `families._grown`, rebuilt at twice
-the order when a larger n asks for it):
-
-- A_0^{(r,k)} .. A_N^{(r,k)}, as rows and as columns, per (r, k) (`_A_rows`);
-- values read by `families._values`, l! [t^l] of a series: A_l(c) per
-  (r, k, c) from g(t) (1+t)^(-c) (`_A_values`), the poly-Cauchy numbers
-  from Lif_k(log(1+t)), and the a-numbers of Theorem 2, (32) and (34)
-  per r (`_bernoulli_values`, `_cauchy_values`, `_composition_values`);
-- the polynomials P_j of a Sheffer binomial sum, as columns over one
-  denominator: (-x)_j, the family rows' own columns (Theorems 2 and 8),
-  and the Stirling transform sum over m of (-1)^m s(j, m) p_m(x)
-  (`_stirling_side`) of the Bernoulli polynomials per s (Theorem 6) and
-  of the Frobenius-Euler polynomials per (s, lambda) (Theorem 7).
-
-The right sides that read them are integer dot products, left
-unreduced.  A shift A_n(x + y) is row n's dot product with the columns of
-a shift matrix (`_shifted`), so (52) builds both sides from A's rows and
-columns over their one denominator, and Theorem 4 sums its right side as
-integers over the rows of the slabs (r, k), (r+1, k) and (r+1, k-1);
-Theorem 3 adds its shifted row to the reflected Bernoulli polynomials in
-one `Polynomial.linear_combination`, and (36) compares a row of A's slab
-with one `poly_shift`.  (35) is checked once
-per (n, r, k) as an identity in x and y (`_eq35_sides`): both sides have
-degree at most n in y, so it holds iff it holds at the n + 1 points
-y = -2..n-2; only when it fails are the sides specialized at each y, so
-that the report shows the first y that fails.  Theorem 5's sides are
-constants, integer dot products with A's values at 0 and 1.
-
-Theorem 1's right side is the sum over m of s(n, m) R_m(x), each R_m a
-row of integers over one denominator.  Theorems 2 (with (32) and (34)),
-6, 7 and 8 expand A_n^{(r,k)}(x) by the Sheffer binomial identity: each
-right side is R_n(x) = sum over l of C(n, l) v_l P_{n-l}(x).  So each of
-these evaluators, and Theorem 1's, reads row n of a table of right sides
-for n = 0..N, each row a side (numerators, den), built once per
-parameter slab (`_table`; the Sheffer sums by `families.sheffer_rows`,
-the package's one Sheffer-row kernel): (r, k) for Theorems 1, 2 and 8,
-(r, k, s) for Theorem 6 and (r, k, s, lambda) for Theorem 7.  Theorem 7's value v_l,
-the sum over a of (-lam)^a C(s, a) A_l(s-a) times (1 - lam)^(-s), is one
-integer dot product of row l of A with a moment vector kept per (s, lam)
-(`_thm7_moments`); every key of Theorem 7 holds lam = p/q as the two ints
-p and q.  The left sides of the transfer formula (25) are one table too,
-the powers of its ratio built one at a time (`_eq25_lhs`).
+Whatever depends on fewer coordinates than a grid point is kept in the
+family memo (`families._memo`, the package's one cache): weights per
+exact arguments (`_memoized`), and the sequences of a slab for l = 0..N,
+regrown at twice the order when a larger n asks for more (`_slab`, which
+is `families._grown`): A's rows and columns and their shifts to x + 1,
+the values l! [t^l] of a series (`families._values`: A_l(c), the
+poly-Cauchy numbers, the a-numbers of Theorem 2, (32) and (34)), and the
+polynomials P_j of a Sheffer binomial sum as columns.  Each right side is
+an integer dot product or a Sheffer sum over l of C(n, l) v_l P_{n-l}(x)
+(`families.sheffer_rows`, the package's one Sheffer-row kernel).  (35) is
+checked per n as an identity in x and y: both sides have y-degree at most
+n, so they agree iff they agree at y = -2..n-2, and a failing row holds
+the pair at the first y that fails.  Theorems 4 and 5 are printed in the
+source with internal inconsistencies against their own derivations; both
+the printed reading and the derivation-faithful variant are registered,
+each row of their tables holds both, and verify_variants reports which
+one holds.
 
 `report_text` writes a document from `verify`, or a list of them, as
 ``json.dumps(payload, indent=2)`` does, byte for byte: its result entries
 from %-templates that json.dumps lays out once per entry shape, each
 mapped over a run of entries of its shape, and a list report document by
-document (`_report_chunks`).  It assumes what `verify`
-makes: int or str point values, and str or list-of-str entry values (see
-"the report text" below); `verify` refuses a point value of another type.
+document (`_report_chunks`).  It assumes what `verify` makes: int or str
+point values, and str or list-of-str entry values (see "the report text"
+below); `verify` refuses a point value of another type.
 
-The registry `_DEFS` is one table, one row per identity in report order:
-its axes (the order in which a report writes a point's keys), its domain,
-its default grid, its evaluator and, if it has one, its slab decider
-slab(p, ns): whether every point of the slab p with n in ns passes.  Each
-default grid that rows share is named once (`_GRID_R4` .. `_GRID_THM7`).
-Theorems 4 and 5 are printed in the source with internal inconsistencies
-against their own derivations; both the printed reading and the
-derivation-faithful variant are registered, as one evaluator that takes
-`printed=`, and verify_variants reports which one holds.
+The registry `_DEFS` has one row per identity in report order: its axes
+(the order in which a report writes a point's keys), domain, default
+grid (each shared grid named once, `_GRID_R4` .. `_GRID_THM7`), evaluator
+pairs(p) and, from its table, slab rows rows(p, ns).
 """
 
 from __future__ import annotations
@@ -98,19 +55,16 @@ import itertools
 import json
 import os
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, repeat, zip_longest
 from json.encoder import encode_basestring_ascii
 from math import comb, factorial, gcd, lcm
-from operator import mul as _times
+from operator import itemgetter, mul as _times
 
-from .algebra import Polynomial, poly_shift, rising_factorial
+from .algebra import Polynomial, poly_shift
 from .families import (
-    bernoulli_poly,
     mixed_A,
-    narumi,
     sheffer_rows,
     stirling_triangle,
     _associated,
@@ -163,14 +117,7 @@ class GridSpec(namedtuple("GridSpec", "n_values r_values k_values s_values m_val
     __slots__ = ()
 
     def values_for(self, axis: str) -> tuple:
-        return {
-            "n": self.n_values,
-            "r": self.r_values,
-            "k": self.k_values,
-            "s": self.s_values,
-            "m": self.m_values,
-            "lam": self.lambdas,
-        }[axis]
+        return getattr(self, "lambdas" if axis == "lam" else axis + "_values")
 
     def to_dict(self) -> dict:
         out = {}
@@ -185,11 +132,9 @@ class GridSpec(namedtuple("GridSpec", "n_values r_values k_values s_values m_val
 
 # -- shared sub-results ----------------------------------------------------
 #
-# Each helper here and among the evaluators that is kept in the family
-# memo, through `_slab` or `_memoized`, is a pure function of fewer
-# coordinates than a grid point, so it is built once per process and
-# shared by all points, grids and identities that ask for the same
-# arguments.
+# Each helper kept in the family memo, through `_slab` or `_memoized`, is a
+# pure function of fewer coordinates than a grid point, shared by all
+# points, grids and identities that ask for the same arguments.
 
 
 def _shift_matrix(order: int, y: int) -> tuple:
@@ -206,12 +151,6 @@ def _shifted(row, y: int) -> list:
     """The numerators of p(x + y) for the numerators `row` of p."""
     cols = _slab(_shift_matrix, len(row) - 1, y)
     return [sum(map(_times, row, col)) for col in cols[: len(row)]]
-
-
-@_memoized
-def _bernoulli_reflected(n: int, alpha: int, b: int) -> Polynomial:
-    """B_n^{(alpha)}(-x + b)."""
-    return bernoulli_poly(n, alpha).compose_affine(-1, b)
 
 
 def _mixed_sheffer_order(n: int) -> int:
@@ -232,11 +171,10 @@ def _A_rows(order: int, r: int, k: int) -> tuple:
     return tuple(map(tuple, rows)), cols, den
 
 
-def _A_row(n: int, r: int, k: int) -> tuple:
-    """A_n^{(r,k)}(x) as the side (numerators, den): row n of the (r, k)
-    slab of `_A_rows`."""
-    rows, _, den = _slab(_A_rows, n, r, k)
-    return rows[n], den
+def _A_shifted(order: int, r: int, k: int) -> tuple:
+    """(rows, den): A_n^{(r,k)}(x + 1), n = 0..order, over A's denominator."""
+    rows, _, den = _slab(_A_rows, order, r, k)
+    return tuple([tuple(_shifted(row, 1)) for row in rows[: order + 1]]), den
 
 
 def _A_values(order: int, r: int, k: int, c: int) -> tuple:
@@ -265,11 +203,11 @@ def _stirling_side(order: int, g, *params) -> tuple:
     return cols, den
 
 
-# -- identity evaluators ---------------------------------------------------
+# -- slab tables -------------------------------------------------------------
 #
-# Each returns a list of (lhs, rhs) pairs for one grid point.  A side is a
-# `Polynomial` or an unreduced (numerators, den): integer numerators in
-# ascending powers of x, trailing zeros allowed, over one nonzero integer.
+# Each returns the rows n = 0..order of one parameter slab (see `_table`).
+# A side is unreduced: integer numerators in ascending powers of x, trailing
+# zeros allowed, over one nonzero integer.
 
 
 def _thm1_table(order, r, k) -> tuple:
@@ -278,24 +216,21 @@ def _thm1_table(order, r, k) -> tuple:
     sum over l of C(m,l) C(m-l,j) (l+1)^(-k) S(q+r, r) / C(q+r, r),
     q = m-l-j.  (l+1)^(-k) is w_l / d with the weights of `_lif_weights`
     and S(q+r, r) / C(q+r, r) is b_q / lcm C(q+r, r), so every R_m and
-    every right side is a row of integers over one denominator."""
+    every right side is a row of integers over one denominator.  Since
+    C(m,l) C(m-l,j) = C(m,j) C(m-j,l), c_j is C(m,j) u_(m-j), u the binomial
+    convolution of w and b."""
     w, d = _lif_weights(order, k)
     s2 = stirling_triangle(2, order + r)
     combs = [comb(q + r, r) for q in range(order + 1)]
     qden = lcm(*combs)
     b = [s2[q + r][r] * (qden // c) for q, c in enumerate(combs)]
-    R = [
-        [(-1) ** j * sum([
-            comb(m, l) * comb(m - l, j) * w[l] * b[m - l - j] for l in range(m - j + 1)
-        ]) for j in range(m + 1)]
-        for m in range(order + 1)
-    ]
+    u = [sum([comb(t, l) * w[l] * b[t - l] for l in range(t + 1)]) for t in range(order + 1)]
+    # column j of the R_m: [x^j] R_m for m = 0..order, 0 for m < j
+    R = [[(-1) ** j * comb(m, j) * u[m - j] if m >= j else 0 for m in range(order + 1)]
+         for j in range(order + 1)]
     s1 = stirling_triangle(1, order)
     return tuple([
-        (
-            tuple([sum([s1[n][m] * R[m][j] for m in range(j, n + 1)]) for j in range(n + 1)]),
-            d * qden,
-        )
+        (tuple([sum(map(_times, s1[n], R[j])) for j in range(n + 1)]), d * qden)
         for n in range(order + 1)
     ])
 
@@ -384,14 +319,19 @@ def _eq35_at(n, lhs, rhs, den) -> list:
     return [((at(lhs, y), den), (at(rhs, y), den)) for y in range(-2, n - 1)]
 
 
-def _eq35(p):
-    """No pair when the two sides agree in x and y; else the pairs at each
-    y, so that the report shows the first y where they differ."""
-    n = p["n"]
-    lhs, rhs, den = _eq35_sides(n, p["r"], p["k"])
-    if lhs == rhs:
-        return []
-    return _eq35_at(n, lhs, rhs, den)
+_AGREED = ((), 1, (), 1)  # the row 0 = 0, for a point that holds inside its table
+
+
+def _eq35_table(order, r, k) -> tuple:
+    """(35)'s rows for one (r, k), n = 0..order: `_AGREED` where the two
+    sides agree in x and y, else the row at the first y where they differ,
+    the one the report shows."""
+    rows = []
+    for n in range(order + 1):
+        lhs, rhs, den = _eq35_sides(n, r, k)
+        at_y = [(*a, *b) for a, b in _eq35_at(n, lhs, rhs, den)] if lhs != rhs else []
+        rows.append(next((row for row in at_y if not _same_rows([row])), _AGREED))
+    return tuple(rows)
 
 
 def _eq36(p):
@@ -415,14 +355,11 @@ def _thm3_weights(n, k) -> tuple:
     w, d = _lif_weights(n + 1, k)
     eden = lcm(*((a + 2) * (a + 1) for a in range(n + 1)))
     e = [eden // ((a + 2) * (a + 1)) for a in range(n + 1)]
-    # the middle sum's terms with m - l - a = j, and C(m-l, a) = C(m-l, j)
-    mid = [
-        sum([
-            (-1) ** (m - l - j) * comb(m, l) * comb(m - l, j) * s1[m] * w[l] * e[m - l - j]
-            for m in range(j, n + 1) for l in range(m - j + 1)
-        ])
-        for j in range(n + 1)
-    ]
+    # the middle sum's terms with m - l - a = j: C(m,l) C(m-l,j) = C(m,j)
+    # C(m-j,l), so the sum over l is v_(m-j), v a binomial convolution
+    v = [sum([comb(t, l) * w[l] * (-1) ** (t - l) * e[t - l] for l in range(t + 1)])
+         for t in range(n + 1)]
+    mid = [sum([comb(m, j) * s1[m] * v[m - j] for m in range(j, n + 1)]) for j in range(n + 1)]
     last = [
         eden * sum([comb(m, j) * s1[m] * w[m - j + 1] for m in range(j, n + 1)])
         for j in range(n + 1)
@@ -430,17 +367,36 @@ def _thm3_weights(n, k) -> tuple:
     return mid, last, d * eden
 
 
-def _thm3(p):
-    n, r, k = p["n"], p["r"], p["k"]
-    mid, last, wden = _thm3_weights(n, k)
-    rows, _, den = _slab(_A_rows, n, r, k)
-    rhs = Polynomial.linear_combination(
-        [(-wden, Polynomial._of([0] + _shifted(rows[n], 1), den))]  # x A_n(x+1)
-        + [(r * w, _bernoulli_reflected(j, 1 - r, 0)) for j, w in enumerate(mid)]
-        + [(w, _bernoulli_reflected(j, -r, -1)) for j, w in enumerate(last)],
-        wden,
-    )
-    return [(_A_row(n + 1, r, k), rhs)]
+def _reflected_bernoulli(order, alpha, b) -> tuple:
+    """(columns, den) of B_j^{(alpha)}(-x + b), j = 0..order: columns[i][j]
+    the numerator of [x^i], zero-padded; B(-x + b) is q(x - b) for
+    q(x) = B(-x)."""
+    rows, den = _family_rows(range(order + 1), "t", _bernoulli_g, alpha)
+    rows = [[-c if i % 2 else c for i, c in enumerate(row)] for row in rows]
+    rows = [_shifted(row, -b) for row in rows] if b else rows
+    return tuple(zip(*(row + [0] * (order - len(row) + 1) for row in rows))), den
+
+
+def _thm3_table(order, r, k) -> tuple:
+    """Theorem 3's rows for one (r, k), n = 0..order-2: A_{n+1} against
+    -x A_n(x+1) + r (the middle sum) + the last sum, the two sums integer
+    dot products of `_thm3_weights` with the columns of B_j^{(1-r)}(-x)
+    and of B_j^{(-r)}(-x-1)."""
+    rows, _, den = _slab(_A_rows, order, r, k)
+    shifted, sden = _slab(_A_shifted, order, r, k)
+    mid_cols, mden = _slab(_reflected_bernoulli, order, 1 - r, 0)
+    last_cols, lden = _slab(_reflected_bernoulli, order, -r, -1)
+    common = lcm(sden, mden, lden)
+    f, g, h = common // sden, r * (common // mden), common // lden
+    table = []
+    for n in range(order - 1):
+        mid, last, wden = _thm3_weights(n, k)
+        rhs = tuple([
+            g * sum(map(_times, mid, mc)) + h * sum(map(_times, last, lc)) - wden * f * c
+            for c, mc, lc in zip((0, *shifted[n]), mid_cols, last_cols)  # x A_n(x+1)
+        ])
+        table.append((rows[n + 1], den, rhs, wden * common))
+    return tuple(table)
 
 
 @_memoized
@@ -460,33 +416,33 @@ def _thm4_weights(n) -> tuple:
     return dbl, dden, single
 
 
-def _thm4_core(p, printed: bool):
-    """-x A_{n-1}(x+1) + r (the double sum) + r (the single sum)
-    + (A_n^{(r+1,k-1)}(x+1) - A_n^{(r+1,k)}(x+1)) / n, summed as integers
-    over the rows of the slabs (r, k), (r+1, k) and (r+1, k-1); the
-    printed reading carries the double sum's total to A_n^{(r+1,k)}."""
-    n, r, k = p["n"], p["r"], p["k"]
-    dbl, dden, single = _thm4_weights(n)
-    rows, cols, den = _slab(_A_rows, n, r, k)
-    raised_rows, raised_cols, rden = _slab(_A_rows, n, r + 1, k)
-    lowered_rows, _, lden = _slab(_A_rows, n, r + 1, k - 1)
-    common = lcm(den, rden, lden)
-    # common / d for each slab's denominator d, times n dden for the (r, k) slab
-    f, g, h = common // den * n * dden, common // rden, common // lden
-    x_shifted = [0] + _shifted(rows[n - 1], 1)
-    raised, lowered = _shifted(raised_rows[n], 1), _shifted(lowered_rows[n], 1)
-    if printed:
-        total = sum(dbl)
-        carried = [total * c for c in raised_rows[n]]
-    else:
-        carried = [sum(map(_times, dbl, col)) for col in raised_cols[: n + 1]]
-    rhs = [
-        f * (r * sum(map(_times, single, cols[i])) - x_shifted[i])
-        + n * r * g * carried[i]
-        + dden * (h * lowered[i] - g * raised[i])
-        for i in range(n + 1)
-    ]
-    return [((rows[n], den), (rhs, n * dden * common))]
+def _thm4_table(order, r, k) -> tuple:
+    """Theorem 4's rows for one (r, k), n = 1..order-2 (n = 0 lies outside
+    the domain): A_n against -x A_{n-1}(x+1) + r (the double sum) + r (the
+    single sum) + (A_n^{(r+1,k-1)}(x+1) - A_n^{(r+1,k)}(x+1)) / n, summed
+    as integers over the rows of the slabs (r, k), (r+1, k) and (r+1, k-1)
+    and their shifts; a row for each reading, the printed one carrying the
+    double sum's total to A_n^{(r+1,k)}, the variant not."""
+    rows, cols, den = _slab(_A_rows, order, r, k)
+    raised_rows, raised_cols, rden = _slab(_A_rows, order, r + 1, k)
+    xs, xden = _slab(_A_shifted, order, r, k)
+    up, uden = _slab(_A_shifted, order, r + 1, k)
+    down, lden = _slab(_A_shifted, order, r + 1, k - 1)
+    common = lcm(den, rden, xden, uden, lden)
+    a, g, x, u, d = common // den, common // rden, common // xden, common // uden, common // lden
+    table = [None]
+    for n in range(1, order - 1):
+        dbl, dden, single = _thm4_weights(n)
+        base = [
+            n * dden * (a * r * sum(map(_times, single, col)) - x * c) + dden * (d * lo - u * hi)
+            for col, c, lo, hi in zip(cols, (0, *xs[n - 1]), down[n], up[n])
+        ]
+        total, w = sum(dbl), n * r * g
+        printed = tuple([b + w * total * c for b, c in zip(base, raised_rows[n])])
+        variant = tuple([b + w * sum(map(_times, dbl, col)) for b, col in zip(base, raised_cols)])
+        rhs_den = n * dden * common
+        table.append(((rows[n], den, printed, rhs_den), (rows[n], den, variant, rhs_den)))
+    return tuple(table)
 
 
 @_memoized
@@ -512,30 +468,37 @@ def _thm5_weights(n, m) -> tuple:
     )
 
 
-def _thm5_core(p, printed: bool):
-    n, m, r, k = p["n"], p["m"], p["r"], p["k"]
-    left, double, dden, second, last = _thm5_weights(n, m)
-    zero, zden = _slab(_A_values, n, r, k, 0)
-    one, oden = _slab(_A_values, n, r, k, 1)
-    raised, rden = _slab(_A_values, n, r + 1, k, 1)
-    # r (the double sum) over dden rden, then the sums over A^{(r,k)}(1)
-    # over oden
-    carried = r * sum(map(_times, double, raised))
-    inner = r * sum(map(_times, second, one))
-    last_at_one = sum(map(_times, last, one))
-    # the last sum splits 1/m + (1 - 1/m); only the variant lowers k in
-    # its first part
-    if printed:
-        rhs = carried * oden + (inner + last_at_one) * dden * rden
-        den = dden * rden * oden
-    else:
-        lowered, lden = _slab(_A_values, n, r, k - 1, 1)
-        rhs = (
-            (m * carried * oden + (m * inner + (m - 1) * last_at_one) * dden * rden) * lden
-            + sum(map(_times, last, lowered)) * dden * rden * oden
+def _thm5_table(order, m, r, k) -> tuple:
+    """Theorem 5's rows for one (m, r, k), n = 0..order-2 (None outside
+    the domain), a row for the printed reading and one for the variant:
+    constants from integer dot products of `_thm5_weights` with A's values
+    at 0 and 1, each vector read once."""
+    zero, zden = _slab(_A_values, order, r, k, 0)
+    one, oden = _slab(_A_values, order, r, k, 1)
+    raised, rden = _slab(_A_values, order, r + 1, k, 1)
+    lowered, lden = _slab(_A_values, order, r, k - 1, 1)
+    # each row's dden divides top, so that each side's rows share one denominator
+    top = lcm(*range(2, order - m))
+    tr = top * rden
+    pden, vden = tr * oden, m * tr * oden * lden
+    rows = [None] * (m + 1)
+    for n in range(m + 1, order - 1):
+        left, double, dden, second, last = _thm5_weights(n, m)
+        # r (the double sum), over dden rden, over top rden oden
+        carried = top // dden * r * sum(map(_times, double, raised)) * oden
+        # the sums over A^{(r,k)}(1), over oden
+        inner = r * sum(map(_times, second, one))
+        last_at_one = sum(map(_times, last, one))
+        # the last sum splits 1/m + (1 - 1/m); only the variant lowers k in
+        # its first part
+        variant = (
+            (m * carried + (m * inner + (m - 1) * last_at_one) * tr) * lden
+            + sum(map(_times, last, lowered)) * tr * oden
         )
-        den = m * dden * rden * oden * lden
-    return [(([sum(map(_times, left, zero))], zden), ([rhs], den))]
+        lhs = (sum(map(_times, left, zero)),)
+        rows.append(((lhs, zden, (carried + (inner + last_at_one) * tr,), pden),
+                     (lhs, zden, (variant,), vden)))
+    return tuple(rows)
 
 
 @_memoized
@@ -545,12 +508,16 @@ def _eq52_weights(n) -> tuple:
     return tuple([(-1) ** (n + l) * comb(n, l) * factorial(n - l - 1) for l in range(n)])
 
 
-def _eq52(p):
-    n, r, k = p["n"], p["r"], p["k"]
-    rows, cols, den = _slab(_A_rows, n, r, k)
-    w = _eq52_weights(n)
-    lhs = [i * c for i, c in enumerate(rows[n]) if i]
-    return [((lhs, den), ([sum(map(_times, w, col)) for col in cols[:n]], den))]
+def _eq52_table(order, r, k) -> tuple:
+    """(52)'s rows for one (r, k), n = 0..order: A_n' against the weights'
+    dot products with A's columns, over A's denominator."""
+    rows, cols, den = _slab(_A_rows, order, r, k)
+    table = []
+    for n in range(order + 1):
+        w = _eq52_weights(n)
+        lhs = tuple(map(_times, range(1, n + 1), rows[n][1:]))
+        table.append((lhs, den, tuple([sum(map(_times, w, col)) for col in cols[:n]]), den))
+    return tuple(table)
 
 
 def _thm6_table(order, r, k, s) -> tuple:
@@ -597,88 +564,87 @@ def _thm8_table(order, r, k) -> tuple:
     return tuple(zip(rows, repeat(vden)))
 
 
-def _table_slab(key, p, ns) -> bool:
-    """Whether A_n^{(r,k)} is row n of the table key(p) = (table, *slab) for
-    every n in ns: A's rows and the table's, which share one denominator,
-    each read once at max(ns) and all compared at once."""
-    table, *slab = key(p)
-    order = max(ns)
-    rows, _, da = _slab(_A_rows, order, p["r"], p["k"])
-    sides = _slab(table, order, *slab)
-    return _same_rows([(rows[n], sides[n][0]) for n in ns], da, sides[0][1])
-
-
-def _table(key) -> tuple:
-    """The evaluator and the slab decider of an identity whose sides are
-    A_n^{(r,k)} and row n of the table key(p) = (table, *slab), a side
-    (numerators, den); key looks the table up when it is called."""
-    def pairs(p):
-        n = p["n"]
+def _table(key, paired=False, lead=0, reading=None) -> tuple:
+    """The evaluator and the slab rows of an identity whose point n has
+    its sides in row n of the table key(p) = (table, *slab): the row
+    (a, da, b, db) of the sides a/da and b/db or, unless paired, the right
+    side (b, db) against A_n^{(r,k)}.  A row of Theorem 4 or 5 holds one
+    such row per reading, printed first, and an identity reads its own.
+    rows(p, ns) reads the slab p's table once, at max(ns) + lead, and
+    gives the row of each n in ns; key looks the table up when it is
+    called.  The tables of Theorems 3 to 5 hold rows to order - 2 (lead
+    2): their default grids end at n = 6, so their first tables, at
+    `_slab`'s first order 8, hold no row past the grid."""
+    def rows(p, ns):
         table, *slab = key(p)
-        return [(_A_row(n, p["r"], p["k"]), _slab(table, n, *slab)[n])]
+        built = _slab(table, max(ns) + lead, *slab)
+        if paired:
+            return [built[n] if reading is None else built[n][reading] for n in ns]
+        a, _, den = _slab(_A_rows, max(ns), p["r"], p["k"])
+        return [(a[n], den, built[n][0], built[n][1]) for n in ns]
 
-    return pairs, partial(_table_slab, key)
-
-
-def _narumi_bernoulli(p):
-    n, r = p["n"], p["r"]
-    return [(narumi(n, r), poly_shift(bernoulli_poly(n, n + r + 1), 1))]
-
-
-def _sheffer_pair_eq17(p):
-    n, r, k = p["n"], p["r"], p["k"]
-    pair = mixed_pair(r, k, _mixed_sheffer_order(n))
-    return [(_A_row(n, r, k), sheffer_by_gf(pair, n))]
+    return (lambda p: [(row[:2], row[2:]) for row in rows(p, (p["n"],))]), rows
 
 
-def _eq25_lhs(order) -> list:
-    """x (t/f)^n x^(n-1), n = 0..order: `umbral.transfer` from t to f =
-    e^{-t} - 1, with the powers of t/f built one at a time."""
+def _narumi_bernoulli_table(order, r) -> tuple:
+    """N_n^{(r)}(x) against B_n^{(n+r+1)}(x+1), n = 0..order: the Narumi
+    rows from one family call, each Bernoulli row from the family of its
+    own order, shifted as integers."""
+    rows, den = _family_rows(range(order + 1), "log", _narumi_g, r)
+    table = []
+    for n, row in enumerate(rows):
+        (b,), bden = _family_rows((n,), "t", _bernoulli_g, n + r + 1)
+        table.append((tuple(row), den, tuple(_shifted(b, 1)), bden))
+    return tuple(table)
+
+
+def _eq17_table(order, r, k) -> tuple:
+    """The right sides S_0 .. S_order of (17), `umbral.sheffer_by_gf`'s
+    rows for the mixed pair (r, k)."""
+    pair = mixed_pair(r, k, _mixed_sheffer_order(order))
+    return tuple([_side(sheffer_by_gf(pair, n)) for n in range(order + 1)])
+
+
+def _eq25_table(order) -> tuple:
+    """(25)'s rows, n = 0..order: x (t/f)^n x^(n-1), `umbral.transfer`
+    from t to f = e^{-t} - 1 with the powers of t/f built one at a time,
+    against (-1)^n x(x+1)...(x+n-1) = (-x)_n, a column of `_associated`."""
     ratio = div(Series.t(order + 2), backward_delta(order + 2))
     powers = accumulate(repeat(ratio, order - 1), mul, initial=ratio)  # (t/f)^1 .. (t/f)^order
-    sides = [Polynomial.x() * apply_series(q, Polynomial.monomial(n)) for n, q in enumerate(powers)]
-    return [Polynomial((1,)), *sides]
-
-
-def _assoc_eq25(p):
-    n = p["n"]
-    return [(_slab(_eq25_lhs, n)[n], (-1) ** n * rising_factorial(n))]
+    lhs = [Polynomial((1,))]
+    lhs += [Polynomial.x() * apply_series(q, Polynomial.monomial(n)) for n, q in enumerate(powers)]
+    cols = _slab(_associated, order, "-log")
+    return tuple([
+        (*_side(side), tuple([col[n] for col in cols[: n + 1]]), 1) for n, side in enumerate(lhs)
+    ])
 
 
 # -- domains ---------------------------------------------------------------
 
 
 def _dom_r_nonneg(p):
-    if p["r"] < 0:
-        return "r < 0: formula uses Stirling-2 / composition structure"
-    return None
+    return "r < 0: formula uses Stirling-2 / composition structure" if p["r"] < 0 else None
 
 
 def _dom_n_pos(p):
-    if p["n"] < 1:
-        return "n < 1: statement needs n >= 1"
-    return None
+    return "n < 1: statement needs n >= 1" if p["n"] < 1 else None
 
 
 def _dom_thm5(p):
-    if not (1 <= p["m"] <= p["n"] - 1):
-        return "out of domain: needs n-1 >= m >= 1"
-    return None
+    return None if 1 <= p["m"] <= p["n"] - 1 else "out of domain: needs n-1 >= m >= 1"
 
 
 def _dom_thm7(p):
     if p["lam"] == 1:
         return "lam = 1: Frobenius-Euler undefined"
-    if p["s"] < 0:
-        return "s < 0: the sum over a = 0..s needs s >= 0"
-    return None
+    return "s < 0: the sum over a = 0..s needs s >= 0" if p["s"] < 0 else None
 
 
 def _dom_none(p):
     return None
 
 
-IdentityDef = namedtuple("IdentityDef", "axes domain pairs default_grid slab", defaults=(None,))
+IdentityDef = namedtuple("IdentityDef", "axes domain pairs default_grid rows", defaults=(None,))
 
 # the default grids that more than one identity shares
 _GRID_R4 = GridSpec(tuple(range(9)), (0, 1, 2, 3), (-2, -1, 0, 1, 2, 3))
@@ -692,10 +658,10 @@ _NRK = ("n", "r", "k")
 _NMRK = ("n", "m", "r", "k")  # the order of THM5's point keys in a report
 
 # one row per identity, in report order: id, axes, domain, default grid,
-# evaluator and, for an identity with a table (`_table`), slab decider
+# evaluator and, for an identity with a table (`_table`), slab rows
 _DEFS: dict[str, IdentityDef] = {
-    identity: IdentityDef(axes, domain, pairs, grid, *slab)
-    for identity, axes, domain, grid, pairs, *slab in (
+    identity: IdentityDef(axes, domain, pairs, grid, *rows)
+    for identity, axes, domain, grid, pairs, *rows in (
         ("THM1", _NRK, _dom_r_nonneg, _GRID_R4, *_table(lambda p: (_thm1_table, p["r"], p["k"]))),
         ("THM2", _NRK, _dom_none, _GRID_R4,
          *_table(lambda p: (_thm2_table, _bernoulli_values, p["r"], p["k"]))),
@@ -703,24 +669,33 @@ _DEFS: dict[str, IdentityDef] = {
          *_table(lambda p: (_thm2_table, _cauchy_values, p["r"], p["k"]))),
         ("EQ34", _NRK, _dom_r_nonneg, _GRID_R4,
          *_table(lambda p: (_thm2_table, _composition_values, p["r"], p["k"]))),
-        ("EQ35", _NRK, _dom_none, _GRID_R6, _eq35),
+        ("EQ35", _NRK, _dom_none, _GRID_R6,
+         *_table(lambda p: (_eq35_table, p["r"], p["k"]), paired=True)),
         ("EQ36", _NRK, _dom_n_pos, _GRID_R6, _eq36),
-        ("THM3", _NRK, _dom_none, _GRID_N6, _thm3),
-        ("THM4", _NRK, _dom_n_pos, _GRID_N6, partial(_thm4_core, printed=True)),
-        ("THM4_VARIANT", _NRK, _dom_n_pos, _GRID_N6, partial(_thm4_core, printed=False)),
-        ("THM5", _NMRK, _dom_thm5, _GRID_THM5, partial(_thm5_core, printed=True)),
-        ("THM5_VARIANT", _NMRK, _dom_thm5, _GRID_THM5, partial(_thm5_core, printed=False)),
-        ("EQ52", _NRK, _dom_none, _GRID_R6, _eq52),
+        ("THM3", _NRK, _dom_none, _GRID_N6,
+         *_table(lambda p: (_thm3_table, p["r"], p["k"]), paired=True, lead=2)),
+        ("THM4", _NRK, _dom_n_pos, _GRID_N6,
+         *_table(lambda p: (_thm4_table, p["r"], p["k"]), paired=True, lead=2, reading=0)),
+        ("THM4_VARIANT", _NRK, _dom_n_pos, _GRID_N6,
+         *_table(lambda p: (_thm4_table, p["r"], p["k"]), paired=True, lead=2, reading=1)),
+        ("THM5", _NMRK, _dom_thm5, _GRID_THM5,
+         *_table(lambda p: (_thm5_table, p["m"], p["r"], p["k"]), paired=True, lead=2, reading=0)),
+        ("THM5_VARIANT", _NMRK, _dom_thm5, _GRID_THM5,
+         *_table(lambda p: (_thm5_table, p["m"], p["r"], p["k"]), paired=True, lead=2, reading=1)),
+        ("EQ52", _NRK, _dom_none, _GRID_R6,
+         *_table(lambda p: (_eq52_table, p["r"], p["k"]), paired=True)),
         ("THM6", ("n", "r", "k", "s"), _dom_none, _GRID_THM6,
          *_table(lambda p: (_thm6_table, p["r"], p["k"], p["s"]))),
         ("THM7", ("n", "r", "k", "s", "lam"), _dom_thm7, _GRID_THM7, *_table(lambda p: (
             _thm7_table, p["r"], p["k"], p["s"], p["lam"].numerator, p["lam"].denominator))),
         ("THM8", _NRK, _dom_none, _GRID_R6, *_table(lambda p: (_thm8_table, p["r"], p["k"]))),
         ("NARUMI_BERNOULLI", ("n", "r"), _dom_none,
-         GridSpec(tuple(range(11)), (-3, -2, -1, 0, 1, 2, 3)), _narumi_bernoulli),
+         GridSpec(tuple(range(11)), (-3, -2, -1, 0, 1, 2, 3)),
+         *_table(lambda p: (_narumi_bernoulli_table, p["r"]), paired=True)),
         ("SHEFFER_PAIR_EQ17", _NRK, _dom_none, _GRID_R4._replace(k_values=(-1, 0, 1, 2)),
-         _sheffer_pair_eq17),
-        ("ASSOC_EQ25", ("n",), _dom_none, GridSpec(tuple(range(11))), _assoc_eq25),
+         *_table(lambda p: (_eq17_table, p["r"], p["k"]))),
+        ("ASSOC_EQ25", ("n",), _dom_none, GridSpec(tuple(range(11))),
+         *_table(lambda p: (_eq25_table,), paired=True)),
     )
 }
 
@@ -734,8 +709,8 @@ def default_grid(identity: str) -> GridSpec:
 # -- the harness -----------------------------------------------------------
 #
 # The unit of work is a parameter slab: `verify` hands each one, with all of
-# the grid's n, to `_slab_entries`, which decides it with the identity's slab
-# decider or point by point (`_point_entry`).
+# the grid's n, to `_slab_entries`, which compares the rows of its table at
+# once, or evaluates (36) point by point (`_point_entry`).
 
 
 def _side(side) -> tuple:
@@ -756,27 +731,30 @@ def _poly_strings(side) -> list:
             for c in num] or ["0"]
 
 
-def _same_rows(pairs, da: int, db: int) -> bool:
-    """Whether a/da = b/db, i.e. a db = b da, for every pair (a, b) of
-    numerator lists, all at once at C speed, each pair's shorter list
-    padded with zeros so that no row runs into the next."""
-    left, right = [], []
-    for a, b in pairs:
+def _cross_equal(a, b, da: int, db: int) -> bool:
+    """Whether a/da = b/db for numerator sequences of one length, at C speed."""
+    if da == db:
+        return list(a) == list(b)
+    return list(map(_times, a, repeat(db))) == list(map(_times, b, repeat(da)))
+
+
+def _same_rows(rows) -> bool:
+    """Whether a/da = b/db, i.e. a db = b da, for every row (a, da, b, db)
+    of two sides: each run of rows over the same two denominator objects in
+    one `_cross_equal`, each row's shorter numerator list padded with zeros
+    so that no row runs into the next."""
+    left, right, da, db = [], [], None, None
+    for a, dl, b, dr in rows:
+        if dl is not da or dr is not db:
+            if not _cross_equal(left, right, da, db):
+                return False
+            left, right, da, db = [], [], dl, dr
         if len(a) != len(b):
             width = max(len(a), len(b))
             a, b = [*a, *[0] * (width - len(a))], [*b, *[0] * (width - len(b))]
         left += a
         right += b
-    return list(map(_times, left, repeat(db))) == list(map(_times, right, repeat(da)))
-
-
-def _same(lhs, rhs) -> bool:
-    """Whether two sides are one polynomial: `_same_rows` of one pair, with
-    nothing to pad when the numerator lists are of one length."""
-    (a, da), (b, db) = _side(lhs), _side(rhs)
-    if len(a) != len(b):
-        return _same_rows([(a, b)], da, db)
-    return list(map(_times, a, repeat(db))) == list(map(_times, b, repeat(da)))
+    return _cross_equal(left, right, da, db)
 
 
 # fixed: kept only so reports match perfbench/reports.json until ROADMAP item 2's re-record
@@ -795,10 +773,8 @@ class VerificationReport(_Record):
 
     @property
     def totals(self) -> dict:
-        t = {"pass": 0, "fail": 0, "skipped": 0}
-        for r in self.results:
-            t[r["verdict"]] += 1
-        return t
+        counts = Counter(map(itemgetter("verdict"), self.results))
+        return {verdict: counts[verdict] for verdict in ("pass", "fail", "skipped")}
 
     @property
     def all_passed(self) -> bool:
@@ -837,7 +813,7 @@ def _dumps_at(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _column(values: tuple, nl: str):
+def _column(values: list, nl: str):
     """A run's values of one slot as json.dumps(indent=2) writes them; `nl` starts list items."""
     kind = type(values[0])
     if kind is int:
@@ -855,13 +831,18 @@ def _document_text(doc, depth: int) -> str:
     head, tail = _dumps_at({**doc, "results": _SLOT}, depth).split(_SLOT_JSON)
     nl, item_nl = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 4)
     templates, texts = {}, []
-    for shape, run in itertools.groupby(doc["results"], tuple):
-        points, *values = zip(*map(dict.values, run))
+    # verify's three entry shapes (pass, skipped, fail) differ in length
+    for _, run in itertools.groupby(doc["results"], len):
+        run = list(run)
+        shape, points = tuple(run[0]), list(map(itemgetter("point"), run))
         if shape not in templates:
             sample = dict.fromkeys(shape, _SLOT)
             sample["point"] = dict.fromkeys(points[0], _SLOT)
             templates[shape] = _dumps_at(sample, depth + 2).replace(_SLOT_JSON, "%s")
-        columns = [*zip(*map(dict.values, points)), *values]
+        # a list per slot, and no object per entry, which would wake the
+        # garbage collector every few hundred entries
+        columns = [list(map(itemgetter(key), points)) for key in points[0]]
+        columns += [list(map(itemgetter(key), run)) for key in shape[1:]]
         texts += map(templates[shape].__mod__, zip(*[_column(c, item_nl) for c in columns]))
     return head + "[" + nl + ("," + nl).join(texts) + nl[:-2] + "]" + tail
 
@@ -885,41 +866,55 @@ def report_text(payload) -> str:
     return _document_text(payload, 0) + "\n"
 
 
-def _point_entry(definition: IdentityDef, point: dict, shown: dict) -> dict:
-    """The report entry of one point in the domain; `shown` is the point as
-    the report writes it."""
-    for lhs, rhs in definition.pairs(point):
-        if not _same(lhs, rhs):
-            (a, da), (b, db) = _side(lhs), _side(rhs)
+def _entry(rows, shown: dict) -> dict:
+    """The report entry of a point in the domain whose sides are the rows
+    (a, da, b, db); `shown` is the point as the report writes it."""
+    for a, da, b, db in rows:
+        if not (_cross_equal(a, b, da, db) if len(a) == len(b) else _same_rows([(a, da, b, db)])):
             diff = [x * db - y * da for x, y in zip_longest(a, b, fillvalue=0)]
             return {
                 "point": shown,
                 "verdict": "fail",
-                "lhs": _poly_strings(lhs),
-                "rhs": _poly_strings(rhs),
+                "lhs": _poly_strings((a, da)),
+                "rhs": _poly_strings((b, db)),
                 "diff": _poly_strings((diff, da * db)),
             }
     return {"point": shown, "verdict": "pass"}
 
 
+def _point_entry(definition: IdentityDef, point: dict, shown: dict) -> dict:
+    """The report entry of one point in the domain, from its own pairs."""
+    return _entry([(*_side(lhs), *_side(rhs)) for lhs, rhs in definition.pairs(point)], shown)
+
+
 def _slab_entries(definition: IdentityDef, slab: dict, shown: dict, n_values) -> list:
     """The entries of one parameter slab's points, one per n of n_values in
-    that order; `shown` is the slab as the report writes it.  The points in
-    the domain are decided at once, or, with no decider or one that finds
-    a failure, one by one, largest n first."""
+    that order; `shown` is the slab as the report writes it.  The rows of
+    the points in the domain are read from the slab's table and compared at
+    once; only a slab that fails writes its entries one by one, from the
+    same rows.  (36) has no table: its points go one by one, largest n
+    first, so that A's slab is built once, at its largest order."""
     points = [{"n": n, **slab} for n in n_values]
     written = points if shown is slab else [{"n": n, **shown} for n in n_values]
     reasons = list(map(definition.domain, points))
-    entries = [
-        {"point": point, "verdict": "pass"} if reason is None
-        else {"point": point, "verdict": "skipped", "reason": reason}
-        for point, reason in zip(written, reasons)
+    whole = reasons.count(None) == len(reasons)  # most slabs lie wholly in the domain
+    live = range(len(points)) if whole else [i for i, why in enumerate(reasons) if why is None]
+    rows = live and definition.rows and definition.rows(slab, [n_values[i] for i in live])
+    if not live or rows and _same_rows(rows):
+        return [{"point": point, "verdict": "pass"} for point in written] if whole else [
+            {"point": point, "verdict": "pass"} if reason is None
+            else {"point": point, "verdict": "skipped", "reason": reason}
+            for point, reason in zip(written, reasons)
+        ]
+    if rows:
+        judged = {i: _entry((row,), written[i]) for i, row in zip(live, rows)}
+    else:
+        judged = {i: _point_entry(definition, points[i], written[i])
+                  for i in sorted(live, key=n_values.__getitem__, reverse=True)}
+    return [
+        judged[i] if reason is None else {"point": point, "verdict": "skipped", "reason": reason}
+        for i, (point, reason) in enumerate(zip(written, reasons))
     ]
-    live = [i for i, reason in enumerate(reasons) if reason is None]
-    if live and (definition.slab is None or not definition.slab(slab, [n_values[i] for i in live])):
-        for i in sorted(live, key=n_values.__getitem__, reverse=True):
-            entries[i] = _point_entry(definition, points[i], entries[i]["point"])
-    return entries
 
 
 def ThreadPoolExecutor(max_workers: int):

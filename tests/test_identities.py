@@ -7,11 +7,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from polycauchy.algebra import Polynomial
-from polycauchy.families import mixed_A
+from math import lcm
+from operator import mul as times
+
+from polycauchy.algebra import Polynomial, poly_shift, rising_factorial
+from polycauchy.families import bernoulli_poly, mixed_A, narumi
 from polycauchy import families
 from polycauchy import identities as idn
 from polycauchy.identities import GridSpec, verify, verify_variants
+from polycauchy.series import Series
+from polycauchy.umbral import backward_delta, mixed_pair, sheffer_by_gf, transfer
 
 SMALL = GridSpec(
     n_values=(0, 1, 2, 3, 4),
@@ -545,9 +550,12 @@ def test_perturbed_slab_row_fails_only_its_point(builder, bump, monkeypatch, col
 
 def test_slab_rows_are_padded_row_by_row():
     a, b, c = 5, -3, 7
-    assert idn._same_rows([((a, b, 0), (2 * a, 2 * b)), ((c,), (2 * c, 0, 0))], 1, 2)
+    assert idn._same_rows([((a, b, 0), 1, (2 * a, 2 * b), 2), ((c,), 1, (2 * c, 0, 0), 2)])
     # [a, b], [c] against [a], [b, c]: one list once flattened, not row by row
-    assert not idn._same_rows([((a, b), (a,)), ((c,), (b, c))], 1, 1)
+    assert not idn._same_rows([((a, b), 1, (a,), 1), ((c,), 1, (b, c), 1)])
+    # a run of rows over new denominators starts a new comparison
+    assert idn._same_rows([((a,), 1, (2 * a,), 2), ((c,), 3, (c,), 3), ((b,), 2, (b,), 2)])
+    assert not idn._same_rows([((a,), 1, (2 * a,), 2), ((c,), 3, (c + 1,), 3)])
 
 
 _THM8_SLAB = GridSpec(n_values=(0, 1, 2, 3), r_values=(1,), k_values=(1,))
@@ -587,3 +595,177 @@ def test_slab_outside_the_domain_builds_no_table(identity, table, monkeypatch, c
     report = verify(identity, GridSpec(n_values=(0, 1, 2), r_values=(-1, 1), k_values=(0,)))
     assert report.totals == {"pass": 3, "fail": 0, "skipped": 3}
     assert [slab[-2:] for slab in slabs] == [(1, 0)]
+
+
+# -- the tables of the identities that went point by point ---------------------
+#
+# EQ35, THM3, THM4, THM5 (both readings of each), EQ52, NARUMI_BERNOULLI,
+# SHEFFER_PAIR_EQ17 and ASSOC_EQ25 read a point's pair from row n of one
+# table per parameter slab.  The per-point evaluators those tables replace
+# are written out here, as the reference for every row.
+
+
+def point_eq35(p):
+    n = p["n"]
+    lhs, rhs, den = idn._eq35_sides(n, p["r"], p["k"])
+    return [] if lhs == rhs else idn._eq35_at(n, lhs, rhs, den)
+
+
+def point_thm3(p):
+    n, r, k = p["n"], p["r"], p["k"]
+    mid, last, wden = idn._thm3_weights(n, k)
+    rows, _, den = idn._slab(idn._A_rows, n, r, k)
+    rhs = Polynomial.linear_combination(
+        [(-wden, Polynomial._of([0] + idn._shifted(rows[n], 1), den))]  # x A_n(x+1)
+        + [(r * w, bernoulli_poly(j, 1 - r).compose_affine(-1, 0)) for j, w in enumerate(mid)]
+        + [(w, bernoulli_poly(j, -r).compose_affine(-1, -1)) for j, w in enumerate(last)],
+        wden,
+    )
+    return [(mixed_A(n + 1, r, k), rhs)]
+
+
+def point_thm4(p, printed):
+    n, r, k = p["n"], p["r"], p["k"]
+    dbl, dden, single = idn._thm4_weights(n)
+    rows, cols, den = idn._slab(idn._A_rows, n, r, k)
+    raised_rows, raised_cols, rden = idn._slab(idn._A_rows, n, r + 1, k)
+    lowered_rows, _, lden = idn._slab(idn._A_rows, n, r + 1, k - 1)
+    common = lcm(den, rden, lden)
+    f, g, h = common // den * n * dden, common // rden, common // lden
+    x_shifted = [0] + idn._shifted(rows[n - 1], 1)
+    raised, lowered = idn._shifted(raised_rows[n], 1), idn._shifted(lowered_rows[n], 1)
+    if printed:
+        carried = [sum(dbl) * c for c in raised_rows[n]]
+    else:
+        carried = [sum(map(times, dbl, col)) for col in raised_cols[: n + 1]]
+    rhs = [
+        f * (r * sum(map(times, single, cols[i])) - x_shifted[i])
+        + n * r * g * carried[i]
+        + dden * (h * lowered[i] - g * raised[i])
+        for i in range(n + 1)
+    ]
+    return [((rows[n], den), (rhs, n * dden * common))]
+
+
+def point_thm5(p, printed):
+    n, m, r, k = p["n"], p["m"], p["r"], p["k"]
+    left, double, dden, second, last = idn._thm5_weights(n, m)
+    zero, zden = idn._slab(idn._A_values, n, r, k, 0)
+    one, oden = idn._slab(idn._A_values, n, r, k, 1)
+    raised, rden = idn._slab(idn._A_values, n, r + 1, k, 1)
+    carried = r * sum(map(times, double, raised))
+    inner = r * sum(map(times, second, one))
+    last_at_one = sum(map(times, last, one))
+    if printed:
+        rhs = carried * oden + (inner + last_at_one) * dden * rden
+        den = dden * rden * oden
+    else:
+        lowered, lden = idn._slab(idn._A_values, n, r, k - 1, 1)
+        rhs = (
+            (m * carried * oden + (m * inner + (m - 1) * last_at_one) * dden * rden) * lden
+            + sum(map(times, last, lowered)) * dden * rden * oden
+        )
+        den = m * dden * rden * oden * lden
+    return [(([sum(map(times, left, zero))], zden), ([rhs], den))]
+
+
+def point_eq52(p):
+    n, r, k = p["n"], p["r"], p["k"]
+    rows, cols, den = idn._slab(idn._A_rows, n, r, k)
+    w = idn._eq52_weights(n)
+    lhs = [i * c for i, c in enumerate(rows[n]) if i]
+    return [((lhs, den), ([sum(map(times, w, col)) for col in cols[:n]], den))]
+
+
+def point_narumi_bernoulli(p):
+    n, r = p["n"], p["r"]
+    return [(narumi(n, r), poly_shift(bernoulli_poly(n, n + r + 1), 1))]
+
+
+def point_eq17(p):
+    n, r, k = p["n"], p["r"], p["k"]
+    return [(mixed_A(n, r, k), sheffer_by_gf(mixed_pair(r, k, idn._mixed_sheffer_order(n)), n))]
+
+
+def point_eq25(p):
+    n = p["n"]
+    return [(transfer(Series.t(n + 2), backward_delta(n + 2), n), (-1) ** n * rising_factorial(n))]
+
+
+RK_SLABS = [{"r": 0, "k": 1}, {"r": 2, "k": -1}, {"r": 1, "k": 3}]
+POINT_EVALUATORS = {
+    "EQ35": (point_eq35, RK_SLABS + [{"r": -2, "k": 0}], range(9)),
+    "THM3": (point_thm3, RK_SLABS + [{"r": -1, "k": 2}], range(9)),
+    "THM4": (lambda p: point_thm4(p, True), RK_SLABS, range(1, 9)),
+    "THM4_VARIANT": (lambda p: point_thm4(p, False), RK_SLABS, range(1, 9)),
+    "THM5": (lambda p: point_thm5(p, True), [{"m": 1, **s} for s in RK_SLABS]
+             + [{"m": 3, **s} for s in RK_SLABS], range(9)),
+    "THM5_VARIANT": (lambda p: point_thm5(p, False), [{"m": 2, **s} for s in RK_SLABS], range(9)),
+    "EQ52": (point_eq52, RK_SLABS + [{"r": -2, "k": -3}], range(9)),
+    "NARUMI_BERNOULLI": (point_narumi_bernoulli, [{"r": -3}, {"r": 0}, {"r": 2}], range(11)),
+    "SHEFFER_PAIR_EQ17": (point_eq17, RK_SLABS + [{"r": 3, "k": -1}], range(9)),
+    "ASSOC_EQ25": (point_eq25, [{}], range(11)),
+}
+
+
+@pytest.mark.parametrize("identity", list(POINT_EVALUATORS))
+def test_table_rows_match_the_per_point_evaluators(identity, cold_memo):
+    evaluate, slabs, ns = POINT_EVALUATORS[identity]
+    definition = idn._DEFS[identity]
+    checked = 0
+    for slab in slabs:
+        points = [{"n": n, **slab} for n in ns]
+        points = [p for p in points if definition.domain(p) is None]
+        rows = definition.rows(slab, [p["n"] for p in points])
+        for p, (a, da, b, db) in zip(points, rows):
+            # (35) has no pair where its sides agree in x and y; its row is 0 = 0
+            want = reduced(evaluate(p) or [(((), 1), ((), 1))])
+            assert reduced([((a, da), (b, db))]) == reduced(definition.pairs(p)) == want, (identity, p)
+            checked += 1
+    assert checked >= 11
+
+
+# one slab on which each of them passes; the printed THM4 passes at r = 0,
+# where its inconsistent double sum vanishes, and the printed THM5 at a few
+# points
+PASSING_SLABS = {
+    "EQ35": GridSpec(n_values=tuple(range(9)), r_values=(1,), k_values=(-1,)),
+    "THM3": GridSpec(n_values=tuple(range(7)), r_values=(2,), k_values=(1,)),
+    "THM4": GridSpec(n_values=tuple(range(7)), r_values=(0,), k_values=(1,)),
+    "THM4_VARIANT": GridSpec(n_values=tuple(range(7)), r_values=(2,), k_values=(-1,)),
+    "THM5": GridSpec(n_values=(3, 4, 5, 6), m_values=(1,), r_values=(1,), k_values=(0,)),
+    "THM5_VARIANT": GridSpec(n_values=tuple(range(7)), m_values=(1,), r_values=(2,), k_values=(-1,)),
+    "EQ52": GridSpec(n_values=tuple(range(9)), r_values=(1,), k_values=(2,)),
+    "NARUMI_BERNOULLI": GridSpec(n_values=tuple(range(11)), r_values=(-2,)),
+    "SHEFFER_PAIR_EQ17": GridSpec(n_values=tuple(range(9)), r_values=(1,), k_values=(-1,)),
+    "ASSOC_EQ25": GridSpec(n_values=tuple(range(11))),
+}
+
+
+@pytest.mark.parametrize("identity", list(PASSING_SLABS))
+def test_passing_slab_evaluates_no_point(identity, monkeypatch, cold_memo):
+    # its rows are compared at once: no point is evaluated or written alone
+    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    monkeypatch.setattr(idn, "_entry", lambda *args: pytest.fail("an entry was written alone"))
+    definition = idn._DEFS[identity]
+    monkeypatch.setitem(idn._DEFS, identity, definition._replace(
+        pairs=lambda p: pytest.fail("a point's pairs were read")))
+    report = verify(identity, PASSING_SLABS[identity])
+    assert report.totals["fail"] == 0 and report.totals["pass"] >= 4, report.totals
+
+
+@pytest.mark.parametrize("identity, table", [("THM4", "_thm4_table"), ("THM5", "_thm5_table")])
+def test_both_readings_read_one_table_per_slab(identity, table, monkeypatch, cold_memo):
+    # the printed reading fails by design: its fail entries come from the
+    # rows its slab compared, and its variant reads the same table
+    build, slabs = getattr(idn, table), []
+
+    def recorded(order, *slab):
+        slabs.append(slab)
+        return build(order, *slab)
+
+    monkeypatch.setattr(idn, table, recorded)
+    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    out = verify_variants(identity, SMALL)
+    assert out["printed"].totals["fail"] > 0 and out["variant"].all_passed
+    assert len(slabs) == len(set(slabs)) > 0

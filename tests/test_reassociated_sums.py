@@ -1,11 +1,10 @@
 """The evaluators of Theorems 1 to 8 (with (32), (34), (35), (52) and the
 Theorem 4 and 5 variants) sum their right sides in a re-associated order,
-as integer rows over values memoized across points; Theorems 1, 2, 6, 7
-and 8 and (32) and (34) read each right side as row n of a table built
-once per parameter slab.  Each must still give the pair of the paper's formula,
-written out here per point in plain Fraction arithmetic as the reference;
-an evaluator's sides, integer rows over one denominator, are compared as
-reduced Polynomials through `pairs`.
+as integer rows over values memoized across points, and read each point's
+sides as row n of a table built once per parameter slab.  Each must still
+give the pair of the paper's formula, written out here per point in plain
+Fraction arithmetic as the reference; an evaluator's sides, integer rows
+over one denominator, are compared as reduced Polynomials through `pairs`.
 The report hashes cannot show this: a rewrite that changed a right side
 and the left side alike would keep every verdict."""
 
@@ -279,10 +278,10 @@ def eq35_reference(n, r, k):
 
 def eq35_pairs(p):
     """(35)'s pairs at y = -2..n-2, specialized from the two sides in x and
-    y that the evaluator compares as integers; it returns no pair when
-    they agree."""
+    y that the evaluator compares as integers; when they agree, its one
+    pair is 0 = 0."""
     lhs, rhs, den = idn._eq35_sides(p["n"], p["r"], p["k"])
-    assert lhs == rhs and idn._eq35(p) == [], p
+    assert lhs == rhs and idn._DEFS["EQ35"].rows(p, [p["n"]]) == [idn._AGREED], p
     return idn._eq35_at(p["n"], lhs, rhs, den)
 
 
@@ -386,6 +385,46 @@ def test_thm4_weights_match_the_double_sum():
         ]
         single = [(-1) ** (n - l - 1) * factorial(n - l - 1) * comb(n - 1, l) for l in range(n)]
         assert idn._thm4_weights(n) == (dbl, dden, single), n
+
+
+def test_thm3_weights_match_the_cubic_sum():
+    # the middle sum over m, l and a as the paper writes it, each term an
+    # integer over eden, against its binomial convolution
+    for n, k in product(NS, KS):
+        s1 = families.stirling_triangle(1, n)[n]
+        w, d = families._lif_weights(n + 1, k)
+        eden = lcm(*((a + 2) * (a + 1) for a in range(n + 1)))
+        e = [eden // ((a + 2) * (a + 1)) for a in range(n + 1)]
+        mid = [
+            sum(
+                (-1) ** (m - l - j) * comb(m, l) * comb(m - l, j) * s1[m] * w[l] * e[m - l - j]
+                for m in range(j, n + 1) for l in range(m - j + 1)
+            )
+            for j in range(n + 1)
+        ]
+        assert idn._thm3_weights(n, k)[0] == mid, (n, k)
+
+
+def test_thm1_table_matches_the_cubic_sum():
+    # R_m's coefficients as the sum over l of C(m,l) C(m-l,j) w_l b_(m-l-j),
+    # against their binomial convolution C(m,j) u_(m-j)
+    for order, r, k in product(NS, range(4), KS):
+        w, d = families._lif_weights(order, k)
+        s2 = families.stirling_triangle(2, order + r)
+        combs = [comb(q + r, r) for q in range(order + 1)]
+        qden = lcm(*combs)
+        b = [s2[q + r][r] * (qden // c) for q, c in enumerate(combs)]
+        R = [
+            [(-1) ** j * sum(comb(m, l) * comb(m - l, j) * w[l] * b[m - l - j] for l in range(m - j + 1))
+             for j in range(m + 1)]
+            for m in range(order + 1)
+        ]
+        s1 = families.stirling_triangle(1, order)
+        table = tuple(
+            (tuple(sum(s1[n][m] * R[m][j] for m in range(j, n + 1)) for j in range(n + 1)), d * qden)
+            for n in range(order + 1)
+        )
+        assert idn._thm1_table(order, r, k) == table, (order, r, k)
 
 
 def test_integer_shift_of_a_row_matches_poly_shift():
