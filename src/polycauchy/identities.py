@@ -55,12 +55,12 @@ import itertools
 import json
 import os
 import time
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
 from json.encoder import encode_basestring_ascii
 from math import comb, factorial, gcd, lcm
-from operator import itemgetter, mul as _times
+from operator import mul as _times
 
 from .algebra import Polynomial, poly_shift
 from .families import (
@@ -80,7 +80,7 @@ from .families import (
     _values,
 )
 from .series import Series, div, mul
-from .umbral import apply_series, backward_delta, mixed_pair, sheffer_by_gf
+from .umbral import GUARD, apply_series, backward_delta, mixed_pair, sheffer_by_gf
 
 __version__ = "0.1.0"
 
@@ -117,7 +117,14 @@ class GridSpec(namedtuple("GridSpec", "n_values r_values k_values s_values m_val
     __slots__ = ()
 
     def values_for(self, axis: str) -> tuple:
-        return getattr(self, "lambdas" if axis == "lam" else axis + "_values")
+        return {
+            "n": self.n_values,
+            "r": self.r_values,
+            "k": self.k_values,
+            "s": self.s_values,
+            "m": self.m_values,
+            "lam": self.lambdas,
+        }[axis]
 
     def to_dict(self) -> dict:
         out = {}
@@ -151,14 +158,6 @@ def _shifted(row, y: int) -> list:
     """The numerators of p(x + y) for the numerators `row` of p."""
     cols = _slab(_shift_matrix, len(row) - 1, y)
     return [sum(map(_times, row, col)) for col in cols[: len(row)]]
-
-
-def _mixed_sheffer_order(n: int) -> int:
-    """10, doubled until it reaches n + 2: any order >= n + 2 gives row n."""
-    order = 10
-    while order < n + 2:
-        order *= 2
-    return order
 
 
 def _A_rows(order: int, r: int, k: int) -> tuple:
@@ -477,27 +476,23 @@ def _thm5_table(order, m, r, k) -> tuple:
     one, oden = _slab(_A_values, order, r, k, 1)
     raised, rden = _slab(_A_values, order, r + 1, k, 1)
     lowered, lden = _slab(_A_values, order, r, k - 1, 1)
-    # each row's dden divides top, so that each side's rows share one denominator
-    top = lcm(*range(2, order - m))
-    tr = top * rden
-    pden, vden = tr * oden, m * tr * oden * lden
     rows = [None] * (m + 1)
     for n in range(m + 1, order - 1):
         left, double, dden, second, last = _thm5_weights(n, m)
-        # r (the double sum), over dden rden, over top rden oden
-        carried = top // dden * r * sum(map(_times, double, raised)) * oden
-        # the sums over A^{(r,k)}(1), over oden
+        # r (the double sum) over dden rden, then the sums over A^{(r,k)}(1)
+        # over oden
+        carried = r * sum(map(_times, double, raised))
         inner = r * sum(map(_times, second, one))
         last_at_one = sum(map(_times, last, one))
         # the last sum splits 1/m + (1 - 1/m); only the variant lowers k in
         # its first part
+        printed = carried * oden + (inner + last_at_one) * dden * rden
         variant = (
-            (m * carried + (m * inner + (m - 1) * last_at_one) * tr) * lden
-            + sum(map(_times, last, lowered)) * tr * oden
+            (m * carried * oden + (m * inner + (m - 1) * last_at_one) * dden * rden) * lden
+            + sum(map(_times, last, lowered)) * dden * rden * oden
         )
-        lhs = (sum(map(_times, left, zero)),)
-        rows.append(((lhs, zden, (carried + (inner + last_at_one) * tr,), pden),
-                     (lhs, zden, (variant,), vden)))
+        lhs, den = (sum(map(_times, left, zero)),), dden * rden * oden
+        rows.append(((lhs, zden, (printed,), den), (lhs, zden, (variant,), m * den * lden)))
     return tuple(rows)
 
 
@@ -600,8 +595,8 @@ def _narumi_bernoulli_table(order, r) -> tuple:
 
 def _eq17_table(order, r, k) -> tuple:
     """The right sides S_0 .. S_order of (17), `umbral.sheffer_by_gf`'s
-    rows for the mixed pair (r, k)."""
-    pair = mixed_pair(r, k, _mixed_sheffer_order(order))
+    rows for the mixed pair (r, k), with umbral's guard order."""
+    pair = mixed_pair(r, k, order + GUARD)
     return tuple([_side(sheffer_by_gf(pair, n)) for n in range(order + 1)])
 
 
@@ -623,21 +618,29 @@ def _eq25_table(order) -> tuple:
 
 
 def _dom_r_nonneg(p):
-    return "r < 0: formula uses Stirling-2 / composition structure" if p["r"] < 0 else None
+    if p["r"] < 0:
+        return "r < 0: formula uses Stirling-2 / composition structure"
+    return None
 
 
 def _dom_n_pos(p):
-    return "n < 1: statement needs n >= 1" if p["n"] < 1 else None
+    if p["n"] < 1:
+        return "n < 1: statement needs n >= 1"
+    return None
 
 
 def _dom_thm5(p):
-    return None if 1 <= p["m"] <= p["n"] - 1 else "out of domain: needs n-1 >= m >= 1"
+    if not (1 <= p["m"] <= p["n"] - 1):
+        return "out of domain: needs n-1 >= m >= 1"
+    return None
 
 
 def _dom_thm7(p):
     if p["lam"] == 1:
         return "lam = 1: Frobenius-Euler undefined"
-    return "s < 0: the sum over a = 0..s needs s >= 0" if p["s"] < 0 else None
+    if p["s"] < 0:
+        return "s < 0: the sum over a = 0..s needs s >= 0"
+    return None
 
 
 def _dom_none(p):
@@ -733,8 +736,6 @@ def _poly_strings(side) -> list:
 
 def _cross_equal(a, b, da: int, db: int) -> bool:
     """Whether a/da = b/db for numerator sequences of one length, at C speed."""
-    if da == db:
-        return list(a) == list(b)
     return list(map(_times, a, repeat(db))) == list(map(_times, b, repeat(da)))
 
 
@@ -773,8 +774,10 @@ class VerificationReport(_Record):
 
     @property
     def totals(self) -> dict:
-        counts = Counter(map(itemgetter("verdict"), self.results))
-        return {verdict: counts[verdict] for verdict in ("pass", "fail", "skipped")}
+        t = {"pass": 0, "fail": 0, "skipped": 0}
+        for r in self.results:
+            t[r["verdict"]] += 1
+        return t
 
     @property
     def all_passed(self) -> bool:
@@ -813,7 +816,7 @@ def _dumps_at(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _column(values: list, nl: str):
+def _column(values: tuple, nl: str):
     """A run's values of one slot as json.dumps(indent=2) writes them; `nl` starts list items."""
     kind = type(values[0])
     if kind is int:
@@ -831,18 +834,13 @@ def _document_text(doc, depth: int) -> str:
     head, tail = _dumps_at({**doc, "results": _SLOT}, depth).split(_SLOT_JSON)
     nl, item_nl = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 4)
     templates, texts = {}, []
-    # verify's three entry shapes (pass, skipped, fail) differ in length
-    for _, run in itertools.groupby(doc["results"], len):
-        run = list(run)
-        shape, points = tuple(run[0]), list(map(itemgetter("point"), run))
+    for shape, run in itertools.groupby(doc["results"], tuple):
+        points, *values = zip(*map(dict.values, run))
         if shape not in templates:
             sample = dict.fromkeys(shape, _SLOT)
             sample["point"] = dict.fromkeys(points[0], _SLOT)
             templates[shape] = _dumps_at(sample, depth + 2).replace(_SLOT_JSON, "%s")
-        # a list per slot, and no object per entry, which would wake the
-        # garbage collector every few hundred entries
-        columns = [list(map(itemgetter(key), points)) for key in points[0]]
-        columns += [list(map(itemgetter(key), run)) for key in shape[1:]]
+        columns = [*zip(*map(dict.values, points)), *values]
         texts += map(templates[shape].__mod__, zip(*[_column(c, item_nl) for c in columns]))
     return head + "[" + nl + ("," + nl).join(texts) + nl[:-2] + "]" + tail
 
@@ -870,8 +868,8 @@ def _entry(rows, shown: dict) -> dict:
     """The report entry of a point in the domain whose sides are the rows
     (a, da, b, db); `shown` is the point as the report writes it."""
     for a, da, b, db in rows:
-        if not (_cross_equal(a, b, da, db) if len(a) == len(b) else _same_rows([(a, da, b, db)])):
-            diff = [x * db - y * da for x, y in zip_longest(a, b, fillvalue=0)]
+        diff = [x * db - y * da for x, y in zip_longest(a, b, fillvalue=0)]
+        if any(diff):
             return {
                 "point": shown,
                 "verdict": "fail",
@@ -897,22 +895,19 @@ def _slab_entries(definition: IdentityDef, slab: dict, shown: dict, n_values) ->
     points = [{"n": n, **slab} for n in n_values]
     written = points if shown is slab else [{"n": n, **shown} for n in n_values]
     reasons = list(map(definition.domain, points))
-    whole = reasons.count(None) == len(reasons)  # most slabs lie wholly in the domain
-    live = range(len(points)) if whole else [i for i, why in enumerate(reasons) if why is None]
-    rows = live and definition.rows and definition.rows(slab, [n_values[i] for i in live])
-    if not live or rows and _same_rows(rows):
-        return [{"point": point, "verdict": "pass"} for point in written] if whole else [
-            {"point": point, "verdict": "pass"} if reason is None
-            else {"point": point, "verdict": "skipped", "reason": reason}
-            for point, reason in zip(written, reasons)
-        ]
-    if rows:
-        judged = {i: _entry((row,), written[i]) for i, row in zip(live, rows)}
-    else:
+    live = [i for i, reason in enumerate(reasons) if reason is None]
+    judged = {}
+    if definition.rows is None:
         judged = {i: _point_entry(definition, points[i], written[i])
                   for i in sorted(live, key=n_values.__getitem__, reverse=True)}
+    elif live:
+        rows = definition.rows(slab, [n_values[i] for i in live])
+        if not _same_rows(rows):
+            judged = {i: _entry((row,), written[i]) for i, row in zip(live, rows)}
     return [
-        judged[i] if reason is None else {"point": point, "verdict": "skipped", "reason": reason}
+        judged[i] if i in judged
+        else {"point": point, "verdict": "pass"} if reason is None
+        else {"point": point, "verdict": "skipped", "reason": reason}
         for i, (point, reason) in enumerate(zip(written, reasons))
     ]
 

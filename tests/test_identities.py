@@ -16,7 +16,7 @@ from polycauchy import families
 from polycauchy import identities as idn
 from polycauchy.identities import GridSpec, verify, verify_variants
 from polycauchy.series import Series
-from polycauchy.umbral import backward_delta, mixed_pair, sheffer_by_gf, transfer
+from polycauchy.umbral import GUARD, backward_delta, mixed_pair, sheffer_by_gf, transfer
 
 SMALL = GridSpec(
     n_values=(0, 1, 2, 3, 4),
@@ -684,7 +684,7 @@ def point_narumi_bernoulli(p):
 
 def point_eq17(p):
     n, r, k = p["n"], p["r"], p["k"]
-    return [(mixed_A(n, r, k), sheffer_by_gf(mixed_pair(r, k, idn._mixed_sheffer_order(n)), n))]
+    return [(mixed_A(n, r, k), sheffer_by_gf(mixed_pair(r, k, n + GUARD), n))]
 
 
 def point_eq25(p):
