@@ -15,6 +15,7 @@ Only `algebra`, `series` and `families` load with this module; the
 
 from __future__ import annotations
 
+import gc
 import sys
 from fractions import Fraction
 
@@ -239,15 +240,12 @@ def _cmd_verify(args) -> int:
     failed = []
 
     def document(name):
-        rep = idn.verify(name, _build_grid(name, args), jobs=args.jobs)
-        t = rep.totals
-        print(
-            f"{name}: pass={t['pass']} fail={t['fail']} skipped={t['skipped']}",
-            file=sys.stderr,
-        )
+        doc = idn.verify(name, _build_grid(name, args), jobs=args.jobs).to_document()
+        t = doc["totals"]
+        print(f"{name}: pass={t['pass']} fail={t['fail']} skipped={t['skipped']}", file=sys.stderr)
         if t["fail"] and name not in idn.VARIANT_IDS:
             failed.append(name)
-        return rep.to_document()
+        return doc
 
     # lazy, so each identity's entries are rendered and dropped before the
     # next is verified; nothing is written until the last one is, so an
@@ -348,12 +346,12 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _normalize_argv(list(argv))
+    # a command makes no cyclic garbage of its own: pause the collector (README)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser().parse_args(_normalize_argv(list(argv)))
         _check_limits(args)
         return args.func(args)
     except SystemExit as exc:
@@ -369,6 +367,9 @@ def main(argv=None) -> int:
         # anything else is a defect in the engine, never a verdict
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

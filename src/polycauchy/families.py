@@ -14,14 +14,14 @@ Composition with log(1+t) reads the same Stirling matrix:
 log(1+t)^m / m! = sum_n s(n, m) t^n / n!, so the factor Lif_k(log(1+t))
 of the poly-Cauchy and mixed g is that matrix applied to Lif_k's
 coefficients (the test suite checks it against series composition).
-The Stirling triangles come from their two-term recurrences and are kept
-as rows of ints (their cross-checks live in the test suite).  The
+The Stirling and binomial triangles come from their two-term recurrences
+and are kept as rows of ints (the test suite cross-checks them).  The
 required truncation order is derived from the requested degree, so
 callers never pass one.
 
 `_memo` is the package's one process-wide cache, keyed by each kept
 value's builder and its arguments: `_grown` regrows a value with an
-order (g series, Stirling triangles, f's columns, the slab tables of
+order (g series, the triangles, f's columns, the slab tables of
 `identities`), `_memoized` keeps any other (the rows here, the weights
 of `identities`, the Sheffer pairs of `umbral`), and `_memo.clear()`
 returns a process to its cold state.  Its values are immutable and each
@@ -34,8 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import wraps
 from itertools import accumulate
-from math import comb, factorial, lcm
-from operator import mul as _times
+from math import factorial, lcm
+from operator import add, mul as _times
 
 from .algebra import Polynomial
 from .series import (
@@ -152,17 +152,24 @@ def bernoulli_ratio(order: int) -> Series:
     return _grown(_bernoulli_ratio, order).truncate(order)
 
 
+def _binomial_rows(order: int) -> list:
+    """Rows 0..order of Pascal's triangle, C(m, j) = C(m-1, j-1) + C(m-1, j)."""
+    return list(accumulate(range(order), lambda row, _: (1, *map(add, row, row[1:]), 1),
+                           initial=(1,)))
+
+
 def sheffer_rows(values, cols, ns) -> list:
     """The numerators of s_n(x) = sum_j C(n, j) v_{n-j} p_j(x), n in ns,
     the Sheffer identity (Roman, The Umbral Calculus, 1984, ch. 2), with
     v_l = values[l] / d and [x^i] p_j = cols[i][j] / e (0 past the end):
     row n lists d e [x^i] s_n(x), i = 0..n, unreduced, each one integer
-    dot product of the weights C(n, j) v_{n-j} with column i from j = i
-    on, since p_j has degree j."""
+    dot product of the weights C(n, j) v_{n-j} (C from `_binomial_rows`)
+    with column i, whose entries j < i are 0 since p_j has degree j."""
+    pascal = _grown(_binomial_rows, max(ns))
     rows = []
     for n in ns:
-        w = [comb(n, j) * values[n - j] for j in range(n + 1)]
-        rows.append([sum(map(_times, w[i:], col[i:])) for i, col in enumerate(cols[: n + 1])])
+        w = list(map(_times, pascal[n], values[n::-1]))
+        rows.append([sum(map(_times, w, col)) for col in cols[: n + 1]])
     return rows
 
 
@@ -295,8 +302,8 @@ def bernoulli_poly(n: int, alpha: int) -> Polynomial:
     return _sheffer_row(n, "t", _bernoulli_g, alpha)
 
 
-def _frobenius_g(order: int, s: int, lam: Fraction) -> Series:
-    base = (exp_t(order) - lam).scale(Fraction(1) / (1 - lam))
+def _frobenius_g(order: int, s: int, p: int, q: int) -> Series:
+    base = (exp_t(order) - Fraction(p, q)).scale(Fraction(q, q - p))
     return int_pow(reciprocal(base), s)
 
 
@@ -307,7 +314,7 @@ def frobenius_euler(n: int, s: int, lam) -> Polynomial:
         raise ValueError("frobenius_euler needs lam != 1")
     if n < 0 or s < 0:
         raise ValueError("frobenius_euler needs n >= 0 and s >= 0")
-    return _sheffer_row(n, "t", _frobenius_g, s, lam)
+    return _sheffer_row(n, "t", _frobenius_g, s, lam.numerator, lam.denominator)
 
 
 def _narumi_g(order: int, r: int) -> Series:

@@ -69,6 +69,7 @@ from .families import (
     stirling_triangle,
     _associated,
     _bernoulli_g,
+    _binomial_rows,
     _family_rows,
     _frobenius_g,
     _grown as _slab,
@@ -244,7 +245,8 @@ def _thm2_table(order, a_values, r, k) -> tuple:
     convolution of the a-numbers with the poly-Cauchy numbers."""
     an, aden = _slab(a_values, order, r)
     pc, pden = _values(_slab(_lif_log, order, k), order)
-    inner = [sum([comb(t, a) * an[a] * pc[t - a] for a in range(t + 1)]) for t in range(order + 1)]
+    pascal = _slab(_binomial_rows, order)
+    inner = [sum(map(_times, map(_times, pascal[t], an), pc[t::-1])) for t in range(order + 1)]
     rows = sheffer_rows(inner, _slab(_associated, order, "-log"), range(order + 1))
     return tuple(zip(rows, repeat(aden * pden)))
 
@@ -546,7 +548,7 @@ def _thm7_table(order, r, k, s, p, q) -> tuple:
     moments = _slab(_thm7_moments, order, s, p, q)
     rows, _, den = _slab(_A_rows, order, r, k)
     inner = [sum(map(_times, row, moments)) for row in rows[: order + 1]]
-    cols, pden = _slab(_stirling_side, order, _frobenius_g, s, Fraction(p, q))
+    cols, pden = _slab(_stirling_side, order, _frobenius_g, s, p, q)
     rows = sheffer_rows(inner, cols, range(order + 1))
     return tuple(zip(rows, repeat(den * (q - p) ** s * pden)))
 
@@ -645,6 +647,9 @@ def _dom_thm7(p):
 
 def _dom_none(p):
     return None
+
+
+_SLAB_DOMAINS = (_dom_r_nonneg, _dom_thm7, _dom_none)  # they read no n: one call per slab
 
 
 IdentityDef = namedtuple("IdentityDef", "axes domain pairs default_grid rows", defaults=(None,))
@@ -894,7 +899,8 @@ def _slab_entries(definition: IdentityDef, slab: dict, shown: dict, n_values) ->
     first, so that A's slab is built once, at its largest order."""
     points = [{"n": n, **slab} for n in n_values]
     written = points if shown is slab else [{"n": n, **shown} for n in n_values]
-    reasons = list(map(definition.domain, points))
+    reasons = ([definition.domain(slab)] * len(points) if definition.domain in _SLAB_DOMAINS
+               else list(map(definition.domain, points)))
     live = [i for i, reason in enumerate(reasons) if reason is None]
     judged = {}
     if definition.rows is None:

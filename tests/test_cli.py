@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -520,6 +521,47 @@ def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "table" in out and "verify" in out
+
+
+def _failing_thm8_table(order, r, k):
+    """Theorem 8's right sides all 2, which no A_n equals."""
+    return tuple([((2,), 1)] * (order + 1))
+
+
+def _raising_thm8_table(order, r, k):
+    raise RuntimeError("table blew up")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, table, code", [
+    (["verify", "thm8", "--n-max", "3"], None, 0),
+    # THM8 is no variant id, so its failure sets the exit code
+    (["verify", "thm8", "--n-max", "3"], _failing_thm8_table, 1),
+    (["verify", "thm1", "--r", "3..1"], None, 2),
+    (["verify", "thm8", "--n-max", "3"], _raising_thm8_table, 4),
+], ids=["exit-0", "exit-1", "exit-2", "exit-4"])
+def test_main_pauses_the_collector_and_restores_the_callers_state(
+    capsys, monkeypatch, enabled, argv, table, code
+):
+    if table is not None:
+        monkeypatch.setattr(idn, "_thm8_table", table)
+    seen, verify = [], idn.verify
+
+    def recording_verify(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(idn, "verify", recording_verify)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    # the command ran with the collector paused (a parse error runs none)
+    assert seen == ([] if code == 2 else [False])
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

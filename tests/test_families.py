@@ -1,6 +1,9 @@
+import hashlib
+import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
+from operator import mul as times
 
 import pytest
 
@@ -15,6 +18,7 @@ from polycauchy.series import (
     reciprocal,
 )
 from polycauchy import families as fam
+from polycauchy import identities as idn
 
 X = Polynomial.x()
 
@@ -278,12 +282,83 @@ def test_six_families_match_power_reference_to_64():
         assert [family(m, *params) for m in range(n + 1)] == want, family.__name__
 
 
+# sha256 of each row's coefficients as `str` writes them, one per line,
+# as the sliced math.comb kernel (`_sliced_sheffer_rows` below) computed
+# them; each row is built alone from a cold memo, so the kernel runs with
+# ns = (64,)
+DEEP_ROWS = [
+    ("mixed_A", (64, 2, -1), "cafe06a3d36f6ae2c9a93481221d35dd004a3e1411156ed3b793b3f7fa3e601e"),
+    ("narumi", (64, 2), "05e6d769f9c41a2aa520cbea9ffb720ba54e70d03d498db54587e805b56effce"),
+    ("bernoulli_poly", (64, 3), "b83c033ac066b576fd0b5fb0ee081d97e41bd229a9918b60cb35310757a677ef"),
+]
+
+
+@pytest.mark.parametrize("family, args, digest", DEEP_ROWS, ids=[row[0] for row in DEEP_ROWS])
+def test_deep_single_rows_are_pinned(family, args, digest):
+    fam._memo.clear()
+    text = "\n".join(map(str, getattr(fam, family)(*args).coeffs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_negative_degree_rejected():
     for func in (fam.poly_cauchy, fam.higher_cauchy):
         with pytest.raises(ValueError):
             func(-1, 0)
     with pytest.raises(ValueError):
         fam.mixed_A(-1, 0, 0)
+
+
+# -- the Sheffer-row kernel -------------------------------------------------
+
+
+def _sliced_sheffer_rows(values, cols, ns):
+    """The kernel as it was first written, kept as its oracle: the weights
+    from math.comb, and coefficient i the dot product of the weights and
+    column i from j = i on."""
+    rows = []
+    for n in ns:
+        w = [comb(n, j) * values[n - j] for j in range(n + 1)]
+        rows.append([sum(map(times, w[i:], col[i:])) for i, col in enumerate(cols[: n + 1])])
+    return rows
+
+
+ORDER = 40
+# the kernel's three column layouts: x^j with each column cut after its 1,
+# (-x)_j at full length, and the Stirling sums of `identities` (here of a
+# Bernoulli and of a Frobenius-Euler factor)
+LAYOUTS = {
+    "t": lambda: fam._associated(ORDER, "t"),
+    "-log": lambda: fam._associated(ORDER, "-log"),
+    "stirling-side-bernoulli": lambda: idn._stirling_side(ORDER, fam._bernoulli_g, 3)[0],
+    "stirling-side-frobenius": lambda: idn._stirling_side(ORDER, fam._frobenius_g, 2, -1, 3)[0],
+}
+
+
+@pytest.mark.parametrize("ns", [range(ORDER + 1), (17,), (0,), (ORDER, 3, 29, 0, 11, 12)],
+                         ids=["all", "one", "zero", "unsorted"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_sheffer_rows_match_the_sliced_formula(layout, ns):
+    rng = random.Random(f"{layout} {ns}")
+    # signed values from 1 to 400 bits
+    values = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((1, 7, 64, 400)))
+              for _ in range(ORDER + 1)]
+    cols = LAYOUTS[layout]()
+    fam._memo.clear()
+    want = _sliced_sheffer_rows(values, cols, ns)
+    # values as a tuple, as `families._values` gives them, and as a list,
+    # as the perturbation tests of test_reassociated_sums pass them
+    assert fam.sheffer_rows(tuple(values), cols, ns) == want
+    assert fam.sheffer_rows(values, cols, ns) == want
+
+
+def test_binomial_triangle_matches_comb():
+    fam._memo.clear()
+    # built short, then regrown past its first doubling
+    assert fam._grown(fam._binomial_rows, 3)[3] == (1, 3, 3, 1)
+    rows = fam._grown(fam._binomial_rows, 64)
+    assert len(rows) >= 65
+    for n in range(65):
+        assert rows[n] == tuple(comb(n, j) for j in range(n + 1)), n
 
 
 # -- the shared memo -------------------------------------------------------
