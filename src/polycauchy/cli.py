@@ -4,10 +4,10 @@ verification.
 All numeric output is exact fraction text; there is no decimal rendering
 anywhere.  Exit codes: 0 success, 1 verification failure, 2 usage or
 parameter error, 3 unwritable report or output path, 4 internal error.
-Every integer parameter and degree (r, k, s, m, n and n-max) must lie in
--LIMIT..LIMIT, and every lambda must be p/q in lowest terms with |p| and
-q at most LIMIT; a value outside is a parameter error, reported before
-any work starts.
+Every integer parameter (r, k, s, m) must lie in -LIMIT..LIMIT, every
+degree (n, n-max) in 0..LIMIT, and every lambda must be p/q in lowest
+terms with |p| and q at most LIMIT; a value outside is a parameter error,
+reported before any work starts.  No option may be abbreviated.
 
 Only `algebra`, `series` and `families` load with this module; the
 `identities` harness, `argparse`, `json` and `csv` load where used.
@@ -89,11 +89,14 @@ def _parse_range(text: str) -> tuple:
 
 
 def _check_limits(args) -> None:
-    """Raise UsageError for an integer flag outside -LIMIT..LIMIT."""
+    """Raise UsageError for an integer flag outside -LIMIT..LIMIT, or a
+    negative degree (--n, --n-max)."""
     for flag, name in _INT_FLAGS.items():
         v = getattr(args, name, None)
         if v is not None and abs(v) > LIMIT:
             raise UsageError(f"{flag} must lie in -{LIMIT}..{LIMIT}, got {v}")
+        if v is not None and v < 0 and flag.startswith("--n"):
+            raise UsageError(f"{flag} must be >= 0")
 
 
 def _parse_lambdas(text: str) -> tuple:
@@ -169,8 +172,6 @@ def _emit_table(family: str, rows: list[list], fmt: str, params: dict, out) -> N
 def _cmd_table(args) -> int:
     if args.family not in TABLE_FAMILIES:
         raise UsageError(f"unknown family {args.family!r}; choose from {', '.join(TABLE_FAMILIES)}")
-    if args.n_max < 0:
-        raise UsageError("--n-max must be >= 0")
     row = _row_function(args.family, args)
     # the largest row first, so that each g series, Stirling triangle and
     # column set is built once, at n-max, instead of regrown by doubling
@@ -199,8 +200,6 @@ def _cmd_table(args) -> int:
 def _cmd_poly(args) -> int:
     if args.family not in TABLE_FAMILIES:
         raise UsageError(f"unknown family {args.family!r}")
-    if args.n < 0:
-        raise UsageError("--n must be >= 0")
     row = _row_function(args.family, args)(args.n)
     if TABLE_FAMILIES[args.family][2] != "poly":
         print(" ".join(str(v) for v in row))
@@ -270,10 +269,12 @@ def _cmd_verify(args) -> int:
 def build_parser():
     import argparse
 
+    # no option may be abbreviated: `--n` would otherwise be read as `--n-max`
     parser = argparse.ArgumentParser(
         prog="polycauchy",
         description="Exact tables and identity verification for mixed-type "
         "Cauchy / poly-Cauchy polynomial families.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -285,7 +286,7 @@ def build_parser():
                        help="lambda value(s), exact fractions, comma separated")
 
     p_table = sub.add_parser(
-        "table",
+        "table", allow_abbrev=False,
         help="tabulate a family",
         description="Emit rows n = 0..n-max of a family. CSV columns: n, then "
         "v0..vK holding exact fraction strings (coefficients in ascending "
@@ -300,14 +301,14 @@ def build_parser():
     add_params(p_table)
     p_table.set_defaults(func=_cmd_table)
 
-    p_poly = sub.add_parser("poly", help="print one family member exactly")
+    p_poly = sub.add_parser("poly", allow_abbrev=False, help="print one family member exactly")
     p_poly.add_argument("--family", required=True)
     p_poly.add_argument("--n", type=int, required=True)
     add_params(p_poly)
     p_poly.set_defaults(func=_cmd_poly)
 
     p_verify = sub.add_parser(
-        "verify",
+        "verify", allow_abbrev=False,
         help="verify identities by exact polynomial equality",
         description="Identity ids: " + ", ".join(i.lower() for i in IDENTITY_IDS)
         + ", or 'all'. Ranges are inclusive a..b (single values allowed).",

@@ -9,13 +9,14 @@ match exactly, a db = b da (`_same_rows`), and its fail entry writes the
 lhs, rhs and diff as reduced fractions.
 
 `verify`'s unit of work is a parameter slab, one value on every axis but
-n (`_slab_entries`).  Every identity but (36) reads a point's sides from
-row n of one table per slab (`_table`), built once per process for
-n = 0..max(n): the row (a, da, b, db), or only the right side (b, db)
-against row n of A's slab.  A slab's rows are compared at once, and only
-a slab that fails writes its entries one by one, from the same rows.
-(36) still goes point by point, largest n first: its right side stays one
-`poly_shift`, the Polynomial shift that the benchmark's tracer test counts.
+n (`_slab_entries`).  Every identity reads a point's sides from row n of
+one table per slab (`_table`), built once per process for n = 0..max(n):
+the row (a, da, b, db), or only the right side (b, db) against row n of
+A's slab.  A slab's rows are compared at once, and only a slab that fails
+writes its entries one by one, from the same rows.  (36)'s right side
+A_n(x-1) - A_n(x) is still one `poly_shift` of `mixed_A`, not an integer
+shift of A's rows: the benchmark's tracer test counts that Polynomial
+shift in a traced `verify EQ36` until ROADMAP item 1 moves the test.
 
 Whatever depends on fewer coordinates than a grid point is kept in the
 family memo (`families._memo`, the package's one cache): weights per
@@ -45,8 +46,8 @@ below); `verify` refuses a point value of another type.
 
 The registry `_DEFS` has one row per identity in report order: its axes
 (the order in which a report writes a point's keys), domain, default
-grid (each shared grid named once, `_GRID_R4` .. `_GRID_THM7`), evaluator
-pairs(p) and, from its table, slab rows rows(p, ns).
+grid (each shared grid named once, `_GRID_R4` .. `_GRID_THM7`) and, from
+its table, slab rows rows(p, ns).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .families import (
     _narumi_g,
     _values,
 )
-from .series import Series, div, mul
+from .series import Series, div, int_pow, log_one_plus_t, mul
 from .umbral import GUARD, apply_series, backward_delta, mixed_pair, sheffer_by_gf
 
 __version__ = "0.1.0"
@@ -90,25 +91,6 @@ VARIANTS = {"THM4": "THM4_VARIANT", "THM5": "THM5_VARIANT"}
 VARIANT_IDS = tuple(i for pair in VARIANTS.items() for i in pair)
 
 _LAMBDAS = (Fraction(2), Fraction(-1), Fraction(1, 2))
-
-
-class _Record:
-    """A plain record: equal to a record of the same class with equal
-    fields, its ``__slots__``."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        fields = zip(self.__slots__, self._fields())
-        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in fields)})"
 
 
 class GridSpec(namedtuple("GridSpec", "n_values r_values k_values s_values m_values lambdas",
@@ -335,14 +317,16 @@ def _eq35_table(order, r, k) -> tuple:
     return tuple(rows)
 
 
-def _eq36(p):
-    """n A_{n-1}(x) = A_n(x-1) - A_n(x).  The left side is row n-1 of A's
-    slab; the right side stays one `poly_shift`, the Polynomial shift that
-    the benchmark's tracer test counts in a traced `verify EQ36`."""
-    n, r, k = p["n"], p["r"], p["k"]
-    rows, _, den = _slab(_A_rows, n, r, k)
-    a_n = mixed_A(n, r, k)
-    return [(([n * c for c in rows[n - 1]], den), poly_shift(a_n, -1) - a_n)]
+def _eq36_table(order, r, k) -> tuple:
+    """(36)'s rows for one (r, k), n = 0..order (n = 0 lies outside the
+    domain): n A_{n-1}(x), row n-1 of A's slab, against A_n(x-1) - A_n(x),
+    one `poly_shift` of `mixed_A` for the tracer test the module names."""
+    rows, _, den = _slab(_A_rows, order, r, k)
+    table = [_AGREED]
+    for n in range(1, order + 1):
+        a_n = mixed_A(n, r, k)
+        table.append(([n * c for c in rows[n - 1]], den, *_side(poly_shift(a_n, -1) - a_n)))
+    return tuple(table)
 
 
 @_memoized
@@ -446,6 +430,13 @@ def _thm4_table(order, r, k) -> tuple:
     return tuple(table)
 
 
+def _thm5_series(order, m) -> Series:
+    """log(1+t)^m (log(1+t) - t) / t^2 through t^order."""
+    log = log_one_plus_t(order + 2)
+    # (log(1+t) - t) / t^2 has log(1+t)'s coefficients from t^2 on
+    return mul(int_pow(log.truncate(order), m), Series._of(list(log.num[2:]), log.den))
+
+
 @_memoized
 def _thm5_weights(n, m) -> tuple:
     """Theorem 5's integer weights, independent of r and k: of
@@ -455,11 +446,13 @@ def _thm5_weights(n, m) -> tuple:
     A_l^{(r,k)}(1) in the last one."""
     s1 = stirling_triangle(1, n)
     dden = lcm(*range(2, n - m + 2))
-    # the double sum's term (-1)^(l-a+1) (l-a)! C(n-1, l) C(l, a) s(n-1-l, m)
-    # / (l-a+2) is L_l e_(l-a) / a!, since (l-a)! C(l, a) = l! / a!
-    L = [factorial(l) * comb(n - 1, l) * s1[n - 1 - l][m] for l in range(n - m)]
-    e = [(-1) ** (j + 1) * (dden // (j + 2)) for j in range(n - m)]
-    double = [sum(map(_times, L[a:], e)) // factorial(a) for a in range(n - m)]
+    # the double sum's weight, the sum over l of (-1)^(l-a+1) (l-a)!
+    # C(n-1, l) C(l, a) s(n-1-l, m) / (l-a+2), is (n-1)!/(a! m!) [t^(n-1-a)]
+    # of `_thm5_series`: s(i, m) = i! [t^i] log(1+t)^m / m!, and the sum over
+    # j of (-1)^(j+1) t^j / (j+2) is (log(1+t) - t) / t^2
+    f = _slab(_thm5_series, n - 1, m)
+    scale, fden = dden * factorial(n - 1), f.den * factorial(m)
+    double = [scale * f.num[n - 1 - a] // (factorial(a) * fden) for a in range(n - m)]
     return (
         [comb(n, l) * s1[n - l][m] for l in range(n - m + 1)],
         double,
@@ -478,6 +471,7 @@ def _thm5_table(order, m, r, k) -> tuple:
     one, oden = _slab(_A_values, order, r, k, 1)
     raised, rden = _slab(_A_values, order, r + 1, k, 1)
     lowered, lden = _slab(_A_values, order, r, k - 1, 1)
+    _slab(_thm5_series, order, m)  # built once, at the table's order
     rows = [None] * (m + 1)
     for n in range(m + 1, order - 1):
         left, double, dden, second, last = _thm5_weights(n, m)
@@ -561,17 +555,17 @@ def _thm8_table(order, r, k) -> tuple:
     return tuple(zip(rows, repeat(vden)))
 
 
-def _table(key, paired=False, lead=0, reading=None) -> tuple:
-    """The evaluator and the slab rows of an identity whose point n has
-    its sides in row n of the table key(p) = (table, *slab): the row
-    (a, da, b, db) of the sides a/da and b/db or, unless paired, the right
-    side (b, db) against A_n^{(r,k)}.  A row of Theorem 4 or 5 holds one
-    such row per reading, printed first, and an identity reads its own.
-    rows(p, ns) reads the slab p's table once, at max(ns) + lead, and
-    gives the row of each n in ns; key looks the table up when it is
-    called.  The tables of Theorems 3 to 5 hold rows to order - 2 (lead
-    2): their default grids end at n = 6, so their first tables, at
-    `_slab`'s first order 8, hold no row past the grid."""
+def _table(key, paired=False, lead=0, reading=None):
+    """rows(p, ns), every identity's one evaluator: the rows (a, da, b, db)
+    of the sides a/da and b/db of slab p's points n in ns, point n's from
+    row n of the table key(p) = (table, *slab), which holds that row or,
+    unless paired, only the right side (b, db) against A_n^{(r,k)}.  A row
+    of Theorem 4 or 5 holds one such row per reading, printed first, and
+    an identity reads its own.  rows reads the slab's table once, at
+    max(ns) + lead; key looks the table up when it is called.  The tables
+    of Theorems 3 to 5 hold rows to order - 2 (lead 2): their default grids
+    end at n = 6, so their first tables, at `_slab`'s first order 8, hold
+    no row past the grid."""
     def rows(p, ns):
         table, *slab = key(p)
         built = _slab(table, max(ns) + lead, *slab)
@@ -580,7 +574,7 @@ def _table(key, paired=False, lead=0, reading=None) -> tuple:
         a, _, den = _slab(_A_rows, max(ns), p["r"], p["k"])
         return [(a[n], den, built[n][0], built[n][1]) for n in ns]
 
-    return (lambda p: [(row[:2], row[2:]) for row in rows(p, (p["n"],))]), rows
+    return rows
 
 
 def _narumi_bernoulli_table(order, r) -> tuple:
@@ -652,7 +646,7 @@ def _dom_none(p):
 _SLAB_DOMAINS = (_dom_r_nonneg, _dom_thm7, _dom_none)  # they read no n: one call per slab
 
 
-IdentityDef = namedtuple("IdentityDef", "axes domain pairs default_grid rows", defaults=(None,))
+IdentityDef = namedtuple("IdentityDef", "axes domain default_grid rows")
 
 # the default grids that more than one identity shares
 _GRID_R4 = GridSpec(tuple(range(9)), (0, 1, 2, 3), (-2, -1, 0, 1, 2, 3))
@@ -665,45 +659,46 @@ _GRID_THM7 = _GRID_THM6._replace(lambdas=_LAMBDAS)
 _NRK = ("n", "r", "k")
 _NMRK = ("n", "m", "r", "k")  # the order of THM5's point keys in a report
 
-# one row per identity, in report order: id, axes, domain, default grid,
-# evaluator and, for an identity with a table (`_table`), slab rows
+# one row per identity, in report order: id, axes, domain, default grid
+# and the slab rows of its table (`_table`)
 _DEFS: dict[str, IdentityDef] = {
-    identity: IdentityDef(axes, domain, pairs, grid, *rows)
-    for identity, axes, domain, grid, pairs, *rows in (
-        ("THM1", _NRK, _dom_r_nonneg, _GRID_R4, *_table(lambda p: (_thm1_table, p["r"], p["k"]))),
+    identity: IdentityDef(axes, domain, grid, rows)
+    for identity, axes, domain, grid, rows in (
+        ("THM1", _NRK, _dom_r_nonneg, _GRID_R4, _table(lambda p: (_thm1_table, p["r"], p["k"]))),
         ("THM2", _NRK, _dom_none, _GRID_R4,
-         *_table(lambda p: (_thm2_table, _bernoulli_values, p["r"], p["k"]))),
+         _table(lambda p: (_thm2_table, _bernoulli_values, p["r"], p["k"]))),
         ("EQ32", _NRK, _dom_none, _GRID_R4,
-         *_table(lambda p: (_thm2_table, _cauchy_values, p["r"], p["k"]))),
+         _table(lambda p: (_thm2_table, _cauchy_values, p["r"], p["k"]))),
         ("EQ34", _NRK, _dom_r_nonneg, _GRID_R4,
-         *_table(lambda p: (_thm2_table, _composition_values, p["r"], p["k"]))),
+         _table(lambda p: (_thm2_table, _composition_values, p["r"], p["k"]))),
         ("EQ35", _NRK, _dom_none, _GRID_R6,
-         *_table(lambda p: (_eq35_table, p["r"], p["k"]), paired=True)),
-        ("EQ36", _NRK, _dom_n_pos, _GRID_R6, _eq36),
+         _table(lambda p: (_eq35_table, p["r"], p["k"]), paired=True)),
+        ("EQ36", _NRK, _dom_n_pos, _GRID_R6,
+         _table(lambda p: (_eq36_table, p["r"], p["k"]), paired=True)),
         ("THM3", _NRK, _dom_none, _GRID_N6,
-         *_table(lambda p: (_thm3_table, p["r"], p["k"]), paired=True, lead=2)),
+         _table(lambda p: (_thm3_table, p["r"], p["k"]), paired=True, lead=2)),
         ("THM4", _NRK, _dom_n_pos, _GRID_N6,
-         *_table(lambda p: (_thm4_table, p["r"], p["k"]), paired=True, lead=2, reading=0)),
+         _table(lambda p: (_thm4_table, p["r"], p["k"]), paired=True, lead=2, reading=0)),
         ("THM4_VARIANT", _NRK, _dom_n_pos, _GRID_N6,
-         *_table(lambda p: (_thm4_table, p["r"], p["k"]), paired=True, lead=2, reading=1)),
+         _table(lambda p: (_thm4_table, p["r"], p["k"]), paired=True, lead=2, reading=1)),
         ("THM5", _NMRK, _dom_thm5, _GRID_THM5,
-         *_table(lambda p: (_thm5_table, p["m"], p["r"], p["k"]), paired=True, lead=2, reading=0)),
+         _table(lambda p: (_thm5_table, p["m"], p["r"], p["k"]), paired=True, lead=2, reading=0)),
         ("THM5_VARIANT", _NMRK, _dom_thm5, _GRID_THM5,
-         *_table(lambda p: (_thm5_table, p["m"], p["r"], p["k"]), paired=True, lead=2, reading=1)),
+         _table(lambda p: (_thm5_table, p["m"], p["r"], p["k"]), paired=True, lead=2, reading=1)),
         ("EQ52", _NRK, _dom_none, _GRID_R6,
-         *_table(lambda p: (_eq52_table, p["r"], p["k"]), paired=True)),
+         _table(lambda p: (_eq52_table, p["r"], p["k"]), paired=True)),
         ("THM6", ("n", "r", "k", "s"), _dom_none, _GRID_THM6,
-         *_table(lambda p: (_thm6_table, p["r"], p["k"], p["s"]))),
-        ("THM7", ("n", "r", "k", "s", "lam"), _dom_thm7, _GRID_THM7, *_table(lambda p: (
+         _table(lambda p: (_thm6_table, p["r"], p["k"], p["s"]))),
+        ("THM7", ("n", "r", "k", "s", "lam"), _dom_thm7, _GRID_THM7, _table(lambda p: (
             _thm7_table, p["r"], p["k"], p["s"], p["lam"].numerator, p["lam"].denominator))),
-        ("THM8", _NRK, _dom_none, _GRID_R6, *_table(lambda p: (_thm8_table, p["r"], p["k"]))),
+        ("THM8", _NRK, _dom_none, _GRID_R6, _table(lambda p: (_thm8_table, p["r"], p["k"]))),
         ("NARUMI_BERNOULLI", ("n", "r"), _dom_none,
          GridSpec(tuple(range(11)), (-3, -2, -1, 0, 1, 2, 3)),
-         *_table(lambda p: (_narumi_bernoulli_table, p["r"]), paired=True)),
+         _table(lambda p: (_narumi_bernoulli_table, p["r"]), paired=True)),
         ("SHEFFER_PAIR_EQ17", _NRK, _dom_none, _GRID_R4._replace(k_values=(-1, 0, 1, 2)),
-         *_table(lambda p: (_eq17_table, p["r"], p["k"]))),
+         _table(lambda p: (_eq17_table, p["r"], p["k"]))),
         ("ASSOC_EQ25", ("n",), _dom_none, GridSpec(tuple(range(11))),
-         *_table(lambda p: (_eq25_table,), paired=True)),
+         _table(lambda p: (_eq25_table,), paired=True)),
     )
 }
 
@@ -718,7 +713,7 @@ def default_grid(identity: str) -> GridSpec:
 #
 # The unit of work is a parameter slab: `verify` hands each one, with all of
 # the grid's n, to `_slab_entries`, which compares the rows of its table at
-# once, or evaluates (36) point by point (`_point_entry`).
+# once.
 
 
 def _side(side) -> tuple:
@@ -767,7 +762,10 @@ def _same_rows(rows) -> bool:
 _ENGINE = {"truncation": 32, "version": __version__}
 
 
-class VerificationReport(_Record):
+class VerificationReport:
+    """A plain, unhashable record: equal to a report with equal fields, its
+    ``__slots__``, `elapsed` included."""
+
     __slots__ = ("identity", "grid", "results", "elapsed")
 
     def __init__(self, identity: str, grid: GridSpec, results: list | None = None,
@@ -776,6 +774,15 @@ class VerificationReport(_Record):
         self.grid = grid
         self.results = [] if results is None else results
         self.elapsed = elapsed  # not serialized: reports must be byte-stable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     @property
     def totals(self) -> dict:
@@ -869,25 +876,19 @@ def report_text(payload) -> str:
     return _document_text(payload, 0) + "\n"
 
 
-def _entry(rows, shown: dict) -> dict:
-    """The report entry of a point in the domain whose sides are the rows
-    (a, da, b, db); `shown` is the point as the report writes it."""
-    for a, da, b, db in rows:
-        diff = [x * db - y * da for x, y in zip_longest(a, b, fillvalue=0)]
-        if any(diff):
-            return {
-                "point": shown,
-                "verdict": "fail",
-                "lhs": _poly_strings((a, da)),
-                "rhs": _poly_strings((b, db)),
-                "diff": _poly_strings((diff, da * db)),
-            }
-    return {"point": shown, "verdict": "pass"}
-
-
-def _point_entry(definition: IdentityDef, point: dict, shown: dict) -> dict:
-    """The report entry of one point in the domain, from its own pairs."""
-    return _entry([(*_side(lhs), *_side(rhs)) for lhs, rhs in definition.pairs(point)], shown)
+def _entry(a, da, b, db, shown: dict) -> dict:
+    """The report entry of a point in the domain whose sides are a/da and
+    b/db; `shown` is the point as the report writes it."""
+    diff = [x * db - y * da for x, y in zip_longest(a, b, fillvalue=0)]
+    if not any(diff):
+        return {"point": shown, "verdict": "pass"}
+    return {
+        "point": shown,
+        "verdict": "fail",
+        "lhs": _poly_strings((a, da)),
+        "rhs": _poly_strings((b, db)),
+        "diff": _poly_strings((diff, da * db)),
+    }
 
 
 def _slab_entries(definition: IdentityDef, slab: dict, shown: dict, n_values) -> list:
@@ -895,21 +896,14 @@ def _slab_entries(definition: IdentityDef, slab: dict, shown: dict, n_values) ->
     that order; `shown` is the slab as the report writes it.  The rows of
     the points in the domain are read from the slab's table and compared at
     once; only a slab that fails writes its entries one by one, from the
-    same rows.  (36) has no table: its points go one by one, largest n
-    first, so that A's slab is built once, at its largest order."""
+    same rows."""
     points = [{"n": n, **slab} for n in n_values]
     written = points if shown is slab else [{"n": n, **shown} for n in n_values]
     reasons = ([definition.domain(slab)] * len(points) if definition.domain in _SLAB_DOMAINS
                else list(map(definition.domain, points)))
     live = [i for i, reason in enumerate(reasons) if reason is None]
-    judged = {}
-    if definition.rows is None:
-        judged = {i: _point_entry(definition, points[i], written[i])
-                  for i in sorted(live, key=n_values.__getitem__, reverse=True)}
-    elif live:
-        rows = definition.rows(slab, [n_values[i] for i in live])
-        if not _same_rows(rows):
-            judged = {i: _entry((row,), written[i]) for i, row in zip(live, rows)}
+    rows = definition.rows(slab, [n_values[i] for i in live]) if live else []
+    judged = {} if _same_rows(rows) else {i: _entry(*row, written[i]) for i, row in zip(live, rows)}
     return [
         judged[i] if i in judged
         else {"point": point, "verdict": "pass"} if reason is None

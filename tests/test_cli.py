@@ -249,6 +249,30 @@ def test_verify_negative_n_max_is_parameter_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    # the message `table` gives
+    assert err == "error: --n-max must be >= 0\n"
+    assert run(capsys, "table", "--family", "cauchy", "--n-max", "-1") == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # argparse would read --n as --n-max, --rep as --report, --j as --jobs
+        # and --he as --help
+        ("verify", "eq36", "--n", "3"),
+        ("verify", "thm8", "--n-max", "1", "--rep", "report.json"),
+        ("verify", "thm8", "--n-max", "1", "--j", "2"),
+        ("table", "--fam", "cauchy", "--n-max", "2"),
+        ("poly", "--fam", "cauchy", "--n", "2"),
+        ("--he",),
+    ],
+)
+def test_abbreviated_option_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err or "required" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -381,11 +405,10 @@ def test_verify_report_file_and_jobs_identical(tmp_path, capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
+    # every point's sides are 1 and 2
     broken = idn.IdentityDef(
-        ("n",),
-        lambda p: None,
-        lambda p: [(idn.Polynomial((1,)), idn.Polynomial((2,)))],
-        GridSpec(n_values=(0, 1)),
+        ("n",), lambda p: None, GridSpec(n_values=(0, 1)),
+        lambda p, ns: [((1,), 1, (2,), 1)] * len(ns),
     )
     monkeypatch.setitem(idn._DEFS, "THM8", broken)
     code, out, err = run(capsys, "verify", "thm8")
@@ -404,10 +427,10 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_verify_internal_error_exits_four(capsys, monkeypatch):
-    def broken_pairs(p):
+    def broken_rows(p, ns):
         raise RuntimeError("evaluator blew up")
 
-    broken = idn.IdentityDef(("n",), lambda p: None, broken_pairs, GridSpec(n_values=(0,)))
+    broken = idn.IdentityDef(("n",), lambda p: None, GridSpec(n_values=(0,)), broken_rows)
     monkeypatch.setitem(idn._DEFS, "THM8", broken)
     code, out, err = run(capsys, "verify", "thm8")
     assert code == 4
@@ -424,10 +447,10 @@ def test_verify_error_in_a_later_identity_writes_nothing(
 ):
     # the identities before the broken one are verified and rendered, but
     # the report is written only after the last one
-    def broken_pairs(p):
+    def broken_rows(p, ns):
         raise RuntimeError("evaluator blew up")
 
-    broken = idn.IdentityDef(("n",), lambda p: None, broken_pairs, GridSpec(n_values=(0,)))
+    broken = idn.IdentityDef(("n",), lambda p: None, GridSpec(n_values=(0,)), broken_rows)
     monkeypatch.setitem(idn._DEFS, broken_id, broken)
     dest = tmp_path / "report.json"
     argv = ["verify", selector, "--n-max", "2"] + (["--report", str(dest)] if to_file else [])

@@ -39,15 +39,22 @@ def reduced(pairs) -> list:
                   for side in pair) for pair in pairs]
 
 
+def table_pairs(identity):
+    """p -> point p's pair of sides, ((a, da), (b, db)), from row n of its
+    slab's table."""
+    rows = idn._DEFS[identity].rows
+    return lambda p: [(row[:2], row[2:]) for row in rows(p, [p["n"]])]
+
+
 def test_thm8_rhs_example():
-    (lhs, rhs), = reduced(idn._DEFS["THM8"].pairs({"n": 2, "r": 1, "k": 1}))
+    (lhs, rhs), = reduced(table_pairs("THM8")({"n": 2, "r": 1, "k": 1}))
     # A_2 - 2 A_1 x^(1) + A_0 x^(2) with A_2 = 1/6, A_1 = 1, A_0 = 1
     assert rhs == Polynomial((F(1, 6), -1, 1))
     assert lhs == rhs
 
 
 def test_eq36_rhs_example():
-    (lhs, rhs), = reduced(idn._eq36({"n": 2, "r": 1, "k": 1}))
+    (lhs, rhs), = reduced(table_pairs("EQ36")({"n": 2, "r": 1, "k": 1}))
     assert rhs == 2 * mixed_A(1, 1, 1)
     assert lhs == rhs
 
@@ -55,7 +62,7 @@ def test_eq36_rhs_example():
 def test_thm1_degenerate_degree_zero():
     for r in (0, 1, 3):
         for k in (-2, 0, 2):
-            (lhs, rhs), = reduced(idn._DEFS["THM1"].pairs({"n": 0, "r": r, "k": k}))
+            (lhs, rhs), = reduced(table_pairs("THM1")({"n": 0, "r": r, "k": k}))
             assert rhs == Polynomial((1,))
             assert lhs == rhs
 
@@ -118,10 +125,9 @@ def test_unknown_identity_rejected():
 
 
 def refuse_points(monkeypatch):
-    """Fail the test if verify evaluates a point, on its own or with the
+    """Fail the test if verify evaluates a point, which it does with the
     rest of its slab."""
-    for name in ("_point_entry", "_slab_entries"):
-        monkeypatch.setattr(idn, name, lambda *args: pytest.fail("a point was evaluated"))
+    monkeypatch.setattr(idn, "_slab_entries", lambda *args: pytest.fail("a point was evaluated"))
 
 
 @pytest.mark.parametrize("identity", idn.IDENTITY_IDS)
@@ -545,7 +551,7 @@ def test_perturbed_slab_row_fails_only_its_point(builder, bump, monkeypatch, col
     assert [e["point"] for e in report.results if e["verdict"] != "pass"] == [point]
     entry = next(e for e in report.results if e["point"] == point)
     assert entry["verdict"] == "fail"
-    assert entry == idn._point_entry(idn._DEFS["THM8"], point, point)
+    assert entry == idn._entry(*idn._DEFS["THM8"].rows(point, [3])[0], point)
 
 
 def test_slab_rows_are_padded_row_by_row():
@@ -565,7 +571,7 @@ def test_table_rows_with_trailing_zeros_pass_by_slab(monkeypatch, cold_memo):
     table = idn._thm8_table
     monkeypatch.setattr(idn, "_thm8_table", lambda order, r, k: tuple(
         ((*num, 0, 0), den) for num, den in table(order, r, k)))
-    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    monkeypatch.setattr(idn, "_entry", lambda *args: pytest.fail("an entry was written alone"))
     assert verify("THM8", _THM8_SLAB).totals == {"pass": 4, "fail": 0, "skipped": 0}
 
 
@@ -599,16 +605,23 @@ def test_slab_outside_the_domain_builds_no_table(identity, table, monkeypatch, c
 
 # -- the tables of the identities that went point by point ---------------------
 #
-# EQ35, THM3, THM4, THM5 (both readings of each), EQ52, NARUMI_BERNOULLI,
-# SHEFFER_PAIR_EQ17 and ASSOC_EQ25 read a point's pair from row n of one
-# table per parameter slab.  The per-point evaluators those tables replace
-# are written out here, as the reference for every row.
+# EQ35, EQ36, THM3, THM4, THM5 (both readings of each), EQ52,
+# NARUMI_BERNOULLI, SHEFFER_PAIR_EQ17 and ASSOC_EQ25 read a point's pair
+# from row n of one table per parameter slab.  The per-point evaluators
+# those tables replace are written out here, as the reference for every
+# row.
 
 
 def point_eq35(p):
     n = p["n"]
     lhs, rhs, den = idn._eq35_sides(n, p["r"], p["k"])
     return [] if lhs == rhs else idn._eq35_at(n, lhs, rhs, den)
+
+
+def point_eq36(p):
+    n, r, k = p["n"], p["r"], p["k"]
+    a_n = mixed_A(n, r, k)
+    return [(n * mixed_A(n - 1, r, k), poly_shift(a_n, -1) - a_n)]
 
 
 def point_thm3(p):
@@ -695,6 +708,7 @@ def point_eq25(p):
 RK_SLABS = [{"r": 0, "k": 1}, {"r": 2, "k": -1}, {"r": 1, "k": 3}]
 POINT_EVALUATORS = {
     "EQ35": (point_eq35, RK_SLABS + [{"r": -2, "k": 0}], range(9)),
+    "EQ36": (point_eq36, RK_SLABS + [{"r": -2, "k": 0}], range(9)),
     "THM3": (point_thm3, RK_SLABS + [{"r": -1, "k": 2}], range(9)),
     "THM4": (lambda p: point_thm4(p, True), RK_SLABS, range(1, 9)),
     "THM4_VARIANT": (lambda p: point_thm4(p, False), RK_SLABS, range(1, 9)),
@@ -720,7 +734,7 @@ def test_table_rows_match_the_per_point_evaluators(identity, cold_memo):
         for p, (a, da, b, db) in zip(points, rows):
             # (35) has no pair where its sides agree in x and y; its row is 0 = 0
             want = reduced(evaluate(p) or [(((), 1), ((), 1))])
-            assert reduced([((a, da), (b, db))]) == reduced(definition.pairs(p)) == want, (identity, p)
+            assert reduced([((a, da), (b, db))]) == want, (identity, p)
             checked += 1
     assert checked >= 11
 
@@ -730,6 +744,7 @@ def test_table_rows_match_the_per_point_evaluators(identity, cold_memo):
 # points
 PASSING_SLABS = {
     "EQ35": GridSpec(n_values=tuple(range(9)), r_values=(1,), k_values=(-1,)),
+    "EQ36": GridSpec(n_values=tuple(range(9)), r_values=(-2,), k_values=(3,)),
     "THM3": GridSpec(n_values=tuple(range(7)), r_values=(2,), k_values=(1,)),
     "THM4": GridSpec(n_values=tuple(range(7)), r_values=(0,), k_values=(1,)),
     "THM4_VARIANT": GridSpec(n_values=tuple(range(7)), r_values=(2,), k_values=(-1,)),
@@ -744,14 +759,15 @@ PASSING_SLABS = {
 
 @pytest.mark.parametrize("identity", list(PASSING_SLABS))
 def test_passing_slab_evaluates_no_point(identity, monkeypatch, cold_memo):
-    # its rows are compared at once: no point is evaluated or written alone
-    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
+    # its rows are read in one call and compared at once: no entry is
+    # written alone
     monkeypatch.setattr(idn, "_entry", lambda *args: pytest.fail("an entry was written alone"))
-    definition = idn._DEFS[identity]
+    definition, reads = idn._DEFS[identity], []
     monkeypatch.setitem(idn._DEFS, identity, definition._replace(
-        pairs=lambda p: pytest.fail("a point's pairs were read")))
+        rows=lambda p, ns: reads.append(ns) or definition.rows(p, ns)))
     report = verify(identity, PASSING_SLABS[identity])
     assert report.totals["fail"] == 0 and report.totals["pass"] >= 4, report.totals
+    assert len(reads) == 1
 
 
 @pytest.mark.parametrize("identity, table", [("THM4", "_thm4_table"), ("THM5", "_thm5_table")])
@@ -765,7 +781,6 @@ def test_both_readings_read_one_table_per_slab(identity, table, monkeypatch, col
         return build(order, *slab)
 
     monkeypatch.setattr(idn, table, recorded)
-    monkeypatch.setattr(idn, "_point_entry", lambda *args: pytest.fail("a point was evaluated"))
     out = verify_variants(identity, SMALL)
     assert out["printed"].totals["fail"] > 0 and out["variant"].all_passed
     assert len(slabs) == len(set(slabs)) > 0

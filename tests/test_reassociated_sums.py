@@ -3,8 +3,8 @@ Theorem 4 and 5 variants) sum their right sides in a re-associated order,
 as integer rows over values memoized across points, and read each point's
 sides as row n of a table built once per parameter slab.  Each must still
 give the pair of the paper's formula, written out here per point in plain
-Fraction arithmetic as the reference; an evaluator's sides, integer rows
-over one denominator, are compared as reduced Polynomials through `pairs`.
+Fraction arithmetic as the reference; a table's sides, integer rows over
+one denominator, are compared as reduced Polynomials through `pairs`.
 The report hashes cannot show this: a rewrite that changed a right side
 and the left side alike would keep every verdict."""
 
@@ -52,6 +52,13 @@ def pairs(sides) -> list:
                   for side in pair) for pair in sides]
 
 
+def table_pairs(identity):
+    """p -> point p's pair of sides, ((a, da), (b, db)), from row n of its
+    slab's table."""
+    rows = idn._DEFS[identity].rows
+    return lambda p: [(row[:2], row[2:]) for row in rows(p, [p["n"]])]
+
+
 @lru_cache(maxsize=None)
 def A_at(n, r, k, c):
     return mixed_A(n, r, k).evaluate(c)
@@ -83,7 +90,7 @@ def thm1_reference(n, r, k, first=1):
 def test_thm1_matches_the_coefficient_formula(r):
     for n, k in product(NS, KS):
         p = {"n": n, "r": r, "k": k}
-        assert pairs(idn._DEFS["THM1"].pairs(p)) == thm1_reference(n, r, k), p
+        assert pairs(table_pairs("THM1")(p)) == thm1_reference(n, r, k), p
 
 
 # -- Theorem 2, (32) and (34) ----------------------------------------------
@@ -141,7 +148,7 @@ def thm2_reference(n, r, k, a_number):
     ],
 )
 def test_thm2_family_matches_the_coefficient_formula(identity, a_number, rs):
-    evaluator = idn._DEFS[identity].pairs
+    evaluator = table_pairs(identity)
     cached = lru_cache(maxsize=None)(a_number)
     for r, k, n in product(rs, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k}
@@ -183,7 +190,7 @@ def thm5_reference(n, m, r, k, printed):
 
 @pytest.mark.parametrize("identity, printed", [("THM5", True), ("THM5_VARIANT", False)])
 def test_thm5_matches_the_termwise_formula(identity, printed):
-    evaluator = idn._DEFS[identity].pairs
+    evaluator = table_pairs(identity)
     checked = 0
     for n, r, k in product(NS, RS, KS):
         for m in range(1, n):  # every m of the domain n-1 >= m >= 1
@@ -198,7 +205,7 @@ def test_thm5_slab_values_past_the_first_order(identity, printed):
     # a cold memo, so that the value vectors are built at order 8 and
     # regrown for n past it
     families._memo.clear()
-    evaluator = idn._DEFS[identity].pairs
+    evaluator = table_pairs(identity)
     for n, r, k in product(SLAB_NS, RS, KS):
         for m in range(1, n):
             p = {"n": n, "m": m, "r": r, "k": k}
@@ -362,7 +369,7 @@ def test_shifted_rows_match_the_per_point_formula(identity):
     # a cold memo, so that A's rows are built at order 8 and regrown for n
     # past it
     families._memo.clear()
-    evaluator = eq35_pairs if identity == "EQ35" else idn._DEFS[identity].pairs
+    evaluator = eq35_pairs if identity == "EQ35" else table_pairs(identity)
     reference = SHIFT_REFERENCES[identity]
     ns = SLAB_NS[1:] if identity.startswith("THM4") else SLAB_NS  # Theorem 4: n >= 1
     for n, r, k in product(ns, RS, KS):
@@ -385,6 +392,25 @@ def test_thm4_weights_match_the_double_sum():
         ]
         single = [(-1) ** (n - l - 1) * factorial(n - l - 1) * comb(n - 1, l) for l in range(n)]
         assert idn._thm4_weights(n) == (dbl, dden, single), n
+
+
+def test_thm5_weights_match_the_double_sum():
+    # the double sum over l and a as the paper writes it, over
+    # lcm(2..n-m+1), against the coefficients of one series per m
+    families._memo.clear()
+    for n in range(2, 13):
+        s1 = families.stirling_triangle(1, n)
+        for m in range(1, n):
+            dden = lcm(*range(2, n - m + 2))
+            double = [
+                sum(
+                    (-1) ** (l - a + 1) * factorial(l - a) * comb(n - 1, l) * comb(l, a)
+                    * s1[n - 1 - l][m] * (dden // (l - a + 2))
+                    for l in range(a, n - m)
+                )
+                for a in range(n - m)
+            ]
+            assert idn._thm5_weights(n, m)[1:3] == (double, dden), (n, m)
 
 
 def test_thm3_weights_match_the_cubic_sum():
@@ -503,31 +529,31 @@ def thm8_reference(n, r, k):
 def test_thm8_rows_match_the_per_point_formula():
     for r, k, n in product(RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k}
-        assert pairs(idn._DEFS["THM8"].pairs(p)) == thm8_reference(n, r, k), p
+        assert pairs(table_pairs("THM8")(p)) == thm8_reference(n, r, k), p
 
 
 @pytest.mark.parametrize("s", range(4))
 def test_thm6_rows_match_the_per_point_formula(s):
     for r, k, n in product(RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k, "s": s}
-        assert pairs(idn._DEFS["THM6"].pairs(p)) == thm6_reference(n, r, k, s), p
+        assert pairs(table_pairs("THM6")(p)) == thm6_reference(n, r, k, s), p
 
 
 @pytest.mark.parametrize("s", range(4))
 def test_thm7_rows_match_the_per_point_formula(s):
     for lam, r, k, n in product(LAMBDAS, RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k, "s": s, "lam": lam}
-        assert pairs(idn._DEFS["THM7"].pairs(p)) == thm7_reference(n, r, k, s, lam), p
+        assert pairs(table_pairs("THM7")(p)) == thm7_reference(n, r, k, s, lam), p
 
 
 def test_a_slab_table_is_regrown_whole():
     key = (idn._thm7_table, 2, -1, 3, -1, 3)
     families._memo.pop(key, None)
     p = {"n": 3, "r": 2, "k": -1, "s": 3, "lam": F(-1, 3)}
-    assert pairs(idn._DEFS["THM7"].pairs(p)) == thm7_reference(3, 2, -1, 3, F(-1, 3))
+    assert pairs(table_pairs("THM7")(p)) == thm7_reference(3, 2, -1, 3, F(-1, 3))
     assert families._memo[key][0] == 8
     p["n"] = 12
-    assert pairs(idn._DEFS["THM7"].pairs(p)) == thm7_reference(12, 2, -1, 3, F(-1, 3))
+    assert pairs(table_pairs("THM7")(p)) == thm7_reference(12, 2, -1, 3, F(-1, 3))
     order, rows = families._memo[key]
     assert order == 16 and len(rows) == 17 and type(rows) is tuple
 
