@@ -246,8 +246,8 @@ class Polynomial(IntegerRows):
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            base = base * base if n else base  # no square past the last bit
         return result
 
     def __eq__(self, other):

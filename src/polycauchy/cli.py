@@ -37,7 +37,8 @@ TABLE_FAMILIES = {
     "narumi": ("narumi", ("r",), "poly"),
     "bernoulli2": ("bernoulli2", (), "poly"),
 }
-# the order flags are checked in, so that the first missing one is reported
+# the order flags are checked in, so that the first one missing, or given to a
+# family that takes no such flag (a table would record it), is reported
 _FLAG_ORDER = ("lam", "r", "k", "s")
 
 # identities.IDENTITY_IDS, spelled out so the parser needs no harness (tested)
@@ -123,17 +124,14 @@ def _row_function(family: str, args):
     a Stirling triangle row or a polynomial's coefficients in ascending
     powers."""
     name, flags, kind = TABLE_FAMILIES[family]
-    given = {}
-    for flag in sorted(flags, key=_FLAG_ORDER.index):
+    for flag in _FLAG_ORDER:
         v = getattr(args, flag)
-        if v is None:
-            raise UsageError(f"family {family!r} requires --{flag}")
-        if flag == "lam":
-            if len(v) != 1:
-                raise UsageError(f"{family} takes a single --lam value")
-            v = v[0]
-        given[flag] = v
-    params = [given[flag] for flag in flags]
+        if (v is None) == (flag in flags):
+            need = "requires" if v is None else "takes no"
+            raise UsageError(f"family {family!r} {need} --{flag}")
+        if flag == "lam" and v is not None and len(v) != 1:
+            raise UsageError(f"{family} takes a single --lam value")
+    params = [args.lam[0] if flag == "lam" else getattr(args, flag) for flag in flags]
     fn = getattr(fam, name)
     if kind == "number":
         return lambda n: [fn(n, *params)]

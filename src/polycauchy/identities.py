@@ -14,27 +14,29 @@ one table per slab (`_table`), built once per process for n = 0..max(n):
 the row (a, da, b, db), or only the right side (b, db) against row n of
 A's slab.  A slab's rows are compared at once, and only a slab that fails
 writes its entries one by one, from the same rows.  (36)'s right side
-A_n(x-1) - A_n(x) is still one `poly_shift` of `mixed_A`, not an integer
-shift of A's rows: the benchmark's tracer test counts that Polynomial
-shift in a traced `verify EQ36` until ROADMAP item 1 moves the test.
+A_n(x-1) - A_n(x) is still one `poly_shift` of `mixed_A`, the module's one
+shift, not a Sheffer sum of A's values at -1: the benchmark's tracer test
+counts that Polynomial shift in a traced `verify EQ36` until ROADMAP item
+1 moves the test.
 
 Whatever depends on fewer coordinates than a grid point is kept in the
 family memo (`families._memo`, the package's one cache): weights per
 exact arguments (`_memoized`), and the sequences of a slab for l = 0..N,
 regrown at twice the order when a larger n asks for more (`_slab`, which
-is `families._grown`): A's rows and columns and their shifts to x + 1,
-the values l! [t^l] of a series (`families._values`: A_l(c), the
-poly-Cauchy numbers, the a-numbers of Theorem 2, (32) and (34)), and the
-polynomials P_j of a Sheffer binomial sum as columns.  Each right side is
-an integer dot product or a Sheffer sum over l of C(n, l) v_l P_{n-l}(x)
-(`families.sheffer_rows`, the package's one Sheffer-row kernel).  (35) is
-checked per n as an identity in x and y: both sides have y-degree at most
-n, so they agree iff they agree at y = -2..n-2, and a failing row holds
-the pair at the first y that fails.  Theorems 4 and 5 are printed in the
-source with internal inconsistencies against their own derivations; both
-the printed reading and the derivation-faithful variant are registered,
-each row of their tables holds both, and verify_variants reports which
-one holds.
+is `families._grown`): A's rows and columns, the values l! [t^l] of a
+series (`families._values`: A_l(c) and B_l^{(alpha)}(c) at an integer c,
+the poly-Cauchy numbers, the a-numbers of Theorem 2, (32) and (34)), and
+the polynomials P_j of a Sheffer binomial sum as columns.  Each right side
+is an integer dot product or a Sheffer sum over l of C(n, l) v_l P_{n-l}(x)
+(`families.sheffer_rows`, the package's one Sheffer-row kernel); a family
+at x + c is the Sheffer sum of its values at c (`_A_shifted`,
+`_reflected_bernoulli`).  (35) is checked per n as an identity in x and
+y: both sides have y-degree at most n, so they agree iff they agree at
+y = -2..n-2, and a failing row holds the pair at the first y that fails.
+Theorems 4 and 5 are printed in the source with internal inconsistencies
+against their own derivations; both the printed reading and the
+derivation-faithful variant are registered, each row of their tables
+holds both, and verify_variants reports which one holds.
 
 `report_text` writes a document from `verify`, or a list of them, as
 ``json.dumps(payload, indent=2)`` does, byte for byte: its result entries
@@ -79,10 +81,11 @@ from .families import (
     _memoized,
     _mixed_g,
     _narumi_g,
+    _over_factorials,
     _values,
 )
 from .series import Series, div, int_pow, log_one_plus_t, mul
-from .umbral import GUARD, apply_series, backward_delta, mixed_pair, sheffer_by_gf
+from .umbral import apply_series, backward_delta, mixed_pair, sheffer_by_gf
 
 __version__ = "0.1.0"
 
@@ -127,22 +130,6 @@ class GridSpec(namedtuple("GridSpec", "n_values r_values k_values s_values m_val
 # points, grids and identities that ask for the same arguments.
 
 
-def _shift_matrix(order: int, y: int) -> tuple:
-    """Columns i = 0..order of C(j, i) y^(j-i), j = 0..order (0 for j < i):
-    [x^i] p(x + y) is column i's dot product with the coefficients of p,
-    and a longer matrix's columns start with a shorter one's."""
-    return tuple(
-        tuple([comb(j, i) * y ** (j - i) if j >= i else 0 for j in range(order + 1)])
-        for i in range(order + 1)
-    )
-
-
-def _shifted(row, y: int) -> list:
-    """The numerators of p(x + y) for the numerators `row` of p."""
-    cols = _slab(_shift_matrix, len(row) - 1, y)
-    return [sum(map(_times, row, col)) for col in cols[: len(row)]]
-
-
 def _A_rows(order: int, r: int, k: int) -> tuple:
     """(rows, columns, den): A_l^{(r,k)}, l = 0..order, over one
     denominator, rows[l][i] = columns[i][l] the numerator of [x^i] A_l,
@@ -153,18 +140,27 @@ def _A_rows(order: int, r: int, k: int) -> tuple:
     return tuple(map(tuple, rows)), cols, den
 
 
-def _A_shifted(order: int, r: int, k: int) -> tuple:
-    """(rows, den): A_n^{(r,k)}(x + 1), n = 0..order, over A's denominator."""
-    rows, _, den = _slab(_A_rows, order, r, k)
-    return tuple([tuple(_shifted(row, 1)) for row in rows[: order + 1]]), den
-
-
 def _A_values(order: int, r: int, k: int, c: int) -> tuple:
     """A_l^{(r,k)}(c) at the integer c, l = 0..order, as numerators over
     one denominator: the `_values` of g(t) (1+t)^(-c), g A's own factor."""
     # b_j = C(-c, j) = b_(j-1) (1-c-j) / j, the integer binomials of (1+t)^(-c)
     b = list(accumulate(range(1, order + 1), lambda prev, j: prev * (1 - c - j) // j, initial=1))
     return _values(mul(_slab(_mixed_g, order, r, k).truncate(order), Series._of(b)), order)
+
+
+def _B_values(order: int, alpha: int, c: int) -> tuple:
+    """B_l^{(alpha)}(c) at the integer c, l = 0..order, as numerators over
+    one denominator: the `_values` of (t/(e^t-1))^alpha e^{ct}."""
+    exp_ct = _over_factorials([c**j for j in range(order + 1)], 1)
+    return _values(mul(_slab(_bernoulli_g, order, alpha).truncate(order), exp_ct), order)
+
+
+def _A_shifted(order: int, r: int, k: int) -> tuple:
+    """(rows, den): A_n^{(r,k)}(x + 1), n = 0..order, the sums over l of
+    C(n, l) A_l(1) (-x)_{n-l}: (35) with x and y swapped, at y = 1."""
+    values, den = _slab(_A_values, order, r, k, 1)
+    rows = sheffer_rows(values, _slab(_associated, order, "-log"), range(order + 1))
+    return tuple(map(tuple, rows)), den
 
 
 def _stirling_side(order: int, g, *params) -> tuple:
@@ -235,12 +231,10 @@ def _thm2_table(order, a_values, r, k) -> tuple:
 
 def _bernoulli_values(order, r) -> tuple:
     """Theorem 2's a-numbers B_a^{(a-r+1)}(1), a = 0..order, over one
-    denominator: B_a^{(alpha)}(1) is the sum over j of C(a, j) v_j, v the
-    `_values` of (t/(e^t-1))^alpha."""
-    vals = [_values(_slab(_bernoulli_g, a, a - r + 1), a) for a in range(order + 1)]
-    sums = [sum([comb(a, j) * c for j, c in enumerate(v)]) for a, (v, _) in enumerate(vals)]
+    denominator, each the last of its order's `_B_values` at 1."""
+    vals = [_B_values(a, a - r + 1, 1) for a in range(order + 1)]
     den = lcm(*(d for _, d in vals))
-    return tuple([s * (den // d) for s, (_, d) in zip(sums, vals)]), den
+    return tuple([v[a] * (den // d) for a, (v, d) in enumerate(vals)]), den
 
 
 def _cauchy_values(order, r) -> tuple:
@@ -354,12 +348,13 @@ def _thm3_weights(n, k) -> tuple:
 
 def _reflected_bernoulli(order, alpha, b) -> tuple:
     """(columns, den) of B_j^{(alpha)}(-x + b), j = 0..order: columns[i][j]
-    the numerator of [x^i], zero-padded; B(-x + b) is q(x - b) for
-    q(x) = B(-x)."""
-    rows, den = _family_rows(range(order + 1), "t", _bernoulli_g, alpha)
-    rows = [[-c if i % 2 else c for i, c in enumerate(row)] for row in rows]
-    rows = [_shifted(row, -b) for row in rows] if b else rows
-    return tuple(zip(*(row + [0] * (order - len(row) + 1) for row in rows))), den
+    the numerator of [x^i], zero-padded; the rows of B_j(x + b), Sheffer
+    sums of B's values at b (`_B_values`) over the x^j columns, with x
+    set to -x."""
+    values, den = _B_values(order, alpha, b)
+    rows = sheffer_rows(values, _slab(_associated, order, "t"), range(order + 1))
+    cols = zip(*(row + [0] * (order - j) for j, row in enumerate(rows)))
+    return tuple([tuple([-c for c in col]) if i % 2 else col for i, col in enumerate(cols)]), den
 
 
 def _thm3_table(order, r, k) -> tuple:
@@ -579,20 +574,21 @@ def _table(key, paired=False, lead=0, reading=None):
 
 def _narumi_bernoulli_table(order, r) -> tuple:
     """N_n^{(r)}(x) against B_n^{(n+r+1)}(x+1), n = 0..order: the Narumi
-    rows from one family call, each Bernoulli row from the family of its
-    own order, shifted as integers."""
+    rows from one family call, each Bernoulli row the Sheffer sum of its
+    own order's values at 1 (`_B_values`) over the x^j columns."""
     rows, den = _family_rows(range(order + 1), "log", _narumi_g, r)
     table = []
     for n, row in enumerate(rows):
-        (b,), bden = _family_rows((n,), "t", _bernoulli_g, n + r + 1)
-        table.append((tuple(row), den, tuple(_shifted(b, 1)), bden))
+        values, bden = _B_values(n, n + r + 1, 1)
+        (b,) = sheffer_rows(values, _slab(_associated, n, "t"), (n,))
+        table.append((tuple(row), den, tuple(b), bden))
     return tuple(table)
 
 
 def _eq17_table(order, r, k) -> tuple:
     """The right sides S_0 .. S_order of (17), `umbral.sheffer_by_gf`'s
-    rows for the mixed pair (r, k), with umbral's guard order."""
-    pair = mixed_pair(r, k, order + GUARD)
+    rows for the mixed pair (r, k) at the table's order, exact through it."""
+    pair = mixed_pair(r, k, order)
     return tuple([_side(sheffer_by_gf(pair, n)) for n in range(order + 1)])
 
 

@@ -201,8 +201,8 @@ def int_pow(a: Series, r: int) -> Series:
     while r:
         if r & 1:
             result = mul(result, base)
-        base = mul(base, base)
         r >>= 1
+        base = mul(base, base) if r else base  # no square past the last bit
     return result
 
 

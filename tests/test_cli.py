@@ -100,6 +100,9 @@ def test_table_missing_param_is_usage_error(capsys):
         ("mixed", (), "family 'mixed' requires --r"),
         ("mixed", ("--k", "1"), "family 'mixed' requires --r"),
         ("mixed", ("--r", "1"), "family 'mixed' requires --k"),
+        # a flag the family does not take, which a table's params would record
+        ("narumi", ("--r", "1", "--k", "3"), "family 'narumi' takes no --k"),
+        ("bernoulli", ("--s", "2", "--lam", "1/2"), "family 'bernoulli' takes no --lam"),
     ],
 )
 def test_missing_flag_message(capsys, family, flags, message):

@@ -629,12 +629,18 @@ def point_thm3(p):
     mid, last, wden = idn._thm3_weights(n, k)
     rows, _, den = idn._slab(idn._A_rows, n, r, k)
     rhs = Polynomial.linear_combination(
-        [(-wden, Polynomial._of([0] + idn._shifted(rows[n], 1), den))]  # x A_n(x+1)
+        [(-wden, Polynomial.x() * Polynomial._of(list(rows[n]), den).shift(1))]  # x A_n(x+1)
         + [(r * w, bernoulli_poly(j, 1 - r).compose_affine(-1, 0)) for j, w in enumerate(mid)]
         + [(w, bernoulli_poly(j, -r).compose_affine(-1, -1)) for j, w in enumerate(last)],
         wden,
     )
     return [(mixed_A(n + 1, r, k), rhs)]
+
+
+def shifted(row) -> list:
+    """The integers of p(x + 1), by `Polynomial.shift`, for the integers `row` of p."""
+    num = Polynomial(row).shift(1).num
+    return [*num, *[0] * (len(row) - len(num))]
 
 
 def point_thm4(p, printed):
@@ -645,8 +651,8 @@ def point_thm4(p, printed):
     lowered_rows, _, lden = idn._slab(idn._A_rows, n, r + 1, k - 1)
     common = lcm(den, rden, lden)
     f, g, h = common // den * n * dden, common // rden, common // lden
-    x_shifted = [0] + idn._shifted(rows[n - 1], 1)
-    raised, lowered = idn._shifted(raised_rows[n], 1), idn._shifted(lowered_rows[n], 1)
+    x_shifted = [0] + shifted(rows[n - 1])
+    raised, lowered = shifted(raised_rows[n]), shifted(lowered_rows[n])
     if printed:
         carried = [sum(dbl) * c for c in raised_rows[n]]
     else:

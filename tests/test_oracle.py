@@ -36,7 +36,9 @@ def test_mixed_A_matches_sympy_expansion(n, r, k):
 def sympy_rows(monkeypatch):
     """Every left side A_n, and every other read of A's rows, from sympy:
     `identities._A_rows` patched, in a cold memo that is cleared again
-    afterwards, since the slab tables built here may hold mutated rows."""
+    afterwards, since the slab tables built here may hold mutated rows.
+    The shifted rows A_n(x + 1) of Theorems 3 and 4 are no such read: they
+    come from the engine's series, as Sheffer sums of A's values at 1."""
     monkeypatch.setattr(idn, "_A_rows", sympy_A_rows)
     families._memo.clear()
     yield

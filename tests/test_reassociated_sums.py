@@ -453,13 +453,26 @@ def test_thm1_table_matches_the_cubic_sum():
         assert idn._thm1_table(order, r, k) == table, (order, r, k)
 
 
-def test_integer_shift_of_a_row_matches_poly_shift():
+def test_rows_at_a_shift_from_the_values_there_match_poly_shift():
+    # a cold memo read at 8, 12 and 20: each sequence is built at 8 and
+    # regrown at 16 and at 32
     families._memo.clear()
-    for r, k in product(RS, KS):
-        rows, _, den = idn._slab(idn._A_rows, 12, r, k)
-        for n, y in product(SLAB_NS, range(-2, 11)):
-            got = Polynomial([F(c, den) for c in idn._shifted(rows[n], y)])
-            assert got == poly_shift(mixed_A(n, r, k), y), (n, r, k, y)
+    for order in (8, 12, 20):
+        for r, k in product(RS, range(-2, 3)):
+            rows, den = idn._slab(idn._A_shifted, order, r, k)
+            for n in range(order + 1):
+                got = Polynomial._of(list(rows[n]), den)
+                assert got == poly_shift(mixed_A(n, r, k), 1), (order, n, r, k)
+        for alpha, b in product(range(-3, 4), (0, -1)):
+            cols, den = idn._slab(idn._reflected_bernoulli, order, alpha, b)
+            for j in range(order + 1):
+                got = Polynomial._of([col[j] for col in cols], den)
+                assert got == bernoulli_poly(j, alpha).compose_affine(-1, b), (order, j, alpha, b)
+        for r in range(-3, 4):
+            table = idn._slab(idn._narumi_bernoulli_table, order, r)
+            for n in range(order + 1):
+                got = Polynomial._of(list(table[n][2]), table[n][3])
+                assert got == bernoulli_poly(n, n + r + 1).shift(1), (order, n, r)
 
 
 # -- Theorems 6, 7 and 8 ----------------------------------------------------

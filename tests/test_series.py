@@ -134,6 +134,27 @@ def test_pow_negative_non_unit_raises():
         int_pow(Series.t(4), -1)
 
 
+def test_pow_squares_only_while_exponent_bits_remain(monkeypatch):
+    from polycauchy import series
+
+    a = rand_series(random.Random(5), 6, unit=True)
+    powers = [a]  # a^1 .. a^9, one product at a time
+    for _ in range(8):
+        powers.append(mul(powers[-1], a))
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(series, "mul", counted)
+    for r in range(1, 10):
+        calls.clear()
+        assert int_pow(a, r) == powers[r - 1], r
+        # a square per bit after the first, a product per set bit
+        assert len(calls) == r.bit_length() - 1 + bin(r).count("1"), r
+
+
 # -- compose ---------------------------------------------------------------
 
 
