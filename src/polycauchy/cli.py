@@ -236,22 +236,22 @@ def _cmd_verify(args) -> int:
             names.append(idn.VARIANTS[canonical])
     failed = []
 
-    def document(name):
-        doc = idn.verify(name, _build_grid(name, args), jobs=args.jobs).to_document()
-        t = doc["totals"]
+    def report(name):
+        rep = idn.verify(name, _build_grid(name, args), jobs=args.jobs)
+        t = rep.totals
         print(f"{name}: pass={t['pass']} fail={t['fail']} skipped={t['skipped']}", file=sys.stderr)
         if t["fail"] and name not in idn.VARIANT_IDS:
             failed.append(name)
-        return doc
+        return rep
 
-    # lazy, so each identity's entries are rendered and dropped before the
+    # lazy, so each identity's runs are rendered and dropped before the
     # next is verified; nothing is written until the last one is, so an
     # identity that raises leaves no partial report
-    documents = map(document, names)
+    reports = map(report, names)
     if len(names) == 1:
-        chunks = [idn.report_text(next(documents))]
+        chunks = [idn.report_text(next(reports))]
     else:
-        chunks = idn._report_chunks(documents)
+        chunks = idn._report_chunks(reports)
     if args.report:
         try:
             with open(args.report, "w") as fh:

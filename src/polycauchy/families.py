@@ -9,7 +9,9 @@ closed form, through the Sheffer identity: the associated sequence of f
 is x^j, the falling factorial (x)_j or (-x)_j, whose coefficients are
 Stirling numbers of the first kind.  `sheffer_rows` is the package's one
 kernel of that identity (the rows here, the Sheffer sums of `identities`
-and `umbral`'s route call it), and `_values` reads l! [t^l] of a series.
+and `umbral`'s route call it); over x^j a row is the kernel's weight row
+itself (`_binomial_weights`), with no dot product, and `_values` reads
+l! [t^l] of a series.
 Composition with log(1+t) reads the same Stirling matrix:
 log(1+t)^m / m! = sum_n s(n, m) t^n / n!, so the factor Lif_k(log(1+t))
 of the poly-Cauchy and mixed g is that matrix applied to Lif_k's
@@ -158,27 +160,29 @@ def _binomial_rows(order: int) -> list:
                            initial=(1,)))
 
 
+def _binomial_weights(values, ns) -> list:
+    """The weight rows C(n, j) v_{n-j}, j = 0..n, n in ns (C from
+    `_binomial_rows`): row n of the Sheffer sum over x^j, as it stands."""
+    pascal = _grown(_binomial_rows, max(ns))
+    return [list(map(_times, pascal[n], values[n::-1])) for n in ns]
+
+
 def sheffer_rows(values, cols, ns) -> list:
     """The numerators of s_n(x) = sum_j C(n, j) v_{n-j} p_j(x), n in ns,
     the Sheffer identity (Roman, The Umbral Calculus, 1984, ch. 2), with
     v_l = values[l] / d and [x^i] p_j = cols[i][j] / e (0 past the end):
     row n lists d e [x^i] s_n(x), i = 0..n, unreduced, each one integer
-    dot product of the weights C(n, j) v_{n-j} (C from `_binomial_rows`)
-    with column i, whose entries j < i are 0 since p_j has degree j."""
-    pascal = _grown(_binomial_rows, max(ns))
-    rows = []
-    for n in ns:
-        w = list(map(_times, pascal[n], values[n::-1]))
-        rows.append([sum(map(_times, w, col)) for col in cols[: n + 1]])
-    return rows
+    dot product of the weights `_binomial_weights` with column i, whose
+    entries j < i are 0 since p_j has degree j.  For p_j = x^j the weights
+    are the row itself, which `_family_rows` reads without this kernel."""
+    return [[sum(map(_times, w, col)) for col in cols[: n + 1]]
+            for n, w in zip(ns, _binomial_weights(values, ns))]
 
 
 def _associated(order: int, delta: str) -> tuple:
     """Columns cols[i][j] = [x^i] p_j, i, j <= order, of f's associated
-    sequence, in integers: x^j for "t" (each column cut after its 1), the
-    falling factorial (x)_j = sum_i s(j, i) x^i for "log", (-x)_j for "-log"."""
-    if delta == "t":
-        return tuple((0,) * i + (1,) for i in range(order + 1))
+    sequence, in integers: the falling factorial (x)_j = sum_i s(j, i) x^i
+    for "log", (-x)_j for "-log"."""
     s1 = stirling_triangle(1, order)
     sign = -1 if delta == "-log" else 1
     return tuple(
@@ -197,9 +201,11 @@ def _family_rows(ns, delta: str, g, *params) -> tuple:
     row n with n + 1 entries, over D, where g(order, *params) expands the
     family's own factor and delta names f: "t", "log" for log(1+t), or
     "-log" for -log(1+t).  The rows are `sheffer_rows` of g's `_values`
-    and f's columns."""
+    and f's columns, or for f = t the kernel's weight rows themselves."""
     n = max(ns)
     values, den = _values(_grown(g, n, *params), n)
+    if delta == "t":
+        return _binomial_weights(values, ns), den
     return sheffer_rows(values, _grown(_associated, n, delta), ns), den
 
 

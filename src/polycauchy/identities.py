@@ -5,15 +5,19 @@ grid: the expansion of A_n^{(r,k)} (or of shifts of it) from its
 generating function, and a formula built from the other family
 constructors.  A side is unreduced, integer numerators in ascending powers
 of x over one denominator; a point passes iff its sides a/da and b/db
-match exactly, a db = b da (`_same_rows`), and its fail entry writes the
-lhs, rhs and diff as reduced fractions.
+match exactly, a db = b da, and its fail entry writes the lhs, rhs and
+diff as reduced fractions.
 
-`verify`'s unit of work is a parameter slab, one value on every axis but
-n (`_slab_entries`).  Every identity reads a point's sides from row n of
-one table per slab (`_table`), built once per process for n = 0..max(n):
-the row (a, da, b, db), or only the right side (b, db) against row n of
-A's slab.  A slab's rows are compared at once, and only a slab that fails
-writes its entries one by one, from the same rows.  (36)'s right side
+`verify`'s unit of work and of bookkeeping is a parameter slab, one value
+on every axis but n.  A slab's domain answers once for all its n (the
+first n inside it, and why the n below are skipped), and every identity
+reads the slab's rows from one table per slab (`_table`), built once per
+process for n = 0..max(n): the row (a, da, b, db), or only the right
+side (b, db) against row n of A's slab.  The rows are handed over side by
+side and compared at once (`_same_rows`), and the slab's result is one
+run (`_slab_entries`): the slab as the report writes it, its domain's
+answer, and fail entries only if the slab fails.  A report keeps the
+runs; its `results` are built from them on each read.  (36)'s right side
 A_n(x-1) - A_n(x) is still one `poly_shift` of `mixed_A`, the module's one
 shift, not a Sheffer sum of A's values at -1: the benchmark's tracer test
 counts that Polynomial shift in a traced `verify EQ36` until ROADMAP item
@@ -28,23 +32,23 @@ series (`families._values`: A_l(c) and B_l^{(alpha)}(c) at an integer c,
 the poly-Cauchy numbers, the a-numbers of Theorem 2, (32) and (34)), and
 the polynomials P_j of a Sheffer binomial sum as columns.  Each right side
 is an integer dot product or a Sheffer sum over l of C(n, l) v_l P_{n-l}(x)
-(`families.sheffer_rows`, the package's one Sheffer-row kernel); a family
-at x + c is the Sheffer sum of its values at c (`_A_shifted`,
-`_reflected_bernoulli`).  (35) is checked per n as an identity in x and
-y: both sides have y-degree at most n, so they agree iff they agree at
-y = -2..n-2, and a failing row holds the pair at the first y that fails.
-Theorems 4 and 5 are printed in the source with internal inconsistencies
-against their own derivations; both the printed reading and the
-derivation-faithful variant are registered, each row of their tables
-holds both, and verify_variants reports which one holds.
+(`families.sheffer_rows`, the package's one Sheffer-row kernel, whose
+weight rows are the sum itself over x^j); a family at x + c is the Sheffer
+sum of its values at c (`_A_shifted`, `_reflected_bernoulli`).  (35) is
+checked per n as an identity in x and y: both sides have y-degree at most
+n, so they agree iff they agree at y = -2..n-2, and a failing row holds
+the pair at the first y that fails.  Theorems 4 and 5 are printed in the
+source with internal inconsistencies against their own derivations; both
+the printed reading and the derivation-faithful variant are registered,
+each row of their tables holds both, and verify_variants reports which
+one holds.
 
-`report_text` writes a document from `verify`, or a list of them, as
-``json.dumps(payload, indent=2)`` does, byte for byte: its result entries
-from %-templates that json.dumps lays out once per entry shape, each
-mapped over a run of entries of its shape, and a list report document by
-document (`_report_chunks`).  It assumes what `verify` makes: int or str
-point values, and str or list-of-str entry values (see "the report text"
-below); `verify` refuses a point value of another type.
+`report_text` writes a report from `verify`, or a list of them, as
+``json.dumps(document, indent=2)`` writes its `to_document()`, byte for
+byte, from the runs: json.dumps lays out one %-template per entry shape
+per document, a run fills in its slab's values once, and each point costs
+one % of its n (see "the report text" below).  A list is written report
+by report (`_report_chunks`).
 
 The registry `_DEFS` has one row per identity in report order: its axes
 (the order in which a report writes a point's keys), domain, default
@@ -60,10 +64,10 @@ import os
 import time
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, chain, repeat, zip_longest
 from json.encoder import encode_basestring_ascii
 from math import comb, factorial, gcd, lcm
-from operator import mul as _times
+from operator import eq, itemgetter, mul as _times
 
 from .algebra import Polynomial, poly_shift
 from .families import (
@@ -72,6 +76,7 @@ from .families import (
     stirling_triangle,
     _associated,
     _bernoulli_g,
+    _binomial_weights,
     _binomial_rows,
     _family_rows,
     _frobenius_g,
@@ -307,7 +312,7 @@ def _eq35_table(order, r, k) -> tuple:
     for n in range(order + 1):
         lhs, rhs, den = _eq35_sides(n, r, k)
         at_y = [(*a, *b) for a, b in _eq35_at(n, lhs, rhs, den)] if lhs != rhs else []
-        rows.append(next((row for row in at_y if not _same_rows([row])), _AGREED))
+        rows.append(next((row for row in at_y if not _same_rows(*zip(row))), _AGREED))
     return tuple(rows)
 
 
@@ -349,10 +354,10 @@ def _thm3_weights(n, k) -> tuple:
 def _reflected_bernoulli(order, alpha, b) -> tuple:
     """(columns, den) of B_j^{(alpha)}(-x + b), j = 0..order: columns[i][j]
     the numerator of [x^i], zero-padded; the rows of B_j(x + b), Sheffer
-    sums of B's values at b (`_B_values`) over the x^j columns, with x
-    set to -x."""
+    sums of B's values at b (`_B_values`) over x^j, which are their weight
+    rows (`_binomial_weights`), with x set to -x."""
     values, den = _B_values(order, alpha, b)
-    rows = sheffer_rows(values, _slab(_associated, order, "t"), range(order + 1))
+    rows = _binomial_weights(values, range(order + 1))
     cols = zip(*(row + [0] * (order - j) for j, row in enumerate(rows)))
     return tuple([tuple([-c for c in col]) if i % 2 else col for i, col in enumerate(cols)]), den
 
@@ -425,11 +430,17 @@ def _thm4_table(order, r, k) -> tuple:
     return tuple(table)
 
 
-def _thm5_series(order, m) -> Series:
-    """log(1+t)^m (log(1+t) - t) / t^2 through t^order."""
+def _thm5_series(order, m) -> tuple:
+    """(e, L): e_i = i! c_i / m! as integers over L = lcm(1..order+2),
+    i = 0..order, c_i the coefficients of log(1+t)^m (log(1+t) - t) / t^2:
+    i! [t^i] log(1+t)^m / m! is s(i, m), and the other factor's
+    denominators are 2..i+2."""
     log = log_one_plus_t(order + 2)
     # (log(1+t) - t) / t^2 has log(1+t)'s coefficients from t^2 on
-    return mul(int_pow(log.truncate(order), m), Series._of(list(log.num[2:]), log.den))
+    f = mul(int_pow(log.truncate(order), m), Series._of(list(log.num[2:]), log.den))
+    values, vden = _values(f, order)
+    den, scale = lcm(*range(1, order + 3)), factorial(m) * vden
+    return tuple([v * den // scale for v in values]), den
 
 
 @_memoized
@@ -442,18 +453,19 @@ def _thm5_weights(n, m) -> tuple:
     s1 = stirling_triangle(1, n)
     dden = lcm(*range(2, n - m + 2))
     # the double sum's weight, the sum over l of (-1)^(l-a+1) (l-a)!
-    # C(n-1, l) C(l, a) s(n-1-l, m) / (l-a+2), is (n-1)!/(a! m!) [t^(n-1-a)]
-    # of `_thm5_series`: s(i, m) = i! [t^i] log(1+t)^m / m!, and the sum over
-    # j of (-1)^(j+1) t^j / (j+2) is (log(1+t) - t) / t^2
-    f = _slab(_thm5_series, n - 1, m)
-    scale, fden = dden * factorial(n - 1), f.den * factorial(m)
-    double = [scale * f.num[n - 1 - a] // (factorial(a) * fden) for a in range(n - m)]
+    # C(n-1, l) C(l, a) s(n-1-l, m) / (l-a+2), is (n-1)!/(a! m!) c_i with
+    # i = n-1-a, c_i from `_thm5_series` (s(i, m) = i! [t^i] log(1+t)^m /
+    # m!, and the sum over j of (-1)^(j+1) t^j / (j+2) is (log(1+t) - t) /
+    # t^2), and (n-1)!/a! = i! C(n-1, i): so it is C(n-1, i) e_i / L
+    e, den = _slab(_thm5_series, n - 1, m)
+    pascal = _slab(_binomial_rows, n)
+    below = pascal[n - 1]
     return (
-        [comb(n, l) * s1[n - l][m] for l in range(n - m + 1)],
-        double,
+        [pascal[n][l] * s1[n - l][m] for l in range(n - m + 1)],
+        [dden * below[i] * e[i] // den for i in range(n - 1, m - 1, -1)],
         dden,
-        [comb(n - 1, l) * s1[n - l - 1][m] for l in range(n - m)],
-        [comb(n - 1, l) * s1[n - l - 1][m - 1] for l in range(n - m + 1)],
+        [below[l] * s1[n - l - 1][m] for l in range(n - m)],
+        [below[l] * s1[n - l - 1][m - 1] for l in range(n - m + 1)],
     )
 
 
@@ -551,23 +563,24 @@ def _thm8_table(order, r, k) -> tuple:
 
 
 def _table(key, paired=False, lead=0, reading=None):
-    """rows(p, ns), every identity's one evaluator: the rows (a, da, b, db)
-    of the sides a/da and b/db of slab p's points n in ns, point n's from
-    row n of the table key(p) = (table, *slab), which holds that row or,
-    unless paired, only the right side (b, db) against A_n^{(r,k)}.  A row
-    of Theorem 4 or 5 holds one such row per reading, printed first, and
-    an identity reads its own.  rows reads the slab's table once, at
-    max(ns) + lead; key looks the table up when it is called.  The tables
-    of Theorems 3 to 5 hold rows to order - 2 (lead 2): their default grids
-    end at n = 6, so their first tables, at `_slab`'s first order 8, hold
-    no row past the grid."""
+    """rows(p, ns), every identity's one evaluator: the rows of slab p's
+    points n in ns side by side, (lefts, left dens, rights, right dens),
+    point n's sides a/da and b/db from row n of the table key(p) =
+    (table, *slab), which holds the row (a, da, b, db) or, unless paired,
+    only the right side (b, db) against A_n^{(r,k)}.  A row of Theorem 4
+    or 5 holds one such row per reading, printed first, and an identity
+    reads its own.  rows reads the slab's table once, at max(ns) + lead;
+    key looks the table up when it is called.  The tables of Theorems 3
+    to 5 hold rows to order - 2 (lead 2): their default grids end at
+    n = 6, so their first tables, at `_slab`'s first order 8, hold no row
+    past the grid."""
     def rows(p, ns):
         table, *slab = key(p)
-        built = _slab(table, max(ns) + lead, *slab)
+        picked = list(map(_slab(table, max(ns) + lead, *slab).__getitem__, ns))
         if paired:
-            return [built[n] if reading is None else built[n][reading] for n in ns]
+            return tuple(zip(*(picked if reading is None else map(itemgetter(reading), picked))))
         a, _, den = _slab(_A_rows, max(ns), p["r"], p["k"])
-        return [(a[n], den, built[n][0], built[n][1]) for n in ns]
+        return (list(map(a.__getitem__, ns)), [den] * len(ns), *zip(*picked))
 
     return rows
 
@@ -575,12 +588,12 @@ def _table(key, paired=False, lead=0, reading=None):
 def _narumi_bernoulli_table(order, r) -> tuple:
     """N_n^{(r)}(x) against B_n^{(n+r+1)}(x+1), n = 0..order: the Narumi
     rows from one family call, each Bernoulli row the Sheffer sum of its
-    own order's values at 1 (`_B_values`) over the x^j columns."""
+    own order's values at 1 (`_B_values`) over x^j, its weight row."""
     rows, den = _family_rows(range(order + 1), "log", _narumi_g, r)
     table = []
     for n, row in enumerate(rows):
         values, bden = _B_values(n, n + r + 1, 1)
-        (b,) = sheffer_rows(values, _slab(_associated, n, "t"), (n,))
+        (b,) = _binomial_weights(values, (n,))
         table.append((tuple(row), den, tuple(b), bden))
     return tuple(table)
 
@@ -607,39 +620,39 @@ def _eq25_table(order) -> tuple:
 
 
 # -- domains ---------------------------------------------------------------
+#
+# A domain answers once per parameter slab, with (first, reason): the
+# slab's points n >= first lie in the domain and the others are skipped
+# for reason; first is _NEVER where no n does.
+
+_NEVER = float("inf")
+_EVERY = (0, None)
 
 
-def _dom_r_nonneg(p):
-    if p["r"] < 0:
-        return "r < 0: formula uses Stirling-2 / composition structure"
-    return None
+def _dom_r_nonneg(slab):
+    if slab["r"] < 0:
+        return _NEVER, "r < 0: formula uses Stirling-2 / composition structure"
+    return _EVERY
 
 
-def _dom_n_pos(p):
-    if p["n"] < 1:
-        return "n < 1: statement needs n >= 1"
-    return None
+def _dom_n_pos(slab):
+    return 1, "n < 1: statement needs n >= 1"
 
 
-def _dom_thm5(p):
-    if not (1 <= p["m"] <= p["n"] - 1):
-        return "out of domain: needs n-1 >= m >= 1"
-    return None
+def _dom_thm5(slab):
+    return slab["m"] + 1 if slab["m"] >= 1 else _NEVER, "out of domain: needs n-1 >= m >= 1"
 
 
-def _dom_thm7(p):
-    if p["lam"] == 1:
-        return "lam = 1: Frobenius-Euler undefined"
-    if p["s"] < 0:
-        return "s < 0: the sum over a = 0..s needs s >= 0"
-    return None
+def _dom_thm7(slab):
+    if slab["lam"] == 1:
+        return _NEVER, "lam = 1: Frobenius-Euler undefined"
+    if slab["s"] < 0:
+        return _NEVER, "s < 0: the sum over a = 0..s needs s >= 0"
+    return _EVERY
 
 
-def _dom_none(p):
-    return None
-
-
-_SLAB_DOMAINS = (_dom_r_nonneg, _dom_thm7, _dom_none)  # they read no n: one call per slab
+def _dom_none(slab):
+    return _EVERY
 
 
 IdentityDef = namedtuple("IdentityDef", "axes domain default_grid rows")
@@ -707,9 +720,9 @@ def default_grid(identity: str) -> GridSpec:
 
 # -- the harness -----------------------------------------------------------
 #
-# The unit of work is a parameter slab: `verify` hands each one, with all of
-# the grid's n, to `_slab_entries`, which compares the rows of its table at
-# once.
+# The unit of work and of bookkeeping is a parameter slab: `verify` hands
+# each one, with all of the grid's n, to `_slab_entries`, which compares
+# the rows of its table at once and returns the slab's run.
 
 
 def _side(side) -> tuple:
@@ -730,28 +743,25 @@ def _poly_strings(side) -> list:
             for c in num] or ["0"]
 
 
-def _cross_equal(a, b, da: int, db: int) -> bool:
-    """Whether a/da = b/db for numerator sequences of one length, at C speed."""
-    return list(map(_times, a, repeat(db))) == list(map(_times, b, repeat(da)))
+def _same_rows(lefts, left_dens, rights, right_dens) -> bool:
+    """Whether a/da = b/db, i.e. a db = b da, for every row of two sides
+    given side by side (`_table`).  Where each a is as long as its b, the
+    rows' concatenations are compared in one pass at C speed, each
+    coefficient times its own row's other denominator (or, with one
+    denominator a side, all of them times it), up to the first that
+    differs; else row by row, the shorter list padded with zeros, so that
+    no row runs into the next."""
+    widths = list(map(len, lefts))
+    if widths != list(map(len, rights)):
+        return all(x * db == y * da for a, da, b, db in zip(lefts, left_dens, rights, right_dens)
+                   for x, y in zip_longest(a, b, fillvalue=0))
+    if len(set(left_dens)) == len(set(right_dens)) == 1:
+        widths, left_dens, right_dens = [sum(widths)], left_dens[:1], right_dens[:1]
 
+    def scaled(sides, dens):
+        return map(_times, chain.from_iterable(sides), chain.from_iterable(map(repeat, dens, widths)))
 
-def _same_rows(rows) -> bool:
-    """Whether a/da = b/db, i.e. a db = b da, for every row (a, da, b, db)
-    of two sides: each run of rows over the same two denominator objects in
-    one `_cross_equal`, each row's shorter numerator list padded with zeros
-    so that no row runs into the next."""
-    left, right, da, db = [], [], None, None
-    for a, dl, b, dr in rows:
-        if dl is not da or dr is not db:
-            if not _cross_equal(left, right, da, db):
-                return False
-            left, right, da, db = [], [], dl, dr
-        if len(a) != len(b):
-            width = max(len(a), len(b))
-            a, b = [*a, *[0] * (width - len(a))], [*b, *[0] * (width - len(b))]
-        left += a
-        right += b
-    return _cross_equal(left, right, da, db)
+    return all(map(eq, scaled(lefts, right_dens), scaled(rights, left_dens)))
 
 
 # fixed: kept only so reports match perfbench/reports.json until ROADMAP item 2's re-record
@@ -760,15 +770,21 @@ _ENGINE = {"truncation": 32, "version": __version__}
 
 class VerificationReport:
     """A plain, unhashable record: equal to a report with equal fields, its
-    ``__slots__``, `elapsed` included."""
+    ``__slots__``, `elapsed` included.
 
-    __slots__ = ("identity", "grid", "results", "elapsed")
+    `runs` holds one run per parameter slab, in the grid order of the
+    slabs (`_slab_entries`): the slab as the report writes it, the first n
+    in its domain, the reason for the n below it, and its fail entries by
+    n.  `results` is a read view that builds the entries in grid order on
+    each read and keeps nothing; `totals` counts from the runs."""
 
-    def __init__(self, identity: str, grid: GridSpec, results: list | None = None,
+    __slots__ = ("identity", "grid", "runs", "elapsed")
+
+    def __init__(self, identity: str, grid: GridSpec, runs: list | None = None,
                  elapsed: float = 0.0):
         self.identity = identity
         self.grid = grid
-        self.results = [] if results is None else results
+        self.runs = [] if runs is None else runs
         self.elapsed = elapsed  # not serialized: reports must be byte-stable
 
     def __eq__(self, other):
@@ -781,24 +797,42 @@ class VerificationReport:
         return f"{type(self).__name__}({fields})"
 
     @property
+    def results(self) -> list:
+        ns, width = self.grid.n_values, len(self.runs)
+        results = [None] * (len(ns) * width)
+        for j, (shown, first, reason, fails) in enumerate(self.runs):
+            # in grid order, the slab's entries are every width-th from j
+            results[j::width] = [
+                {**fails[n], "point": {"n": n, **shown}} if n in fails
+                else {"point": {"n": n, **shown}, "verdict": "pass"} if n >= first
+                else {"point": {"n": n, **shown}, "verdict": "skipped", "reason": reason}
+                for n in ns
+            ]
+        return results
+
+    @property
     def totals(self) -> dict:
-        t = {"pass": 0, "fail": 0, "skipped": 0}
-        for r in self.results:
-            t[r["verdict"]] += 1
-        return t
+        ns = self.grid.n_values
+        live = sum([len(ns) if first <= 0 else sum(map(first.__le__, ns))
+                    for _, first, _, _ in self.runs])
+        fail = sum([len(fails) for *_, fails in self.runs])
+        return {"pass": live - fail, "fail": fail, "skipped": len(ns) * len(self.runs) - live}
 
     @property
     def all_passed(self) -> bool:
         return self.totals["fail"] == 0
 
-    def to_document(self) -> dict:
+    def _document(self, results) -> dict:
         return {
             "identity": self.identity,
             "grid": self.grid.to_dict(),
             "engine": dict(_ENGINE),
-            "results": self.results,
+            "results": results,
             "totals": self.totals,
         }
+
+    def to_document(self) -> dict:
+        return self._document(self.results)
 
     def to_json(self) -> str:
         return json.dumps(self.to_document())
@@ -808,12 +842,12 @@ class VerificationReport:
 #
 # json.dumps with `indent` runs the stdlib's pure-Python encoder, which on a
 # verify-all report costs more than most identities.  report_text writes the
-# same bytes for the documents `verify` makes, each result entry from a
-# %-template that json.dumps lays out once per entry shape from a sample
-# entry with the sentinel _SLOT in every slot.  It takes what `verify` makes:
-# the point first, keys that are axis names or fixed words, ints or strs in
-# the point, and strs or non-empty lists of strs after it, each slot of one
-# type in all entries of one shape, with the same point keys throughout.
+# same bytes from a report's runs: json.dumps lays out the document's frame
+# and one %-template per entry shape (pass, skipped, fail) from a sample
+# entry with the sentinel _SLOT in every slot; a run fills the point's
+# slab values (and a skip's reason) once, leaving n, so that a point costs
+# one % of its n.  It takes what `verify` makes: n first in the point, the
+# other point values ints or strs, the same point keys throughout.
 
 _SLOT = "\x00"
 _SLOT_JSON = json.dumps(_SLOT)  # "\u0000", quotes included
@@ -824,49 +858,68 @@ def _dumps_at(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _column(values: tuple, nl: str):
-    """A run's values of one slot as json.dumps(indent=2) writes them; `nl` starts list items."""
-    kind = type(values[0])
-    if kind is int:
-        return values
-    if kind is str:
-        return map(encode_basestring_ascii, values)
-    return ["[" + nl + ("," + nl).join(map(encode_basestring_ascii, v)) + nl[:-2] + "]"
-            for v in values]
+def _escaped(text: str) -> str:
+    """A str as json.dumps writes it, each % doubled for a second fill."""
+    return encode_basestring_ascii(text).replace("%", "%%")
 
 
-def _document_text(doc, depth: int) -> str:
-    """One document from `verify`, `depth` levels deep: each run of entries
-    of one shape (its keys, in order) from that shape's template, mapped
-    over the run's columns of slot values."""
-    head, tail = _dumps_at({**doc, "results": _SLOT}, depth).split(_SLOT_JSON)
+def _json_list(strings, nl: str) -> str:
+    """A non-empty list of strs as json.dumps(indent=2) writes it; `nl` starts its items."""
+    return "[" + nl + ("," + nl).join(map(encode_basestring_ascii, strings)) + nl[:-2] + "]"
+
+
+def _document_text(report, depth: int) -> str:
+    """One report from `verify`, `depth` levels deep, written from its runs:
+    each run's entries, every width-th in grid order, from the templates
+    of the document filled with the run's slab."""
+    head, tail = _dumps_at(report._document(_SLOT), depth).split(_SLOT_JSON)
+    if not report.runs:
+        return head + "[]" + tail
     nl, item_nl = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 4)
-    templates, texts = {}, []
-    for shape, run in itertools.groupby(doc["results"], tuple):
-        points, *values = zip(*map(dict.values, run))
-        if shape not in templates:
-            sample = dict.fromkeys(shape, _SLOT)
-            sample["point"] = dict.fromkeys(points[0], _SLOT)
-            templates[shape] = _dumps_at(sample, depth + 2).replace(_SLOT_JSON, "%s")
-        columns = [*zip(*map(dict.values, points)), *values]
-        texts += map(templates[shape].__mod__, zip(*[_column(c, item_nl) for c in columns]))
+    ns, width = report.grid.n_values, len(report.runs)
+    point = dict.fromkeys(("n", *report.runs[0][0]), _SLOT)
+    templates = {}
+
+    def template(verdict, *keys):
+        if verdict not in templates:
+            sample = {"point": point, "verdict": verdict, **dict.fromkeys(keys, _SLOT)}
+            templates[verdict] = _dumps_at(sample, depth + 2).replace(_SLOT_JSON, "%s")
+        return templates[verdict]
+
+    texts = [None] * (len(ns) * width)
+    for j, (shown, first, reason, fails) in enumerate(report.runs):
+        # n's slot, then the slab's values with each % doubled
+        slab = ("%s", *[_escaped(v) if type(v) is str else v for v in shown.values()])
+        passed = template("pass") % slab
+        if first <= 0:
+            run = list(map(passed.__mod__, ns))
+        else:
+            skipped = template("skipped", "reason") % (*slab, _escaped(reason))
+            run = [(passed if n >= first else skipped) % n for n in ns]
+        for n, entry in fails.items():
+            lists = [_json_list(entry[key], item_nl) for key in ("lhs", "rhs", "diff")]
+            text = template("fail", "lhs", "rhs", "diff") % (*slab, "%s", "%s", "%s")
+            run[ns.index(n)] = text % (n, *lists)
+        texts[j::width] = run
     return head + "[" + nl + ("," + nl).join(texts) + nl[:-2] + "]" + tail
 
 
-def _report_chunks(documents) -> list:
-    """json.dumps(list(documents), indent=2) + "\n" in pieces, holding one
-    document at a time: the next is taken once the one before is rendered."""
+def _report_chunks(reports) -> list:
+    """json.dumps([report.to_document() for report in reports], indent=2) +
+    "\n" in pieces, holding one report at a time: the next is taken once
+    the one before is rendered."""
     chunks = ["[\n  "]
-    # map drops each document once its text is made; a loop variable would not
-    for text in map(_document_text, documents, repeat(1)):
+    # map drops each report once its text is made; a loop variable would not
+    for text in map(_document_text, reports, repeat(1)):
         chunks += (text, ",\n  ")
     chunks[-1] = "\n]\n"
     return chunks
 
 
 def report_text(payload) -> str:
-    """json.dumps(payload, indent=2) + "\n", byte for byte, for one document
-    from `verify` or a non-empty list of them."""
+    """json.dumps(payload.to_document(), indent=2) + "\n", byte for byte, for
+    one report from `verify`, or the same of the list of their documents
+    for a non-empty list of reports."""
     if type(payload) is list:
         return "".join(_report_chunks(payload))
     return _document_text(payload, 0) + "\n"
@@ -887,25 +940,22 @@ def _entry(a, da, b, db, shown: dict) -> dict:
     }
 
 
-def _slab_entries(definition: IdentityDef, slab: dict, shown: dict, n_values) -> list:
-    """The entries of one parameter slab's points, one per n of n_values in
-    that order; `shown` is the slab as the report writes it.  The rows of
-    the points in the domain are read from the slab's table and compared at
-    once; only a slab that fails writes its entries one by one, from the
-    same rows."""
-    points = [{"n": n, **slab} for n in n_values]
-    written = points if shown is slab else [{"n": n, **shown} for n in n_values]
-    reasons = ([definition.domain(slab)] * len(points) if definition.domain in _SLAB_DOMAINS
-               else list(map(definition.domain, points)))
-    live = [i for i, reason in enumerate(reasons) if reason is None]
-    rows = definition.rows(slab, [n_values[i] for i in live]) if live else []
-    judged = {} if _same_rows(rows) else {i: _entry(*row, written[i]) for i, row in zip(live, rows)}
-    return [
-        judged[i] if i in judged
-        else {"point": point, "verdict": "pass"} if reason is None
-        else {"point": point, "verdict": "skipped", "reason": reason}
-        for i, (point, reason) in enumerate(zip(written, reasons))
-    ]
+def _slab_entries(definition: IdentityDef, slab: dict, shown: dict, n_values) -> tuple:
+    """One parameter slab's run (shown, first, reason, fails), `shown` the
+    slab as the report writes it: its points n >= first pass and the
+    others are skipped for reason (its domain's one answer), but for the
+    fail entries in fails, by n.  The rows of the points in the domain are
+    read from the slab's table and compared at once; only a slab that
+    fails writes entries, from the same rows."""
+    first, reason = definition.domain(slab)
+    live = n_values if first <= 0 else [n for n in n_values if n >= first]
+    fails = {}
+    if live:
+        rows = definition.rows(slab, live)
+        if not _same_rows(*rows):
+            entries = [_entry(*row, {"n": n, **shown}) for n, *row in zip(live, *rows)]
+            fails = {e["point"]["n"]: e for e in entries if e["verdict"] == "fail"}
+    return shown, first, reason, fails
 
 
 def ThreadPoolExecutor(max_workers: int):
@@ -955,24 +1005,20 @@ def verify(identity: str, grid: GridSpec | None = None, jobs: int = 1) -> Verifi
     # the slabs as the report writes them: a Fraction lambda as a string
     shown = slabs if "lam" not in axes else [
         {axis: str(v) if type(v) is Fraction else v for axis, v in slab.items()} for slab in slabs]
-    width = len(slabs)
-    results = [None] * (len(n_values) * width)
 
     def run(j):
-        # in grid order, the slab's entries are every width-th from j
-        results[j::width] = _slab_entries(definition, slabs[j], shown[j], n_values)
+        return _slab_entries(definition, slabs[j], shown[j], n_values)
 
+    # one run per slab, in the slabs' order whatever the worker count
     start = time.monotonic()
     if jobs > 1:
         # the executor's own default ceiling, and no more threads than slabs
-        workers = min(jobs, width, 32, (os.cpu_count() or 1) + 4)
+        workers = min(jobs, len(slabs), 32, (os.cpu_count() or 1) + 4)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(run, range(width)):
-                pass
+            runs = list(pool.map(run, range(len(slabs))))
     else:
-        for j in range(width):
-            run(j)
-    report = VerificationReport(identity=identity, grid=grid, results=results)
+        runs = list(map(run, range(len(slabs))))
+    report = VerificationReport(identity=identity, grid=grid, runs=runs)
     report.elapsed = time.monotonic() - start
     return report
 

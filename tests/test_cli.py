@@ -410,8 +410,9 @@ def test_verify_report_file_and_jobs_identical(tmp_path, capsys):
 def test_verify_failure_exits_one(capsys, monkeypatch):
     # every point's sides are 1 and 2
     broken = idn.IdentityDef(
-        ("n",), lambda p: None, GridSpec(n_values=(0, 1)),
-        lambda p, ns: [((1,), 1, (2,), 1)] * len(ns),
+        ("n",), lambda slab: (0, None), GridSpec(n_values=(0, 1)),
+        # side by side: the left sides, their denominators, the right sides, theirs
+        lambda p, ns: ([(1,)] * len(ns), [1] * len(ns), [(2,)] * len(ns), [1] * len(ns)),
     )
     monkeypatch.setitem(idn._DEFS, "THM8", broken)
     code, out, err = run(capsys, "verify", "thm8")
@@ -433,7 +434,7 @@ def test_verify_internal_error_exits_four(capsys, monkeypatch):
     def broken_rows(p, ns):
         raise RuntimeError("evaluator blew up")
 
-    broken = idn.IdentityDef(("n",), lambda p: None, GridSpec(n_values=(0,)), broken_rows)
+    broken = idn.IdentityDef(("n",), lambda slab: (0, None), GridSpec(n_values=(0,)), broken_rows)
     monkeypatch.setitem(idn._DEFS, "THM8", broken)
     code, out, err = run(capsys, "verify", "thm8")
     assert code == 4
@@ -453,7 +454,7 @@ def test_verify_error_in_a_later_identity_writes_nothing(
     def broken_rows(p, ns):
         raise RuntimeError("evaluator blew up")
 
-    broken = idn.IdentityDef(("n",), lambda p: None, GridSpec(n_values=(0,)), broken_rows)
+    broken = idn.IdentityDef(("n",), lambda slab: (0, None), GridSpec(n_values=(0,)), broken_rows)
     monkeypatch.setitem(idn._DEFS, broken_id, broken)
     dest = tmp_path / "report.json"
     argv = ["verify", selector, "--n-max", "2"] + (["--report", str(dest)] if to_file else [])
@@ -468,26 +469,26 @@ def test_verify_error_in_a_later_identity_writes_nothing(
 
 
 def test_verify_all_renders_each_identity_before_verifying_the_next(capsys, monkeypatch):
-    # each identity's entries are rendered, then dropped, before the next
-    # identity is verified: a weakly referenced copy of its result list
-    # must be gone by then
-    class Results(list):
+    # each identity's runs are rendered, then dropped, before the next
+    # identity is verified: a weakly referenced copy of its run list must
+    # be gone by then
+    class Runs(list):
         pass
 
     events, kept = [], []
     real_verify, real_render = idn.verify, idn._document_text
 
     def verify(identity, *args, **kwargs):
-        # with the number of earlier result lists still alive
+        # with the number of earlier run lists still alive
         events.append(("verify", identity, sum(ref() is not None for ref in kept)))
         rep = real_verify(identity, *args, **kwargs)
-        rep.results = Results(rep.results)
-        kept.append(weakref.ref(rep.results))
+        rep.runs = Runs(rep.runs)
+        kept.append(weakref.ref(rep.runs))
         return rep
 
-    def render(doc, *args):
-        events.append(("render", doc["identity"]))
-        return real_render(doc, *args)
+    def render(report, *args):
+        events.append(("render", report.identity))
+        return real_render(report, *args)
 
     monkeypatch.setattr(idn, "verify", verify)
     monkeypatch.setattr(idn, "_document_text", render)

@@ -323,11 +323,17 @@ def _sliced_sheffer_rows(values, cols, ns):
 
 
 ORDER = 40
+
+def xj_columns(order: int) -> tuple:
+    """The columns of x^j, j = 0..order, each cut after its 1."""
+    return tuple((0,) * i + (1,) for i in range(order + 1))
+
+
 # the kernel's three column layouts: x^j with each column cut after its 1,
 # (-x)_j at full length, and the Stirling sums of `identities` (here of a
 # Bernoulli and of a Frobenius-Euler factor)
 LAYOUTS = {
-    "t": lambda: fam._associated(ORDER, "t"),
+    "t": lambda: xj_columns(ORDER),
     "-log": lambda: fam._associated(ORDER, "-log"),
     "stirling-side-bernoulli": lambda: idn._stirling_side(ORDER, fam._bernoulli_g, 3)[0],
     "stirling-side-frobenius": lambda: idn._stirling_side(ORDER, fam._frobenius_g, 2, -1, 3)[0],
@@ -349,6 +355,19 @@ def test_sheffer_rows_match_the_sliced_formula(layout, ns):
     # as the perturbation tests of test_reassociated_sums pass them
     assert fam.sheffer_rows(tuple(values), cols, ns) == want
     assert fam.sheffer_rows(values, cols, ns) == want
+
+
+@pytest.mark.parametrize("s, lam", [(2, F(1, 3)), (3, F(-1)), (0, F(2))])
+def test_frobenius_euler_rows_are_the_kernel_over_xj(s, lam):
+    # over x^j a row is the kernel's weight row itself, read without the
+    # kernel; the kernel over explicit x^j columns must give the same rows
+    fam._memo.clear()
+    p, q = lam.numerator, lam.denominator
+    values, den = fam._values(fam._grown(fam._frobenius_g, 64, s, p, q), 64)
+    cols = xj_columns(64)
+    for n in range(65):
+        (row,) = fam.sheffer_rows(values, cols, (n,))
+        assert fam.frobenius_euler(n, s, lam) == Polynomial._of(row, den), n
 
 
 def test_binomial_triangle_matches_comb():

@@ -41,9 +41,9 @@ def reduced(pairs) -> list:
 
 def table_pairs(identity):
     """p -> point p's pair of sides, ((a, da), (b, db)), from row n of its
-    slab's table."""
+    slab's table, which rows gives side by side."""
     rows = idn._DEFS[identity].rows
-    return lambda p: [(row[:2], row[2:]) for row in rows(p, [p["n"]])]
+    return lambda p: [(row[:2], row[2:]) for row in zip(*rows(p, [p["n"]]))]
 
 
 def test_thm8_rhs_example():
@@ -258,7 +258,7 @@ def test_cold_verify_loads_the_pool_only_for_jobs_above_one(jobs, pooled):
     rc, loaded, text = json.loads(out.stdout)
     assert (rc, loaded) == (0, pooled)
     report = verify("THM8", GridSpec(**{**vars_of(idn.default_grid("THM8")), "n_values": (0, 1, 2)}))
-    assert text == idn.report_text(report.to_document())
+    assert text == idn.report_text(report)
 
 
 def test_threaded_verify_writes_every_grid_slot():
@@ -393,7 +393,8 @@ def test_default_grids_match_declared_ranges(identity):
     axes = definition.axes
     points = [dict(zip(axes, combo))
               for combo in itertools.product(*(grid.values_for(axis) for axis in axes))]
-    point = [p for p in points if definition.domain(p) is None][-1]
+    point = [p for p in points
+             if p["n"] >= definition.domain({a: v for a, v in p.items() if a != "n"})[0]][-1]
     rep = verify(identity, GridSpec(**{_GRID_FIELDS[axis]: (v,) for axis, v in point.items()}))
     (entry,) = rep.results
     assert list(entry["point"]) == list(axes)
@@ -551,17 +552,114 @@ def test_perturbed_slab_row_fails_only_its_point(builder, bump, monkeypatch, col
     assert [e["point"] for e in report.results if e["verdict"] != "pass"] == [point]
     entry = next(e for e in report.results if e["point"] == point)
     assert entry["verdict"] == "fail"
-    assert entry == idn._entry(*idn._DEFS["THM8"].rows(point, [3])[0], point)
+    (row,) = zip(*idn._DEFS["THM8"].rows(point, [3]))
+    assert entry == idn._entry(*row, point)
 
 
 def test_slab_rows_are_padded_row_by_row():
     a, b, c = 5, -3, 7
-    assert idn._same_rows([((a, b, 0), 1, (2 * a, 2 * b), 2), ((c,), 1, (2 * c, 0, 0), 2)])
+
+    def same(rows):
+        # _same_rows takes the rows side by side, as `_table` gives them
+        return idn._same_rows(*zip(*rows))
+
+    assert same([((a, b, 0), 1, (2 * a, 2 * b), 2), ((c,), 1, (2 * c, 0, 0), 2)])
     # [a, b], [c] against [a], [b, c]: one list once flattened, not row by row
-    assert not idn._same_rows([((a, b), 1, (a,), 1), ((c,), 1, (b, c), 1)])
-    # a run of rows over new denominators starts a new comparison
-    assert idn._same_rows([((a,), 1, (2 * a,), 2), ((c,), 3, (c,), 3), ((b,), 2, (b,), 2)])
-    assert not idn._same_rows([((a,), 1, (2 * a,), 2), ((c,), 3, (c + 1,), 3)])
+    assert not same([((a, b), 1, (a,), 1), ((c,), 1, (b, c), 1)])
+    # each row is scaled by its own denominators
+    assert same([((a,), 1, (2 * a,), 2), ((c,), 3, (c,), 3), ((b,), 2, (b,), 2)])
+    assert not same([((a,), 1, (2 * a,), 2), ((c,), 3, (c + 1,), 3)])
+    # one denominator a side
+    assert same([((a, b), 1, (2 * a, 2 * b), 2), ((c,), 1, (2 * c,), 2)])
+    assert not same([((a, b), 1, (2 * a, 2 * b), 2), ((c,), 1, (c,), 2)])
+
+
+# -- one run per slab ----------------------------------------------------------
+#
+# verify keeps a run per parameter slab and builds its entries on each read
+# of `results`.  The oracle below is the harness as it was written point by
+# point: a domain per point, each point's row read alone, an entry per point.
+
+
+def point_reason(identity, p):
+    """The domain of the point p as the harness first decided it, point by point."""
+    if identity in ("THM1", "EQ34") and p["r"] < 0:
+        return "r < 0: formula uses Stirling-2 / composition structure"
+    if identity in ("EQ36", "THM4", "THM4_VARIANT") and p["n"] < 1:
+        return "n < 1: statement needs n >= 1"
+    if identity in ("THM5", "THM5_VARIANT") and not 1 <= p["m"] <= p["n"] - 1:
+        return "out of domain: needs n-1 >= m >= 1"
+    if identity == "THM7" and p["lam"] == 1:
+        return "lam = 1: Frobenius-Euler undefined"
+    if identity == "THM7" and p["s"] < 0:
+        return "s < 0: the sum over a = 0..s needs s >= 0"
+    return None
+
+
+def point_by_point(identity, grid) -> list:
+    """The report entries of `grid` in grid order, each point on its own."""
+    axes = idn._DEFS[identity].axes
+    rows = idn._DEFS[identity].rows
+    entries = []
+    for combo in itertools.product(*(grid.values_for(axis) for axis in axes)):
+        p = dict(zip(axes, combo))
+        shown = {axis: str(v) if axis == "lam" else v for axis, v in p.items()}
+        reason = point_reason(identity, p)
+        if reason is not None:
+            entries.append({"point": shown, "verdict": "skipped", "reason": reason})
+            continue
+        (row,) = zip(*rows({axis: v for axis, v in p.items() if axis != "n"}, [p["n"]]))
+        entries.append(idn._entry(*row, shown))
+    return entries
+
+
+RUN_GRIDS = {
+    # r < 0 skips whole slabs
+    "THM1": GridSpec(n_values=(3, 0, 1, 2), r_values=(-1, 1), k_values=(0, 1)),
+    # n = 0 lies outside the domain
+    "EQ36": GridSpec(n_values=(0, 1, 2), r_values=(-1, 1), k_values=(0,)),
+    "THM4": GridSpec(n_values=(2, 0, 1), r_values=(0, 1), k_values=(-1, 1)),
+    # m = 0 skips a whole slab, m = 2 the n below 3
+    "THM5": GridSpec(n_values=(1, 2, 3, 4), m_values=(0, 1, 2), r_values=(0, 1), k_values=(0,)),
+    "THM5_VARIANT": GridSpec(n_values=(4, 1, 3), m_values=(2, 0), r_values=(1,), k_values=(-1,)),
+    # lambda shown as a string, and lambda = 1 skipped
+    "THM7": GridSpec(n_values=(0, 2), r_values=(1,), k_values=(-1, 2), s_values=(0, -1, 2),
+                     lambdas=(F(1, 2), F(-1, 3), F(1))),
+}
+
+
+@pytest.mark.parametrize("identity", list(RUN_GRIDS))
+def test_results_match_the_point_by_point_harness(identity):
+    report = verify(identity, RUN_GRIDS[identity])
+    want = point_by_point(identity, RUN_GRIDS[identity])
+    assert report.results == want
+    assert report.totals == {v: sum(e["verdict"] == v for e in want)
+                             for v in ("pass", "fail", "skipped")}
+    # a view, built on each read
+    assert report.results is not report.results
+    assert report.results[0] is not report.results[0]
+
+
+def test_failing_slab_results_match_the_point_by_point_harness(monkeypatch, cold_memo):
+    monkeypatch.setattr(idn, "_thm8_table", bumped_table(idn._thm8_table))
+    grid = GridSpec(n_values=(5, 3, 0), r_values=(0, 1), k_values=(-1, 0))
+    report = verify("THM8", grid)
+    assert report.totals == {"pass": 11, "fail": 1, "skipped": 0}
+    assert report.results == point_by_point("THM8", grid)
+    (failing,) = [run for run in report.runs if run[3]]
+    assert failing[0] == {"r": 1, "k": -1} and list(failing[3]) == [3]
+
+
+@pytest.mark.parametrize("identity", idn.IDENTITY_IDS)
+def test_each_domain_answers_once_per_slab(identity, monkeypatch):
+    definition, asked = idn._DEFS[identity], []
+    monkeypatch.setitem(idn._DEFS, identity, definition._replace(
+        domain=lambda slab: asked.append(slab) or definition.domain(slab)))
+    grid = definition.default_grid
+    report = verify(identity, grid)
+    slabs = list(itertools.product(*(grid.values_for(axis) for axis in definition.axes[1:])))
+    assert len(asked) == len(report.runs) == len(slabs)
+    assert [tuple(slab.values()) for slab in asked] == slabs
 
 
 _THM8_SLAB = GridSpec(n_values=(0, 1, 2, 3), r_values=(1,), k_values=(1,))
@@ -734,10 +832,10 @@ def test_table_rows_match_the_per_point_evaluators(identity, cold_memo):
     definition = idn._DEFS[identity]
     checked = 0
     for slab in slabs:
-        points = [{"n": n, **slab} for n in ns]
-        points = [p for p in points if definition.domain(p) is None]
+        first, _ = definition.domain(slab)
+        points = [{"n": n, **slab} for n in ns if n >= first]
         rows = definition.rows(slab, [p["n"] for p in points])
-        for p, (a, da, b, db) in zip(points, rows):
+        for p, (a, da, b, db) in zip(points, zip(*rows)):
             # (35) has no pair where its sides agree in x and y; its row is 0 = 0
             want = reduced(evaluate(p) or [(((), 1), ((), 1))])
             assert reduced([((a, da), (b, db))]) == want, (identity, p)

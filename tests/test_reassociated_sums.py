@@ -54,9 +54,9 @@ def pairs(sides) -> list:
 
 def table_pairs(identity):
     """p -> point p's pair of sides, ((a, da), (b, db)), from row n of its
-    slab's table."""
+    slab's table, which rows gives side by side."""
     rows = idn._DEFS[identity].rows
-    return lambda p: [(row[:2], row[2:]) for row in rows(p, [p["n"]])]
+    return lambda p: [(row[:2], row[2:]) for row in zip(*rows(p, [p["n"]]))]
 
 
 @lru_cache(maxsize=None)
@@ -288,7 +288,7 @@ def eq35_pairs(p):
     y that the evaluator compares as integers; when they agree, its one
     pair is 0 = 0."""
     lhs, rhs, den = idn._eq35_sides(p["n"], p["r"], p["k"])
-    assert lhs == rhs and idn._DEFS["EQ35"].rows(p, [p["n"]]) == [idn._AGREED], p
+    assert lhs == rhs and list(zip(*idn._DEFS["EQ35"].rows(p, [p["n"]]))) == [idn._AGREED], p
     return idn._eq35_at(p["n"], lhs, rhs, den)
 
 
@@ -772,7 +772,7 @@ def test_fail_entries_match_the_perturbed_reference(identity, monkeypatch, cold_
         p = {**entry["point"]}
         if "lam" in p:
             p["lam"] = F(p["lam"])
-        if definition.domain(p) is not None:
+        if p["n"] < definition.domain({a: v for a, v in p.items() if a != "n"})[0]:
             assert entry["verdict"] == "skipped"
         else:
             assert entry == expected_entry(entry["point"], reference(p)), (identity, p)

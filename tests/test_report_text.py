@@ -1,6 +1,7 @@
 """The report writer: `identities.report_text` must give the bytes of
-``json.dumps(payload, indent=2) + "\\n"`` for every document `verify`
-makes and every list of them."""
+``json.dumps(report.to_document(), indent=2) + "\\n"`` for every report
+`verify` makes, and the same of the list of their documents for every
+list of them."""
 
 import hashlib
 import json
@@ -11,7 +12,7 @@ import pytest
 
 from polycauchy import cli
 from polycauchy import identities as idn
-from polycauchy.identities import IDENTITY_IDS, GridSpec, report_text, verify
+from polycauchy.identities import IDENTITY_IDS, GridSpec, VerificationReport, report_text, verify
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -33,19 +34,22 @@ GRIDS = {
 
 
 def reference(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps(indent=2) of a report's document, or of a list of them."""
+    if type(payload) is list:
+        return json.dumps([report.to_document() for report in payload], indent=2) + "\n"
+    return json.dumps(payload.to_document(), indent=2) + "\n"
 
 
-def documents() -> list:
-    return [verify(name, grid).to_document() for name, grid in GRIDS.items()]
+def reports() -> list:
+    return [verify(name, grid) for name, grid in GRIDS.items()]
 
 
 def test_grids_cover_every_verdict_and_a_fraction_lambda():
-    docs = documents()
-    verdicts = {name: {e["verdict"] for e in d["results"]} for name, d in zip(GRIDS, docs)}
+    reps = reports()
+    verdicts = {name: {e["verdict"] for e in r.results} for name, r in zip(GRIDS, reps)}
     assert verdicts["THM4"] == verdicts["THM5"] == {"pass", "fail", "skipped"}
     assert "skipped" in verdicts["EQ36"]
-    assert {e["point"]["lam"] for e in docs[-1]["results"]} == {"1/2", "-1/3", "1"}
+    assert {e["point"]["lam"] for e in reps[-1].results} == {"1/2", "-1/3", "1"}
 
 
 @pytest.mark.parametrize(
@@ -55,14 +59,14 @@ def test_grids_cover_every_verdict_and_a_fraction_lambda():
     + [pytest.param(name, None, id=f"{name}-default") for name in IDENTITY_IDS],
 )
 def test_single_document(name, grid):
-    doc = verify(name, grid).to_document()
-    assert report_text(doc) == reference(doc)
+    report = verify(name, grid)
+    assert report_text(report) == reference(report)
 
 
 def test_list_of_documents():
-    docs = documents()
-    assert report_text(docs) == reference(docs)
-    assert report_text(docs[:1]) == reference(docs[:1])
+    reps = reports()
+    assert report_text(reps) == reference(reps)
+    assert report_text(reps[:1]) == reference(reps[:1])
 
 
 FAIL_ENTRY = {
@@ -74,6 +78,15 @@ FAIL_ENTRY = {
 }
 
 
+def hand_built(entry) -> VerificationReport:
+    """A report of one slab whose point n = 3 passes and whose point
+    entry["point"] fails with `entry`."""
+    point = entry["point"]
+    slab = {axis: v for axis, v in point.items() if axis != "n"}
+    return VerificationReport("X", GridSpec(n_values=(point["n"], 3)),
+                              [(slab, 0, None, {point["n"]: entry})])
+
+
 @pytest.mark.parametrize(
     "entry",
     [
@@ -82,10 +95,30 @@ FAIL_ENTRY = {
     ],
 )
 def test_fail_entries_at_two_depths(entry):
-    passed = {"point": {**entry["point"], "n": 3}, "verdict": "pass"}
-    doc = {"identity": "X", "results": [entry, passed]}
-    assert report_text(doc) == reference(doc)
-    assert report_text([doc, doc]) == reference([doc, doc])
+    report = hand_built(entry)
+    assert [e["verdict"] for e in report.results] == ["fail", "pass"]
+    assert report_text(report) == reference(report)
+    assert report_text([report, report]) == reference([report, report])
+
+
+def test_slab_values_and_reasons_are_filled_once_and_escaped():
+    # a slab's strs are filled into its templates before n: a % in them,
+    # or a character json.dumps escapes, must come out as json.dumps writes it
+    fail = {"point": {"n": 1, "lam": "-1/3"}, "verdict": "fail",
+            "lhs": ["1"], "rhs": ["0"], "diff": ["1"]}
+    report = VerificationReport("X", GridSpec(n_values=(0, 2, 1)), [
+        ({"lam": "%s \u00e9"}, 1, "needs 100% of \"n\" %d", {}),
+        ({"lam": "-1/3"}, 0, None, {1: fail}),
+        ({"lam": "%%"}, idn._NEVER, "none\u20ac %", {}),
+    ])
+    assert report.totals == {"pass": 4, "fail": 1, "skipped": 4}
+    assert report_text(report) == reference(report)
+    assert report_text([report]) == reference([report])
+
+
+def test_an_empty_report():
+    report = VerificationReport("THM8", GridSpec(n_values=(0,), r_values=(0,), k_values=(0,)))
+    assert report.results == [] and report_text(report) == reference(report)
 
 
 def test_one_template_per_entry_shape(monkeypatch):
@@ -97,11 +130,21 @@ def test_one_template_per_entry_shape(monkeypatch):
         dumped.append(value)
         return real_dumps_at(value, depth)
 
-    doc = verify("THM4", GRIDS["THM4"]).to_document()
+    report = verify("THM4", GRIDS["THM4"])
     monkeypatch.setattr(idn, "_dumps_at", dumps_at)
-    assert report_text(doc) == reference(doc)
+    assert report_text(report) == reference(report)
     assert len(dumped) == 4 and dumped[0]["results"] == idn._SLOT
-    assert {tuple(value) for value in dumped[1:]} == {tuple(e) for e in doc["results"]}
+    assert {tuple(value) for value in dumped[1:]} == {tuple(e) for e in report.results}
+
+
+def test_passing_grids_write_no_entry_alone(monkeypatch):
+    # a passing slab is verified and written from its run: `_entry` makes
+    # the entries of a failing slab only
+    reps = [verify(name, GRIDS.get(name)) for name in IDENTITY_IDS if name not in idn.VARIANTS]
+    monkeypatch.setattr(idn, "_entry", lambda *args: pytest.fail("an entry was written alone"))
+    again = [verify(report.identity, report.grid) for report in reps]
+    assert all(report.all_passed for report in again)
+    assert report_text(again) == reference(reps)
 
 
 # -- every recorded report --------------------------------------------------
