@@ -12,9 +12,10 @@ diff as reduced fractions.
 on every axis but n.  A slab's domain answers once for all its n (the
 first n inside it, and why the n below are skipped), and every identity
 reads the slab's rows from one table per slab (`_table`), built once per
-process for n = 0..max(n): the row (a, da, b, db), or only the right
-side (b, db) against row n of A's slab.  The rows are handed over side by
-side and compared at once (`_same_rows`), and the slab's result is one
+process for n = 0..max(n): the row (a, da, b, db), or `_AGREED`, 0 = 0,
+where the table has already found that the row holds.  The rows are
+handed over side by side and compared at once (`_same_rows`), and the
+slab's result is one
 run (`_slab_entries`): the slab as the report writes it, its domain's
 answer, and fail entries only if the slab fails.  A report keeps the
 runs; its `results` are built from them on each read.  (36)'s right side
@@ -37,7 +38,24 @@ weight rows are the sum itself over x^j); a family at x + c is the Sheffer
 sum of its values at c (`_A_shifted`, `_reflected_bernoulli`).  (35) is
 checked per n as an identity in x and y: both sides have y-degree at most
 n, so they agree iff they agree at y = -2..n-2, and a failing row holds
-the pair at the first y that fails.  Theorems 4 and 5 are printed in the
+the pair at the first y that fails.
+
+Theorems 2, 6, 7 and 8, (32) and (34) hold A_n against a Sheffer sum s_n =
+sum over j of C(n, j) v_(n-j) P_j, and their tables decide each row
+through its image at x = 2^B (`_sheffer_table`): a row of integers c_i
+becomes the integer sum of c_i 2^(B i).  With da and db the two sides'
+denominators, A_n db - s_n da has coefficients below 2^(a + bits(db)) +
+2^(n + v + p + bits(da)), a, v and p the bit lengths of the largest
+|coefficient| of A's rows, |v_l| and |[x^i] P_j| (the C(n, j) add up to
+2^n); B, the smallest power of two, at least 64, that exceeds that bound
+by 2 bits, makes the comparison of the images exact, and the row's
+coefficients are the image's balanced base-2^B digits.  per = max(1,
+_BUDGET // B) consecutive x-powers go into one chunk image, so that
+`sheffer_rows`, fed the chunk images of the columns, forms row n's right
+side with one dot product per chunk; deep rows, whose B passes _BUDGET /
+2, take per = 1: one dot product per coefficient.  A row whose images
+differ carries A's row and s_n read back from the digits, so its fail
+entry is the one the coefficients give.  Theorems 4 and 5 are printed in the
 source with internal inconsistencies against their own derivations; both
 the printed reading and the derivation-faithful variant are registered,
 each row of their tables holds both, and verify_variants reports which
@@ -46,7 +64,8 @@ one holds.
 `report_text` writes a report from `verify`, or a list of them, as
 ``json.dumps(document, indent=2)`` writes its `to_document()`, byte for
 byte, from the runs: json.dumps lays out one %-template per entry shape
-per document, a run fills in its slab's values once, and each point costs
+and depth once per process (`_template`, kept in the family memo), a run
+fills in its slab's values once, and each point costs
 one % of its n (see "the report text" below).  A list is written report
 by report (`_report_chunks`).
 
@@ -194,8 +213,8 @@ def _stirling_side(order: int, g, *params) -> tuple:
 
 
 def _thm1_table(order, r, k) -> tuple:
-    """Theorem 1's right sides for one (r, k), n = 0..order: the sum over m
-    of s(n, m) R_m(x), R_m(x) = sum over j of (-1)^j c_j x^j, with c_j the
+    """Theorem 1's rows for one (r, k), n = 0..order: A_n against the sum
+    over m of s(n, m) R_m(x), R_m(x) = sum over j of (-1)^j c_j x^j, with c_j the
     sum over l of C(m,l) C(m-l,j) (l+1)^(-k) S(q+r, r) / C(q+r, r),
     q = m-l-j.  (l+1)^(-k) is w_l / d with the weights of `_lif_weights`
     and S(q+r, r) / C(q+r, r) is b_q / lcm C(q+r, r), so every R_m and
@@ -212,15 +231,148 @@ def _thm1_table(order, r, k) -> tuple:
     R = [[(-1) ** j * comb(m, j) * u[m - j] if m >= j else 0 for m in range(order + 1)]
          for j in range(order + 1)]
     s1 = stirling_triangle(1, order)
+    rows, _, den = _slab(_A_rows, order, r, k)
     return tuple([
-        (tuple([sum(map(_times, s1[n], R[j])) for j in range(n + 1)]), d * qden)
+        (rows[n], den, tuple([sum(map(_times, s1[n], R[j])) for j in range(n + 1)]), d * qden)
         for n in range(order + 1)
     ])
 
 
+# -- Sheffer sums, decided on row images -------------------------------------
+#
+# A row of integers c_i read at x = 2^B is one integer, the sum of c_i
+# 2^(B i) (Kronecker substitution: Kronecker 1882; D. Harvey, J. Symb.
+# Comp. 2009).  While every |c_i| < 2^(B-1), the row is its image's
+# balanced base-2^B digits, so rows a and b over da and db are equal iff
+# the images of a db and b da are, once B bounds every coefficient of
+# a db - b da with 2 bits to spare.  The right side s_n = sum over j of
+# C(n, j) v_(n-j) P_j has coefficients below 2^n max|v| max|P|, since the
+# C(n, j) add up to 2^n.  A slab picks B, the smallest power of two, at
+# least 64, that holds both bounds and the 2 bits, and packs per =
+# _BUDGET // B consecutive x-powers into one chunk image (per = 1 is the
+# coefficients themselves), so that `sheffer_rows` forms row n's right
+# side with one dot product per chunk, not one per coefficient.
+
+_BUDGET = 2048  # bits of x-powers in one chunk image
+
+
+def _pack(row, width: int) -> int:
+    """The image of a row of integers at x = 2^width."""
+    image = 0
+    for c in reversed(row):
+        image = (image << width) + c
+    return image
+
+
+def _unpack(image: int, width: int, count: int) -> list:
+    """The first `count` balanced base-2^width digits of an image: the row
+    it packs, while each |c_i| < 2^(width-1)."""
+    half, mask, digits = 1 << (width - 1), (1 << width) - 1, []
+    for _ in range(count):
+        digit = image & mask
+        if digit >= half:
+            digit -= mask + 1
+        digits.append(digit)
+        image = (image - digit) >> width
+    return digits
+
+
+def _chunks(row, width: int, per: int) -> tuple:
+    """The images of a row's consecutive chunks of `per` entries."""
+    return tuple([_pack(row[m : m + per], width) for m in range(0, len(row), per)])
+
+
+def _bits(rows) -> int:
+    """The bit length of the largest |entry| of some rows of integers."""
+    return max(map(abs, chain.from_iterable(rows)), default=0).bit_length()
+
+
+def _falling(order) -> tuple:
+    """(columns, 1): (-x)_j, j = 0..order, as `_associated` gives them."""
+    return _slab(_associated, order, "-log"), 1
+
+
+def _top(order, build, *args) -> tuple:
+    """(bits, den) of the columns of _slab(build, order, *args), a value
+    that ends with (columns, den)."""
+    *_, cols, den = _slab(build, order, *args)
+    return _bits(cols), den
+
+
+def _row_images(order, width, per, r, k) -> tuple:
+    """(images, bits, den): rows 0..order of A's slab (r, k) as chunk
+    images (`_chunks`), their largest bit length and their denominator."""
+    rows, _, den = _slab(_A_rows, order, r, k)
+    rows = rows[: order + 1]
+    images = rows if per == 1 else tuple([_chunks(row, width, per) for row in rows])
+    return images, _bits(rows), den
+
+
+def _column_images(order, width, per, build, *args) -> tuple:
+    """(images, bits, den): the columns cols[i][j], i, j <= order, of
+    _slab(build, order, *args), which ends with (columns, den), as chunk
+    images, images[m][j] the image of p_j's chunk m of x-powers; their
+    largest bit length and their denominator."""
+    *_, cols, den = _slab(build, order, *args)
+    cols = tuple([col[: order + 1] for col in cols[: order + 1]])
+    images = cols if per == 1 else tuple(zip(*[_chunks(p, width, per) for p in zip(*cols)]))
+    return images, _bits(cols), den
+
+
+def _width(order, v_bits, vden, a_bits, a_den, p_bits, p_den) -> int:
+    """B for the rows of A against s_n over vden p_den, n <= order."""
+    need = max(a_bits + (vden * p_den).bit_length(), order + v_bits + p_bits + a_den.bit_length())
+    return max(64, 1 << (need + 2).bit_length())
+
+
+def _sheffer_images(order, r, k, values, vden, build, *args) -> tuple:
+    """(width, per, lefts, da, rights, db): rows n = 0..order of A's slab
+    (r, k), over da, and of s_n = the sum over j of C(n, j) v_(n-j) P_j,
+    over db, as chunk images at x = 2^width, per x-powers a chunk; v_l =
+    values[l] / vden, P_j the columns of _slab(build, order, *args).  The
+    width is checked against the bit lengths of the rows that were packed,
+    which a memo regrown meanwhile may have made longer."""
+    v_bits = max(map(abs, values[: order + 1])).bit_length()
+    found = (*_slab(_top, order, _A_rows, r, k), *_slab(_top, order, build, *args))
+    while True:
+        width = _width(order, v_bits, vden, *found)
+        per = max(1, _BUDGET // width)
+        lefts, *a = _slab(_row_images, order, width, per, r, k)
+        images, *p = _slab(_column_images, order, width, per, build, *args)
+        found = (*a, *p)
+        if _width(order, v_bits, vden, *found) <= width:
+            break
+    # the rows n that fill q chunks read the first q chunk images: one dot
+    # product per chunk
+    rights = [right for start in range(0, order + 1, per) for right in sheffer_rows(
+        values, images[: start // per + 1], range(start, min(start + per, order + 1)))]
+    return width, per, lefts[: order + 1], a[1], rights, vden * p[1]
+
+
+def _decoded(order, r, k, images) -> list:
+    """The rows (a, da, b, db), n = 0..order, of A's slab (r, k) against
+    the right sides of `_sheffer_images`, read back from their images."""
+    width, per, _, _, rights, db = images
+    rows, _, den = _slab(_A_rows, order, r, k)
+    return [(a, den, list(chain.from_iterable(_unpack(c, width, per) for c in right))[: n + 1], db)
+            for n, (a, right) in enumerate(zip(rows, rights))]
+
+
+def _sheffer_table(order, r, k, values, vden, build, *args) -> tuple:
+    """The rows n = 0..order of A_n^{(r,k)} against the Sheffer sum s_n
+    of `_sheffer_images`, decided on their images: `_AGREED` where they
+    agree, else A's row and s_n read back from its images."""
+    images = _sheffer_images(order, r, k, values, vden, build, *args)
+    _, _, lefts, da, rights, db = images
+    if _same_rows(lefts, (da,) * len(rights), rights, (db,) * len(rights)):
+        return (_AGREED,) * len(rights)
+    return tuple([_AGREED if _same_rows(*zip(row)) else row
+                  for row in _decoded(order, r, k, images)])
+
+
 def _thm2_table(order, a_values, r, k) -> tuple:
-    """Theorem 2's right sides for one (r, k), n = 0..order; THM2, EQ32 and
-    EQ34 differ only in a_values, the builder of their a-numbers a_l.
+    """Theorem 2's rows for one (r, k), n = 0..order; THM2, EQ32 and EQ34
+    differ only in a_values, the builder of their a-numbers a_l.
 
     The sum over j of (-1)^j s(i, j) x^j is (-x)_i, so the right side is
     the sum over l of C(n, l) inner_l (-x)_{n-l}, with the innermost sum
@@ -230,8 +382,7 @@ def _thm2_table(order, a_values, r, k) -> tuple:
     pc, pden = _values(_slab(_lif_log, order, k), order)
     pascal = _slab(_binomial_rows, order)
     inner = [sum(map(_times, map(_times, pascal[t], an), pc[t::-1])) for t in range(order + 1)]
-    rows = sheffer_rows(inner, _slab(_associated, order, "-log"), range(order + 1))
-    return tuple(zip(rows, repeat(aden * pden)))
+    return _sheffer_table(order, r, k, inner, aden * pden, _falling)
 
 
 def _bernoulli_values(order, r) -> tuple:
@@ -519,12 +670,11 @@ def _eq52_table(order, r, k) -> tuple:
 
 
 def _thm6_table(order, r, k, s) -> tuple:
-    """Theorem 6's right sides for one (r, k, s), n = 0..order: the sum
-    over l of C(n, l) A_l^{(r+s,k)}(s) P_{n-l}(x), with P_j the sum over m
-    of (-1)^m s(j, m) B_m^{(s)}(x)."""
+    """Theorem 6's rows for one (r, k, s), n = 0..order: A_n against the
+    sum over l of C(n, l) A_l^{(r+s,k)}(s) P_{n-l}(x), with P_j the sum
+    over m of (-1)^m s(j, m) B_m^{(s)}(x)."""
     values, vden = _slab(_A_values, order, r + s, k, s)
-    cols, pden = _slab(_stirling_side, order, _bernoulli_g, s)
-    return tuple(zip(sheffer_rows(values, cols, range(order + 1)), repeat(vden * pden)))
+    return _sheffer_table(order, r, k, values, vden, _stirling_side, _bernoulli_g, s)
 
 
 def _thm7_moments(order, s, p, q) -> tuple:
@@ -537,9 +687,9 @@ def _thm7_moments(order, s, p, q) -> tuple:
 
 
 def _thm7_table(order, r, k, s, p, q) -> tuple:
-    """Theorem 7's right sides for one (r, k, s, lam = p/q), n = 0..order:
-    the sum over l of C(n, l) inner_l Q_{n-l}(x), with Q_j the sum over m
-    of (-1)^m s(j, m) H_m^{(s)}(x|lam).
+    """Theorem 7's rows for one (r, k, s, lam = p/q), n = 0..order: A_n
+    against the sum over l of C(n, l) inner_l Q_{n-l}(x), with Q_j the sum
+    over m of (-1)^m s(j, m) H_m^{(s)}(x|lam).
 
     inner_l = (1 - lam)^(-s) sum over a of (-lam)^a C(s, a) A_l^{(r,k)}(s-a)
     is one integer dot product of row l of A's numerators with the moments
@@ -549,38 +699,31 @@ def _thm7_table(order, r, k, s, p, q) -> tuple:
     moments = _slab(_thm7_moments, order, s, p, q)
     rows, _, den = _slab(_A_rows, order, r, k)
     inner = [sum(map(_times, row, moments)) for row in rows[: order + 1]]
-    cols, pden = _slab(_stirling_side, order, _frobenius_g, s, p, q)
-    rows = sheffer_rows(inner, cols, range(order + 1))
-    return tuple(zip(rows, repeat(den * (q - p) ** s * pden)))
+    return _sheffer_table(
+        order, r, k, inner, den * (q - p) ** s, _stirling_side, _frobenius_g, s, p, q)
 
 
 def _thm8_table(order, r, k) -> tuple:
-    """Theorem 8's right sides for one (r, k), n = 0..order: the sum over l
-    of C(n, l) A_l^{(r,k)}(0) (-x)_{n-l}."""
+    """Theorem 8's rows for one (r, k), n = 0..order: A_n against the sum
+    over l of C(n, l) A_l^{(r,k)}(0) (-x)_{n-l}."""
     values, vden = _slab(_A_values, order, r, k, 0)
-    rows = sheffer_rows(values, _slab(_associated, order, "-log"), range(order + 1))
-    return tuple(zip(rows, repeat(vden)))
+    return _sheffer_table(order, r, k, values, vden, _falling)
 
 
-def _table(key, paired=False, lead=0, reading=None):
+def _table(key, lead=0, reading=None):
     """rows(p, ns), every identity's one evaluator: the rows of slab p's
     points n in ns side by side, (lefts, left dens, rights, right dens),
-    point n's sides a/da and b/db from row n of the table key(p) =
-    (table, *slab), which holds the row (a, da, b, db) or, unless paired,
-    only the right side (b, db) against A_n^{(r,k)}.  A row of Theorem 4
-    or 5 holds one such row per reading, printed first, and an identity
-    reads its own.  rows reads the slab's table once, at max(ns) + lead;
-    key looks the table up when it is called.  The tables of Theorems 3
-    to 5 hold rows to order - 2 (lead 2): their default grids end at
-    n = 6, so their first tables, at `_slab`'s first order 8, hold no row
-    past the grid."""
+    point n's sides a/da and b/db from row n = (a, da, b, db) of the table
+    key(p) = (table, *slab).  A row of Theorem 4 or 5 holds one such row
+    per reading, printed first, and an identity reads its own.  rows reads
+    the slab's table once, at max(ns) + lead; key looks the table up when
+    it is called.  The tables of Theorems 3 to 5 hold rows to order - 2
+    (lead 2): their default grids end at n = 6, so their first tables, at
+    `_slab`'s first order 8, hold no row past the grid."""
     def rows(p, ns):
         table, *slab = key(p)
-        picked = list(map(_slab(table, max(ns) + lead, *slab).__getitem__, ns))
-        if paired:
-            return tuple(zip(*(picked if reading is None else map(itemgetter(reading), picked))))
-        a, _, den = _slab(_A_rows, max(ns), p["r"], p["k"])
-        return (list(map(a.__getitem__, ns)), [den] * len(ns), *zip(*picked))
+        picked = map(_slab(table, max(ns) + lead, *slab).__getitem__, ns)
+        return tuple(zip(*(picked if reading is None else map(itemgetter(reading), picked))))
 
     return rows
 
@@ -599,10 +742,12 @@ def _narumi_bernoulli_table(order, r) -> tuple:
 
 
 def _eq17_table(order, r, k) -> tuple:
-    """The right sides S_0 .. S_order of (17), `umbral.sheffer_by_gf`'s
-    rows for the mixed pair (r, k) at the table's order, exact through it."""
+    """(17)'s rows for one (r, k), n = 0..order: A_n against S_n,
+    `umbral.sheffer_by_gf`'s rows for the mixed pair (r, k) at the table's
+    order, exact through it."""
+    rows, _, den = _slab(_A_rows, order, r, k)
     pair = mixed_pair(r, k, order)
-    return tuple([_side(sheffer_by_gf(pair, n)) for n in range(order + 1)])
+    return tuple([(rows[n], den, *_side(sheffer_by_gf(pair, n))) for n in range(order + 1)])
 
 
 def _eq25_table(order) -> tuple:
@@ -681,21 +826,21 @@ _DEFS: dict[str, IdentityDef] = {
         ("EQ34", _NRK, _dom_r_nonneg, _GRID_R4,
          _table(lambda p: (_thm2_table, _composition_values, p["r"], p["k"]))),
         ("EQ35", _NRK, _dom_none, _GRID_R6,
-         _table(lambda p: (_eq35_table, p["r"], p["k"]), paired=True)),
+         _table(lambda p: (_eq35_table, p["r"], p["k"]))),
         ("EQ36", _NRK, _dom_n_pos, _GRID_R6,
-         _table(lambda p: (_eq36_table, p["r"], p["k"]), paired=True)),
+         _table(lambda p: (_eq36_table, p["r"], p["k"]))),
         ("THM3", _NRK, _dom_none, _GRID_N6,
-         _table(lambda p: (_thm3_table, p["r"], p["k"]), paired=True, lead=2)),
+         _table(lambda p: (_thm3_table, p["r"], p["k"]), lead=2)),
         ("THM4", _NRK, _dom_n_pos, _GRID_N6,
-         _table(lambda p: (_thm4_table, p["r"], p["k"]), paired=True, lead=2, reading=0)),
+         _table(lambda p: (_thm4_table, p["r"], p["k"]), lead=2, reading=0)),
         ("THM4_VARIANT", _NRK, _dom_n_pos, _GRID_N6,
-         _table(lambda p: (_thm4_table, p["r"], p["k"]), paired=True, lead=2, reading=1)),
+         _table(lambda p: (_thm4_table, p["r"], p["k"]), lead=2, reading=1)),
         ("THM5", _NMRK, _dom_thm5, _GRID_THM5,
-         _table(lambda p: (_thm5_table, p["m"], p["r"], p["k"]), paired=True, lead=2, reading=0)),
+         _table(lambda p: (_thm5_table, p["m"], p["r"], p["k"]), lead=2, reading=0)),
         ("THM5_VARIANT", _NMRK, _dom_thm5, _GRID_THM5,
-         _table(lambda p: (_thm5_table, p["m"], p["r"], p["k"]), paired=True, lead=2, reading=1)),
+         _table(lambda p: (_thm5_table, p["m"], p["r"], p["k"]), lead=2, reading=1)),
         ("EQ52", _NRK, _dom_none, _GRID_R6,
-         _table(lambda p: (_eq52_table, p["r"], p["k"]), paired=True)),
+         _table(lambda p: (_eq52_table, p["r"], p["k"]))),
         ("THM6", ("n", "r", "k", "s"), _dom_none, _GRID_THM6,
          _table(lambda p: (_thm6_table, p["r"], p["k"], p["s"]))),
         ("THM7", ("n", "r", "k", "s", "lam"), _dom_thm7, _GRID_THM7, _table(lambda p: (
@@ -703,11 +848,11 @@ _DEFS: dict[str, IdentityDef] = {
         ("THM8", _NRK, _dom_none, _GRID_R6, _table(lambda p: (_thm8_table, p["r"], p["k"]))),
         ("NARUMI_BERNOULLI", ("n", "r"), _dom_none,
          GridSpec(tuple(range(11)), (-3, -2, -1, 0, 1, 2, 3)),
-         _table(lambda p: (_narumi_bernoulli_table, p["r"]), paired=True)),
+         _table(lambda p: (_narumi_bernoulli_table, p["r"]))),
         ("SHEFFER_PAIR_EQ17", _NRK, _dom_none, _GRID_R4._replace(k_values=(-1, 0, 1, 2)),
          _table(lambda p: (_eq17_table, p["r"], p["k"]))),
         ("ASSOC_EQ25", ("n",), _dom_none, GridSpec(tuple(range(11))),
-         _table(lambda p: (_eq25_table,), paired=True)),
+         _table(lambda p: (_eq25_table,))),
     )
 }
 
@@ -745,23 +890,26 @@ def _poly_strings(side) -> list:
 
 def _same_rows(lefts, left_dens, rights, right_dens) -> bool:
     """Whether a/da = b/db, i.e. a db = b da, for every row of two sides
-    given side by side (`_table`).  Where each a is as long as its b, the
-    rows' concatenations are compared in one pass at C speed, each
-    coefficient times its own row's other denominator (or, with one
+    given side by side (`_table`).  Sides equal as given, such as the
+    0 = 0 rows of `_AGREED`, agree at once.  Where each a is as long as
+    its b, the rows' concatenations are compared in one pass at C speed,
+    each coefficient times its own row's other denominator (or, with one
     denominator a side, all of them times it), up to the first that
     differs; else row by row, the shorter list padded with zeros, so that
     no row runs into the next."""
+    if lefts == rights and left_dens == right_dens:
+        return True
     widths = list(map(len, lefts))
     if widths != list(map(len, rights)):
         return all(x * db == y * da for a, da, b, db in zip(lefts, left_dens, rights, right_dens)
                    for x, y in zip_longest(a, b, fillvalue=0))
     if len(set(left_dens)) == len(set(right_dens)) == 1:
-        widths, left_dens, right_dens = [sum(widths)], left_dens[:1], right_dens[:1]
-
-    def scaled(sides, dens):
-        return map(_times, chain.from_iterable(sides), chain.from_iterable(map(repeat, dens, widths)))
-
-    return all(map(eq, scaled(lefts, right_dens), scaled(rights, left_dens)))
+        left_dens, right_dens = repeat(left_dens[0]), repeat(right_dens[0])
+    else:
+        left_dens, right_dens = [chain.from_iterable(map(repeat, dens, widths))
+                                 for dens in (left_dens, right_dens)]
+    return all(map(eq, map(_times, chain.from_iterable(lefts), right_dens),
+                   map(_times, chain.from_iterable(rights), left_dens)))
 
 
 # fixed: kept only so reports match perfbench/reports.json until ROADMAP item 2's re-record
@@ -843,10 +991,10 @@ class VerificationReport:
 # json.dumps with `indent` runs the stdlib's pure-Python encoder, which on a
 # verify-all report costs more than most identities.  report_text writes the
 # same bytes from a report's runs: json.dumps lays out the document's frame
-# and one %-template per entry shape (pass, skipped, fail) from a sample
-# entry with the sentinel _SLOT in every slot; a run fills the point's
-# slab values (and a skip's reason) once, leaving n, so that a point costs
-# one % of its n.  It takes what `verify` makes: n first in the point, the
+# and, once per process, one %-template per entry shape (pass, skipped,
+# fail), point keys and depth from a sample entry with the sentinel _SLOT
+# in every slot; a run fills the point's slab values (and a skip's reason)
+# once, leaving n, so that a point costs one % of its n.  It takes what `verify` makes: n first in the point, the
 # other point values ints or strs, the same point keys throughout.
 
 _SLOT = "\x00"
@@ -868,23 +1016,28 @@ def _json_list(strings, nl: str) -> str:
     return "[" + nl + ("," + nl).join(map(encode_basestring_ascii, strings)) + nl[:-2] + "]"
 
 
+@_memoized
+def _template(depth: int, point_keys: tuple, verdict: str, *keys) -> str:
+    """The %-template of an entry `depth` levels deep, laid out once per
+    process: json.dumps(indent=2) of a sample entry with %s in every slot."""
+    sample = {"point": dict.fromkeys(point_keys, _SLOT), "verdict": verdict,
+              **dict.fromkeys(keys, _SLOT)}
+    return _dumps_at(sample, depth).replace(_SLOT_JSON, "%s")
+
+
 def _document_text(report, depth: int) -> str:
     """One report from `verify`, `depth` levels deep, written from its runs:
     each run's entries, every width-th in grid order, from the templates
-    of the document filled with the run's slab."""
+    of its entry shapes filled with the run's slab."""
     head, tail = _dumps_at(report._document(_SLOT), depth).split(_SLOT_JSON)
     if not report.runs:
         return head + "[]" + tail
     nl, item_nl = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 4)
     ns, width = report.grid.n_values, len(report.runs)
-    point = dict.fromkeys(("n", *report.runs[0][0]), _SLOT)
-    templates = {}
+    point_keys = ("n", *report.runs[0][0])
 
     def template(verdict, *keys):
-        if verdict not in templates:
-            sample = {"point": point, "verdict": verdict, **dict.fromkeys(keys, _SLOT)}
-            templates[verdict] = _dumps_at(sample, depth + 2).replace(_SLOT_JSON, "%s")
-        return templates[verdict]
+        return _template(depth + 2, point_keys, verdict, *keys)
 
     texts = [None] * (len(ns) * width)
     for j, (shown, first, reason, fails) in enumerate(report.runs):

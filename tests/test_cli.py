@@ -550,28 +550,31 @@ def test_help_exits_zero(capsys):
     assert "table" in out and "verify" in out
 
 
-def _failing_thm8_table(order, r, k):
-    """Theorem 8's right sides all 2, which no A_n equals."""
-    return tuple([((2,), 1)] * (order + 1))
+def _failing_thm8_values(order, r, k, c):
+    """A's values all 2 in Theorem 8's right sides, which then differ from
+    A_0 = 1 at n = 0."""
+    return (2,) * (order + 1), 1
 
 
-def _raising_thm8_table(order, r, k):
-    raise RuntimeError("table blew up")
+def _raising_thm8_values(order, r, k, c):
+    raise RuntimeError("values blew up")
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-@pytest.mark.parametrize("argv, table, code", [
+@pytest.mark.parametrize("argv, values, code", [
     (["verify", "thm8", "--n-max", "3"], None, 0),
     # THM8 is no variant id, so its failure sets the exit code
-    (["verify", "thm8", "--n-max", "3"], _failing_thm8_table, 1),
+    (["verify", "thm8", "--n-max", "3"], _failing_thm8_values, 1),
     (["verify", "thm1", "--r", "3..1"], None, 2),
-    (["verify", "thm8", "--n-max", "3"], _raising_thm8_table, 4),
+    (["verify", "thm8", "--n-max", "3"], _raising_thm8_values, 4),
 ], ids=["exit-0", "exit-1", "exit-2", "exit-4"])
 def test_main_pauses_the_collector_and_restores_the_callers_state(
-    capsys, monkeypatch, enabled, argv, table, code
+    capsys, monkeypatch, enabled, argv, values, code
 ):
-    if table is not None:
-        monkeypatch.setattr(idn, "_thm8_table", table)
+    if values is not None:
+        # an empty memo, so that Theorem 8's tables are built from these values
+        monkeypatch.setattr(fam, "_memo", {})
+        monkeypatch.setattr(idn, "_A_values", values)
     seen, verify = [], idn.verify
 
     def recording_verify(*args, **kwargs):
@@ -625,3 +628,13 @@ def test_verify_all_matches_the_recorded_default_report():
     out = cold_verify("all", "--jobs", "1")
     assert out.returncode == 0, out.stderr.decode()
     assert hashlib.sha256(out.stdout).hexdigest() == recorded
+
+
+def test_verify_all_to_n_16_matches_its_recorded_report():
+    # n to 16 takes Theorems 2, 6, 7 and 8 and (32) and (34) from one chunk
+    # image per row at order 8 to several at order 16; the sha256 is that of
+    # the report written when every coefficient had its own dot product
+    out = cold_verify("all", "--n-max", "16")
+    assert out.returncode == 0, out.stderr.decode()
+    assert hashlib.sha256(out.stdout).hexdigest() == (
+        "d9c84a54d65698d6ffcec19292334bf06fef0452e25d466f66fbb464f021314d")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from math import lcm
 from operator import mul as times
 
 from polycauchy.algebra import Polynomial, poly_shift, rising_factorial
-from polycauchy.families import bernoulli_poly, mixed_A, narumi
+from polycauchy.families import bernoulli_poly, mixed_A, narumi, sheffer_rows
 from polycauchy import families
 from polycauchy import identities as idn
 from polycauchy.identities import GridSpec, verify, verify_variants
@@ -46,7 +47,7 @@ def table_pairs(identity):
     return lambda p: [(row[:2], row[2:]) for row in zip(*rows(p, [p["n"]]))]
 
 
-def test_thm8_rhs_example():
+def test_thm8_rhs_example(written_out):
     (lhs, rhs), = reduced(table_pairs("THM8")({"n": 2, "r": 1, "k": 1}))
     # A_2 - 2 A_1 x^(1) + A_0 x^(2) with A_2 = 1/6, A_1 = 1, A_0 = 1
     assert rhs == Polynomial((F(1, 6), -1, 1))
@@ -519,14 +520,14 @@ def cold_memo():
     families._memo.clear()
 
 
-def bumped_table(build):
-    """_thm8_table with row 3 of the slab (1, -1) raised by 1."""
-    def bumped(order, r, k):
-        sides = list(build(order, r, k))
-        if (r, k) == (1, -1):
-            (c, *rest), den = sides[3]
-            sides[3] = ((c + den, *rest), den)
-        return tuple(sides)
+def bumped_values(build):
+    """_A_values with A_5(0) of the slab (1, -1) raised by 1: Theorem 8's
+    right side s_n gains C(n, 5) p_(n-5), first at n = 5."""
+    def bumped(order, r, k, c):
+        values, den = build(order, r, k, c)
+        if (r, k, c) == (1, -1, 0):
+            values = (*values[:5], values[5] + den, *values[6:])
+        return values, den
     return bumped
 
 
@@ -541,18 +542,20 @@ def bumped_rows(build):
     return bumped
 
 
-@pytest.mark.parametrize("builder, bump", [("_thm8_table", bumped_table), ("_A_rows", bumped_rows)])
-def test_perturbed_slab_row_fails_only_its_point(builder, bump, monkeypatch, cold_memo):
+@pytest.mark.parametrize("builder, bump, n", [("_A_values", bumped_values, 5),
+                                             ("_A_rows", bumped_rows, 3)],
+                         ids=["_A_values-bumped_values", "_A_rows-bumped_rows"])
+def test_perturbed_slab_row_fails_only_its_point(builder, bump, n, monkeypatch, cold_memo):
     # the deciders look both builders up when they are called, so a
     # patched one reaches them
     monkeypatch.setattr(idn, builder, bump(getattr(idn, builder)))
     grid = GridSpec(n_values=tuple(range(6)), r_values=(0, 1), k_values=(-1, 0))
     report = verify("THM8", grid)
-    point = {"n": 3, "r": 1, "k": -1}
+    point = {"n": n, "r": 1, "k": -1}
     assert [e["point"] for e in report.results if e["verdict"] != "pass"] == [point]
     entry = next(e for e in report.results if e["point"] == point)
     assert entry["verdict"] == "fail"
-    (row,) = zip(*idn._DEFS["THM8"].rows(point, [3]))
+    (row,) = zip(*idn._DEFS["THM8"].rows(point, [n]))
     assert entry == idn._entry(*row, point)
 
 
@@ -572,6 +575,135 @@ def test_slab_rows_are_padded_row_by_row():
     # one denominator a side
     assert same([((a, b), 1, (2 * a, 2 * b), 2), ((c,), 1, (2 * c,), 2)])
     assert not same([((a, b), 1, (2 * a, 2 * b), 2), ((c,), 1, (c,), 2)])
+
+
+# -- row images ----------------------------------------------------------------
+#
+# The Sheffer-sum tables decide a slab on the rows' images at x = 2^B.  The
+# coefficient route they replace, `sheffer_rows` over the columns themselves
+# and `_same_rows` row by row, is the reference here.
+
+
+@pytest.mark.parametrize("width", [64, 128, 1024])
+def test_pack_and_unpack_round_trip(width):
+    rng, top = random.Random(width), (1 << (width - 1)) - 1
+    rows = [[], [0], [0, 0, 0], [top, -top, 0, top], [-top], [5, -7, 0, 0], [0, 0, -1]]
+    for _ in range(50):
+        bits = rng.randrange(1, width)
+        row = [rng.randrange(-(1 << bits) + 1, 1 << bits) for _ in range(rng.randrange(1, 12))]
+        rows.append(row + [0] * rng.randrange(3))
+    for row in rows:
+        assert idn._unpack(idn._pack(row, width), width, len(row)) == row, row
+        for per in range(1, len(row) + 2):
+            chunks = idn._chunks(row, width, per)
+            assert len(chunks) == -(-len(row) // per)
+            got = [c for image in chunks for c in idn._unpack(image, width, per)]
+            assert got[: len(row)] == row and not any(got[len(row):]), (row, per)
+
+
+ORDER = 12
+
+# a whole row to a chunk image, and one x-power to a chunk
+BUDGETS = pytest.mark.parametrize("budget", [idn._BUDGET, 1])
+
+
+def test_width_is_the_smallest_power_of_two_two_bits_past_the_bound():
+    # A_n db - s_n da is below 2^(need + 1), need the larger of A's bound
+    # a_bits + bits(db) and the sums' n + v + p + bits(da); B >= need + 3
+    assert idn._width(0, 0, 1, 60, 1, 0, 1) == 64
+    assert idn._width(0, 0, 1, 61, 1, 0, 1) == 128
+    assert idn._width(8, 20, 1, 1, 1, 32, 3) == 64
+    assert idn._width(8, 20, 1, 1, 1, 33, 3) == 128
+    assert idn._width(8, 20, 1 << 70, 1, 1, 1, 1) == 128
+    assert idn._width(64, 600, -7, 1, 1 << 300, 600, 5) == 2048
+
+
+def random_rows(seed) -> tuple:
+    """(values, vden, columns, pden, rows, den): Sheffer values and
+    columns (p_j of degree j) of mixed bit lengths, and rows of A that
+    agree with the Sheffer sums but for every third n; for an odd seed,
+    rows of A far smaller than the sums, so that only the bound on the
+    sums makes their images exact."""
+    rng = random.Random(seed)
+    values = [rng.choice((0, 1, -1)) * rng.randrange(1 << rng.randrange(1, 300))
+              for _ in range(ORDER + 1)]
+    vden = rng.choice((1, -3, 7 << 90))
+    cols = tuple(tuple(rng.randrange(-(1 << b), 1 << b) if j >= i and (b := rng.randrange(200)) else 0
+                       for j in range(ORDER + 1)) for i in range(ORDER + 1))
+    pden = rng.randrange(1, 1 << 40)
+    scale = rng.randrange(1, 1 << 20)
+    rows = []
+    for n, right in enumerate(families.sheffer_rows(values, cols, range(ORDER + 1))):
+        row = [scale * c for c in right]
+        if n % 3 == 2:
+            row[rng.randrange(n + 1)] += rng.choice((1, -1)) << rng.randrange(64)
+        rows.append(tuple(row) if seed % 2 == 0 else (1,) * (n + 1))
+    return values, vden, cols, pden, tuple(rows), scale * vden * pden if seed % 2 == 0 else 1
+
+
+def random_columns(order, seed) -> tuple:
+    _, _, cols, pden, _, _ = random_rows(seed)
+    return cols, pden
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_image_decision_matches_the_coefficient_route(seed, monkeypatch):
+    monkeypatch.setattr(families, "_memo", {})
+    values, vden, cols, pden, rows, den = random_rows(seed)
+    a_cols = tuple(zip(*(row + (0,) * (ORDER - n) for n, row in enumerate(rows))))
+    monkeypatch.setattr(idn, "_A_rows", lambda order, r, k: (rows, a_cols, den))
+    args = (ORDER, 0, 0, values, vden, random_columns, seed)
+    rights = families.sheffer_rows(values, cols, range(ORDER + 1))
+    want = [(a, den, b, vden * pden) for a, b in zip(rows, rights)]
+    agree = [idn._same_rows(*zip(row)) for row in want]
+    assert agree.count(False) == (4 if seed % 2 == 0 else ORDER + 1)
+    width = idn._sheffer_images(*args)[0]
+    # from one x-power a chunk to a whole row in one chunk
+    for per in range(1, ORDER + 2):
+        monkeypatch.setattr(idn, "_BUDGET", width * per)
+        images = idn._sheffer_images(*args)
+        assert images[:2] == (width, per)
+        assert idn._decoded(ORDER, 0, 0, images) == [(a, da, list(b), db) for a, da, b, db in want]
+        table = idn._sheffer_table(*args)
+        assert [row == idn._AGREED for row in table] == agree, per
+        assert [list(row[2]) for row in table if row != idn._AGREED] == [
+            list(b) for (_, _, b, _), ok in zip(want, agree) if not ok]
+
+
+def thm8_coefficient_route(p, ns) -> list:
+    """Theorem 8's rows at slab p as the coefficient route forms them:
+    `sheffer_rows` of A's values at 0 over the columns of (-x)_j."""
+    rows, _, den = idn._slab(idn._A_rows, max(ns), p["r"], p["k"])
+    values, vden = idn._slab(idn._A_values, max(ns), p["r"], p["k"], 0)
+    rights = sheffer_rows(values, idn._slab(idn._associated, max(ns), "-log"), ns)
+    return [(rows[n], den, right, vden) for n, right in zip(ns, rights)]
+
+
+def raised_column(build):
+    """(-x)_j with [x^2] of (-x)_6 raised by 1: s_n gains C(n, 6) A_(n-6)(0) x^2."""
+    def raised(order, delta):
+        cols = build(order, delta)
+        return (*cols[:2], (*cols[2][:6], cols[2][6] + 1, *cols[2][7:]), *cols[3:])
+    return raised
+
+
+@BUDGETS
+@pytest.mark.parametrize("builder, perturb", [
+    ("_A_rows", bumped_rows), ("_A_values", bumped_values), ("_associated", raised_column)])
+def test_perturbed_inputs_fail_as_on_the_coefficient_route(
+        builder, perturb, budget, monkeypatch, cold_memo):
+    monkeypatch.setattr(idn, "_BUDGET", budget)
+    monkeypatch.setattr(idn, builder, perturb(getattr(idn, builder)))
+    grid = GridSpec(n_values=tuple(range(13)), r_values=(0, 1), k_values=(-1, 2))
+    report = verify("THM8", grid)
+    assert report.totals["fail"] > 0
+    want = []
+    for r, k in itertools.product(grid.r_values, grid.k_values):
+        p = {"r": r, "k": k}
+        rows = thm8_coefficient_route(p, list(grid.n_values))
+        want += [idn._entry(*row, {"n": n, **p}) for n, row in zip(grid.n_values, rows)]
+    # the report lists n slowest
+    assert report.results == sorted(want, key=lambda e: e["point"]["n"])
 
 
 # -- one run per slab ----------------------------------------------------------
@@ -641,13 +773,13 @@ def test_results_match_the_point_by_point_harness(identity):
 
 
 def test_failing_slab_results_match_the_point_by_point_harness(monkeypatch, cold_memo):
-    monkeypatch.setattr(idn, "_thm8_table", bumped_table(idn._thm8_table))
+    monkeypatch.setattr(idn, "_A_values", bumped_values(idn._A_values))
     grid = GridSpec(n_values=(5, 3, 0), r_values=(0, 1), k_values=(-1, 0))
     report = verify("THM8", grid)
     assert report.totals == {"pass": 11, "fail": 1, "skipped": 0}
     assert report.results == point_by_point("THM8", grid)
     (failing,) = [run for run in report.runs if run[3]]
-    assert failing[0] == {"r": 1, "k": -1} and list(failing[3]) == [3]
+    assert failing[0] == {"r": 1, "k": -1} and list(failing[3]) == [5]
 
 
 @pytest.mark.parametrize("identity", idn.IDENTITY_IDS)
@@ -665,25 +797,36 @@ def test_each_domain_answers_once_per_slab(identity, monkeypatch):
 _THM8_SLAB = GridSpec(n_values=(0, 1, 2, 3), r_values=(1,), k_values=(1,))
 
 
-def test_table_rows_with_trailing_zeros_pass_by_slab(monkeypatch, cold_memo):
-    table = idn._thm8_table
-    monkeypatch.setattr(idn, "_thm8_table", lambda order, r, k: tuple(
-        ((*num, 0, 0), den) for num, den in table(order, r, k)))
+def test_table_rows_with_trailing_zeros_pass_by_slab(monkeypatch):
+    build = idn._A_rows
+
+    def padded(order, r, k):
+        rows, cols, den = build(order, r, k)
+        return tuple((*row, 0, 0) for row in rows), cols, den
+
+    monkeypatch.setattr(idn, "_A_rows", padded)
     monkeypatch.setattr(idn, "_entry", lambda *args: pytest.fail("an entry was written alone"))
-    assert verify("THM8", _THM8_SLAB).totals == {"pass": 4, "fail": 0, "skipped": 0}
+    # a whole row to a chunk image, and one x-power to a chunk
+    for budget in (idn._BUDGET, 1):
+        monkeypatch.setattr(families, "_memo", {})
+        monkeypatch.setattr(idn, "_BUDGET", budget)
+        assert verify("THM8", _THM8_SLAB).totals == {"pass": 4, "fail": 0, "skipped": 0}
 
 
-def test_table_rows_equal_only_once_flattened_fail(monkeypatch, cold_memo):
+def test_table_rows_equal_only_once_flattened_fail(monkeypatch):
     # A_1 and A_2's rows, split as [a], [b, c, d, e] instead of [a, b], [c, d, e]
-    def resplit(order, r, k):
-        rows, _, den = idn._A_rows(order, r, k)
-        sides = [(row, den) for row in rows]
-        sides[1], sides[2] = (rows[1][:1], den), ((rows[1][1], *rows[2]), den)
-        return tuple(sides)
+    build = idn._A_rows
 
-    monkeypatch.setattr(idn, "_thm8_table", resplit)
-    verdicts = [e["verdict"] for e in verify("THM8", _THM8_SLAB).results]
-    assert verdicts == ["pass", "fail", "fail", "pass"]
+    def resplit(order, r, k):
+        rows, cols, den = build(order, r, k)
+        return (rows[0], rows[1][:1], (rows[1][1], *rows[2]), *rows[3:]), cols, den
+
+    monkeypatch.setattr(idn, "_A_rows", resplit)
+    for budget in (idn._BUDGET, 1):
+        monkeypatch.setattr(families, "_memo", {})
+        monkeypatch.setattr(idn, "_BUDGET", budget)
+        verdicts = [e["verdict"] for e in verify("THM8", _THM8_SLAB).results]
+        assert verdicts == ["pass", "fail", "fail", "pass"]
 
 
 @pytest.mark.parametrize("identity, table", [("THM1", "_thm1_table"), ("EQ34", "_thm2_table")])

@@ -147,7 +147,7 @@ def thm2_reference(n, r, k, a_number):
         ("EQ34", composition_a, [r for r in RS if r >= 0]),
     ],
 )
-def test_thm2_family_matches_the_coefficient_formula(identity, a_number, rs):
+def test_thm2_family_matches_the_coefficient_formula(identity, a_number, rs, written_out):
     evaluator = table_pairs(identity)
     cached = lru_cache(maxsize=None)(a_number)
     for r, k, n in product(rs, KS, SLAB_NS):
@@ -450,7 +450,7 @@ def test_thm1_table_matches_the_cubic_sum():
             (tuple(sum(s1[n][m] * R[m][j] for m in range(j, n + 1)) for j in range(n + 1)), d * qden)
             for n in range(order + 1)
         )
-        assert idn._thm1_table(order, r, k) == table, (order, r, k)
+        assert tuple(row[2:] for row in idn._thm1_table(order, r, k)) == table, (order, r, k)
 
 
 def test_rows_at_a_shift_from_the_values_there_match_poly_shift():
@@ -539,29 +539,28 @@ def thm8_reference(n, r, k):
     return [(mixed_A(n, r, k), binomial_reference(n, values, coeffs))]
 
 
-def test_thm8_rows_match_the_per_point_formula():
+def test_thm8_rows_match_the_per_point_formula(written_out):
     for r, k, n in product(RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k}
         assert pairs(table_pairs("THM8")(p)) == thm8_reference(n, r, k), p
 
 
 @pytest.mark.parametrize("s", range(4))
-def test_thm6_rows_match_the_per_point_formula(s):
+def test_thm6_rows_match_the_per_point_formula(s, written_out):
     for r, k, n in product(RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k, "s": s}
         assert pairs(table_pairs("THM6")(p)) == thm6_reference(n, r, k, s), p
 
 
 @pytest.mark.parametrize("s", range(4))
-def test_thm7_rows_match_the_per_point_formula(s):
+def test_thm7_rows_match_the_per_point_formula(s, written_out):
     for lam, r, k, n in product(LAMBDAS, RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k, "s": s, "lam": lam}
         assert pairs(table_pairs("THM7")(p)) == thm7_reference(n, r, k, s, lam), p
 
 
-def test_a_slab_table_is_regrown_whole():
+def test_a_slab_table_is_regrown_whole(written_out):
     key = (idn._thm7_table, 2, -1, 3, -1, 3)
-    families._memo.pop(key, None)
     p = {"n": 3, "r": 2, "k": -1, "s": 3, "lam": F(-1, 3)}
     assert pairs(table_pairs("THM7")(p)) == thm7_reference(3, 2, -1, 3, F(-1, 3))
     assert families._memo[key][0] == 8

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from polycauchy import cli
+from polycauchy import families
 from polycauchy import identities as idn
 from polycauchy.identities import IDENTITY_IDS, GridSpec, VerificationReport, report_text, verify
 
@@ -122,8 +123,9 @@ def test_an_empty_report():
 
 
 def test_one_template_per_entry_shape(monkeypatch):
-    # json.dumps lays out the document's frame and one template per shape
-    # (pass, fail and skipped); every entry is written from its template
+    # json.dumps lays out each document's frame, and one template per entry
+    # shape (pass, fail and skipped) and depth once per process; every
+    # entry is written from its template
     real_dumps_at, dumped = idn._dumps_at, []
 
     def dumps_at(value, depth):
@@ -131,10 +133,18 @@ def test_one_template_per_entry_shape(monkeypatch):
         return real_dumps_at(value, depth)
 
     report = verify("THM4", GRIDS["THM4"])
+    # the templates live in the family memo: an empty one lays them out anew
+    monkeypatch.setattr(families, "_memo", {})
     monkeypatch.setattr(idn, "_dumps_at", dumps_at)
     assert report_text(report) == reference(report)
     assert len(dumped) == 4 and dumped[0]["results"] == idn._SLOT
     assert {tuple(value) for value in dumped[1:]} == {tuple(e) for e in report.results}
+    # the same document again lays out its frame alone; a list, one level
+    # deeper, its three templates once and a frame per document
+    dumped.clear()
+    assert report_text(report) == reference(report) and len(dumped) == 1
+    dumped.clear()
+    assert report_text([report, report]) == reference([report, report]) and len(dumped) == 5
 
 
 def test_passing_grids_write_no_entry_alone(monkeypatch):
