@@ -48,18 +48,17 @@ denominators, A_n db - s_n da has coefficients below 2^(a + bits(db)) +
 2^(n + v + p + bits(da)), a, v and p the bit lengths of the largest
 |coefficient| of A's rows, |v_l| and |[x^i] P_j| (the C(n, j) add up to
 2^n); B, the smallest power of two, at least 64, that exceeds that bound
-by 2 bits, makes the comparison of the images exact, and the row's
-coefficients are the image's balanced base-2^B digits.  per = max(1,
+by 2 bits, makes the comparison of the images exact.  per = max(1,
 _BUDGET // B) consecutive x-powers go into one chunk image, so that
 `sheffer_rows`, fed the chunk images of the columns, forms row n's right
 side with one dot product per chunk; deep rows, whose B passes _BUDGET /
-2, take per = 1: one dot product per coefficient.  A row whose images
-differ carries A's row and s_n read back from the digits, so its fail
-entry is the one the coefficients give.  Theorems 4 and 5 are printed in the
-source with internal inconsistencies against their own derivations; both
-the printed reading and the derivation-faithful variant are registered,
-each row of their tables holds both, and verify_variants reports which
-one holds.
+2, take per = 1: one dot product per coefficient.  A slab whose images
+differ is rebuilt by `sheffer_rows` on the coefficient columns
+(`_coefficient_rows`), so its fail entries are the ones the coefficients
+give.  Theorems 4 and 5 are printed in the source with internal
+inconsistencies against their own derivations; both the printed reading
+and the derivation-faithful variant are registered, each row of their
+tables holds both, and verify_variants reports which one holds.
 
 `report_text` writes a report from `verify`, or a list of them, as
 ``json.dumps(document, indent=2)`` writes its `to_document()`, byte for
@@ -242,16 +241,17 @@ def _thm1_table(order, r, k) -> tuple:
 #
 # A row of integers c_i read at x = 2^B is one integer, the sum of c_i
 # 2^(B i) (Kronecker substitution: Kronecker 1882; D. Harvey, J. Symb.
-# Comp. 2009).  While every |c_i| < 2^(B-1), the row is its image's
-# balanced base-2^B digits, so rows a and b over da and db are equal iff
-# the images of a db and b da are, once B bounds every coefficient of
-# a db - b da with 2 bits to spare.  The right side s_n = sum over j of
-# C(n, j) v_(n-j) P_j has coefficients below 2^n max|v| max|P|, since the
-# C(n, j) add up to 2^n.  A slab picks B, the smallest power of two, at
-# least 64, that holds both bounds and the 2 bits, and packs per =
-# _BUDGET // B consecutive x-powers into one chunk image (per = 1 is the
-# coefficients themselves), so that `sheffer_rows` forms row n's right
-# side with one dot product per chunk, not one per coefficient.
+# Comp. 2009).  While every |c_i| < 2^(B-1), the image is 0 only for the
+# zero row, so rows a and b over da and db are equal iff the images of
+# a db and b da are, once B bounds every coefficient of a db - b da with
+# 2 bits to spare.  The right side s_n = sum over j of C(n, j) v_(n-j) P_j
+# has coefficients below 2^n max|v| max|P|, since the C(n, j) add up to
+# 2^n.  A slab picks B, the smallest power of two, at least 64, that holds
+# both bounds and the 2 bits, and packs per = _BUDGET // B consecutive
+# x-powers into one chunk image (per = 1 is the coefficients themselves),
+# so that `sheffer_rows` forms row n's right side with one dot product per
+# chunk, not one per coefficient.  A slab whose images differ is rebuilt
+# on the coefficient columns (`_coefficient_rows`).
 
 _BUDGET = 2048  # bits of x-powers in one chunk image
 
@@ -262,19 +262,6 @@ def _pack(row, width: int) -> int:
     for c in reversed(row):
         image = (image << width) + c
     return image
-
-
-def _unpack(image: int, width: int, count: int) -> list:
-    """The first `count` balanced base-2^width digits of an image: the row
-    it packs, while each |c_i| < 2^(width-1)."""
-    half, mask, digits = 1 << (width - 1), (1 << width) - 1, []
-    for _ in range(count):
-        digit = image & mask
-        if digit >= half:
-            digit -= mask + 1
-        digits.append(digit)
-        image = (image - digit) >> width
-    return digits
 
 
 def _chunks(row, width: int, per: int) -> tuple:
@@ -325,13 +312,23 @@ def _width(order, v_bits, vden, a_bits, a_den, p_bits, p_den) -> int:
     return max(64, 1 << (need + 2).bit_length())
 
 
-def _sheffer_images(order, r, k, values, vden, build, *args) -> tuple:
-    """(width, per, lefts, da, rights, db): rows n = 0..order of A's slab
-    (r, k), over da, and of s_n = the sum over j of C(n, j) v_(n-j) P_j,
-    over db, as chunk images at x = 2^width, per x-powers a chunk; v_l =
-    values[l] / vden, P_j the columns of _slab(build, order, *args).  The
-    width is checked against the bit lengths of the rows that were packed,
-    which a memo regrown meanwhile may have made longer."""
+def _coefficient_rows(order, r, k, values, vden, build, *args) -> tuple:
+    """The rows (a, da, b, db), n = 0..order, of A's slab (r, k) against
+    s_n = the sum over j of C(n, j) v_(n-j) P_j, v_l = values[l] / vden:
+    `sheffer_rows` over the coefficient columns P_j of _slab(build, order,
+    *args), which ends with (columns, pden), and db = vden pden."""
+    rows, _, den = _slab(_A_rows, order, r, k)
+    *_, cols, pden = _slab(build, order, *args)
+    rights = sheffer_rows(values, cols, range(order + 1))
+    return tuple([(a, den, b, vden * pden) for a, b in zip(rows, rights)])
+
+
+def _sheffer_table(order, r, k, values, vden, build, *args) -> tuple:
+    """The rows n = 0..order of A_n^{(r,k)} against the Sheffer sum s_n of
+    `_coefficient_rows`: all `_AGREED` where their chunk images at x =
+    2^width, per x-powers a chunk, agree, else the coefficient rows, each
+    `_AGREED` where it agrees.  The width is checked against the bit
+    lengths of the rows packed, which a regrown memo may have lengthened."""
     v_bits = max(map(abs, values[: order + 1])).bit_length()
     found = (*_slab(_top, order, _A_rows, r, k), *_slab(_top, order, build, *args))
     while True:
@@ -346,28 +343,11 @@ def _sheffer_images(order, r, k, values, vden, build, *args) -> tuple:
     # product per chunk
     rights = [right for start in range(0, order + 1, per) for right in sheffer_rows(
         values, images[: start // per + 1], range(start, min(start + per, order + 1)))]
-    return width, per, lefts[: order + 1], a[1], rights, vden * p[1]
-
-
-def _decoded(order, r, k, images) -> list:
-    """The rows (a, da, b, db), n = 0..order, of A's slab (r, k) against
-    the right sides of `_sheffer_images`, read back from their images."""
-    width, per, _, _, rights, db = images
-    rows, _, den = _slab(_A_rows, order, r, k)
-    return [(a, den, list(chain.from_iterable(_unpack(c, width, per) for c in right))[: n + 1], db)
-            for n, (a, right) in enumerate(zip(rows, rights))]
-
-
-def _sheffer_table(order, r, k, values, vden, build, *args) -> tuple:
-    """The rows n = 0..order of A_n^{(r,k)} against the Sheffer sum s_n
-    of `_sheffer_images`, decided on their images: `_AGREED` where they
-    agree, else A's row and s_n read back from its images."""
-    images = _sheffer_images(order, r, k, values, vden, build, *args)
-    _, _, lefts, da, rights, db = images
-    if _same_rows(lefts, (da,) * len(rights), rights, (db,) * len(rights)):
-        return (_AGREED,) * len(rights)
+    count = len(rights)
+    if _same_rows(lefts[: order + 1], (a[1],) * count, rights, (vden * p[1],) * count):
+        return (_AGREED,) * count
     return tuple([_AGREED if _same_rows(*zip(row)) else row
-                  for row in _decoded(order, r, k, images)])
+                  for row in _coefficient_rows(order, r, k, values, vden, build, *args)])
 
 
 def _thm2_table(order, a_values, r, k) -> tuple:

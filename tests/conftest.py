@@ -8,9 +8,21 @@ from polycauchy import identities as idn
 def written_out(monkeypatch):
     """Every row of the Sheffer-sum tables (Theorems 2, 6, 7 and 8, (32)
     and (34)) written out, agreeing or not: A's row against the right side
-    read back from the chunk images that the engine compares, so that a
+    that `_coefficient_rows` forms on the coefficient columns, so that a
     test sees the right side, not `_AGREED`.  The memo starts empty and is
-    put back afterwards."""
+    put back afterwards.
+
+    The fixture is decided(identity, p, ns): the rows of slab p at the
+    points ns from the unpatched tables, which decide them on chunk
+    images, in a memo of their own."""
     monkeypatch.setattr(families, "_memo", {})
-    monkeypatch.setattr(idn, "_sheffer_table", lambda order, r, k, *sum_args: tuple(
-        idn._decoded(order, r, k, idn._sheffer_images(order, r, k, *sum_args))))
+    image_table, image_memo = idn._sheffer_table, {}
+    monkeypatch.setattr(idn, "_sheffer_table", idn._coefficient_rows)
+
+    def decided(identity, p, ns) -> list:
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "_memo", image_memo)
+            patch.setattr(idn, "_sheffer_table", image_table)
+            return list(zip(*idn._DEFS[identity].rows(p, ns)))
+
+    return decided

@@ -579,13 +579,14 @@ def test_slab_rows_are_padded_row_by_row():
 
 # -- row images ----------------------------------------------------------------
 #
-# The Sheffer-sum tables decide a slab on the rows' images at x = 2^B.  The
-# coefficient route they replace, `sheffer_rows` over the columns themselves
-# and `_same_rows` row by row, is the reference here.
+# The Sheffer-sum tables decide a slab on the rows' images at x = 2^B, and
+# rebuild a slab whose images differ on the coefficient route,
+# `_coefficient_rows`: `sheffer_rows` over the columns themselves and
+# `_same_rows` row by row, the reference here.
 
 
 @pytest.mark.parametrize("width", [64, 128, 1024])
-def test_pack_and_unpack_round_trip(width):
+def test_pack_is_the_image_at_a_power_of_two(width):
     rng, top = random.Random(width), (1 << (width - 1)) - 1
     rows = [[], [0], [0, 0, 0], [top, -top, 0, top], [-top], [5, -7, 0, 0], [0, 0, -1]]
     for _ in range(50):
@@ -593,12 +594,13 @@ def test_pack_and_unpack_round_trip(width):
         row = [rng.randrange(-(1 << bits) + 1, 1 << bits) for _ in range(rng.randrange(1, 12))]
         rows.append(row + [0] * rng.randrange(3))
     for row in rows:
-        assert idn._unpack(idn._pack(row, width), width, len(row)) == row, row
+        image = idn._pack(row, width)
+        assert image == sum(c << (width * i) for i, c in enumerate(row)), row
         for per in range(1, len(row) + 2):
             chunks = idn._chunks(row, width, per)
             assert len(chunks) == -(-len(row) // per)
-            got = [c for image in chunks for c in idn._unpack(image, width, per)]
-            assert got[: len(row)] == row and not any(got[len(row):]), (row, per)
+            # chunk m holds the x-powers from per m on
+            assert sum(c << (width * per * m) for m, c in enumerate(chunks)) == image, (row, per)
 
 
 ORDER = 12
@@ -646,6 +648,11 @@ def random_columns(order, seed) -> tuple:
     return cols, pden
 
 
+def chunking() -> list:
+    """The (width, per) of every set of A's row images in the memo."""
+    return [key[1:3] for key in families._memo if key[0] is idn._row_images]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_image_decision_matches_the_coefficient_route(seed, monkeypatch):
     monkeypatch.setattr(families, "_memo", {})
@@ -654,29 +661,37 @@ def test_image_decision_matches_the_coefficient_route(seed, monkeypatch):
     monkeypatch.setattr(idn, "_A_rows", lambda order, r, k: (rows, a_cols, den))
     args = (ORDER, 0, 0, values, vden, random_columns, seed)
     rights = families.sheffer_rows(values, cols, range(ORDER + 1))
-    want = [(a, den, b, vden * pden) for a, b in zip(rows, rights)]
+    want = tuple([(a, den, b, vden * pden) for a, b in zip(rows, rights)])
+    assert idn._coefficient_rows(*args) == want
     agree = [idn._same_rows(*zip(row)) for row in want]
     assert agree.count(False) == (4 if seed % 2 == 0 else ORDER + 1)
-    width = idn._sheffer_images(*args)[0]
+    idn._sheffer_table(*args)
+    ((width, _),) = chunking()
     # from one x-power a chunk to a whole row in one chunk
     for per in range(1, ORDER + 2):
+        monkeypatch.setattr(families, "_memo", {})
         monkeypatch.setattr(idn, "_BUDGET", width * per)
-        images = idn._sheffer_images(*args)
-        assert images[:2] == (width, per)
-        assert idn._decoded(ORDER, 0, 0, images) == [(a, da, list(b), db) for a, da, b, db in want]
         table = idn._sheffer_table(*args)
+        assert chunking() == [(width, per)]
         assert [row == idn._AGREED for row in table] == agree, per
-        assert [list(row[2]) for row in table if row != idn._AGREED] == [
-            list(b) for (_, _, b, _), ok in zip(want, agree) if not ok]
+        # a failing table is the coefficient route's, row for row
+        assert table == tuple([idn._AGREED if ok else row for row, ok in zip(want, agree)])
 
 
-def thm8_coefficient_route(p, ns) -> list:
-    """Theorem 8's rows at slab p as the coefficient route forms them:
-    `sheffer_rows` of A's values at 0 over the columns of (-x)_j."""
-    rows, _, den = idn._slab(idn._A_rows, max(ns), p["r"], p["k"])
-    values, vden = idn._slab(idn._A_values, max(ns), p["r"], p["k"], 0)
-    rights = sheffer_rows(values, idn._slab(idn._associated, max(ns), "-log"), ns)
-    return [(rows[n], den, right, vden) for n, right in zip(ns, rights)]
+def coefficient_route(identity, p, ns) -> list:
+    """Theorem 8's or 6's rows at slab p as the coefficient route forms
+    them: `sheffer_rows` of A's values at 0 over the columns of (-x)_j, or
+    of A^{(r+s,k)}'s values at s over `_stirling_side`'s Bernoulli columns."""
+    order, r, k = max(ns), p["r"], p["k"]
+    rows, _, den = idn._slab(idn._A_rows, order, r, k)
+    if identity == "THM8":
+        values, vden = idn._slab(idn._A_values, order, r, k, 0)
+        cols, pden = idn._slab(idn._associated, order, "-log"), 1
+    else:
+        values, vden = idn._slab(idn._A_values, order, r + p["s"], k, p["s"])
+        cols, pden = idn._slab(idn._stirling_side, order, idn._bernoulli_g, p["s"])
+    rights = sheffer_rows(values, cols, ns)
+    return [(rows[n], den, right, vden * pden) for n, right in zip(ns, rights)]
 
 
 def raised_column(build):
@@ -687,20 +702,33 @@ def raised_column(build):
     return raised
 
 
+def raised_stirling(build):
+    """`_stirling_side` with [x^1] of P_5 raised by 1 over its denominator:
+    Theorem 6's s_n gains C(n, 5) v_(n-5) x / den, first at n = 5."""
+    def raised(order, g, *params):
+        cols, den = build(order, g, *params)
+        return (cols[0], (*cols[1][:5], cols[1][5] + 1, *cols[1][6:]), *cols[2:]), den
+    return raised
+
+
 @BUDGETS
 @pytest.mark.parametrize("builder, perturb", [
-    ("_A_rows", bumped_rows), ("_A_values", bumped_values), ("_associated", raised_column)])
+    ("_A_rows", bumped_rows), ("_A_values", bumped_values), ("_associated", raised_column),
+    ("_stirling_side", raised_stirling)])
 def test_perturbed_inputs_fail_as_on_the_coefficient_route(
         builder, perturb, budget, monkeypatch, cold_memo):
     monkeypatch.setattr(idn, "_BUDGET", budget)
     monkeypatch.setattr(idn, builder, perturb(getattr(idn, builder)))
-    grid = GridSpec(n_values=tuple(range(13)), r_values=(0, 1), k_values=(-1, 2))
-    report = verify("THM8", grid)
+    # Theorem 8 sums over (-x)_j, Theorem 6 over `_stirling_side`'s columns
+    identity = "THM6" if builder == "_stirling_side" else "THM8"
+    grid = GridSpec(n_values=tuple(range(13)), r_values=(0, 1), k_values=(-1, 2), s_values=(1, 2))
+    report = verify(identity, grid)
     assert report.totals["fail"] > 0
     want = []
-    for r, k in itertools.product(grid.r_values, grid.k_values):
-        p = {"r": r, "k": k}
-        rows = thm8_coefficient_route(p, list(grid.n_values))
+    slabs = idn._DEFS[identity].axes[1:]
+    for combo in itertools.product(*map(grid.values_for, slabs)):
+        p = dict(zip(slabs, combo))
+        rows = coefficient_route(identity, p, list(grid.n_values))
         want += [idn._entry(*row, {"n": n, **p}) for n, row in zip(grid.n_values, rows)]
     # the report lists n slowest
     assert report.results == sorted(want, key=lambda e: e["point"]["n"])

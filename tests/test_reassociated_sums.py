@@ -59,6 +59,13 @@ def table_pairs(identity):
     return lambda p: [(row[:2], row[2:]) for row in zip(*rows(p, [p["n"]]))]
 
 
+def agreed_on_images(decided, identity, p, ns=SLAB_NS) -> bool:
+    """Whether the Sheffer-sum table of slab p, deciding on chunk images
+    (`written_out`'s decided), answers `_AGREED` at every n in ns: the
+    image route agrees where the written-out rows match the formula."""
+    return decided(identity, p, list(ns)) == [idn._AGREED] * len(ns)
+
+
 @lru_cache(maxsize=None)
 def A_at(n, r, k, c):
     return mixed_A(n, r, k).evaluate(c)
@@ -153,6 +160,8 @@ def test_thm2_family_matches_the_coefficient_formula(identity, a_number, rs, wri
     for r, k, n in product(rs, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k}
         assert pairs(evaluator(p)) == thm2_reference(n, r, k, cached), (identity, p)
+    for r, k in product(rs, KS):
+        assert agreed_on_images(written_out, identity, {"r": r, "k": k}), (identity, r, k)
 
 
 @pytest.mark.parametrize("r", [20, 40])
@@ -543,6 +552,8 @@ def test_thm8_rows_match_the_per_point_formula(written_out):
     for r, k, n in product(RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k}
         assert pairs(table_pairs("THM8")(p)) == thm8_reference(n, r, k), p
+    for r, k in product(RS, KS):
+        assert agreed_on_images(written_out, "THM8", {"r": r, "k": k}), (r, k)
 
 
 @pytest.mark.parametrize("s", range(4))
@@ -550,6 +561,8 @@ def test_thm6_rows_match_the_per_point_formula(s, written_out):
     for r, k, n in product(RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k, "s": s}
         assert pairs(table_pairs("THM6")(p)) == thm6_reference(n, r, k, s), p
+    for r, k in product(RS, KS):
+        assert agreed_on_images(written_out, "THM6", {"r": r, "k": k, "s": s}), (r, k)
 
 
 @pytest.mark.parametrize("s", range(4))
@@ -557,6 +570,9 @@ def test_thm7_rows_match_the_per_point_formula(s, written_out):
     for lam, r, k, n in product(LAMBDAS, RS, KS, SLAB_NS):
         p = {"n": n, "r": r, "k": k, "s": s, "lam": lam}
         assert pairs(table_pairs("THM7")(p)) == thm7_reference(n, r, k, s, lam), p
+    for lam, r, k in product(LAMBDAS, RS, KS):
+        p = {"r": r, "k": k, "s": s, "lam": lam}
+        assert agreed_on_images(written_out, "THM7", p), p
 
 
 def test_a_slab_table_is_regrown_whole(written_out):
@@ -568,6 +584,9 @@ def test_a_slab_table_is_regrown_whole(written_out):
     assert pairs(table_pairs("THM7")(p)) == thm7_reference(12, 2, -1, 3, F(-1, 3))
     order, rows = families._memo[key]
     assert order == 16 and len(rows) == 17 and type(rows) is tuple
+    # the image table of the same slab, at n = 3 and then regrown to 12
+    assert agreed_on_images(written_out, "THM7", p, [3])
+    assert agreed_on_images(written_out, "THM7", p, range(13))
 
 
 def test_cold_verify_past_the_first_table_order():
