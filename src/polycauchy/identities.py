@@ -48,14 +48,14 @@ denominators, A_n db - s_n da has coefficients below 2^(a + bits(db)) +
 2^(n + v + p + bits(da)), a, v and p the bit lengths of the largest
 |coefficient| of A's rows, |v_l| and |[x^i] P_j| (the C(n, j) add up to
 2^n); B, the smallest power of two, at least 64, that exceeds that bound
-by 2 bits, makes the comparison of the images exact.  per = max(1,
-_BUDGET // B) consecutive x-powers go into one chunk image, so that
-`sheffer_rows`, fed the chunk images of the columns, forms row n's right
-side with one dot product per chunk; deep rows, whose B passes _BUDGET /
-2, take per = 1: one dot product per coefficient.  A slab whose images
-differ is rebuilt by `sheffer_rows` on the coefficient columns
-(`_coefficient_rows`), so its fail entries are the ones the coefficients
-give.  Theorems 4 and 5 are printed in the source with internal
+by 2 bits, makes the comparison of the images exact.  A slab runs in one
+of two modes.  Where one row's image fits the budget, B (order + 1) <=
+_BUDGET, whole rows are packed, and `sheffer_rows`, fed the images of the
+P_j as one column, forms row n's right side with one dot product.  A
+deep slab, whose row image would pass _BUDGET, and a slab whose images
+differ are decided by `sheffer_rows` on the coefficient columns
+(`_coefficient_rows`), so a fail entry is the one the coefficients give.
+Theorems 4 and 5 are printed in the source with internal
 inconsistencies against their own derivations; both the printed reading
 and the derivation-faithful variant are registered, each row of their
 tables holds both, and verify_variants reports which one holds.
@@ -247,13 +247,14 @@ def _thm1_table(order, r, k) -> tuple:
 # 2 bits to spare.  The right side s_n = sum over j of C(n, j) v_(n-j) P_j
 # has coefficients below 2^n max|v| max|P|, since the C(n, j) add up to
 # 2^n.  A slab picks B, the smallest power of two, at least 64, that holds
-# both bounds and the 2 bits, and packs per = _BUDGET // B consecutive
-# x-powers into one chunk image (per = 1 is the coefficients themselves),
-# so that `sheffer_rows` forms row n's right side with one dot product per
-# chunk, not one per coefficient.  A slab whose images differ is rebuilt
-# on the coefficient columns (`_coefficient_rows`).
+# both bounds and the 2 bits.  Where one row's image fits the budget, B
+# (order + 1) <= _BUDGET, the slab packs whole rows, so that `sheffer_rows`,
+# fed the images of the P_j as one column, forms row n's right side with
+# one dot product.  A slab whose images differ, or whose row image would
+# pass the budget, is decided on the coefficient columns
+# (`_coefficient_rows`).
 
-_BUDGET = 2048  # bits of x-powers in one chunk image
+_BUDGET = 16384  # bits in one row image
 
 
 def _pack(row, width: int) -> int:
@@ -262,11 +263,6 @@ def _pack(row, width: int) -> int:
     for c in reversed(row):
         image = (image << width) + c
     return image
-
-
-def _chunks(row, width: int, per: int) -> tuple:
-    """The images of a row's consecutive chunks of `per` entries."""
-    return tuple([_pack(row[m : m + per], width) for m in range(0, len(row), per)])
 
 
 def _bits(rows) -> int:
@@ -286,24 +282,23 @@ def _top(order, build, *args) -> tuple:
     return _bits(cols), den
 
 
-def _row_images(order, width, per, r, k) -> tuple:
-    """(images, bits, den): rows 0..order of A's slab (r, k) as chunk
-    images (`_chunks`), their largest bit length and their denominator."""
+def _row_images(order, width, r, k) -> tuple:
+    """(images, bits, den): rows 0..order of A's slab (r, k) as their
+    images at x = 2^width (`_pack`), their largest bit length and their
+    denominator."""
     rows, _, den = _slab(_A_rows, order, r, k)
     rows = rows[: order + 1]
-    images = rows if per == 1 else tuple([_chunks(row, width, per) for row in rows])
-    return images, _bits(rows), den
+    return tuple([_pack(row, width) for row in rows]), _bits(rows), den
 
 
-def _column_images(order, width, per, build, *args) -> tuple:
+def _column_images(order, width, build, *args) -> tuple:
     """(images, bits, den): the columns cols[i][j], i, j <= order, of
-    _slab(build, order, *args), which ends with (columns, den), as chunk
-    images, images[m][j] the image of p_j's chunk m of x-powers; their
+    _slab(build, order, *args), which ends with (columns, den), as one
+    column of images, images[j] the image of p_j at x = 2^width; their
     largest bit length and their denominator."""
     *_, cols, den = _slab(build, order, *args)
     cols = tuple([col[: order + 1] for col in cols[: order + 1]])
-    images = cols if per == 1 else tuple(zip(*[_chunks(p, width, per) for p in zip(*cols)]))
-    return images, _bits(cols), den
+    return tuple([_pack(p, width) for p in zip(*cols)]), _bits(cols), den
 
 
 def _width(order, v_bits, vden, a_bits, a_den, p_bits, p_den) -> int:
@@ -325,29 +320,27 @@ def _coefficient_rows(order, r, k, values, vden, build, *args) -> tuple:
 
 def _sheffer_table(order, r, k, values, vden, build, *args) -> tuple:
     """The rows n = 0..order of A_n^{(r,k)} against the Sheffer sum s_n of
-    `_coefficient_rows`: all `_AGREED` where their chunk images at x =
-    2^width, per x-powers a chunk, agree, else the coefficient rows, each
-    `_AGREED` where it agrees.  The width is checked against the bit
+    `_coefficient_rows`: all `_AGREED` where the slab agrees, else the
+    coefficient rows, each `_AGREED` where it agrees.  The slab is decided
+    on its whole-row images at x = 2^width where one fits _BUDGET bits,
+    else on its coefficients.  The width is checked against the bit
     lengths of the rows packed, which a regrown memo may have lengthened."""
     v_bits = max(map(abs, values[: order + 1])).bit_length()
     found = (*_slab(_top, order, _A_rows, r, k), *_slab(_top, order, build, *args))
-    while True:
-        width = _width(order, v_bits, vden, *found)
-        per = max(1, _BUDGET // width)
-        lefts, *a = _slab(_row_images, order, width, per, r, k)
-        images, *p = _slab(_column_images, order, width, per, build, *args)
+    while (width := _width(order, v_bits, vden, *found)) * (order + 1) <= _BUDGET:
+        lefts, *a = _slab(_row_images, order, width, r, k)
+        images, *p = _slab(_column_images, order, width, build, *args)
         found = (*a, *p)
         if _width(order, v_bits, vden, *found) <= width:
+            # the slab's images as one row: one dot product per right side
+            rights = [image for image, in sheffer_rows(values, (images,), range(order + 1))]
+            if _same_rows((lefts[: order + 1],), (a[1],), (rights,), (vden * p[1],)):
+                return (_AGREED,) * (order + 1)
             break
-    # the rows n that fill q chunks read the first q chunk images: one dot
-    # product per chunk
-    rights = [right for start in range(0, order + 1, per) for right in sheffer_rows(
-        values, images[: start // per + 1], range(start, min(start + per, order + 1)))]
-    count = len(rights)
-    if _same_rows(lefts[: order + 1], (a[1],) * count, rights, (vden * p[1],) * count):
-        return (_AGREED,) * count
-    return tuple([_AGREED if _same_rows(*zip(row)) else row
-                  for row in _coefficient_rows(order, r, k, values, vden, build, *args)])
+    rows = _coefficient_rows(order, r, k, values, vden, build, *args)
+    if _same_rows(*zip(*rows)):
+        return (_AGREED,) * (order + 1)
+    return tuple([_AGREED if _same_rows(*zip(row)) else row for row in rows])
 
 
 def _thm2_table(order, a_values, r, k) -> tuple:

@@ -13,8 +13,8 @@ def written_out(monkeypatch):
     put back afterwards.
 
     The fixture is decided(identity, p, ns): the rows of slab p at the
-    points ns from the unpatched tables, which decide them on chunk
-    images, in a memo of their own."""
+    points ns from the unpatched tables, which decide them on whole-row
+    images or on their coefficients, in a memo of their own."""
     monkeypatch.setattr(families, "_memo", {})
     image_table, image_memo = idn._sheffer_table, {}
     monkeypatch.setattr(idn, "_sheffer_table", idn._coefficient_rows)

@@ -579,8 +579,9 @@ def test_slab_rows_are_padded_row_by_row():
 
 # -- row images ----------------------------------------------------------------
 #
-# The Sheffer-sum tables decide a slab on the rows' images at x = 2^B, and
-# rebuild a slab whose images differ on the coefficient route,
+# The Sheffer-sum tables decide a slab on its whole rows' images at x =
+# 2^B, or, where a row image would pass the budget, on its coefficients,
+# and rebuild a slab whose images differ on the coefficient route,
 # `_coefficient_rows`: `sheffer_rows` over the columns themselves and
 # `_same_rows` row by row, the reference here.
 
@@ -594,18 +595,12 @@ def test_pack_is_the_image_at_a_power_of_two(width):
         row = [rng.randrange(-(1 << bits) + 1, 1 << bits) for _ in range(rng.randrange(1, 12))]
         rows.append(row + [0] * rng.randrange(3))
     for row in rows:
-        image = idn._pack(row, width)
-        assert image == sum(c << (width * i) for i, c in enumerate(row)), row
-        for per in range(1, len(row) + 2):
-            chunks = idn._chunks(row, width, per)
-            assert len(chunks) == -(-len(row) // per)
-            # chunk m holds the x-powers from per m on
-            assert sum(c << (width * per * m) for m, c in enumerate(chunks)) == image, (row, per)
+        assert idn._pack(row, width) == sum(c << (width * i) for i, c in enumerate(row)), row
 
 
 ORDER = 12
 
-# a whole row to a chunk image, and one x-power to a chunk
+# whole-row images, and the coefficients
 BUDGETS = pytest.mark.parametrize("budget", [idn._BUDGET, 1])
 
 
@@ -649,8 +644,8 @@ def random_columns(order, seed) -> tuple:
 
 
 def chunking() -> list:
-    """The (width, per) of every set of A's row images in the memo."""
-    return [key[1:3] for key in families._memo if key[0] is idn._row_images]
+    """The width of every set of A's row images in the memo."""
+    return [key[1] for key in families._memo if key[0] is idn._row_images]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -665,17 +660,42 @@ def test_image_decision_matches_the_coefficient_route(seed, monkeypatch):
     assert idn._coefficient_rows(*args) == want
     agree = [idn._same_rows(*zip(row)) for row in want]
     assert agree.count(False) == (4 if seed % 2 == 0 else ORDER + 1)
+    monkeypatch.setattr(idn, "_BUDGET", 1 << 30)
     idn._sheffer_table(*args)
-    ((width, _),) = chunking()
-    # from one x-power a chunk to a whole row in one chunk
-    for per in range(1, ORDER + 2):
+    (width,) = chunking()
+    # a row image of exactly the budget, and one bit past it
+    for budget, built in ((width * (ORDER + 1), [width]), (width * (ORDER + 1) - 1, [])):
         monkeypatch.setattr(families, "_memo", {})
-        monkeypatch.setattr(idn, "_BUDGET", width * per)
+        monkeypatch.setattr(idn, "_BUDGET", budget)
         table = idn._sheffer_table(*args)
-        assert chunking() == [(width, per)]
-        assert [row == idn._AGREED for row in table] == agree, per
+        assert chunking() == built
+        assert [row == idn._AGREED for row in table] == agree, budget
         # a failing table is the coefficient route's, row for row
         assert table == tuple([idn._AGREED if ok else row for row, ok in zip(want, agree)])
+
+
+@pytest.mark.parametrize("budget, images", [(1 << 20, 1), (1, 0)])
+@pytest.mark.parametrize("seed", [0, 2])
+def test_a_passing_slab_is_decided_in_one_comparison(seed, budget, images, monkeypatch):
+    monkeypatch.setattr(families, "_memo", {})
+    monkeypatch.setattr(idn, "_BUDGET", budget)
+    values, vden, cols, pden, _, _ = random_rows(seed)
+    rows = tuple(map(tuple, families.sheffer_rows(values, cols, range(ORDER + 1))))
+    a_cols = tuple(zip(*(row + (0,) * (ORDER - n) for n, row in enumerate(rows))))
+    monkeypatch.setattr(idn, "_A_rows", lambda order, r, k: (rows, a_cols, vden * pden))
+    calls = []
+
+    def counted(name):
+        build = getattr(idn, name)
+        return lambda *args: calls.append(name) or build(*args)
+
+    for name in ("_same_rows", "_coefficient_rows"):
+        monkeypatch.setattr(idn, name, counted(name))
+    table = idn._sheffer_table(ORDER, 0, 0, values, vden, random_columns, seed)
+    assert table == (idn._AGREED,) * (ORDER + 1)
+    # on whole-row images, or on the coefficients, and compared once
+    assert len(chunking()) == images
+    assert calls == (["_same_rows"] if images else ["_coefficient_rows", "_same_rows"])
 
 
 def coefficient_route(identity, p, ns) -> list:
@@ -834,7 +854,7 @@ def test_table_rows_with_trailing_zeros_pass_by_slab(monkeypatch):
 
     monkeypatch.setattr(idn, "_A_rows", padded)
     monkeypatch.setattr(idn, "_entry", lambda *args: pytest.fail("an entry was written alone"))
-    # a whole row to a chunk image, and one x-power to a chunk
+    # whole-row images, and the coefficients
     for budget in (idn._BUDGET, 1):
         monkeypatch.setattr(families, "_memo", {})
         monkeypatch.setattr(idn, "_BUDGET", budget)

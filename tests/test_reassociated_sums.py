@@ -60,10 +60,13 @@ def table_pairs(identity):
 
 
 def agreed_on_images(decided, identity, p, ns=SLAB_NS) -> bool:
-    """Whether the Sheffer-sum table of slab p, deciding on chunk images
-    (`written_out`'s decided), answers `_AGREED` at every n in ns: the
-    image route agrees where the written-out rows match the formula."""
-    return decided(identity, p, list(ns)) == [idn._AGREED] * len(ns)
+    """Whether the Sheffer-sum table of slab p, deciding on whole-row
+    images (`written_out`'s decided), answers `_AGREED` at every n in ns
+    without the coefficient route: the image route agrees where the
+    written-out rows match the formula."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(idn, "_coefficient_rows", lambda *args: pytest.fail("left to the coefficients"))
+        return decided(identity, p, list(ns)) == [idn._AGREED] * len(ns)
 
 
 @lru_cache(maxsize=None)
