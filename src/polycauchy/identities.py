@@ -28,21 +28,23 @@ Whatever depends on fewer coordinates than a grid point is kept in the
 family memo (`families._memo`, the package's one cache): weights per
 exact arguments (`_memoized`), and the sequences of a slab for l = 0..N,
 regrown at twice the order when a larger n asks for more (`_slab`, which
-is `families._grown`): A's rows and columns, the values l! [t^l] of a
-series (`families._values`: A_l(c) and B_l^{(alpha)}(c) at an integer c,
-the poly-Cauchy numbers, the a-numbers of Theorem 2, (32) and (34)), and
-the polynomials P_j of a Sheffer binomial sum as columns.  Each right side
-is an integer dot product or a Sheffer sum over l of C(n, l) v_l P_{n-l}(x)
-(`families.sheffer_rows`, the package's one Sheffer-row kernel, whose
-weight rows are the sum itself over x^j); a family at x + c is the Sheffer
-sum of its values at c (`_A_shifted`, `_reflected_bernoulli`).  (35) is
-checked per n as an identity in x and y: both sides have y-degree at most
-n, so they agree iff they agree at y = -2..n-2, and a failing row holds
-the pair at the first y that fails.
+is `families._grown`): the row sets of the Sheffer sums, the values
+l! [t^l] of a series (`families._values`: A_l(c) and B_l^{(alpha)}(c) at
+an integer c, the poly-Cauchy numbers, the a-numbers of Theorem 2, (32)
+and (34)).  Each right side is an integer dot product or a Sheffer sum
+over l of C(n, l) v_l P_{n-l}(x) (`families.sheffer_rows`, the package's
+one Sheffer-row kernel, whose weight rows are the sum itself over x^j);
+B at x + c is the Sheffer sum of its values at c (`_reflected_bernoulli`).
+(35) is checked per n as an identity in x and y: both sides have
+y-degree at most n, so they agree iff they agree at y = -2..n-2, and a
+failing row holds the pair at the first y that fails.
 
-Theorems 2, 6, 7 and 8, (32) and (34) hold A_n against a Sheffer sum s_n =
-sum over j of C(n, j) v_(n-j) P_j, and their tables decide each row
-through its image at x = 2^B (`_sheffer_table`): a row of integers c_i
+Theorems 1, 2, 6, 7 and 8, (32) and (34) hold A_n against a Sheffer sum
+s_n = sum over j of C(n, j) v_(n-j) P_j.  Every row set they read, A's
+rows, A at x + 1 (Theorems 3 and 4 too) and the P_j, is one source
+(rows, columns, den) from one builder, `_sheffer_source`: the `-log`
+family n! [t^n] g(t) (1+t)^(-x) of a series g.  Their tables decide each
+row through its image at x = 2^B (`_sheffer_table`): a row of integers c_i
 becomes the integer sum of c_i 2^(B i).  With da and db the two sides'
 denominators, A_n db - s_n da has coefficients below 2^(a + bits(db)) +
 2^(n + v + p + bits(da)), a, v and p the bit lengths of the largest
@@ -153,22 +155,34 @@ class GridSpec(namedtuple("GridSpec", "n_values r_values k_values s_values m_val
 # points, grids and identities that ask for the same arguments.
 
 
-def _A_rows(order: int, r: int, k: int) -> tuple:
-    """(rows, columns, den): A_l^{(r,k)}, l = 0..order, over one
-    denominator, rows[l][i] = columns[i][l] the numerator of [x^i] A_l,
-    the columns zero-padded to length order + 1; the rows are `mixed_A`'s
-    over g's own denominator, all from one `families._family_rows` call."""
-    rows, den = _family_rows(range(order + 1), "-log", _mixed_g, r, k)
+def _sheffer_source(order: int, g, *params) -> tuple:
+    """(rows, columns, den): the `-log` family n! [t^n] g(t) (1+t)^(-x),
+    n = 0..order, of the series g(order, *params), from one
+    `families._family_rows` call: rows[n][i] = columns[i][n] the numerator
+    of [x^i] over den, the columns zero-padded to length order + 1; A's
+    slab, A at x + c (`_mixed_at`), (-x)_j (g = 1) or the P_j (`_stirling_g`)."""
+    rows, den = _family_rows(range(order + 1), "-log", g, *params)
     cols = tuple(zip(*(row + [0] * (order - len(row) + 1) for row in rows)))
     return tuple(map(tuple, rows)), cols, den
 
 
-def _A_values(order: int, r: int, k: int, c: int) -> tuple:
-    """A_l^{(r,k)}(c) at the integer c, l = 0..order, as numerators over
-    one denominator: the `_values` of g(t) (1+t)^(-c), g A's own factor."""
+def _A_rows(order: int, r: int, k: int) -> tuple:
+    """A_l^{(r,k)}, l = 0..order, as `_sheffer_source` of A's own factor."""
+    return _sheffer_source(order, _mixed_g, r, k)
+
+
+def _mixed_at(order: int, r: int, k: int, c: int) -> Series:
+    """g(t) (1+t)^(-c), g A's own factor: its `-log` family is A_n(x + c),
+    and its `_values` are A_l(c)."""
     # b_j = C(-c, j) = b_(j-1) (1-c-j) / j, the integer binomials of (1+t)^(-c)
     b = list(accumulate(range(1, order + 1), lambda prev, j: prev * (1 - c - j) // j, initial=1))
-    return _values(mul(_slab(_mixed_g, order, r, k).truncate(order), Series._of(b)), order)
+    return mul(_slab(_mixed_g, order, r, k).truncate(order), Series._of(b))
+
+
+def _A_values(order: int, r: int, k: int, c: int) -> tuple:
+    """A_l^{(r,k)}(c) at the integer c, l = 0..order, as numerators over
+    one denominator: the `_values` of `_mixed_at`."""
+    return _values(_slab(_mixed_at, order, r, k, c), order)
 
 
 def _B_values(order: int, alpha: int, c: int) -> tuple:
@@ -178,30 +192,16 @@ def _B_values(order: int, alpha: int, c: int) -> tuple:
     return _values(mul(_slab(_bernoulli_g, order, alpha).truncate(order), exp_ct), order)
 
 
-def _A_shifted(order: int, r: int, k: int) -> tuple:
-    """(rows, den): A_n^{(r,k)}(x + 1), n = 0..order, the sums over l of
-    C(n, l) A_l(1) (-x)_{n-l}: (35) with x and y swapped, at y = 1."""
-    values, den = _slab(_A_values, order, r, k, 1)
-    rows = sheffer_rows(values, _slab(_associated, order, "-log"), range(order + 1))
-    return tuple(map(tuple, rows)), den
-
-
-def _stirling_side(order: int, g, *params) -> tuple:
-    """(columns, den) of P_j = sum over m of (-1)^m s(j, m) p_m(x),
-    j = 0..order, with p_m = m! [t^m] g(t) e^{xt} (g(order, *params) the
-    Bernoulli or Frobenius-Euler factor), for `families.sheffer_rows`:
-    columns[i][j] the numerator of [x^i] P_j over g's denominator den."""
-    rows, den = _family_rows(range(order + 1), "t", g, *params)
-    # signed[i][m]: the numerator of (-1)^m [x^i] p_m
-    signed = [
-        [(-1) ** m * row[i] if i < len(row) else 0 for m, row in enumerate(rows)]
-        for i in range(order + 1)
-    ]
+def _stirling_g(order: int, g, *params) -> Series:
+    """g(-log(1+t)) for the series g(order, *params): l! [t^l] of it is
+    the sum over m of s(l, m) (-1)^m m! [t^m] g, the Stirling matrix
+    applied to g's signed values as `families._lif_log` composes Lif_k.
+    Its `-log` family is P_j = sum over m of (-1)^m s(j, m) p_m(x), with
+    p_m = m! [t^m] g(t) e^{xt}."""
+    values, den = _values(_slab(g, order, *params), order)
+    signed = [(-1) ** m * v for m, v in enumerate(values)]
     s1 = stirling_triangle(1, order)
-    cols = tuple([
-        tuple([sum(map(_times, s1[j], row)) for j in range(order + 1)]) for row in signed
-    ])
-    return cols, den
+    return _over_factorials([sum(map(_times, s1[l], signed)) for l in range(order + 1)], den)
 
 
 # -- slab tables -------------------------------------------------------------
@@ -216,25 +216,23 @@ def _thm1_table(order, r, k) -> tuple:
     over m of s(n, m) R_m(x), R_m(x) = sum over j of (-1)^j c_j x^j, with c_j the
     sum over l of C(m,l) C(m-l,j) (l+1)^(-k) S(q+r, r) / C(q+r, r),
     q = m-l-j.  (l+1)^(-k) is w_l / d with the weights of `_lif_weights`
-    and S(q+r, r) / C(q+r, r) is b_q / lcm C(q+r, r), so every R_m and
-    every right side is a row of integers over one denominator.  Since
-    C(m,l) C(m-l,j) = C(m,j) C(m-j,l), c_j is C(m,j) u_(m-j), u the binomial
-    convolution of w and b."""
+    and S(q+r, r) / C(q+r, r) is b_q / lcm C(q+r, r).  Since C(m,l)
+    C(m-l,j) = C(m,j) C(m-j,l), c_j is C(m,j) u_(m-j), u the binomial
+    convolution of w and b, so the right side is n! [t^n] U(log(1+t))
+    (1+t)^(-x), U(t) the sum of u_m t^m / m!: the Sheffer sum over (-x)_j
+    of v_n = sum over m of s(n, m) u_m."""
     w, d = _lif_weights(order, k)
-    s2 = stirling_triangle(2, order + r)
+    # h_q = S(q+r, r), the complete homogeneous sums of degree q in 1..r
+    h = [1] + [0] * order
+    for i in range(1, r + 1):
+        h = list(accumulate(h[1:], lambda prev, c: c + i * prev, initial=1))
     combs = [comb(q + r, r) for q in range(order + 1)]
     qden = lcm(*combs)
-    b = [s2[q + r][r] * (qden // c) for q, c in enumerate(combs)]
+    b = [s * (qden // c) for s, c in zip(h, combs)]
     u = [sum([comb(t, l) * w[l] * b[t - l] for l in range(t + 1)]) for t in range(order + 1)]
-    # column j of the R_m: [x^j] R_m for m = 0..order, 0 for m < j
-    R = [[(-1) ** j * comb(m, j) * u[m - j] if m >= j else 0 for m in range(order + 1)]
-         for j in range(order + 1)]
     s1 = stirling_triangle(1, order)
-    rows, _, den = _slab(_A_rows, order, r, k)
-    return tuple([
-        (rows[n], den, tuple([sum(map(_times, s1[n], R[j])) for j in range(n + 1)]), d * qden)
-        for n in range(order + 1)
-    ])
+    v = [sum(map(_times, s1[n], u)) for n in range(order + 1)]
+    return _sheffer_table(order, r, k, v, d * qden, _sheffer_source, Series.one)
 
 
 # -- Sheffer sums, decided on row images -------------------------------------
@@ -270,35 +268,20 @@ def _bits(rows) -> int:
     return max(map(abs, chain.from_iterable(rows)), default=0).bit_length()
 
 
-def _falling(order) -> tuple:
-    """(columns, 1): (-x)_j, j = 0..order, as `_associated` gives them."""
-    return _slab(_associated, order, "-log"), 1
-
-
 def _top(order, build, *args) -> tuple:
-    """(bits, den) of the columns of _slab(build, order, *args), a value
-    that ends with (columns, den)."""
-    *_, cols, den = _slab(build, order, *args)
-    return _bits(cols), den
+    """(bits, den) of the rows of _slab(build, order, *args), a source
+    (rows, columns, den) such as `_sheffer_source`'s."""
+    rows, _, den = _slab(build, order, *args)
+    return _bits(rows), den
 
 
-def _row_images(order, width, r, k) -> tuple:
-    """(images, bits, den): rows 0..order of A's slab (r, k) as their
-    images at x = 2^width (`_pack`), their largest bit length and their
-    denominator."""
-    rows, _, den = _slab(_A_rows, order, r, k)
+def _row_images(order, width, build, *args) -> tuple:
+    """(images, bits, den): rows 0..order of the source _slab(build,
+    order, *args) as their images at x = 2^width (`_pack`), their largest
+    bit length and their denominator."""
+    rows, _, den = _slab(build, order, *args)
     rows = rows[: order + 1]
     return tuple([_pack(row, width) for row in rows]), _bits(rows), den
-
-
-def _column_images(order, width, build, *args) -> tuple:
-    """(images, bits, den): the columns cols[i][j], i, j <= order, of
-    _slab(build, order, *args), which ends with (columns, den), as one
-    column of images, images[j] the image of p_j at x = 2^width; their
-    largest bit length and their denominator."""
-    *_, cols, den = _slab(build, order, *args)
-    cols = tuple([col[: order + 1] for col in cols[: order + 1]])
-    return tuple([_pack(p, width) for p in zip(*cols)]), _bits(cols), den
 
 
 def _width(order, v_bits, vden, a_bits, a_den, p_bits, p_den) -> int:
@@ -310,10 +293,10 @@ def _width(order, v_bits, vden, a_bits, a_den, p_bits, p_den) -> int:
 def _coefficient_rows(order, r, k, values, vden, build, *args) -> tuple:
     """The rows (a, da, b, db), n = 0..order, of A's slab (r, k) against
     s_n = the sum over j of C(n, j) v_(n-j) P_j, v_l = values[l] / vden:
-    `sheffer_rows` over the coefficient columns P_j of _slab(build, order,
-    *args), which ends with (columns, pden), and db = vden pden."""
+    `sheffer_rows` over the coefficient columns P_j of the source
+    _slab(build, order, *args), (rows, columns, pden), and db = vden pden."""
     rows, _, den = _slab(_A_rows, order, r, k)
-    *_, cols, pden = _slab(build, order, *args)
+    _, cols, pden = _slab(build, order, *args)
     rights = sheffer_rows(values, cols, range(order + 1))
     return tuple([(a, den, b, vden * pden) for a, b in zip(rows, rights)])
 
@@ -323,20 +306,19 @@ def _sheffer_table(order, r, k, values, vden, build, *args) -> tuple:
     `_coefficient_rows`: all `_AGREED` where the slab agrees, else the
     coefficient rows, each `_AGREED` where it agrees.  The slab is decided
     on its whole-row images at x = 2^width where one fits _BUDGET bits,
-    else on its coefficients.  The width is checked against the bit
-    lengths of the rows packed, which a regrown memo may have lengthened."""
+    else on its coefficients.  The width comes from the bit lengths the
+    memo's `_top` found; where the rows packed, which a regrown memo may
+    have lengthened, need a wider one, the slab goes to its coefficients."""
     v_bits = max(map(abs, values[: order + 1])).bit_length()
     found = (*_slab(_top, order, _A_rows, r, k), *_slab(_top, order, build, *args))
-    while (width := _width(order, v_bits, vden, *found)) * (order + 1) <= _BUDGET:
-        lefts, *a = _slab(_row_images, order, width, r, k)
-        images, *p = _slab(_column_images, order, width, build, *args)
-        found = (*a, *p)
-        if _width(order, v_bits, vden, *found) <= width:
+    if (width := _width(order, v_bits, vden, *found)) * (order + 1) <= _BUDGET:
+        lefts, *a = _slab(_row_images, order, width, _A_rows, r, k)
+        images, *p = _slab(_row_images, order, width, build, *args)
+        if _width(order, v_bits, vden, *a, *p) <= width:
             # the slab's images as one row: one dot product per right side
             rights = [image for image, in sheffer_rows(values, (images,), range(order + 1))]
             if _same_rows((lefts[: order + 1],), (a[1],), (rights,), (vden * p[1],)):
                 return (_AGREED,) * (order + 1)
-            break
     rows = _coefficient_rows(order, r, k, values, vden, build, *args)
     if _same_rows(*zip(*rows)):
         return (_AGREED,) * (order + 1)
@@ -355,7 +337,7 @@ def _thm2_table(order, a_values, r, k) -> tuple:
     pc, pden = _values(_slab(_lif_log, order, k), order)
     pascal = _slab(_binomial_rows, order)
     inner = [sum(map(_times, map(_times, pascal[t], an), pc[t::-1])) for t in range(order + 1)]
-    return _sheffer_table(order, r, k, inner, aden * pden, _falling)
+    return _sheffer_table(order, r, k, inner, aden * pden, _sheffer_source, Series.one)
 
 
 def _bernoulli_values(order, r) -> tuple:
@@ -492,7 +474,7 @@ def _thm3_table(order, r, k) -> tuple:
     dot products of `_thm3_weights` with the columns of B_j^{(1-r)}(-x)
     and of B_j^{(-r)}(-x-1)."""
     rows, _, den = _slab(_A_rows, order, r, k)
-    shifted, sden = _slab(_A_shifted, order, r, k)
+    shifted, _, sden = _slab(_sheffer_source, order, _mixed_at, r, k, 1)
     mid_cols, mden = _slab(_reflected_bernoulli, order, 1 - r, 0)
     last_cols, lden = _slab(_reflected_bernoulli, order, -r, -1)
     common = lcm(sden, mden, lden)
@@ -534,9 +516,9 @@ def _thm4_table(order, r, k) -> tuple:
     double sum's total to A_n^{(r+1,k)}, the variant not."""
     rows, cols, den = _slab(_A_rows, order, r, k)
     raised_rows, raised_cols, rden = _slab(_A_rows, order, r + 1, k)
-    xs, xden = _slab(_A_shifted, order, r, k)
-    up, uden = _slab(_A_shifted, order, r + 1, k)
-    down, lden = _slab(_A_shifted, order, r + 1, k - 1)
+    xs, _, xden = _slab(_sheffer_source, order, _mixed_at, r, k, 1)
+    up, _, uden = _slab(_sheffer_source, order, _mixed_at, r + 1, k, 1)
+    down, _, lden = _slab(_sheffer_source, order, _mixed_at, r + 1, k - 1, 1)
     common = lcm(den, rden, xden, uden, lden)
     a, g, x, u, d = common // den, common // rden, common // xden, common // uden, common // lden
     table = [None]
@@ -647,7 +629,8 @@ def _thm6_table(order, r, k, s) -> tuple:
     sum over l of C(n, l) A_l^{(r+s,k)}(s) P_{n-l}(x), with P_j the sum
     over m of (-1)^m s(j, m) B_m^{(s)}(x)."""
     values, vden = _slab(_A_values, order, r + s, k, s)
-    return _sheffer_table(order, r, k, values, vden, _stirling_side, _bernoulli_g, s)
+    return _sheffer_table(
+        order, r, k, values, vden, _sheffer_source, _stirling_g, _bernoulli_g, s)
 
 
 def _thm7_moments(order, s, p, q) -> tuple:
@@ -673,14 +656,14 @@ def _thm7_table(order, r, k, s, p, q) -> tuple:
     rows, _, den = _slab(_A_rows, order, r, k)
     inner = [sum(map(_times, row, moments)) for row in rows[: order + 1]]
     return _sheffer_table(
-        order, r, k, inner, den * (q - p) ** s, _stirling_side, _frobenius_g, s, p, q)
+        order, r, k, inner, den * (q - p) ** s, _sheffer_source, _stirling_g, _frobenius_g, s, p, q)
 
 
 def _thm8_table(order, r, k) -> tuple:
     """Theorem 8's rows for one (r, k), n = 0..order: A_n against the sum
     over l of C(n, l) A_l^{(r,k)}(0) (-x)_{n-l}."""
     values, vden = _slab(_A_values, order, r, k, 0)
-    return _sheffer_table(order, r, k, values, vden, _falling)
+    return _sheffer_table(order, r, k, values, vden, _sheffer_source, Series.one)
 
 
 def _table(key, lead=0, reading=None):

@@ -330,13 +330,16 @@ def xj_columns(order: int) -> tuple:
 
 
 # the kernel's three column layouts: x^j with each column cut after its 1,
-# (-x)_j at full length, and the Stirling sums of `identities` (here of a
-# Bernoulli and of a Frobenius-Euler factor)
+# (-x)_j at full length, and the dense columns of the Stirling sums P_j
+# that Theorems 6 and 7 read (`identities._stirling_g`'s `-log` family,
+# here of a Bernoulli and of a Frobenius-Euler factor)
 LAYOUTS = {
     "t": lambda: xj_columns(ORDER),
     "-log": lambda: fam._associated(ORDER, "-log"),
-    "stirling-side-bernoulli": lambda: idn._stirling_side(ORDER, fam._bernoulli_g, 3)[0],
-    "stirling-side-frobenius": lambda: idn._stirling_side(ORDER, fam._frobenius_g, 2, -1, 3)[0],
+    "stirling-side-bernoulli": lambda: idn._sheffer_source(
+        ORDER, idn._stirling_g, fam._bernoulli_g, 3)[1],
+    "stirling-side-frobenius": lambda: idn._sheffer_source(
+        ORDER, idn._stirling_g, fam._frobenius_g, 2, -1, 3)[1],
 }
 
 

@@ -12,7 +12,7 @@ from math import lcm
 from operator import mul as times
 
 from polycauchy.algebra import Polynomial, poly_shift, rising_factorial
-from polycauchy.families import bernoulli_poly, mixed_A, narumi, sheffer_rows
+from polycauchy.families import bernoulli_poly, mixed_A, narumi
 from polycauchy import families
 from polycauchy import identities as idn
 from polycauchy.identities import GridSpec, verify, verify_variants
@@ -60,7 +60,7 @@ def test_eq36_rhs_example():
     assert lhs == rhs
 
 
-def test_thm1_degenerate_degree_zero():
+def test_thm1_degenerate_degree_zero(written_out):
     for r in (0, 1, 3):
         for k in (-2, 0, 2):
             (lhs, rhs), = reduced(table_pairs("THM1")({"n": 0, "r": r, "k": k}))
@@ -638,14 +638,15 @@ def random_rows(seed) -> tuple:
     return values, vden, cols, pden, tuple(rows), scale * vden * pden if seed % 2 == 0 else 1
 
 
-def random_columns(order, seed) -> tuple:
+def random_source(order, seed) -> tuple:
+    """The P_j of `random_rows` as a source (rows, columns, pden)."""
     _, _, cols, pden, _, _ = random_rows(seed)
-    return cols, pden
+    return tuple(zip(*cols)), cols, pden
 
 
 def chunking() -> list:
     """The width of every set of A's row images in the memo."""
-    return [key[1] for key in families._memo if key[0] is idn._row_images]
+    return [key[1] for key in families._memo if key[0] is idn._row_images and key[2] is idn._A_rows]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -654,7 +655,7 @@ def test_image_decision_matches_the_coefficient_route(seed, monkeypatch):
     values, vden, cols, pden, rows, den = random_rows(seed)
     a_cols = tuple(zip(*(row + (0,) * (ORDER - n) for n, row in enumerate(rows))))
     monkeypatch.setattr(idn, "_A_rows", lambda order, r, k: (rows, a_cols, den))
-    args = (ORDER, 0, 0, values, vden, random_columns, seed)
+    args = (ORDER, 0, 0, values, vden, random_source, seed)
     rights = families.sheffer_rows(values, cols, range(ORDER + 1))
     want = tuple([(a, den, b, vden * pden) for a, b in zip(rows, rights)])
     assert idn._coefficient_rows(*args) == want
@@ -691,7 +692,7 @@ def test_a_passing_slab_is_decided_in_one_comparison(seed, budget, images, monke
 
     for name in ("_same_rows", "_coefficient_rows"):
         monkeypatch.setattr(idn, name, counted(name))
-    table = idn._sheffer_table(ORDER, 0, 0, values, vden, random_columns, seed)
+    table = idn._sheffer_table(ORDER, 0, 0, values, vden, random_source, seed)
     assert table == (idn._AGREED,) * (ORDER + 1)
     # on whole-row images, or on the coefficients, and compared once
     assert len(chunking()) == images
@@ -699,59 +700,92 @@ def test_a_passing_slab_is_decided_in_one_comparison(seed, budget, images, monke
 
 
 def coefficient_route(identity, p, ns) -> list:
-    """Theorem 8's or 6's rows at slab p as the coefficient route forms
-    them: `sheffer_rows` of A's values at 0 over the columns of (-x)_j, or
-    of A^{(r+s,k)}'s values at s over `_stirling_side`'s Bernoulli columns."""
-    order, r, k = max(ns), p["r"], p["k"]
-    rows, _, den = idn._slab(idn._A_rows, order, r, k)
-    if identity == "THM8":
-        values, vden = idn._slab(idn._A_values, order, r, k, 0)
-        cols, pden = idn._slab(idn._associated, order, "-log"), 1
-    else:
-        values, vden = idn._slab(idn._A_values, order, r + p["s"], k, p["s"])
-        cols, pden = idn._slab(idn._stirling_side, order, idn._bernoulli_g, p["s"])
-    rights = sheffer_rows(values, cols, ns)
-    return [(rows[n], den, right, vden * pden) for n, right in zip(ns, rights)]
+    """The rows of slab p at the points ns as the coefficient route forms
+    them: every Sheffer-sum table written out by `_coefficient_rows`, in
+    a memo of its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "_memo", {})
+        patch.setattr(idn, "_sheffer_table", idn._coefficient_rows)
+        return list(zip(*idn._DEFS[identity].rows(p, ns)))
 
 
 def raised_column(build):
-    """(-x)_j with [x^2] of (-x)_6 raised by 1: s_n gains C(n, 6) A_(n-6)(0) x^2."""
-    def raised(order, delta):
-        cols = build(order, delta)
-        return (*cols[:2], (*cols[2][:6], cols[2][6] + 1, *cols[2][7:]), *cols[3:])
+    """`_sheffer_source` with [x^2] of (-x)_6 raised by 1: Theorem 8's s_n
+    gains C(n, 6) A_(n-6)(0) x^2; A's rows and every other source stay."""
+    def raised(order, g, *params):
+        rows, cols, den = build(order, g, *params)
+        if g != Series.one:
+            return rows, cols, den
+        rows = (*rows[:6], (*rows[6][:2], rows[6][2] + 1, *rows[6][3:]), *rows[7:])
+        return rows, tuple(zip(*(row + (0,) * (order + 1 - len(row)) for row in rows))), den
     return raised
 
 
 def raised_stirling(build):
-    """`_stirling_side` with [x^1] of P_5 raised by 1 over its denominator:
-    Theorem 6's s_n gains C(n, 5) v_(n-5) x / den, first at n = 5."""
+    """`_stirling_g` with [t^5] raised by 1: Theorem 6's P_j gain 5! C(j, 5)
+    (-x)_(j-5) over their denominator, so s_n changes first at n = 5."""
     def raised(order, g, *params):
-        cols, den = build(order, g, *params)
-        return (cols[0], (*cols[1][:5], cols[1][5] + 1, *cols[1][6:]), *cols[2:]), den
+        series = build(order, g, *params)
+        num = series.num
+        return Series._of([*num[:5], num[5] + series.den, *num[6:]], series.den)
     return raised
+
+
+def raised_weight(build):
+    """`_lif_weights` with w_0 raised by d, so (0+1)^(-k) reads 2: every
+    u_t of Theorem 1 gains b_t, and its right side changes from n = 0."""
+    def raised(order, k):
+        w, d = build(order, k)
+        return [w[0] + d, *w[1:]], d
+    return raised
+
+
+# the identity each perturbed builder reaches; the others reach Theorem 8
+PERTURBED = {"_stirling_g": "THM6", "_lif_weights": "THM1"}
+PERTURBED_GRID = GridSpec(n_values=tuple(range(13)), r_values=(0, 1), k_values=(-1, 2),
+                          s_values=(1, 2))
+
+
+def assert_fails_as_on_the_coefficient_route(identity):
+    report = verify(identity, PERTURBED_GRID)
+    assert report.totals["fail"] > 0
+    want = []
+    slabs = idn._DEFS[identity].axes[1:]
+    for combo in itertools.product(*map(PERTURBED_GRID.values_for, slabs)):
+        p = dict(zip(slabs, combo))
+        rows = coefficient_route(identity, p, list(PERTURBED_GRID.n_values))
+        want += [idn._entry(*row, {"n": n, **p}) for n, row in zip(PERTURBED_GRID.n_values, rows)]
+    # the report lists n slowest
+    assert report.results == sorted(want, key=lambda e: e["point"]["n"])
 
 
 @BUDGETS
 @pytest.mark.parametrize("builder, perturb", [
-    ("_A_rows", bumped_rows), ("_A_values", bumped_values), ("_associated", raised_column),
-    ("_stirling_side", raised_stirling)])
+    ("_A_rows", bumped_rows), ("_A_values", bumped_values), ("_sheffer_source", raised_column),
+    ("_stirling_g", raised_stirling), ("_lif_weights", raised_weight)])
 def test_perturbed_inputs_fail_as_on_the_coefficient_route(
         builder, perturb, budget, monkeypatch, cold_memo):
     monkeypatch.setattr(idn, "_BUDGET", budget)
     monkeypatch.setattr(idn, builder, perturb(getattr(idn, builder)))
-    # Theorem 8 sums over (-x)_j, Theorem 6 over `_stirling_side`'s columns
-    identity = "THM6" if builder == "_stirling_side" else "THM8"
-    grid = GridSpec(n_values=tuple(range(13)), r_values=(0, 1), k_values=(-1, 2), s_values=(1, 2))
-    report = verify(identity, grid)
-    assert report.totals["fail"] > 0
-    want = []
-    slabs = idn._DEFS[identity].axes[1:]
-    for combo in itertools.product(*map(grid.values_for, slabs)):
-        p = dict(zip(slabs, combo))
-        rows = coefficient_route(identity, p, list(grid.n_values))
-        want += [idn._entry(*row, {"n": n, **p}) for n, row in zip(grid.n_values, rows)]
-    # the report lists n slowest
-    assert report.results == sorted(want, key=lambda e: e["point"]["n"])
+    assert_fails_as_on_the_coefficient_route(PERTURBED.get(builder, "THM8"))
+
+
+@pytest.mark.parametrize("identity, builder, perturb", [
+    ("THM8", "_A_values", bumped_values), ("THM1", "_lif_weights", raised_weight)])
+def test_rows_wider_than_the_guessed_width_go_to_the_coefficients(
+        identity, builder, perturb, monkeypatch, cold_memo):
+    # `_top` under-reports every source's bits, so that the rows packed
+    # need a wider width than the one the table guessed from it
+    monkeypatch.setattr(idn, "_top", lambda order, build, *args: (1, 1))
+    monkeypatch.setattr(idn, builder, perturb(getattr(idn, builder)))
+    calls = []
+    coefficient_rows = idn._coefficient_rows
+    monkeypatch.setattr(idn, "_coefficient_rows", lambda *args: calls.append(args[1:3]) or
+                        coefficient_rows(*args))
+    assert_fails_as_on_the_coefficient_route(identity)
+    # every slab packed its rows, found the width too narrow and went on
+    # to its coefficients: once in the report, once in the reference
+    assert chunking() and sorted(calls) == sorted(2 * [(r, k) for r in (0, 1) for k in (-1, 2)])
 
 
 # -- one run per slab ----------------------------------------------------------
@@ -890,6 +924,14 @@ def test_slab_outside_the_domain_builds_no_table(identity, table, monkeypatch, c
     report = verify(identity, GridSpec(n_values=(0, 1, 2), r_values=(-1, 1), k_values=(0,)))
     assert report.totals == {"pass": 3, "fail": 0, "skipped": 3}
     assert [slab[-2:] for slab in slabs] == [(1, 0)]
+
+
+def test_thm1_at_a_large_r_reads_no_stirling2_rows(cold_memo):
+    # S(q+r, r), q <= n, comes from an r-step recurrence, not from the
+    # Stirling-2 triangle of order n + r
+    report = verify("THM1", GridSpec(tuple(range(31)), (1000,), (0,)))
+    assert report.totals == {"pass": 31, "fail": 0, "skipped": 0}
+    assert not [key for key in families._memo if key[:2] == (families._stirling_rows, 2)]
 
 
 # -- the tables of the identities that went point by point ---------------------

@@ -38,7 +38,7 @@ def sympy_rows(monkeypatch):
     `identities._A_rows` patched, in a cold memo that is cleared again
     afterwards, since the slab tables built here may hold mutated rows.
     The shifted rows A_n(x + 1) of Theorems 3 and 4 are no such read: they
-    come from the engine's series, as Sheffer sums of A's values at 1."""
+    come from the engine's series, as the `-log` family of g(t) (1+t)^(-1)."""
     monkeypatch.setattr(idn, "_A_rows", sympy_A_rows)
     families._memo.clear()
     yield

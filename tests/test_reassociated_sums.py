@@ -97,10 +97,12 @@ def thm1_reference(n, r, k, first=1):
 
 
 @pytest.mark.parametrize("r", [r for r in RS if r >= 0])
-def test_thm1_matches_the_coefficient_formula(r):
+def test_thm1_matches_the_coefficient_formula(r, written_out):
     for n, k in product(NS, KS):
         p = {"n": n, "r": r, "k": k}
         assert pairs(table_pairs("THM1")(p)) == thm1_reference(n, r, k), p
+    for k in KS:
+        assert agreed_on_images(written_out, "THM1", {"r": r, "k": k}), (r, k)
 
 
 # -- Theorem 2, (32) and (34) ----------------------------------------------
@@ -443,9 +445,10 @@ def test_thm3_weights_match_the_cubic_sum():
         assert idn._thm3_weights(n, k)[0] == mid, (n, k)
 
 
-def test_thm1_table_matches_the_cubic_sum():
+def test_thm1_table_matches_the_cubic_sum(written_out):
     # R_m's coefficients as the sum over l of C(m,l) C(m-l,j) w_l b_(m-l-j),
-    # against their binomial convolution C(m,j) u_(m-j)
+    # summed over s(n, m), against the Sheffer sum over (-x)_j of the
+    # Stirling transform of u, their binomial convolution
     for order, r, k in product(NS, range(4), KS):
         w, d = families._lif_weights(order, k)
         s2 = families.stirling_triangle(2, order + r)
@@ -462,19 +465,15 @@ def test_thm1_table_matches_the_cubic_sum():
             (tuple(sum(s1[n][m] * R[m][j] for m in range(j, n + 1)) for j in range(n + 1)), d * qden)
             for n in range(order + 1)
         )
-        assert tuple(row[2:] for row in idn._thm1_table(order, r, k)) == table, (order, r, k)
+        got = tuple((tuple(b), db) for _, _, b, db in idn._thm1_table(order, r, k))
+        assert got == table, (order, r, k)
 
 
 def test_rows_at_a_shift_from_the_values_there_match_poly_shift():
     # a cold memo read at 8, 12 and 20: each sequence is built at 8 and
-    # regrown at 16 and at 32
+    # regrown at 16 and at 32 (A at x + 1: `test_every_sheffer_sum_source_is_one_shape`)
     families._memo.clear()
     for order in (8, 12, 20):
-        for r, k in product(RS, range(-2, 3)):
-            rows, den = idn._slab(idn._A_shifted, order, r, k)
-            for n in range(order + 1):
-                got = Polynomial._of(list(rows[n]), den)
-                assert got == poly_shift(mixed_A(n, r, k), 1), (order, n, r, k)
         for alpha, b in product(range(-3, 4), (0, -1)):
             cols, den = idn._slab(idn._reflected_bernoulli, order, alpha, b)
             for j in range(order + 1):
@@ -592,6 +591,31 @@ def test_a_slab_table_is_regrown_whole(written_out):
     assert agreed_on_images(written_out, "THM7", p, range(13))
 
 
+@pytest.mark.parametrize("order", [8, 20])
+def test_every_sheffer_sum_source_is_one_shape(order):
+    # every row set a Sheffer-sum table reads is `_sheffer_source`'s
+    # (rows, columns, den), read from a cold memo at 8 and regrown at 20
+    if order == 8:
+        families._memo.clear()
+    r, k, half = 1, -1, F(1, 2)
+    sources = [
+        (idn._slab(idn._A_rows, order, r, k), lambda n: mixed_A(n, r, k)),
+        (idn._slab(idn._sheffer_source, order, idn._mixed_at, r, k, 1),
+         lambda n: mixed_A(n, r, k).shift(1)),
+        (idn._slab(idn._sheffer_source, order, Series.one), falling),
+        (idn._slab(idn._sheffer_source, order, idn._stirling_g, families._bernoulli_g, 2),
+         lambda n: Polynomial(bernoulli_transform(n, 2))),
+        (idn._slab(idn._sheffer_source, order, idn._stirling_g, families._frobenius_g, 1, 1, 2),
+         lambda n: Polynomial(frobenius_transform(n, 1, half))),
+    ]
+    for i, ((rows, cols, den), reference) in enumerate(sources):
+        assert len(rows) == len(cols) > order and {len(col) for col in cols} == {len(rows)}, i
+        for n, row in enumerate(rows[: order + 1]):
+            # rows[n][i] == columns[i][n], the columns zero past degree n
+            assert [col[n] for col in cols] == [*row, *[0] * (len(cols) - len(row))], (i, n)
+            assert Polynomial._of(list(row), den) == reference(n), (i, n)
+
+
 def test_cold_verify_past_the_first_table_order():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -640,9 +664,9 @@ def patch_result(monkeypatch, name, change):
 
 def first_binomial_value_plus_one(monkeypatch):
     """v_0 + 1 in every Sheffer binomial sum: row n gains P_n(x).  Every
-    v_0 there is 1 (A_0 = 1, and the a-numbers and the C^{(k)} start at
-    1), so its numerator is the values' denominator and doubling it adds
-    1."""
+    v_0 there is 1 (A_0 = 1, the a-numbers and the C^{(k)} start at 1, and
+    Theorem 1's v_0 is u_0 = S(r, r)), so its numerator is the values'
+    denominator and doubling it adds 1."""
     original = idn.sheffer_rows
 
     def bumped(values, cols, ns):
@@ -691,6 +715,11 @@ FAIL_CASES = {
         lambda mp: patch_result(mp, "_lif_weights", lambda wd, order, k: (
             [wd[0][0] + wd[1], *wd[0][1:]], wd[1])),
         lambda p: thm1_reference(p["n"], p["r"], p["k"], first=2),
+    ),
+    # Theorem 1's right side as the Sheffer sum over (-x)_j of the v_n
+    "THM1+v_0": (
+        first_binomial_value_plus_one,
+        lambda p: plus(thm1_reference(p["n"], p["r"], p["k"]), dr=falling(p["n"])),
     ),
     "THM2": (
         first_binomial_value_plus_one,
@@ -782,10 +811,11 @@ def cold_memo():
     families._memo.clear()
 
 
-@pytest.mark.parametrize("identity", list(FAIL_CASES))
-def test_fail_entries_match_the_perturbed_reference(identity, monkeypatch, cold_memo):
-    perturb, reference = FAIL_CASES[identity]
+@pytest.mark.parametrize("case", list(FAIL_CASES))
+def test_fail_entries_match_the_perturbed_reference(case, monkeypatch, cold_memo):
+    perturb, reference = FAIL_CASES[case]
     perturb(monkeypatch)
+    identity = case.partition("+")[0]
     definition = idn._DEFS[identity]
     report = idn.verify(identity, FAIL_GRID)
     assert report.totals["fail"] > 0, report.totals
